@@ -17,16 +17,16 @@ from .bivectors import (BivectorBasis, WeylOperator, WeylProjector, bianchi_map,
                         weyl_space_dim)
 from .cottonyork import (CottonYorkTensor, classify_cy, obstruction_verdict_3d,
                          stratum_param, symmetric3_eigenvalues)
-from .curvature import (CurvaturePackage, christoffel, cotton, cotton_york,
+from .curvature import (CurvaturePackage, DimensionError, christoffel, cotton_york,
                         curvature_package, kulkarni_nomizu, orthonormal_frame,
-                        package_from_jets, ricci_scalar, riemann, rotate_tensor,
-                        schouten, weyl_tensor)
+                        package_from_jets, rotate_tensor, schouten, weyl_tensor)
 from .eigenflag import (CertifiedBound, EigenflagReport, certify_positive_minimum,
                         classify_weyl_spectrum, codim_eigenflag,
                         construct_stratum4, min_residual, residual,
                         residual_gradient, sphere_start_set)
 from .exprs import EvalError, ExprError, ParseError, eval_expr, parse_expr, to_source
-from .genericity import (SampleStats, ScanResult, random_polynomial_metric,
+from .genericity import (PointVerdict, SampleStats, ScanResult, grid_points,
+                         obstruct_point, random_polynomial_metric,
                          residual_statistics, sample_weyl, scan_metric)
 from .jets import Jet3, MetricJets, MetricNotPositive, jet_variable, metric_jets
 from .metrics import (MetricError, MetricSpec, conformally_flat_metric,

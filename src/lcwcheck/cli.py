@@ -21,14 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bivectors import to_operator
-from .cottonyork import (DEFAULT_DET_TOL, CottonYorkTensor, classify_cy,
-                         obstruction_verdict_3d)
+from .cottonyork import DEFAULT_DET_TOL, obstruction_verdict_3d
 from .curvature import DimensionError, curvature_package
-from .eigenflag import (DEFAULT_TOL_EIGENFLAG, DEFAULT_TOL_NOT_EIGENFLAG,
-                        min_residual)
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, DEFAULT_TOL_NOT_EIGENFLAG
 from .exprs import EvalError, ExprError
-from .genericity import fmt17, residual_statistics, scan_metric
+from .genericity import (ScanResult, ScanRow, fmt17, grid_points, obstruct_point,
+                         residual_statistics, scan_metric)
 from .jets import MetricNotPositive
 from .metrics import MetricError, load_metric
 from .perturb import (AlgebraicCurvature, PositivityError, RankDeficiencyError,
@@ -89,18 +87,12 @@ def _parse_point(text: str) -> list[float]:
 
 def _parse_grid(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
+        grid = [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: expected comma-separated counts")
-
-
-def _grid_points(spec, grid):
-    n = spec.dimension
-    if len(grid) != n:
-        raise ValueError(f"grid needs {n} axis counts")
-    axes = [np.linspace(lo, hi, k) if k > 1 else np.array([(lo + hi) / 2.0])
-            for (lo, hi), k in zip(spec.domain, grid)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    if min(grid) < 1:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: every count must be at least 1")
+    return grid
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -138,61 +130,20 @@ def _cmd_curvature(args) -> int:
     return EXIT_OK
 
 
-def _obstruct_point(spec, point, args) -> dict:
-    pkg = curvature_package(spec, point, args.orientation)
-    if spec.dimension == 3:
-        cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
-        floor = 1e-12 * (1.0 + pkg.riemann_norm)
-        label = classify_cy(cy, args.tol_det, floor)
-        verdict = "zero" if label == "zero" else obstruction_verdict_3d(cy, args.tol_det, floor)
-        return {
-            "point": list(point),
-            "branch": "cotton_york",
-            "norm": cy.norm,
-            "obstruction": cy.determinant,
-            "eigenvalues": cy.eigenvalues,
-            "stratum": label,
-            "verdict": verdict,
-            "optimizer_converged": True,
-        }
-    op = to_operator(pkg.weyl, scale=pkg.riemann_norm)
-    report = min_residual(op, starts=args.starts, seed=args.seed,
-                          tol_eigenflag=args.tol_eigenflag,
-                          weyl_floor=1e-12 * (1.0 + pkg.riemann_norm))
-    mapping = {
-        "not_eigenflag": "no_lcw_certified",
-        "eigenflag_within_tol": "inconclusive",
-        "inconclusive": "inconclusive",
-        "weyl_negligible": "weyl_negligible",
-    }
-    return {
-        "point": list(point),
-        "branch": "weyl_eigenflag",
-        "norm": report.weyl_norm,
-        "obstruction": report.residual_min,
-        "minimizer": report.minimizer,
-        "eigenflag_verdict": report.verdict,
-        "verdict": mapping[report.verdict],
-        "optimizer_converged": bool(report.converged.any()) or report.verdict == "weyl_negligible",
-    }
-
-
 def _cmd_obstruct(args) -> int:
     if args.grid is None and not args.point:
         print("lcwcheck: parse error: obstruct needs --point or --grid", file=sys.stderr)
         return EXIT_PARSE
     spec = load_metric(args.metric)
-    if args.grid is not None:
-        points = _grid_points(spec, args.grid)
-    else:
-        points = [np.asarray(p, dtype=float) for p in args.point]
+    points = grid_points(spec, args.grid) if args.grid is not None else args.point
 
-    reports = [_obstruct_point(spec, p, args) for p in points]
-    certified = [r for r in reports if r["verdict"] == "no_lcw_certified"]
+    verdicts = [obstruct_point(spec, p, args.starts, args.seed, args.orientation,
+                               args.tol_eigenflag, args.tol_det) for p in points]
+    certified = [v for v in verdicts if v.verdict == "no_lcw_certified"]
     if certified:
         headline = {
             "verdict": "no_lcw_certified",
-            "witness_point": certified[0]["point"],
+            "witness_point": list(certified[0].point),
             "text": "no limiting Carleman weight exists on any neighborhood "
                     "containing this point",
         }
@@ -201,32 +152,27 @@ def _cmd_obstruct(args) -> int:
             "verdict": "inconclusive",
             "text": "inconclusive: necessary condition holds at all sampled points",
         }
-    doc = {
-        "tool_version": __version__,
-        "metric": str(args.metric),
-        "dimension": spec.dimension,
-        "branch": "cotton_york" if spec.dimension == 3 else "weyl_eigenflag",
-        "tolerances": {
-            "tol_eigenflag": args.tol_eigenflag,
-            "tol_not_eigenflag": DEFAULT_TOL_NOT_EIGENFLAG,
-            "tol_det": args.tol_det,
-        },
-        "seed": args.seed,
-        "starts": args.starts,
-        "orientation": args.orientation,
-        "headline": headline,
-        "points": reports,
-    }
     if args.format == "csv":
-        lines = [",".join(f"x{i + 1}" for i in range(spec.dimension))
-                 + ",norm,obstruction,verdict"]
-        for r in reports:
-            lines.append(",".join(fmt17(x) for x in r["point"])
-                         + f',{fmt17(r["norm"])},{fmt17(r["obstruction"])},{r["verdict"]}')
-        _write_output("\n".join(lines) + "\n", args.out)
+        rows = tuple(ScanRow(v.point, v.norm, v.obstruction, v.verdict) for v in verdicts)
+        _write_output(ScanResult(spec.dimension, args.grid, rows).to_csv(), args.out)
     else:
-        _write_output(dumps17(doc), args.out)
-    if any(not r["optimizer_converged"] for r in reports):
+        _write_output(dumps17({
+            "tool_version": __version__,
+            "metric": str(args.metric),
+            "dimension": spec.dimension,
+            "branch": verdicts[0].branch,
+            "tolerances": {
+                "tol_eigenflag": args.tol_eigenflag,
+                "tol_not_eigenflag": DEFAULT_TOL_NOT_EIGENFLAG,
+                "tol_det": args.tol_det,
+            },
+            "seed": args.seed,
+            "starts": args.starts,
+            "orientation": args.orientation,
+            "headline": headline,
+            "points": [v.to_dict() for v in verdicts],
+        }), args.out)
+    if not all(v.converged for v in verdicts):
         return EXIT_OPTIMIZER
     return EXIT_OK
 

@@ -78,23 +78,6 @@ def christoffel(mj: MetricJets):
     return gamma, dgamma, d2gamma
 
 
-def riemann(gamma: np.ndarray, dgamma: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(0,4) curvature from the symbols: R^m_uvw = d_u G^m_vw - d_v G^m_uw
-    + G^m_ua G^a_vw - G^m_va G^a_uw, lowered into the operator arrangement."""
-    rup = (np.einsum("umvw->muvw", dgamma) - np.einsum("vmuw->muvw", dgamma)
-           + np.einsum("mua,avw->muvw", gamma, gamma)
-           - np.einsum("mva,auw->muvw", gamma, gamma))
-    return np.einsum("km,mijl->ijkl", g, rup)
-
-
-def ricci_scalar(r4: np.ndarray, g: np.ndarray):
-    """Ricci tensor and scalar curvature by inverse-metric contraction."""
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("kl,ikjl->ij", ginv, r4)
-    s = float(np.einsum("ij,ij->", ginv, ric))
-    return ric, s
-
-
 def schouten(ric: np.ndarray, s: float, g: np.ndarray, n: int) -> np.ndarray:
     if n < 3:
         raise DimensionError("Schouten tensor needs dimension >= 3")
@@ -111,14 +94,6 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def weyl_tensor(r4: np.ndarray, s2: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Totally trace-free curvature part W = R - S ^o g (vanishes for n=3)."""
     return r4 - kulkarni_nomizu(s2, g)
-
-
-def cotton(s2: np.ndarray, ds2: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """C_ijk = (D_i S)_jk - (D_j S)_ik from S, its coordinate derivative
-    ``ds2[a, b, c] = d_a S_bc`` and the symbols."""
-    nabla_s = (ds2 - np.einsum("dab,dc->abc", gamma, s2)
-               - np.einsum("dac,bd->abc", gamma, s2))
-    return nabla_s - np.einsum("jik->ijk", nabla_s)
 
 
 def cotton_york(c: np.ndarray, g: np.ndarray, orientation: int = 1) -> np.ndarray:

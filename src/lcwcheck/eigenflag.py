@@ -31,14 +31,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bivectors import WeylOperator, operator_to_tensor
+from .curvature import DimensionError
 
 DEFAULT_TOL_EIGENFLAG = 1e-8
 DEFAULT_TOL_NOT_EIGENFLAG = 1e-4
 DEFAULT_WEYL_FLOOR = 1e-12
-
-
-class DimensionError(ValueError):
-    pass
 
 
 def _as_tensor(w) -> tuple[np.ndarray, float]:
@@ -293,7 +290,7 @@ def certify_positive_minimum(w, grid_resolution: int = 64,
 
     k = grid_resolution
     axis = np.linspace(-1.0, 1.0, k)
-    face = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    face = axis[np.indices((k, k, k)).reshape(3, -1).T]  # C-order (k^3, 3) cube grid
     h = 2.0 / (k - 1)
     covering = sqrt(3.0) / 2.0 * h  # face half-diagonal; projection is 1-Lipschitz here
 

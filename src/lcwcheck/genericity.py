@@ -7,10 +7,14 @@ calibrate the "not eigenflag" threshold empirically.  The calibration is
 an artifact of the sampling, not a quantity with an analytic value, and
 is therefore seed-stamped in every report.
 
-Grid scans walk a chart box and tabulate the pointwise obstruction (the
-normalized eigenflag residual for n >= 4, det of the Cotton-York tensor
-for n = 3).  Scans are deterministic: fixed-order traversal, floats
-printed with 17 significant digits, so equal seeds give identical bytes.
+The per-point obstruction engine (:func:`obstruct_point`) is shared by
+the ``obstruct`` and ``scan`` commands and the library: it picks the
+branch (the normalized eigenflag residual for n >= 4, det of the
+Cotton-York tensor for n = 3), applies the curvature-scaled zero floor and
+maps the branch label to the one-sided verdict.  Grid scans walk a chart
+box (:func:`grid_points`) and tabulate that obstruction.  Scans are
+deterministic: fixed-order traversal, floats printed with 17 significant
+digits, so equal seeds give identical bytes.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from .bivectors import BivectorBasis, WeylOperator, WeylProjector, to_operator
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
 from .curvature import curvature_package
-from .eigenflag import (DEFAULT_TOL_EIGENFLAG, DEFAULT_TOL_NOT_EIGENFLAG,
-                        min_residual)
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residual
 from .exprs import EvalError
 from .jets import MetricNotPositive
 from .metrics import MetricSpec, make_metric
@@ -60,16 +63,14 @@ class SampleStats:
     count: int
     seed: int
     residuals: np.ndarray       # normalized min residual per sample, input order
+    verdicts: tuple             # min_residual verdict per sample, input order
     quantiles: dict             # min / q05 / q50 / q95
     threshold: float            # calibrated not-eigenflag threshold (5% quantile)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("index,residual_min,verdict\n")
-        for k, r in enumerate(self.residuals):
-            verdict = ("eigenflag_within_tol" if r < DEFAULT_TOL_EIGENFLAG
-                       else "not_eigenflag" if r > DEFAULT_TOL_NOT_EIGENFLAG
-                       else "inconclusive")
+        for k, (r, verdict) in enumerate(zip(self.residuals, self.verdicts)):
             buf.write(f"{k},{fmt17(r)},{verdict}\n")
         return buf.getvalue()
 
@@ -85,7 +86,8 @@ def residual_statistics(n: int, count: int, seed: int, starts: int | None = None
     rng = np.random.default_rng(seed)
     ops = [sample_weyl(n, rng) for _ in range(count)]
     ops.extend(extra_operators)
-    residuals = np.array([min_residual(op, starts=starts).residual_min for op in ops])
+    reports = [min_residual(op, starts=starts) for op in ops]
+    residuals = np.array([r.residual_min for r in reports])
     random_part = residuals[:count]
     quantiles = {
         "min": float(residuals.min()),
@@ -93,7 +95,8 @@ def residual_statistics(n: int, count: int, seed: int, starts: int | None = None
         "q50": float(np.quantile(random_part, 0.50)),
         "q95": float(np.quantile(random_part, 0.95)),
     }
-    return SampleStats(n, count, seed, residuals, quantiles, quantiles["q05"])
+    return SampleStats(n, count, seed, residuals, tuple(r.verdict for r in reports),
+                       quantiles, quantiles["q05"])
 
 
 # --- random polynomial metrics (test fodder and demo material) --------------
@@ -134,6 +137,97 @@ def random_polynomial_metric(n: int, rng: np.random.Generator, degree: int = 3,
     return make_metric(n, coords, g)
 
 
+# --- the per-point obstruction engine ---------------------------------------
+
+# Branch label -> one-sided verdict.  Only a nonsingular Cotton-York tensor
+# or a residual above the not-eigenflag threshold rules out a weight; every
+# label missing here (a singular tensor, an eigenflag or borderline
+# residual) becomes ``inconclusive``.
+_VERDICTS = {
+    "nonsingular": "no_lcw_certified",
+    "not_eigenflag": "no_lcw_certified",
+    "zero": "zero",
+    "weyl_negligible": "weyl_negligible",
+}
+
+
+@dataclass(frozen=True)
+class PointVerdict:
+    """The obstruction at one chart point and what it says about LCWs.
+
+    ``label`` is the branch's own classification (the Cotton-York stratum,
+    or the :func:`min_residual` verdict); ``verdict`` is the one-sided
+    reading of it.  ``detail`` holds the Cotton-York eigenvalues or the
+    residual minimizer.
+    """
+
+    point: tuple
+    branch: str                 # cotton_york | weyl_eigenflag
+    norm: float                 # |CY| or |W| (frame Frobenius norm)
+    obstruction: float          # det CY or the normalized min residual
+    converged: bool             # some optimizer start converged (always for n = 3)
+    label: str
+    verdict: str
+    detail: np.ndarray
+
+    def to_dict(self) -> dict:
+        """The per-point record of the ``obstruct`` JSON report."""
+        cy = self.branch == "cotton_york"
+        return {
+            "point": list(self.point),
+            "branch": self.branch,
+            "norm": self.norm,
+            "obstruction": self.obstruction,
+            "eigenvalues" if cy else "minimizer": self.detail,
+            "stratum" if cy else "eigenflag_verdict": self.label,
+            "verdict": self.verdict,
+            "optimizer_converged": self.converged,
+        }
+
+
+def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None,
+                   orientation: int = 1,
+                   tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
+                   tol_det: float = DEFAULT_DET_TOL) -> PointVerdict:
+    """Evaluate the pointwise obstruction of ``spec`` at ``point``.
+
+    n = 3 tests the determinant of the Cotton-York tensor, n >= 4 minimizes
+    the eigenflag residual of the Weyl operator.  Both treat the tensor as
+    zero below ``DEFAULT_ZERO_FLOOR * (1 + |R|)``.  Pipeline failures
+    propagate.
+    """
+    point = tuple(float(x) for x in point)
+    pkg = curvature_package(spec, point, orientation)
+    floor = DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm)
+    if spec.dimension == 3:
+        cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
+        label = classify_cy(cy, tol_det, floor)
+        return PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True,
+                            label, _VERDICTS.get(label, "inconclusive"), cy.eigenvalues)
+    report = min_residual(to_operator(pkg.weyl, scale=pkg.riemann_norm),
+                          starts=starts, seed=seed, tol_eigenflag=tol_eigenflag,
+                          weyl_floor=floor)
+    label = report.verdict
+    return PointVerdict(point, "weyl_eigenflag", report.weyl_norm, report.residual_min,
+                        bool(report.converged.any()) or label == "weyl_negligible",
+                        label, _VERDICTS.get(label, "inconclusive"), report.minimizer)
+
+
+def grid_points(spec: MetricSpec, grid) -> np.ndarray:
+    """C-order product of per-axis grids over the chart box, one point per row.
+
+    ``grid[i]`` evenly spaced values span axis i end to end; a count of 1
+    takes the midpoint.  Raises ``ValueError`` unless there is a count of
+    at least 1 for every axis.
+    """
+    n = spec.dimension
+    if len(grid) != n or any(k < 1 for k in grid):
+        raise ValueError(f"grid must give {n} axis counts, each at least 1")
+    axes = [np.linspace(lo, hi, k) if k > 1 else np.array([(lo + hi) / 2.0])
+            for (lo, hi), k in zip(spec.domain, grid)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+
 # --- grid scans --------------------------------------------------------------
 
 
@@ -164,39 +258,20 @@ class ScanResult:
 def scan_metric(spec: MetricSpec, grid, starts: int | None = None, seed=None,
                 orientation: int = 1,
                 tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
-                tol_not_eigenflag: float = DEFAULT_TOL_NOT_EIGENFLAG,
                 tol_det: float = DEFAULT_DET_TOL) -> ScanResult:
-    """Tabulate the pointwise obstruction over a grid inside the chart box.
+    """Tabulate the branch label of :func:`obstruct_point` over :func:`grid_points`.
 
     Pipeline failures at individual points become ``error:...`` rows rather
     than aborting the scan.  Row order is the C-order product of the
     per-axis grids, so output is byte-stable.
     """
-    n = spec.dimension
     grid = tuple(int(k) for k in grid)
-    if len(grid) != n or any(k < 1 for k in grid):
-        raise ValueError(f"grid must give a positive count per each of {n} axes")
-    axes = [np.linspace(lo, hi, k) if k > 1 else np.array([(lo + hi) / 2.0])
-            for (lo, hi), k in zip(spec.domain, grid)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-
     rows = []
-    for point in mesh:
+    for point in grid_points(spec, grid).tolist():
         try:
-            pkg = curvature_package(spec, point, orientation)
-            if n == 3:
-                cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
-                verdict = classify_cy(cy, tol_det, DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm))
-                rows.append(ScanRow(tuple(point), cy.norm, cy.determinant, verdict))
-            else:
-                op = to_operator(pkg.weyl, scale=pkg.riemann_norm)
-                report = min_residual(
-                    op, starts=starts, seed=seed,
-                    tol_eigenflag=tol_eigenflag, tol_not_eigenflag=tol_not_eigenflag,
-                    weyl_floor=1e-12 * (1.0 + pkg.riemann_norm))
-                rows.append(ScanRow(tuple(point), report.weyl_norm,
-                                    report.residual_min, report.verdict))
+            v = obstruct_point(spec, point, starts, seed, orientation, tol_eigenflag, tol_det)
+            rows.append(ScanRow(v.point, v.norm, v.obstruction, v.label))
         except (EvalError, MetricNotPositive, np.linalg.LinAlgError, ValueError) as exc:
             rows.append(ScanRow(tuple(point), float("nan"), float("nan"),
                                 f"error:{type(exc).__name__}"))
-    return ScanResult(n, grid, tuple(rows))
+    return ScanResult(spec.dimension, grid, tuple(rows))

@@ -78,12 +78,6 @@ class MetricSpec:
                 out[j][i] = val
         return out
 
-    def contains(self, point) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.domain))
-
-    def domain_center(self) -> np.ndarray:
-        return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
-
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         lows = np.array([lo for lo, _ in self.domain])
         highs = np.array([hi for _, hi in self.domain])

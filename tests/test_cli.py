@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lcwcheck.cli import dumps17, main
-from lcwcheck.metrics import euclidean_metric, sphere_stereographic_metric
+from lcwcheck.genericity import obstruct_point
+from lcwcheck.metrics import euclidean_metric, load_metric, sphere_stereographic_metric
 from lcwcheck.perturb import solve_cy_target
 
 
@@ -58,6 +59,8 @@ def test_obstruct_certifies_cy_metric(tmp_path, capsys):
     assert doc["branch"] == "cotton_york"
     assert doc["headline"]["verdict"] == "no_lcw_certified"
     assert "neighborhood" in doc["headline"]["text"]
+    engine = obstruct_point(load_metric(path), (0.0, 0.0, 0.0))
+    assert doc["points"] == json.loads(dumps17([engine.to_dict()]))
 
 
 def test_obstruct_grid_and_csv(flat4, capsys):
@@ -97,6 +100,8 @@ def test_perturb_random_then_obstruct(tmp_path, capsys):
     assert main(["obstruct", str(out), "--point", "0,0,0,0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["points"][0]["branch"] == "weyl_eigenflag"
+    engine = obstruct_point(load_metric(out), (0.0, 0.0, 0.0, 0.0))
+    assert doc["points"] == json.loads(dumps17([engine.to_dict()]))
 
 
 def test_solve_cy_command(tmp_path, capsys):
@@ -126,6 +131,38 @@ def test_scan_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x1,x2,x3,norm,obstruction,verdict"
     assert len(lines) == 9
+
+    # scan and obstruct --format csv share one engine: the same numbers on the
+    # same grid; scan prints the branch label, obstruct the one-sided verdict
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text(solve_cy_target(0.01 * np.diag([2.0, -1.0, -1.0])).metric.to_json())
+    mapping = {"nonsingular": "no_lcw_certified", "zero": "zero"}
+    for path in (metric, cubic):
+        scan_out, obstruct_out = tmp_path / "scan.csv", tmp_path / "obstruct.csv"
+        assert main(["scan", str(path), "--grid", "3,2,3", "--out", str(scan_out)]) == 0
+        assert main(["obstruct", str(path), "--grid", "3,2,3", "--format", "csv",
+                     "--out", str(obstruct_out)]) == 0
+        scan_rows = [r.split(",") for r in scan_out.read_text().splitlines()]
+        obstruct_rows = [r.split(",") for r in obstruct_out.read_text().splitlines()]
+        assert len(scan_rows) == len(obstruct_rows) == 1 + 18
+        assert [r[:-1] for r in scan_rows] == [r[:-1] for r in obstruct_rows]
+        assert scan_rows[0][-1] == obstruct_rows[0][-1] == "verdict"
+        labels = [r[-1] for r in scan_rows[1:]]
+        assert [mapping.get(x, "inconclusive") for x in labels] == [
+            r[-1] for r in obstruct_rows[1:]]
+    assert set(labels) == {"nonsingular"}
+
+
+@pytest.mark.parametrize("command", ["obstruct", "scan"])
+def test_grid_counts_below_one_are_parse_errors(tmp_path, capsys, command):
+    metric = tmp_path / "m3.json"
+    metric.write_text(euclidean_metric(3).to_json())
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(metric), "--grid", "0,3,3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lcwcheck
+from lcwcheck import curvature, eigenflag
 from lcwcheck.bivectors import WeylOperator, conjugate_operator, to_operator
 from lcwcheck.curvature import curvature_package
 from lcwcheck.eigenflag import (DimensionError, certify_positive_minimum,
@@ -180,6 +182,8 @@ def test_min_residual_inconclusive_band():
 def test_min_residual_needs_dim_4():
     with pytest.raises(DimensionError):
         min_residual(np.zeros((3, 3)))
+    assert eigenflag.DimensionError is curvature.DimensionError
+    assert lcwcheck.DimensionError is curvature.DimensionError
 
 
 def test_start_set_shape_and_antipode_convention():

@@ -4,8 +4,9 @@ from scipy.stats import ks_2samp
 
 from lcwcheck.bivectors import bianchi_map, ricci_contraction
 from lcwcheck.eigenflag import construct_stratum4
-from lcwcheck.genericity import (SampleStats, fmt17, random_polynomial_metric,
-                                 residual_statistics, sample_weyl, scan_metric)
+from lcwcheck.genericity import (SampleStats, fmt17, grid_points, obstruct_point,
+                                 random_polynomial_metric, residual_statistics,
+                                 sample_weyl, scan_metric)
 from lcwcheck.metrics import euclidean_metric, make_metric, parse_metric
 
 
@@ -68,6 +69,9 @@ def test_planted_stratum_sample_is_detected():
     stats = residual_statistics(4, 10, seed=3, extra_operators=[planted])
     assert stats.quantiles["min"] < 1e-10
     assert stats.residuals[:10].min() > 1e-6  # the random part stays away
+    # the CSV carries min_residual's own verdicts, planted row last
+    assert stats.to_csv().splitlines()[-1].endswith(",eigenflag_within_tol")
+    assert stats.verdicts[-1] == "eigenflag_within_tol"
 
 
 def test_adjacent_seeds_statistically_indistinguishable():
@@ -96,6 +100,9 @@ def test_scan_flat_metric():
     result = scan_metric(euclidean_metric(4), (2, 2, 2, 2))
     assert all(row.verdict == "weyl_negligible" for row in result.rows)
     assert all(row.norm == 0.0 for row in result.rows)
+    v = obstruct_point(euclidean_metric(4), result.rows[0].point)
+    assert (v.branch, v.label, v.verdict) == ("weyl_eigenflag", "weyl_negligible",
+                                              "weyl_negligible")
     result3 = scan_metric(euclidean_metric(3), (2, 2, 2))
     assert all(row.verdict == "zero" for row in result3.rows)
 
@@ -108,6 +115,13 @@ def test_scan_csv_determinism_and_format():
     header = csv1.splitlines()[0]
     assert header == "x1,x2,x3,norm,obstruction,verdict"
     assert len(csv1.splitlines()) == 1 + 27
+    # every row is the engine's verdict at that point, labelled by branch
+    for row, point in zip(result1.rows, grid_points(product_metric_3d(), (3, 3, 3))):
+        v = obstruct_point(product_metric_3d(), point)
+        assert row.point == v.point
+        assert (row.norm, row.obstruction, row.verdict) == (v.norm, v.obstruction, v.label)
+        assert v.verdict == {"nonsingular": "no_lcw_certified",
+                             "zero": "zero"}.get(v.label, "inconclusive")
 
 
 def test_scan_records_per_point_errors():
@@ -122,6 +136,11 @@ def test_scan_records_per_point_errors():
 def test_scan_grid_validation():
     with pytest.raises(ValueError, match="grid"):
         scan_metric(euclidean_metric(3), (5, 5))
+    with pytest.raises(ValueError, match="grid"):
+        grid_points(euclidean_metric(3), (0, 3, 3))
+    mesh = grid_points(euclidean_metric(3), (2, 1, 3))
+    assert mesh.shape == (6, 3)
+    assert mesh[0].tolist() == [-1.0, 0.0, -1.0] and mesh[-1].tolist() == [1.0, 0.0, 1.0]
 
 
 def test_fmt17_representation():
