@@ -22,11 +22,11 @@ from .curvature import (CurvaturePackage, DimensionError, christoffel, cotton_yo
                         package_from_jets, rotate_tensor, schouten, weyl_tensor)
 from .eigenflag import (CertifiedBound, EigenflagReport, certify_positive_minimum,
                         classify_weyl_spectrum, codim_eigenflag,
-                        construct_stratum4, min_residual, residual,
+                        construct_stratum4, min_residual, min_residuals, residual,
                         residual_gradient, sphere_start_set)
 from .exprs import EvalError, ExprError, ParseError, eval_expr, parse_expr, to_source
 from .genericity import (PointVerdict, SampleStats, ScanResult, grid_points,
-                         obstruct_point, random_polynomial_metric,
+                         obstruct_point, obstruct_points, random_polynomial_metric,
                          residual_statistics, sample_weyl, scan_metric)
 from .jets import Jet3, MetricJets, MetricNotPositive, jet_variable, metric_jets
 from .metrics import (MetricError, MetricSpec, conformally_flat_metric,

@@ -25,7 +25,7 @@ from .cottonyork import DEFAULT_DET_TOL, obstruction_verdict_3d
 from .curvature import DimensionError, curvature_package
 from .eigenflag import DEFAULT_TOL_EIGENFLAG, DEFAULT_TOL_NOT_EIGENFLAG
 from .exprs import EvalError, ExprError
-from .genericity import (ScanResult, ScanRow, fmt17, grid_points, obstruct_point,
+from .genericity import (ScanResult, ScanRow, fmt17, grid_points, obstruct_points,
                          residual_statistics, scan_metric)
 from .jets import MetricNotPositive
 from .metrics import MetricError, load_metric
@@ -98,8 +98,22 @@ def _parse_grid(text: str) -> list[int]:
 # --- subcommand handlers ------------------------------------------------------
 
 
+def _arity_ok(spec, grid, points) -> bool:
+    """Whether a --grid and every --point give one entry per coordinate; says why not."""
+    n = spec.dimension
+    if grid is not None and len(grid) != n:
+        print(f"lcwcheck: parse error: --grid must give {n} axis counts", file=sys.stderr)
+        return False
+    if any(len(p) != n for p in points or ()):
+        print(f"lcwcheck: parse error: --point must have {n} coordinates", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_curvature(args) -> int:
     spec = load_metric(args.metric)
+    if not _arity_ok(spec, None, [args.point]):
+        return EXIT_PARSE
     pkg = curvature_package(spec, args.point, args.orientation)
     doc = {
         "tool_version": __version__,
@@ -135,10 +149,15 @@ def _cmd_obstruct(args) -> int:
         print("lcwcheck: parse error: obstruct needs --point or --grid", file=sys.stderr)
         return EXIT_PARSE
     spec = load_metric(args.metric)
+    if not _arity_ok(spec, args.grid, args.point):
+        return EXIT_PARSE
     points = grid_points(spec, args.grid) if args.grid is not None else args.point
 
-    verdicts = [obstruct_point(spec, p, args.starts, args.seed, args.orientation,
-                               args.tol_eigenflag, args.tol_det) for p in points]
+    verdicts = obstruct_points(spec, points, args.starts, args.seed, args.orientation,
+                               args.tol_eigenflag, args.tol_det)
+    failed = [v for v in verdicts if isinstance(v, Exception)]
+    if failed:
+        raise failed[0]
     certified = [v for v in verdicts if v.verdict == "no_lcw_certified"]
     if certified:
         headline = {
@@ -229,6 +248,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_scan(args) -> int:
     spec = load_metric(args.metric)
+    if not _arity_ok(spec, args.grid, None):
+        return EXIT_PARSE
     result = scan_metric(spec, args.grid, starts=args.starts, seed=args.seed,
                          orientation=args.orientation,
                          tol_eigenflag=args.tol_eigenflag,

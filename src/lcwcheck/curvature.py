@@ -47,35 +47,47 @@ class DimensionError(ValueError):
 # --- individual pipeline stages ------------------------------------------
 
 
+def _inverse_jets(mj: MetricJets):
+    """g^-1 and its first two coordinate derivatives (batched like ``mj``)."""
+    g, dg, d2g = mj.g, mj.dg, mj.d2g
+    ginv = np.linalg.inv(g)
+    dginv = -np.einsum("...ij,...ajk,...kl->...ail", ginv, dg, ginv)
+    # d_a d_b g^-1 = -(m_ab + m_ab^T) - g^-1 d_a d_b g g^-1 with
+    # m_ab = (d_b g^-1) (d_a g) g^-1: the two first-order terms mirror each other
+    ginv2 = ginv[..., None, None, :, :]
+    m = dginv[..., None, :, :, :] @ dg[..., :, None, :, :] @ ginv2
+    d2ginv = -(m + m.swapaxes(-1, -2)) - ginv2 @ d2g @ ginv2
+    return ginv, dginv, d2ginv
+
+
+def _symbols(mj: MetricJets, ginv, dginv, d2ginv):
+    dg, d2g, d3g = mj.dg, mj.d2g, mj.d3g
+    s3 = (np.einsum("...ijl->...ijl", dg) + np.einsum("...jil->...ijl", dg)
+          - np.einsum("...lij->...ijl", dg))
+    ds3 = (np.einsum("...bijl->...bijl", d2g) + np.einsum("...bjil->...bijl", d2g)
+           - np.einsum("...blij->...bijl", d2g))
+    d2s3 = (np.einsum("...bcijl->...bcijl", d3g) + np.einsum("...bcjil->...bcijl", d3g)
+            - np.einsum("...bclij->...bcijl", d3g))
+
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, s3)
+    dgamma = 0.5 * (np.einsum("...bkl,...ijl->...bkij", dginv, s3)
+                    + np.einsum("...kl,...bijl->...bkij", ginv, ds3))
+    d2gamma = 0.5 * (np.einsum("...bckl,...ijl->...bckij", d2ginv, s3)
+                     + np.einsum("...bkl,...cijl->...bckij", dginv, ds3)
+                     + np.einsum("...ckl,...bijl->...bckij", dginv, ds3)
+                     + np.einsum("...kl,...bcijl->...bckij", ginv, d2s3))
+    return gamma, dgamma, d2gamma
+
+
 def christoffel(mj: MetricJets):
     """Christoffel symbols and their first two coordinate derivatives.
 
     Returns ``(gamma, dgamma, d2gamma)`` with ``gamma[k, i, j]`` the symbol
     with upper index k, ``dgamma[b, k, i, j]`` its b-derivative and
     ``d2gamma[b, c, k, i, j]`` the second derivative, all exact given the
-    metric jets.
+    metric jets (with a leading batch axis for batched jets).
     """
-    g, dg, d2g, d3g = mj.g, mj.dg, mj.d2g, mj.d3g
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("ij,ajk,kl->ail", ginv, dg, ginv)
-    d2ginv = (np.einsum("ij,bjk,kl,alm,mp->abip", ginv, dg, ginv, dg, ginv)
-              + np.einsum("ij,ajk,kl,blm,mp->abip", ginv, dg, ginv, dg, ginv)
-              - np.einsum("ij,abjk,kl->abil", ginv, d2g, ginv))
-
-    s3 = np.einsum("ijl->ijl", dg) + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    ds3 = (np.einsum("bijl->bijl", d2g) + np.einsum("bjil->bijl", d2g)
-           - np.einsum("blij->bijl", d2g))
-    d2s3 = (np.einsum("bcijl->bcijl", d3g) + np.einsum("bcjil->bcijl", d3g)
-            - np.einsum("bclij->bcijl", d3g))
-
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, s3)
-    dgamma = 0.5 * (np.einsum("bkl,ijl->bkij", dginv, s3)
-                    + np.einsum("kl,bijl->bkij", ginv, ds3))
-    d2gamma = 0.5 * (np.einsum("bckl,ijl->bckij", d2ginv, s3)
-                     + np.einsum("bkl,cijl->bckij", dginv, ds3)
-                     + np.einsum("ckl,bijl->bckij", dginv, ds3)
-                     + np.einsum("kl,bcijl->bckij", ginv, d2s3))
-    return gamma, dgamma, d2gamma
+    return _symbols(mj, *_inverse_jets(mj))
 
 
 def schouten(ric: np.ndarray, s: float, g: np.ndarray, n: int) -> np.ndarray:
@@ -87,8 +99,8 @@ def schouten(ric: np.ndarray, s: float, g: np.ndarray, n: int) -> np.ndarray:
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Symmetric product of two symmetric 2-tensors, with all curvature
     symmetries and vanishing Bianchi component."""
-    return (np.einsum("ik,jl->ijkl", a, b) + np.einsum("jl,ik->ijkl", a, b)
-            - np.einsum("il,jk->ijkl", a, b) - np.einsum("jk,il->ijkl", a, b))
+    return (np.einsum("...ik,...jl->...ijkl", a, b) + np.einsum("...jl,...ik->...ijkl", a, b)
+            - np.einsum("...il,...jk->...ijkl", a, b) - np.einsum("...jk,...il->...ijkl", a, b))
 
 
 def weyl_tensor(r4: np.ndarray, s2: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -198,63 +210,75 @@ class CurvaturePackage:
         return float(np.linalg.det(self.cotton_york))
 
 
-def package_from_jets(mj: MetricJets, orientation: int = 1) -> CurvaturePackage:
-    """Run the whole pipeline on precomputed metric jets."""
+def package_from_jets(mj: MetricJets, orientation: int = 1):
+    """Run the whole pipeline on precomputed metric jets.
+
+    Jets at one point give its :class:`CurvaturePackage`; batched jets run
+    the chain with a leading batch axis and give a list of packages, one
+    per point, equal bit for bit to the packages of the points one by one.
+    """
+    if mj.g.ndim == 2:
+        batch = MetricJets(*(a[None] for a in (mj.point, mj.g, mj.dg, mj.d2g, mj.d3g)))
+        return package_from_jets(batch, orientation)[0]
     n = mj.n
     g, dg = mj.g, mj.dg
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("ij,ajk,kl->ail", ginv, dg, ginv)
+    ginv, dginv, d2ginv = _inverse_jets(mj)
+    gamma, dgamma, d2gamma = _symbols(mj, ginv, dginv, d2ginv)
 
-    gamma, dgamma, d2gamma = christoffel(mj)
+    rup = (np.einsum("...umvw->...muvw", dgamma) - np.einsum("...vmuw->...muvw", dgamma)
+           + np.einsum("...mua,...avw->...muvw", gamma, gamma)
+           - np.einsum("...mva,...auw->...muvw", gamma, gamma))
+    drup = (np.einsum("...bumvw->...bmuvw", d2gamma) - np.einsum("...bvmuw->...bmuvw", d2gamma)
+            + np.einsum("...bmua,...avw->...bmuvw", dgamma, gamma)
+            + np.einsum("...mua,...bavw->...bmuvw", gamma, dgamma)
+            - np.einsum("...bmva,...auw->...bmuvw", dgamma, gamma)
+            - np.einsum("...mva,...bauw->...bmuvw", gamma, dgamma))
 
-    rup = (np.einsum("umvw->muvw", dgamma) - np.einsum("vmuw->muvw", dgamma)
-           + np.einsum("mua,avw->muvw", gamma, gamma)
-           - np.einsum("mva,auw->muvw", gamma, gamma))
-    drup = (np.einsum("bumvw->bmuvw", d2gamma) - np.einsum("bvmuw->bmuvw", d2gamma)
-            + np.einsum("bmua,avw->bmuvw", dgamma, gamma)
-            + np.einsum("mua,bavw->bmuvw", gamma, dgamma)
-            - np.einsum("bmva,auw->bmuvw", dgamma, gamma)
-            - np.einsum("mva,bauw->bmuvw", gamma, dgamma))
+    r4 = np.einsum("...km,...mijl->...ijkl", g, rup)
+    dr4 = (np.einsum("...bkm,...mijl->...bijkl", dg, rup)
+           + np.einsum("...km,...bmijl->...bijkl", g, drup))
 
-    r4 = np.einsum("km,mijl->ijkl", g, rup)
-    dr4 = (np.einsum("bkm,mijl->bijkl", dg, rup)
-           + np.einsum("km,bmijl->bijkl", g, drup))
+    ric = np.einsum("...kl,...ikjl->...ij", ginv, r4)
+    dric = (np.einsum("...bkl,...ikjl->...bij", dginv, r4)
+            + np.einsum("...kl,...bikjl->...bij", ginv, dr4))
 
-    ric = np.einsum("kl,ikjl->ij", ginv, r4)
-    dric = (np.einsum("bkl,ikjl->bij", dginv, r4)
-            + np.einsum("kl,bikjl->bij", ginv, dr4))
+    s = np.einsum("...ij,...ij->...", ginv, ric)
+    # point by point: over a batch these two einsums sum in another order
+    ds = np.stack([np.einsum("bij,ij->b", dginv[p], ric[p])
+                   + np.einsum("ij,bij->b", ginv[p], dric[p]) for p in range(len(mj))])
 
-    s = float(np.einsum("ij,ij->", ginv, ric))
-    ds = np.einsum("bij,ij->b", dginv, ric) + np.einsum("ij,bij->b", ginv, dric)
+    s2 = schouten(ric, s[:, None, None], g, n)
+    ds2 = (dric - (np.einsum("...b,...ij->...bij", ds, g) + s[:, None, None, None] * dg)
+           / (2.0 * (n - 1))) / (n - 2)
 
-    s2 = schouten(ric, s, g, n)
-    ds2 = (dric - (np.einsum("b,ij->bij", ds, g) + s * dg) / (2.0 * (n - 1))) / (n - 2)
-
-    nabla_s = (ds2 - np.einsum("dab,dc->abc", gamma, s2)
-               - np.einsum("dac,bd->abc", gamma, s2))
-    c3 = nabla_s - np.einsum("jik->ijk", nabla_s)
+    nabla_s = (ds2 - np.einsum("...dab,...dc->...abc", gamma, s2)
+               - np.einsum("...dac,...bd->...abc", gamma, s2))
+    c3 = nabla_s - np.einsum("...jik->...ijk", nabla_s)
     w4 = weyl_tensor(r4, s2, g)
-    cy = cotton_york(c3, g, orientation) if n == 3 else None
 
-    frame = orthonormal_frame(g)
-    coord = CoordinateTensors(r4, ric, s2, nabla_s, c3, w4, cy)
-    return CurvaturePackage(
-        point=mj.point,
-        g=g,
-        frame=frame,
-        gamma=gamma,
-        dgamma=dgamma,
-        riemann=rotate_tensor(r4, frame),
-        ricci=rotate_tensor(ric, frame),
-        scalar=s,
-        schouten=rotate_tensor(s2, frame),
-        grad_schouten=rotate_tensor(nabla_s, frame),
-        cotton=rotate_tensor(c3, frame),
-        weyl=rotate_tensor(w4, frame),
-        cotton_york=None if cy is None else rotate_tensor(cy, frame),
-        coord=coord,
-        orientation=orientation,
-    )
+    packages = []
+    for p in range(len(mj)):
+        cy = cotton_york(c3[p], g[p], orientation) if n == 3 else None
+        frame = orthonormal_frame(g[p])
+        coord = CoordinateTensors(r4[p], ric[p], s2[p], nabla_s[p], c3[p], w4[p], cy)
+        packages.append(CurvaturePackage(
+            point=mj.point[p],
+            g=g[p],
+            frame=frame,
+            gamma=gamma[p],
+            dgamma=dgamma[p],
+            riemann=rotate_tensor(r4[p], frame),
+            ricci=rotate_tensor(ric[p], frame),
+            scalar=float(s[p]),
+            schouten=rotate_tensor(s2[p], frame),
+            grad_schouten=rotate_tensor(nabla_s[p], frame),
+            cotton=rotate_tensor(c3[p], frame),
+            weyl=rotate_tensor(w4[p], frame),
+            cotton_york=None if cy is None else rotate_tensor(cy, frame),
+            coord=coord,
+            orientation=orientation,
+        ))
+    return packages
 
 
 def curvature_package(spec, point, orientation: int = 1) -> CurvaturePackage:

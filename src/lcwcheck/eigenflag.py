@@ -47,21 +47,44 @@ def _as_tensor(w) -> tuple[np.ndarray, float]:
     raise TypeError("expected a WeylOperator or an operator matrix")
 
 
-def _batch_residual(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    g = np.einsum("bi,ijkl->bjkl", v, t)
-    a = np.einsum("bk,bjkl->bjl", v, g)
-    gp = g - v[:, None, :, None] * a[:, :, None, :] + v[:, None, None, :] * a[:, :, :, None]
+def _per_operator(subscripts: str, x: np.ndarray, t: np.ndarray, owner) -> np.ndarray:
+    """``np.einsum(subscripts, x, t)`` for one tensor t, or, for a stack of
+    tensors, row b of x against ``t[owner[b]]`` (owner sorted), operator by
+    operator."""
+    if t.ndim == 4:
+        return np.einsum(subscripts, x, t)
+    bounds = np.concatenate(([0], np.flatnonzero(owner[1:] != owner[:-1]) + 1, [len(owner)]))
+    out = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        piece = np.einsum(subscripts, x[lo:hi], t[owner[lo]])
+        if out is None:
+            out = np.empty((len(x),) + piece.shape[1:])
+        out[lo:hi] = piece
+    return out
+
+
+def _flag_parts(t: np.ndarray, v: np.ndarray, owner=None):
+    """G' and A (see the module docstring) at each unit row of v."""
+    gp = _per_operator("bi,ijkl->bjkl", v, t, owner)  # G, made G' in place
+    a = np.einsum("bk,bjkl->bjl", v, gp)
+    gp -= v[:, None, :, None] * a[:, :, None, :]
+    gp += v[:, None, None, :] * a[:, :, :, None]
+    return gp, a
+
+
+def _energy(gp: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("bjkl,bjkl->b", gp, gp)
 
 
-def _batch_gradient(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of E for a batch of unit rows."""
-    g = np.einsum("bi,ijkl->bjkl", v, t)
-    a = np.einsum("bk,bjkl->bjl", v, g)
-    gp = g - v[:, None, :, None] * a[:, :, None, :] + v[:, None, None, :] * a[:, :, :, None]
-    s1 = np.einsum("bjkl,mjkl->bm", gp, t)
+def _gradient(t: np.ndarray, gp: np.ndarray, a: np.ndarray, owner=None) -> np.ndarray:
+    """Euclidean gradient of E from the flag parts of a batch of unit rows."""
+    s1 = _per_operator("bjkl,mjkl->bm", gp, t, owner)
     s2 = np.einsum("bjml,bjl->bm", gp, a)
     return s1 - 2.0 * s2
+
+
+def _batch_residual(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return _energy(_flag_parts(t, v)[0])
 
 
 def residual(w, v) -> float:
@@ -79,7 +102,7 @@ def residual_gradient(w, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("flag direction must be a unit vector")
-    egrad = _batch_gradient(t, v[None, :])[0]
+    egrad = _gradient(t, *_flag_parts(t, v[None, :]))[0]
     return egrad - np.dot(egrad, v) * v
 
 
@@ -156,42 +179,74 @@ def min_residual(w, starts: int | None = None, maxiter: int = 500,
     inconclusive.  The verdict stays heuristic unless backed by
     :func:`certify_positive_minimum`.
     """
-    t, wnorm = _as_tensor(w)
-    n = t.shape[0]
+    return min_residuals([w], starts, maxiter, gtol, seed, tol_eigenflag,
+                         tol_not_eigenflag, weyl_floor)[0]
+
+
+def min_residuals(ws, starts: int | None = None, maxiter: int = 500,
+                  gtol: float = 1e-12, seed=None,
+                  tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
+                  tol_not_eigenflag: float = DEFAULT_TOL_NOT_EIGENFLAG,
+                  weyl_floor=DEFAULT_WEYL_FLOOR) -> list[EigenflagReport]:
+    """:func:`min_residual` for several operators of one dimension at once.
+
+    All operators x starts descend in one loop; each start's iterates, and
+    so each report, are exactly those of its operator on its own.
+    ``weyl_floor`` is one floor for all operators or one per operator.  A
+    report's ``iterations`` counts the loop rounds in which some start of
+    its operator was still descending.
+    """
+    pairs = [_as_tensor(w) for w in ws]
+    n = pairs[0][0].shape[0]
     if n < 4:
         raise DimensionError("eigenflag test needs dimension >= 4")
+    if any(t.shape[0] != n for t, _ in pairs):
+        raise DimensionError("operators of one batch must share their dimension")
     if starts is None:
         starts = 8 * n
+    floors = np.broadcast_to(np.asarray(weyl_floor, dtype=float), (len(pairs),))
 
-    if wnorm < weyl_floor:
-        return EigenflagReport(0.0, 0.0, np.zeros(n), wnorm, 0,
-                               np.zeros(0, dtype=bool), "weyl_negligible", 0, seed)
+    reports = [EigenflagReport(0.0, 0.0, np.zeros(n), wnorm, 0, np.zeros(0, dtype=bool),
+                               "weyl_negligible", 0, seed) if wnorm < floor else None
+               for (_, wnorm), floor in zip(pairs, floors)]
+    live = [k for k, r in enumerate(reports) if r is None]
+    if not live:
+        return reports
 
-    v = sphere_start_set(n, starts, seed)
-    nb = v.shape[0]
-    energy = _batch_residual(t, v)
+    start_set = sphere_start_set(n, starts, seed)
+    nb = start_set.shape[0]
+    tensors = np.stack([pairs[k][0] for k in live])
+    wnorms = [pairs[k][1] for k in live]
+    owner = np.repeat(np.arange(len(live)), nb)
+
+    # one operator's rows share its tensor; of several, row b has tensors[owner[b]]
+    stack = tensors[0] if len(live) == 1 else tensors
+
+    v = np.tile(start_set, (len(live), 1))
+    gp, a = _flag_parts(stack, v, owner)  # kept at the current iterates
+    energy = _energy(gp)
     memory = 5  # nonmonotone reference window
     hist = np.tile(energy[:, None], (1, memory))
-    alpha = np.full(nb, 1.0 / max(wnorm ** 2, 1e-30))
-    gtol_eff = gtol * max(1.0, wnorm ** 2)
-    done = np.zeros(nb, dtype=bool)      # converged (small gradient)
-    frozen = np.zeros(nb, dtype=bool)    # line search exhausted
+    alpha = np.repeat([1.0 / max(wn ** 2, 1e-30) for wn in wnorms], nb)
+    gtol_eff = np.repeat([gtol * max(1.0, wn ** 2) for wn in wnorms], nb)
+    done = np.zeros(v.shape[0], dtype=bool)      # converged (small gradient)
+    frozen = np.zeros(v.shape[0], dtype=bool)    # line search exhausted
     prev_v = np.zeros_like(v)
     prev_g = np.zeros_like(v)
-    have_prev = np.zeros(nb, dtype=bool)
+    have_prev = np.zeros(v.shape[0], dtype=bool)
     c1 = 1e-4
-    iterations = 0
+    iterations = np.zeros(len(live), dtype=int)
 
     for _ in range(maxiter):
         act = np.flatnonzero(~(done | frozen))
         if act.size == 0:
             break
-        iterations += 1
+        iterations += np.bincount(owner[act], minlength=len(live)) > 0
         va = v[act]
-        egrad = _batch_gradient(t, va)
+        egrad = _gradient(stack, gp[act], a[act], owner[act])
         rgrad = egrad - np.einsum("bi,bi->b", egrad, va)[:, None] * va
         gnorm2 = np.einsum("bi,bi->b", rgrad, rgrad)
-        small = np.sqrt(gnorm2) <= gtol_eff
+        small = np.sqrt(gnorm2) <= gtol_eff[act]
         done[act[small]] = True
         act, va, rgrad, gnorm2 = act[~small], va[~small], rgrad[~small], gnorm2[~small]
         if act.size == 0:
@@ -215,10 +270,12 @@ def min_residual(w, starts: int | None = None, maxiter: int = 500,
             rows = act[idx]
             trial = v[rows] - step[idx, None] * rgrad[idx]
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            e_trial = _batch_residual(t, trial)
+            gp_trial, a_trial = _flag_parts(stack, trial, owner[rows])
+            e_trial = _energy(gp_trial)
             ok = e_trial <= reference[idx] - c1 * step[idx] * gnorm2[idx]
             accepted = rows[ok]
             v[accepted] = trial[ok]
+            gp[accepted], a[accepted] = gp_trial[ok], a_trial[ok]
             energy[accepted] = e_trial[ok]
             alpha[accepted] = step[idx[ok]]
             hist[accepted] = np.roll(hist[accepted], 1, axis=1)
@@ -230,21 +287,24 @@ def min_residual(w, starts: int | None = None, maxiter: int = 500,
             frozen[act[tiny]] = True
             searching[tiny] = False
 
-    # exact re-evaluation at the final iterates; best start wins
-    energy = _batch_residual(t, v)
-    best = int(np.argmin(energy))
-    minimizer = v[best]
-    raw = float(_batch_residual(t, minimizer[None, :])[0])
-    normalized = raw / wnorm ** 2
-
-    if normalized < tol_eigenflag:
-        verdict = "eigenflag_within_tol"
-    elif normalized > tol_not_eigenflag:
-        verdict = "not_eigenflag"
-    else:
-        verdict = "inconclusive"
-    return EigenflagReport(normalized, raw, minimizer, wnorm, nb,
-                           done.copy(), verdict, iterations, seed)
+    for p, k in enumerate(live):
+        # exact re-evaluation at the final iterates; best start wins
+        t, wnorm = pairs[k]
+        vp = v[p * nb:(p + 1) * nb]
+        best = int(np.argmin(_batch_residual(t, vp)))
+        minimizer = vp[best]
+        raw = float(_batch_residual(t, minimizer[None, :])[0])
+        normalized = raw / wnorm ** 2
+        if normalized < tol_eigenflag:
+            verdict = "eigenflag_within_tol"
+        elif normalized > tol_not_eigenflag:
+            verdict = "not_eigenflag"
+        else:
+            verdict = "inconclusive"
+        reports[k] = EigenflagReport(normalized, raw, minimizer, wnorm, nb,
+                                     done[p * nb:(p + 1) * nb].copy(), verdict,
+                                     int(iterations[p]), seed)
+    return reports
 
 
 # --- rigorous grid certificate (n = 4) --------------------------------------

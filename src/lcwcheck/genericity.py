@@ -7,11 +7,13 @@ calibrate the "not eigenflag" threshold empirically.  The calibration is
 an artifact of the sampling, not a quantity with an analytic value, and
 is therefore seed-stamped in every report.
 
-The per-point obstruction engine (:func:`obstruct_point`) is shared by
-the ``obstruct`` and ``scan`` commands and the library: it picks the
-branch (the normalized eigenflag residual for n >= 4, det of the
-Cotton-York tensor for n = 3), applies the curvature-scaled zero floor and
-maps the branch label to the one-sided verdict.  Grid scans walk a chart
+The obstruction engine is shared by the ``obstruct`` and ``scan``
+commands and the library: it picks the branch (the normalized eigenflag
+residual for n >= 4, det of the Cotton-York tensor for n = 3), applies the
+curvature-scaled zero floor and maps the branch label to the one-sided
+verdict.  :func:`obstruct_points` runs it on batches of points (jets,
+curvature and the eigenflag descent each in one pass per batch);
+:func:`obstruct_point` is its batch of one.  Grid scans walk a chart
 box (:func:`grid_points`) and tabulate that obstruction.  Scans are
 deterministic: fixed-order traversal, floats printed with 17 significant
 digits, so equal seeds give identical bytes.
@@ -27,10 +29,9 @@ import numpy as np
 from .bivectors import BivectorBasis, WeylOperator, WeylProjector, to_operator
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
-from .curvature import curvature_package
-from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residual
-from .exprs import EvalError
-from .jets import MetricNotPositive
+from .curvature import package_from_jets
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residual, min_residuals
+from .jets import metric_jets
 from .metrics import MetricSpec, make_metric
 
 
@@ -185,6 +186,44 @@ class PointVerdict:
         }
 
 
+# Points per batch.  Per point, the curvature chain holds a few arrays of
+# n^5 entries and the eigenflag descent a few of 8n * n^3; a batch of
+# 2^14 / n^5 points (16 at n = 4, 67 at n = 3, one at n = 8) keeps each
+# near 2^14 entries, so batching costs little memory.
+def _batch_size(n: int) -> int:
+    return max(1, 2 ** 14 // n ** 5)
+
+
+# What a point whose pipeline fails raises: a domain error in the metric,
+# a metric that is not positive definite there, a point outside the chart
+# box, or a tensor that fails its own consistency check.
+_POINT_ERRORS = (ValueError, np.linalg.LinAlgError)
+
+
+def _obstruct_batch(spec: MetricSpec, points, starts, seed, orientation,
+                    tol_eigenflag, tol_det) -> list[PointVerdict]:
+    """The verdicts at a batch of points; any point's failure propagates."""
+    points = [tuple(float(x) for x in p) for p in points]
+    pkgs = package_from_jets(metric_jets(spec, np.array(points)), orientation)
+    floors = [DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm) for pkg in pkgs]
+    if spec.dimension == 3:
+        verdicts = []
+        for point, pkg, floor in zip(points, pkgs, floors):
+            cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
+            label = classify_cy(cy, tol_det, floor)
+            verdicts.append(PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True,
+                                         label, _VERDICTS.get(label, "inconclusive"),
+                                         cy.eigenvalues))
+        return verdicts
+    reports = min_residuals([to_operator(pkg.weyl, scale=pkg.riemann_norm) for pkg in pkgs],
+                            starts=starts, seed=seed, tol_eigenflag=tol_eigenflag,
+                            weyl_floor=floors)
+    return [PointVerdict(point, "weyl_eigenflag", r.weyl_norm, r.residual_min,
+                         bool(r.converged.any()) or r.verdict == "weyl_negligible",
+                         r.verdict, _VERDICTS.get(r.verdict, "inconclusive"), r.minimizer)
+            for point, r in zip(points, reports)]
+
+
 def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None,
                    orientation: int = 1,
                    tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
@@ -196,21 +235,42 @@ def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None
     zero below ``DEFAULT_ZERO_FLOOR * (1 + |R|)``.  Pipeline failures
     propagate.
     """
-    point = tuple(float(x) for x in point)
-    pkg = curvature_package(spec, point, orientation)
-    floor = DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm)
-    if spec.dimension == 3:
-        cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
-        label = classify_cy(cy, tol_det, floor)
-        return PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True,
-                            label, _VERDICTS.get(label, "inconclusive"), cy.eigenvalues)
-    report = min_residual(to_operator(pkg.weyl, scale=pkg.riemann_norm),
-                          starts=starts, seed=seed, tol_eigenflag=tol_eigenflag,
-                          weyl_floor=floor)
-    label = report.verdict
-    return PointVerdict(point, "weyl_eigenflag", report.weyl_norm, report.residual_min,
-                        bool(report.converged.any()) or label == "weyl_negligible",
-                        label, _VERDICTS.get(label, "inconclusive"), report.minimizer)
+    return _obstruct_batch(spec, [point], starts, seed, orientation, tol_eigenflag,
+                           tol_det)[0]
+
+
+def obstruct_points(spec: MetricSpec, points, starts: int | None = None, seed=None,
+                    orientation: int = 1,
+                    tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
+                    tol_det: float = DEFAULT_DET_TOL) -> list:
+    """:func:`obstruct_point` at each of ``points``, evaluated in batches.
+
+    Returns, in input order, each point's :class:`PointVerdict`, or the
+    exception its pipeline raised there.  A batch holding a failing point
+    is evaluated again one point at a time, so a failure stays at its own
+    point and every verdict is the one :func:`obstruct_point` gives.
+    """
+    points = list(points)
+    options = (starts, seed, orientation, tol_eigenflag, tol_det)
+    size = _batch_size(spec.dimension)
+    out = []
+    for lo in range(0, len(points), size):
+        batch = points[lo:lo + size]
+        try:
+            verdicts = _obstruct_batch(spec, batch, *options)
+        except _POINT_ERRORS:
+            verdicts = None  # rerun below, once the failed batch is freed
+        out.extend(verdicts or (_verdict_or_error(spec, p, options) for p in batch))
+    return out
+
+
+def _verdict_or_error(spec: MetricSpec, point, options):
+    try:
+        return obstruct_point(spec, point, *options)
+    except _POINT_ERRORS as exc:
+        # the traceback would keep the point's whole pipeline alive
+        exc.__traceback__ = exc.__context__ = None
+        return exc
 
 
 def grid_points(spec: MetricSpec, grid) -> np.ndarray:
@@ -266,12 +326,13 @@ def scan_metric(spec: MetricSpec, grid, starts: int | None = None, seed=None,
     per-axis grids, so output is byte-stable.
     """
     grid = tuple(int(k) for k in grid)
+    points = grid_points(spec, grid).tolist()
     rows = []
-    for point in grid_points(spec, grid).tolist():
-        try:
-            v = obstruct_point(spec, point, starts, seed, orientation, tol_eigenflag, tol_det)
-            rows.append(ScanRow(v.point, v.norm, v.obstruction, v.label))
-        except (EvalError, MetricNotPositive, np.linalg.LinAlgError, ValueError) as exc:
+    for point, v in zip(points, obstruct_points(spec, points, starts, seed, orientation,
+                                                tol_eigenflag, tol_det)):
+        if isinstance(v, Exception):
             rows.append(ScanRow(tuple(point), float("nan"), float("nan"),
-                                f"error:{type(exc).__name__}"))
+                                f"error:{type(v).__name__}"))
+        else:
+            rows.append(ScanRow(v.point, v.norm, v.obstruction, v.label))
     return ScanResult(spec.dimension, grid, tuple(rows))

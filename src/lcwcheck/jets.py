@@ -9,6 +9,13 @@ configurable order, no higher slots.
 Second and third derivatives are stored packed over sorted multi-indices,
 n(n+1)/2 and n(n+1)(n+2)/6 entries, so the symmetries hold structurally:
 there is no way to store, or observe, an asymmetric component.
+
+A jet may carry a leading batch axis (one row per chart point), so one
+walk of an expression tree evaluates it at many points at once (Taylor
+mode over a batch, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+Every operation acts row by row with the scalar path's floating-point
+operations, so a batch computes exactly the bits of its points one at a
+time.
 """
 
 from __future__ import annotations
@@ -48,22 +55,87 @@ class SymIndex:
                 idx3[perm] = t
         self.idx3 = idx3
 
-        self.pi = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.pj = np.array([j for _, j in pairs], dtype=np.intp)
-        self.ti = np.array([i for i, _, _ in triples], dtype=np.intp)
-        self.tj = np.array([j for _, j, _ in triples], dtype=np.intp)
-        self.tk = np.array([k for _, _, k in triples], dtype=np.intp)
-        self.h_jk = idx2[self.tj, self.tk]
-        self.h_ik = idx2[self.ti, self.tk]
-        self.h_ij = idx2[self.ti, self.tj]
+        # Gather indices, stacked so one fancy index fetches all of a product's
+        # operands: a gradient at (i, j) of each pair or (i, j, k) of each
+        # triple, a packed Hessian at (jk, ik, ij) of each triple.
+        self.pair_ij = np.array(pairs, dtype=np.intp).T
+        self.triple_ijk = np.array(triples, dtype=np.intp).T
+        ti, tj, tk = self.triple_ijk
+        self.triple_hess = np.stack([idx2[tj, tk], idx2[ti, tk], idx2[ti, tj]])
+
+
+def _col(value):
+    """A batch of values as a column, so that it scales each row of a slot."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
+
+
+def _operands(slot, index):
+    """``slot`` gathered at each row of a stacked index, one array per row."""
+    if slot.ndim == 1:
+        return slot[index]  # numpy's fast path for gathers from 1-D arrays
+    return slot[:, index].swapaxes(0, 1)
+
+
+# Taylor coefficients f, f', f'', f''' of the elementary functions at one
+# float.  A batch applies them element by element with ``math``, so every
+# row gets exactly the floats of the scalar path.
+
+def _reciprocal(v):
+    if v == 0.0:
+        raise ZeroDivisionError("jet division by zero")
+    return 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4
+
+
+def _sin(v):
+    s, c = math.sin(v), math.cos(v)
+    return s, c, -s, -c
+
+
+def _cos(v):
+    s, c = math.sin(v), math.cos(v)
+    return c, -s, -c, s
+
+
+def _tan(v):
+    t = math.tan(v)
+    d = 1.0 + t * t
+    return t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t)
+
+
+def _exp(v):
+    e = math.exp(v)
+    return e, e, e, e
+
+
+def _log(v):
+    if v <= 0.0:
+        raise ValueError(f"log of non-positive value {v}")
+    return math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3
+
+
+def _sqrt(v):
+    if v <= 0.0:
+        raise ValueError(f"sqrt of non-positive value {v} (derivatives singular at 0)")
+    s = math.sqrt(v)
+    return s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)
+
+
+def _atan(v):
+    d = 1.0 / (1.0 + v * v)
+    return math.atan(v), d, -2.0 * v * d * d, (6.0 * v * v - 2.0) * d**3
 
 
 @dataclass
 class Jet3:
-    """Truncated multivariate Taylor expansion of order 3 in n variables."""
+    """Truncated multivariate Taylor expansion of order 3 in n variables.
+
+    Scalar: ``value`` is a float, ``grad`` has shape (n,), ``hess`` and
+    ``third`` are packed.  Batched: every slot gains a leading axis of
+    length B (``value`` of shape (B,), ``grad`` of shape (B, n), ...).
+    """
 
     n: int
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
     third: np.ndarray
@@ -71,25 +143,38 @@ class Jet3:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def constant(value: float, n: int) -> "Jet3":
+    def constant(value, n: int) -> "Jet3":
+        """A constant jet; a 1-D array of values gives a batch."""
         ix = SymIndex(n)
-        return Jet3(n, float(value), np.zeros(n), np.zeros(ix.npairs), np.zeros(ix.ntriples))
+        value = np.array(value, dtype=float) if np.ndim(value) else float(value)
+        batch = np.shape(value)
+        return Jet3(n, value, np.zeros(batch + (n,)), np.zeros(batch + (ix.npairs,)),
+                    np.zeros(batch + (ix.ntriples,)))
 
     @staticmethod
-    def variable(index: int, base_value: float, n: int) -> "Jet3":
+    def variable(index: int, base_value, n: int) -> "Jet3":
         if not 0 <= index < n:
             raise IndexError(f"variable index {index} out of range for n={n}")
         jet = Jet3.constant(base_value, n)
-        jet.grad[index] = 1.0
+        jet.grad[..., index] = 1.0
         return jet
+
+    @property
+    def batched(self) -> bool:
+        return isinstance(self.value, np.ndarray)
+
+    def take(self, rows) -> "Jet3":
+        """The rows of a batch selected by an index array or a boolean mask."""
+        return Jet3(self.n, self.value[rows], self.grad[rows], self.hess[rows],
+                    self.third[rows])
 
     # -- unpacked views ---------------------------------------------------
 
     def hess_matrix(self) -> np.ndarray:
-        return self.hess[SymIndex(self.n).idx2]
+        return self.hess[..., SymIndex(self.n).idx2]
 
     def third_tensor(self) -> np.ndarray:
-        return self.third[SymIndex(self.n).idx3]
+        return self.third[..., SymIndex(self.n).idx3]
 
     # -- ring operations --------------------------------------------------
 
@@ -138,24 +223,26 @@ class Jet3:
             return Jet3(self.n, self.value * other, self.grad * other,
                         self.hess * other, self.third * other)
         ix = SymIndex(self.n)
-        av, bv = self.value, o.value
+        av, bv = _col(self.value), _col(o.value)
         ag, bg = self.grad, o.grad
-        ah, bh = self.hess, o.hess
-        value = av * bv
+        a_i, a_j = _operands(ag, ix.pair_ij)
+        b_i, b_j = _operands(bg, ix.pair_ij)
+        a1, a2, a3 = _operands(ag, ix.triple_ijk)
+        b1, b2, b3 = _operands(bg, ix.triple_ijk)
+        ah1, ah2, ah3 = _operands(self.hess, ix.triple_hess)
+        bh1, bh2, bh3 = _operands(o.hess, ix.triple_hess)
+        value = self.value * o.value
         grad = av * bg + bv * ag
-        hess = av * bh + bv * ah + ag[ix.pi] * bg[ix.pj] + ag[ix.pj] * bg[ix.pi]
+        hess = av * o.hess + bv * self.hess + a_i * b_j + a_j * b_i
         third = (av * o.third + bv * self.third
-                 + ag[ix.ti] * bh[ix.h_jk] + ag[ix.tj] * bh[ix.h_ik] + ag[ix.tk] * bh[ix.h_ij]
-                 + bg[ix.ti] * ah[ix.h_jk] + bg[ix.tj] * ah[ix.h_ik] + bg[ix.tk] * ah[ix.h_ij])
+                 + a1 * bh1 + a2 * bh2 + a3 * bh3
+                 + b1 * ah1 + b2 * ah2 + b3 * ah3)
         return Jet3(self.n, value, grad, hess, third)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet3":
-        v = self.value
-        if v == 0.0:
-            raise ZeroDivisionError("jet division by zero")
-        return self._compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        return self._compose(_reciprocal)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -174,7 +261,7 @@ class Jet3:
         if not isinstance(exponent, int):
             raise TypeError("jet powers take integer exponents")
         if exponent == 0:
-            return Jet3.constant(1.0, self.n)
+            return Jet3.constant(np.ones(np.shape(self.value)), self.n)
         base = self.reciprocal() if exponent < 0 else self
         k = abs(exponent)
         result = None
@@ -189,60 +276,57 @@ class Jet3:
 
     # -- elementary functions (univariate chain rule to order 3) ----------
 
-    def _compose(self, c0: float, c1: float, c2: float, c3: float) -> "Jet3":
+    def _compose(self, coefficients) -> "Jet3":
+        """f(self) for the f whose Taylor coefficients ``coefficients(v)`` gives."""
+        if self.batched:
+            c0, c1, c2, c3 = (np.array(c) for c in
+                              zip(*map(coefficients, self.value.tolist())))
+        else:
+            c0, c1, c2, c3 = coefficients(self.value)
+        c1, c2, c3 = _col(c1), _col(c2), _col(c3)
         ix = SymIndex(self.n)
-        ag, ah = self.grad, self.hess
+        ag = self.grad
+        g_i, g_j = _operands(ag, ix.pair_ij)
+        g1, g2, g3 = _operands(ag, ix.triple_ijk)
+        h1, h2, h3 = _operands(self.hess, ix.triple_hess)
         grad = c1 * ag
-        hess = c1 * ah + c2 * ag[ix.pi] * ag[ix.pj]
-        third = (c1 * self.third
-                 + c2 * (ag[ix.ti] * ah[ix.h_jk] + ag[ix.tj] * ah[ix.h_ik] + ag[ix.tk] * ah[ix.h_ij])
-                 + c3 * ag[ix.ti] * ag[ix.tj] * ag[ix.tk])
+        hess = c1 * self.hess + c2 * g_i * g_j
+        third = (c1 * self.third + c2 * (g1 * h1 + g2 * h2 + g3 * h3)
+                 + c3 * g1 * g2 * g3)
         return Jet3(self.n, c0, grad, hess, third)
 
     def sin(self) -> "Jet3":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(s, c, -s, -c)
+        return self._compose(_sin)
 
     def cos(self) -> "Jet3":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(c, -s, -c, s)
+        return self._compose(_cos)
 
     def tan(self) -> "Jet3":
-        t = math.tan(self.value)
-        d = 1.0 + t * t
-        return self._compose(t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t))
+        return self._compose(_tan)
 
     def exp(self) -> "Jet3":
-        e = math.exp(self.value)
-        return self._compose(e, e, e, e)
+        return self._compose(_exp)
 
     def log(self) -> "Jet3":
-        v = self.value
-        if v <= 0.0:
-            raise ValueError(f"log of non-positive value {v}")
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return self._compose(_log)
 
     def sqrt(self) -> "Jet3":
-        v = self.value
-        if v <= 0.0:
-            raise ValueError(f"sqrt of non-positive value {v} (derivatives singular at 0)")
-        s = math.sqrt(v)
-        return self._compose(s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s))
+        return self._compose(_sqrt)
 
     def atan(self) -> "Jet3":
-        v = self.value
-        d = 1.0 / (1.0 + v * v)
-        return self._compose(math.atan(v), d, -2.0 * v * d * d, (6.0 * v * v - 2.0) * d**3)
+        return self._compose(_atan)
 
 
-def jet_variable(index: int, base_value: float, n: int) -> Jet3:
+def jet_variable(index: int, base_value, n: int) -> Jet3:
     return Jet3.variable(index, base_value, n)
 
 
 def jet_environment(coordinates, point) -> dict:
-    """Seed one jet variable per coordinate at a chart point."""
+    """Seed one jet variable per coordinate at a chart point, or batched
+    variables at the rows of a (B, n) array of points."""
     n = len(coordinates)
-    return {name: Jet3.variable(k, float(point[k]), n) for k, name in enumerate(coordinates)}
+    point = np.asarray(point, dtype=float)
+    return {name: Jet3.variable(k, point[..., k], n) for k, name in enumerate(coordinates)}
 
 
 # --- metric jets ----------------------------------------------------------
@@ -255,7 +339,8 @@ class MetricJets:
     Derivative indices come first: ``dg[a, i, j]`` is the a-derivative of
     ``g_ij``, ``d2g[a, b, i, j]`` and ``d3g[a, b, c, i, j]`` likewise.  The
     recorded symmetries in the derivative slots are exact by construction
-    (unpacked from symmetric packed storage).
+    (unpacked from symmetric packed storage).  Batched jets put one more
+    axis, of length B, in front of every field (``g[p, i, j]`` at point p).
     """
 
     point: np.ndarray
@@ -266,45 +351,68 @@ class MetricJets:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
+
+    def __len__(self) -> int:
+        """The number of points of batched jets."""
+        return self.g.shape[0] if self.g.ndim == 3 else 1
+
+    def __getitem__(self, k) -> "MetricJets":
+        """The jets at point ``k`` of a batch."""
+        return MetricJets(self.point[k], self.g[k], self.dg[k], self.d2g[k], self.d3g[k])
 
 
-def metric_jets(spec, point) -> MetricJets:
-    """Evaluate a metric's components over jets at a chart point.
+def metric_jets(spec, points) -> MetricJets:
+    """Evaluate a metric's components over jets at chart points.
 
-    ``spec`` is anything with ``dimension``, ``coordinates``, ``domain`` and
+    ``points`` is one point (shape (n,)), which gives :class:`MetricJets`
+    at it, or a (B, n) array, which walks each component tree once for the
+    whole batch and gives batched :class:`MetricJets`.  ``spec`` is
+    anything with ``dimension``, ``coordinates``, ``domain`` and
     ``component_values(env)`` (a :class:`~lcwcheck.metrics.MetricSpec` or a
     cutoff-perturbed metric).  Raises :class:`MetricNotPositive` when g at
-    the point has no Cholesky factor, and ``ValueError`` when the point is
-    outside the chart box.
+    a point has no Cholesky factor, and ``ValueError`` when a point is
+    outside the chart box; either names the first such point.
     """
     n = spec.dimension
-    point = np.asarray(point, dtype=float)
-    if point.shape != (n,):
+    points = np.asarray(points, dtype=float)
+    if points.ndim not in (1, 2) or points.shape[-1] != n:
         raise ValueError(f"point must have {n} coordinates")
-    if not all(lo <= x <= hi for x, (lo, hi) in zip(point, spec.domain)):
-        raise ValueError(f"point {point.tolist()} is outside the chart domain box")
+    batch = points.reshape(-1, n)
+    lo, hi = np.array(spec.domain).T
+    outside = ~((lo <= batch) & (batch <= hi)).all(axis=1)
+    if outside.any():
+        raise ValueError(
+            f"point {batch[outside][0].tolist()} is outside the chart domain box")
 
-    env = jet_environment(spec.coordinates, point)
+    # one point takes scalar jets: the same floats, without per-batch overhead
+    env = jet_environment(spec.coordinates, batch[0] if len(batch) == 1 else batch)
     jets = spec.component_values(env)
 
-    g = np.empty((n, n))
-    dg = np.empty((n, n, n))
-    d2g = np.empty((n, n, n, n))
-    d3g = np.empty((n, n, n, n, n))
+    size = len(batch)
+    g = np.zeros((size, n, n))
+    dg = np.zeros((size, n, n, n))
+    d2g = np.zeros((size, n, n, n, n))
+    d3g = np.zeros((size, n, n, n, n, n))
     for i in range(n):
         for j in range(i, n):
             jet = jets[i][j]
-            if isinstance(jet, (int, float)):
-                jet = Jet3.constant(jet, n)
-            g[i, j] = g[j, i] = jet.value
-            dg[:, i, j] = dg[:, j, i] = jet.grad
-            d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess_matrix()
-            d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.third_tensor()
+            if not isinstance(jet, Jet3):
+                g[:, i, j] = g[:, j, i] = jet
+                continue
+            g[:, i, j] = g[:, j, i] = jet.value
+            dg[..., i, j] = dg[..., j, i] = jet.grad
+            d2g[..., i, j] = d2g[..., j, i] = jet.hess_matrix()
+            d3g[..., i, j] = d3g[..., j, i] = jet.third_tensor()
 
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise MetricNotPositive(
-            f"metric at {point.tolist()} is not positive definite") from None
-    return MetricJets(point, g, dg, d2g, d3g)
+        for p, gp in zip(batch, g):
+            try:
+                np.linalg.cholesky(gp)
+            except np.linalg.LinAlgError:
+                raise MetricNotPositive(
+                    f"metric at {p.tolist()} is not positive definite") from None
+    mj = MetricJets(batch, g, dg, d2g, d3g)
+    return mj if points.ndim == 2 else mj[0]

@@ -216,36 +216,49 @@ class BumpPerturbedMetric:
         return np.asarray(c if c else [0.0] * self.dimension, dtype=float)
 
     def component_values(self, env: dict):
+        """g over floats, scalar jets or batched jets, one bump mask per row."""
         n = self.dimension
         xs = [env[name] for name in self.coordinates]
+        batched = isinstance(xs[0], Jet3) and xs[0].batched
         values = np.array([x.value if isinstance(x, Jet3) else float(x) for x in xs])
         center = self._center()
-        rho = self.cutoff.radius
-        out = [[None] * n for _ in range(n)]
         # the band 1 - |x/rho|^2 < 1e-14 underflows the bump to zero anyway;
         # treating it as outside avoids a spurious division by zero in the jets
-        r2 = float(np.dot(values - center, values - center)) / rho ** 2
-        inside = r2 < 1.0 - 1e-14
-        if inside:
-            shifted = [(x - c) / rho for x, c in zip(xs, center)]
-            s = shifted[0] * shifted[0]
-            for t in shifted[1:]:
-                s = s + t * t
-            u = 1.0 / (1.0 - s) if not isinstance(s, Jet3) else (1.0 - s).reciprocal()
-            bump = _exp(1.0 - u) if not isinstance(u, Jet3) else (1.0 - u).exp()
+        inside = np.array([float(np.dot(p - center, p - center)) / self.cutoff.radius ** 2
+                           < 1.0 - 1e-14 for p in (values.T if batched else [values])])
+        if not inside.any():
+            return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        if not batched:
+            return self._perturbed(xs)
+        out = self._perturbed([x.take(inside) for x in xs])
         for i in range(n):
             for j in range(i, n):
-                base = 1.0 if i == j else 0.0
-                if not inside:
-                    out[i][j] = out[j][i] = base
-                    continue
+                full = Jet3.constant(np.full(len(inside), 1.0 if i == j else 0.0), n)
+                for slot in ("value", "grad", "hess", "third"):
+                    getattr(full, slot)[inside] = getattr(out[i][j], slot)
+                out[i][j] = out[j][i] = full
+        return out
+
+    def _perturbed(self, xs):
+        """base + quad * bump at points inside the bump."""
+        n = self.dimension
+        rho = self.cutoff.radius
+        shifted = [(x - c) / rho for x, c in zip(xs, self._center())]
+        s = shifted[0] * shifted[0]
+        for t in shifted[1:]:
+            s = s + t * t
+        u = 1.0 / (1.0 - s) if not isinstance(s, Jet3) else (1.0 - s).reciprocal()
+        bump = _exp(1.0 - u) if not isinstance(u, Jet3) else (1.0 - u).exp()
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
                 quad = 0.0
                 for h in range(n):
                     for k in range(n):
                         coeff = CURVATURE_COEFF * self.rstar.tensor[i, h, j, k]
                         if coeff != 0.0:
                             quad = quad + coeff * (xs[h] * xs[k])
-                out[i][j] = out[j][i] = base + quad * bump
+                out[i][j] = out[j][i] = (1.0 if i == j else 0.0) + quad * bump
         return out
 
     def evaluate(self, point) -> np.ndarray:

@@ -1,0 +1,275 @@
+"""Batched evaluation computes exactly the bits of its points one at a time.
+
+``metric_jets``, ``package_from_jets``, ``min_residuals`` and
+``obstruct_points`` take a batch of points (or operators) in one call; each
+result must equal, byte for byte, what the per-point call gives.  A point
+whose pipeline fails must not disturb the others in its batch.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from lcwcheck.bivectors import to_operator
+from lcwcheck.cli import main
+from lcwcheck.curvature import package_from_jets
+from lcwcheck.eigenflag import construct_stratum4, min_residual, min_residuals
+from lcwcheck.exprs import EvalError
+from lcwcheck.genericity import (grid_points, obstruct_point, obstruct_points,
+                                 random_polynomial_metric, sample_weyl, scan_metric)
+from lcwcheck.jets import MetricJets, MetricNotPositive, metric_jets
+from lcwcheck.metrics import make_metric, sphere_stereographic_metric
+from lcwcheck.perturb import AlgebraicCurvature, CutoffSpec, perturb_curvature
+
+COORDS3 = ["x1", "x2", "x3"]
+
+# every elementary function, integer powers of each sign, and division
+ENTRIES = [
+    "2+sin(x1)*cos(x2*x3)",
+    "2+tan(0.4*x1)-x2^2*x3",
+    "exp(0.3*x1-x2*x3)",
+    "2+log(2+x1*x2)+x3^3",
+    "sqrt(3+x1+x2^2)",
+    "2+atan(x1-x2^2)/(2+x3)",
+    "(1+x1^2+x3^2)^-2+x2^0",
+    "3+x1/(2+x2)-x3^5",
+]
+
+
+def entry_metric(entry: str):
+    g = [[entry, "0.1*x1*x2", "0.05*sin(x3)"],
+         [None, "1+0.2*x2^2", "0.1*x1*x3"],
+         [None, None, "1.5+0.1*cos(x1+x2)"]]
+    return make_metric(3, COORDS3, g)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_jets_match(batch: MetricJets, points, spec):
+    assert len(batch) == len(points)
+    for k, point in enumerate(points):
+        one = metric_jets(spec, point)
+        for name in ("point", "g", "dg", "d2g", "d3g"):
+            assert same_bits(getattr(batch[k], name), getattr(one, name)), (k, name)
+
+
+def sample_points(n: int, count: int, seed: int, half_width: float = 0.9) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-half_width, half_width, (count, n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_metric_jets_batch_polynomial(n):
+    spec = random_polynomial_metric(n, np.random.default_rng(n))
+    points = sample_points(n, 7, seed=n)
+    assert_jets_match(metric_jets(spec, points), points, spec)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_metric_jets_batch_functions_powers_division(entry):
+    spec = entry_metric(entry)
+    points = sample_points(3, 6, seed=1, half_width=0.7)
+    assert_jets_match(metric_jets(spec, points), points, spec)
+
+
+def test_metric_jets_batch_bump_inside_and_outside():
+    rstar = AlgebraicCurvature.random(4, np.random.default_rng(9), scale=0.05)
+    pert = perturb_curvature(rstar, cutoff=CutoffSpec(kind="smooth_bump", radius=0.8))
+    points = np.array([[0.9, 0.0, 0.0, 0.0],      # outside the bump
+                       [0.2, 0.1, 0.0, 0.0],      # inside
+                       [0.0, 0.0, 0.0, 0.0],      # the center
+                       [0.5, -0.5, 0.5, -0.5],    # outside
+                       [-0.3, 0.2, 0.4, -0.1]])   # inside
+    batch = metric_jets(pert, points)
+    assert_jets_match(batch, points, pert)
+    for k in (0, 3):  # the base metric exactly, with no derivatives
+        assert np.array_equal(batch[k].g, np.eye(4))
+        assert not batch[k].dg.any() and not batch[k].d2g.any() and not batch[k].d3g.any()
+    assert not np.array_equal(batch[1].g, np.eye(4))
+
+    outside = points[[0, 3]]
+    only_outside = metric_jets(pert, outside)
+    assert np.array_equal(only_outside.g, np.broadcast_to(np.eye(4), (2, 4, 4)))
+    assert not only_outside.d3g.any()
+
+
+def test_metric_jets_batch_names_the_first_failing_point():
+    spec = make_metric(3, COORDS3, [["x1", "0", "0"], [None, "1", "0"], [None, None, "1"]])
+    with pytest.raises(MetricNotPositive, match=r"\[-0\.5, 0\.0, 0\.0\]"):
+        metric_jets(spec, [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [-0.7, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="outside"):
+        metric_jets(spec, [[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="3 coordinates"):
+        metric_jets(spec, [[0.5, 0.0]])
+
+
+PACKAGE_FIELDS = ("point", "g", "frame", "gamma", "dgamma", "riemann", "ricci", "scalar",
+                  "schouten", "grad_schouten", "cotton", "weyl", "cotton_york")
+COORD_FIELDS = ("riemann", "ricci", "schouten", "grad_schouten", "cotton", "weyl",
+                "cotton_york")
+
+
+@pytest.mark.parametrize("spec", [random_polynomial_metric(3, np.random.default_rng(0)),
+                                  random_polynomial_metric(4, np.random.default_rng(1)),
+                                  random_polynomial_metric(5, np.random.default_rng(2)),
+                                  sphere_stereographic_metric(3),
+                                  entry_metric(ENTRIES[2])],
+                         ids=["poly3", "poly4", "poly5", "sphere3", "exp3"])
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_curvature_packages_batch_equals_single(spec, orientation):
+    points = sample_points(spec.dimension, 5, seed=3, half_width=0.7)
+    batch = package_from_jets(metric_jets(spec, points), orientation)
+    assert len(batch) == len(points)
+    for pkg, point in zip(batch, points):
+        one = package_from_jets(metric_jets(spec, point), orientation)
+        for name in PACKAGE_FIELDS:
+            a, b = getattr(pkg, name), getattr(one, name)
+            assert (a is None and b is None) or same_bits(a, b), name
+        for name in COORD_FIELDS:
+            a, b = getattr(pkg.coord, name), getattr(one.coord, name)
+            assert (a is None and b is None) or same_bits(a, b), name
+        assert pkg.orientation == one.orientation == orientation
+
+
+def assert_reports_match(batch, singles):
+    assert len(batch) == len(singles)
+    for got, want in zip(batch, singles):
+        assert same_bits(got.residual_min, want.residual_min)
+        assert same_bits(got.raw_residual, want.raw_residual)
+        assert same_bits(got.minimizer, want.minimizer)
+        assert same_bits(got.weyl_norm, want.weyl_norm)
+        assert same_bits(got.converged, want.converged)
+        assert got.verdict == want.verdict
+        assert got.iterations == want.iterations
+        assert got.n_starts == want.n_starts
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_min_residuals_batch_equals_single(n, seed):
+    rng = np.random.default_rng(40 + n)
+    ops = [sample_weyl(n, rng) for _ in range(5)]
+    if n == 4:  # an eigenflag operator converges in a different number of rounds
+        frame, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        ops.insert(2, construct_stratum4([0.7, -0.2, -0.5], frame))
+    ops.insert(1, 0.0 * ops[0].matrix)  # below the floor: weyl_negligible
+    batch = min_residuals(ops, starts=12, seed=seed)
+    singles = [min_residual(op, starts=12, seed=seed) for op in ops]
+    assert_reports_match(batch, singles)
+    assert batch[1].verdict == "weyl_negligible"
+    assert len({r.iterations for r in batch}) > 1
+
+
+def test_min_residuals_per_operator_floors():
+    rng = np.random.default_rng(5)
+    ops = [sample_weyl(4, rng) for _ in range(3)]
+    floors = [0.5, 2.0, 0.5]  # the operators have unit norm
+    batch = min_residuals(ops, weyl_floor=floors)
+    assert [r.verdict == "weyl_negligible" for r in batch] == [False, True, False]
+    assert_reports_match(batch, [min_residual(op, weyl_floor=f) for op, f in zip(ops, floors)])
+
+
+def test_min_residuals_on_curvature_operators():
+    spec = random_polynomial_metric(4, np.random.default_rng(8))
+    pkgs = package_from_jets(metric_jets(spec, grid_points(spec, [2, 2, 1, 2])))
+    ops = [to_operator(p.weyl, scale=p.riemann_norm) for p in pkgs]
+    assert_reports_match(min_residuals(ops), [min_residual(op) for op in ops])
+
+
+@pytest.mark.parametrize("n,grid", [(3, [6, 6, 5]), (4, [3, 3, 2, 2])])
+def test_obstruct_points_equals_obstruct_point(n, grid):
+    spec = random_polynomial_metric(n, np.random.default_rng(60 + n))
+    points = grid_points(spec, grid)  # 3-D: more points than one batch holds
+    batch = obstruct_points(spec, points)
+    for got, point in zip(batch, points):
+        want = obstruct_point(spec, point)
+        assert json.dumps(got.to_dict(), default=np.ndarray.tolist) == json.dumps(
+            want.to_dict(), default=np.ndarray.tolist)
+        assert same_bits(got.detail, want.detail)
+
+
+# --- failure isolation -----------------------------------------------------------
+
+FAILING = {
+    # sqrt(x1) raises EvalError at x1 <= 0; x1 alone is not positive there
+    "sqrt": ("1+0.1*x2^2+sqrt(x1)", EvalError),
+    "linear": ("x1+0.1*x2^3", MetricNotPositive),
+}
+
+
+def failing_metric(n: int, entry: str):
+    coords = [f"x{i + 1}" for i in range(n)]
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = "0" if i != j else f"1+0.1*{coords[i]}^2*{coords[(i + 1) % n]}"
+    g[0][0] = entry
+    g[1][2] = f"0.05*{coords[0]}*{coords[2]}"
+    return make_metric(n, coords, g)
+
+
+def expected_failures(spec, points):
+    """Each point's verdict, or the exception, from the per-point engine."""
+    out = []
+    for point in points:
+        try:
+            out.append(obstruct_point(spec, point))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING))
+@pytest.mark.parametrize("n,grid", [(3, [3, 3, 3]), (4, [3, 2, 2, 2])])
+def test_scan_isolates_failing_points(kind, n, grid):
+    entry, error = FAILING[kind]
+    spec = failing_metric(n, entry)
+    points = grid_points(spec, grid).tolist()
+    expected = expected_failures(spec, points)
+    failing = [isinstance(e, Exception) for e in expected]
+    assert 0 < sum(failing) < len(points)
+    assert all(isinstance(e, error) for e in expected if isinstance(e, Exception))
+
+    rows = scan_metric(spec, grid).rows
+    for row, want, failed in zip(rows, expected, failing):
+        if failed:
+            assert row.verdict == f"error:{type(want).__name__}"
+            assert np.isnan(row.norm) and np.isnan(row.obstruction)
+        else:
+            assert row.verdict == want.label
+            assert same_bits(row.norm, want.norm)
+            assert same_bits(row.obstruction, want.obstruction)
+    got = obstruct_points(spec, points)
+    assert [isinstance(v, type(e)) for v, e in zip(got, expected)] == [True] * len(points)
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING))
+def test_obstruct_exits_3_at_the_first_failing_point(tmp_path, capsys, kind):
+    spec = failing_metric(4, FAILING[kind][0])
+    path = tmp_path / "m.json"
+    path.write_text(spec.to_json())
+    points = grid_points(spec, [3, 2, 2, 2]).tolist()
+    first = next(e for e in expected_failures(spec, points) if isinstance(e, Exception))
+    out = tmp_path / "report.json"
+    assert main(["obstruct", str(path), "--grid", "3,2,2,2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"lcwcheck: evaluation error: {first}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,grid", [(3, [3, 3, 3]), (4, [3, 2, 2, 2])])
+def test_rows_do_not_depend_on_failing_neighbours(n, grid):
+    """A healthy point's row is the same bytes in a batch with or without failures."""
+    spec = failing_metric(n, FAILING["sqrt"][0])
+    points = grid_points(spec, grid).tolist()
+    with_failures = obstruct_points(spec, points)
+    healthy = [p for p, v in zip(points, with_failures) if not isinstance(v, Exception)]
+    alone = iter(obstruct_points(spec, healthy))
+    for v in with_failures:
+        if not isinstance(v, Exception):
+            w = next(alone)
+            assert (v.point, v.label, v.verdict) == (w.point, w.label, w.verdict)
+            for name in ("norm", "obstruction", "detail"):
+                assert same_bits(getattr(v, name), getattr(w, name))

@@ -165,6 +165,24 @@ def test_grid_counts_below_one_are_parse_errors(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["obstruct", "--grid", "2,2"],
+    ["obstruct", "--grid", "2,2,2,2"],
+    ["obstruct", "--point", "0.1,0.2"],
+    ["obstruct", "--point", "0,0,0", "--point", "0.1,0.2,0.3,0.4"],
+    ["scan", "--grid", "2,2"],
+    ["curvature", "--point", "0.1,0.2"],
+])
+def test_wrong_arity_is_a_parse_error(tmp_path, capsys, args):
+    metric = tmp_path / "m3.json"
+    metric.write_text(euclidean_metric(3).to_json())
+    out = tmp_path / "report"
+    assert main([args[0], str(metric), *args[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lcwcheck: parse error: ") and "3" in err
+    assert not out.exists()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
