@@ -52,6 +52,11 @@ class BivectorBasis:
         return int(a)
 
 
+def _dimension(size: int) -> int:
+    """n with n(n-1)/2 = size, the dimension of an operator on Lambda^2."""
+    return int(round((1 + np.sqrt(1 + 8 * size)) / 2))
+
+
 def to_operator(r4: np.ndarray, basis: BivectorBasis | None = None,
                 scale: float | None = None) -> np.ndarray:
     """Curvature operator matrix of a (0,4) tensor in an orthonormal frame.
@@ -73,8 +78,7 @@ def to_operator(r4: np.ndarray, basis: BivectorBasis | None = None,
 
 def operator_to_tensor(op: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
     """Inverse of :func:`to_operator`: the full antisymmetric (0,4) array."""
-    size = op.shape[0]
-    n = int(round((1 + np.sqrt(1 + 8 * size)) / 2))
+    n = _dimension(op.shape[0])
     basis = basis or BivectorBasis(n)
     fi, se = basis.first, basis.second
     t = np.zeros((n, n, n, n))
@@ -86,7 +90,7 @@ def operator_to_tensor(op: np.ndarray, basis: BivectorBasis | None = None) -> np
 def bianchi_map(op: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
     """Lambda^4 component of a symmetric bivector operator, one entry per
     sorted quadruple i<j<k<l (C(n,4) of them)."""
-    n = int(round((1 + np.sqrt(1 + 8 * op.shape[0])) / 2))
+    n = _dimension(op.shape[0])
     basis = basis or BivectorBasis(n)
     fl = basis.flat
     out = []
@@ -106,14 +110,13 @@ def ricci_contraction(op: np.ndarray, basis: BivectorBasis | None = None) -> np.
     return np.einsum("aibi->ab", t)
 
 
-def lift_orthogonal(q: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
+def lift_orthogonal(q: np.ndarray) -> np.ndarray:
     """Matrix of the induced rotation on Lambda^2.
 
     Column (a, b) holds the bivector coordinates of (Q e_a) ^ (Q e_b); the
     lift of an orthogonal Q is orthogonal for the bivector inner product.
     """
-    n = q.shape[0]
-    basis = basis or BivectorBasis(n)
+    basis = BivectorBasis(q.shape[0])
     fi, se = basis.first, basis.second
     return (q[fi[:, None], fi[None, :]] * q[se[:, None], se[None, :]]
             - q[se[:, None], fi[None, :]] * q[fi[:, None], se[None, :]])
@@ -226,6 +229,6 @@ def project_weyl(op: np.ndarray) -> WeylOperator:
 
     Idempotent and self-adjoint; fixes genuine Weyl operators.
     """
-    n = int(round((1 + np.sqrt(1 + 8 * op.shape[0])) / 2))
+    n = _dimension(op.shape[0])
     proj = WeylProjector(n)
     return WeylOperator(n, proj.project(0.5 * (op + op.T)))

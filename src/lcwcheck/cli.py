@@ -28,7 +28,7 @@ from .exprs import EvalError, ExprError
 from .genericity import (ScanResult, ScanRow, fmt17, grid_points, obstruct_points,
                          residual_statistics, scan_metric)
 from .jets import MetricNotPositive
-from .metrics import MetricError, load_metric
+from .metrics import MAX_DIMENSION, MIN_DIMENSION, MetricError, load_metric
 from .perturb import (AlgebraicCurvature, PositivityError, RankDeficiencyError,
                       perturb_curvature, solve_cy_target)
 
@@ -93,6 +93,16 @@ def _parse_grid(text: str) -> list[int]:
     if min(grid) < 1:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: every count must be at least 1")
     return grid
+
+
+def _parse_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}: expected an integer")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be at least 1")
+    return count
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -296,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_obstruct)
 
     p = sub.add_parser("perturb", help="emit a flat metric with prescribed curvature at 0")
-    p.add_argument("--dimension", type=int, required=True)
+    p.add_argument("--dimension", type=int, choices=range(MIN_DIMENSION, MAX_DIMENSION + 1),
+                   required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=0.05,
                    help="Frobenius norm of the prescribed curvature")
@@ -313,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve_cy)
 
     p = sub.add_parser("sample", help="residual statistics over random Weyl operators")
-    p.add_argument("--dimension", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--dimension", type=int, choices=range(4, MAX_DIMENSION + 1), required=True)
+    p.add_argument("--count", type=_parse_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--out", default=None)

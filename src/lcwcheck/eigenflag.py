@@ -30,12 +30,16 @@ from math import pi, sqrt
 import numpy as np
 from scipy.special import ndtri
 
-from .bivectors import WeylOperator, operator_to_tensor
+from .bivectors import WeylOperator, lift_orthogonal, operator_to_tensor
+from .cottonyork import DEFAULT_ZERO_FLOOR
 from .curvature import DimensionError
 
 DEFAULT_TOL_EIGENFLAG = 1e-8
 DEFAULT_TOL_NOT_EIGENFLAG = 1e-4
-DEFAULT_WEYL_FLOOR = 1e-12
+MAXITER = 500     # descent rounds per start
+GTOL = 1e-12      # converged once |grad E| <= GTOL * max(1, |W|^2)
+CHUNK = 65536     # grid points per residual evaluation of the certificate
+SPECTRUM_TOL = 1e-8  # relative eigenvalue gap of classify_weyl_spectrum
 
 
 def _as_tensor(w) -> tuple[np.ndarray, float]:
@@ -87,21 +91,23 @@ def _batch_residual(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _energy(_flag_parts(t, v)[0])
 
 
-def residual(w, v) -> float:
-    """E(v) for a single direction; raises unless v is a unit vector."""
-    t, _ = _as_tensor(w)
+def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("flag direction must be a unit vector")
-    return float(_batch_residual(t, v[None, :])[0])
+    return v
+
+
+def residual(w, v) -> float:
+    """E(v) for a single direction; raises unless v is a unit vector."""
+    t, _ = _as_tensor(w)
+    return float(_batch_residual(t, _unit(v)[None, :])[0])
 
 
 def residual_gradient(w, v) -> np.ndarray:
     """Riemannian gradient of E at v: Euclidean gradient projected to v-perp."""
     t, _ = _as_tensor(w)
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("flag direction must be a unit vector")
+    v = _unit(v)
     egrad = _gradient(t, *_flag_parts(t, v[None, :]))[0]
     return egrad - np.dot(egrad, v) * v
 
@@ -163,31 +169,26 @@ class EigenflagReport:
     seed: object = None
 
 
-def min_residual(w, starts: int | None = None, maxiter: int = 500,
-                 gtol: float = 1e-12, seed=None,
+def min_residual(w, starts: int | None = None, seed=None,
                  tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
-                 tol_not_eigenflag: float = DEFAULT_TOL_NOT_EIGENFLAG,
-                 weyl_floor: float = DEFAULT_WEYL_FLOOR) -> EigenflagReport:
+                 weyl_floor: float = DEFAULT_ZERO_FLOOR) -> EigenflagReport:
     """Globally minimize the eigenflag residual by multistart descent.
 
     Defaults: 8n starts (deterministic low-discrepancy set plus the frame
     vectors), projected gradient descent with spectral (Barzilai-Borwein)
     step sizes under a nonmonotone Armijo backtracking safeguard (factor
-    0.5), at most ``maxiter`` iterations per start.  Deterministic for a
+    0.5), at most ``MAXITER`` iterations per start.  Deterministic for a
     fixed seed.  Verdict thresholds act on the normalized residual; values
-    between ``tol_eigenflag`` and ``tol_not_eigenflag`` are reported as
-    inconclusive.  The verdict stays heuristic unless backed by
+    between ``tol_eigenflag`` and ``DEFAULT_TOL_NOT_EIGENFLAG`` are reported
+    as inconclusive.  The verdict stays heuristic unless backed by
     :func:`certify_positive_minimum`.
     """
-    return min_residuals([w], starts, maxiter, gtol, seed, tol_eigenflag,
-                         tol_not_eigenflag, weyl_floor)[0]
+    return min_residuals([w], starts, seed, tol_eigenflag, weyl_floor)[0]
 
 
-def min_residuals(ws, starts: int | None = None, maxiter: int = 500,
-                  gtol: float = 1e-12, seed=None,
+def min_residuals(ws, starts: int | None = None, seed=None,
                   tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
-                  tol_not_eigenflag: float = DEFAULT_TOL_NOT_EIGENFLAG,
-                  weyl_floor=DEFAULT_WEYL_FLOOR) -> list[EigenflagReport]:
+                  weyl_floor=DEFAULT_ZERO_FLOOR) -> list[EigenflagReport]:
     """:func:`min_residual` for several operators of one dimension at once.
 
     All operators x starts descend in one loop; each start's iterates, and
@@ -228,7 +229,7 @@ def min_residuals(ws, starts: int | None = None, maxiter: int = 500,
     memory = 5  # nonmonotone reference window
     hist = np.tile(energy[:, None], (1, memory))
     alpha = np.repeat([1.0 / max(wn ** 2, 1e-30) for wn in wnorms], nb)
-    gtol_eff = np.repeat([gtol * max(1.0, wn ** 2) for wn in wnorms], nb)
+    gtol_eff = np.repeat([GTOL * max(1.0, wn ** 2) for wn in wnorms], nb)
     done = np.zeros(v.shape[0], dtype=bool)      # converged (small gradient)
     frozen = np.zeros(v.shape[0], dtype=bool)    # line search exhausted
     prev_v = np.zeros_like(v)
@@ -237,7 +238,7 @@ def min_residuals(ws, starts: int | None = None, maxiter: int = 500,
     c1 = 1e-4
     iterations = np.zeros(len(live), dtype=int)
 
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         act = np.flatnonzero(~(done | frozen))
         if act.size == 0:
             break
@@ -297,7 +298,7 @@ def min_residuals(ws, starts: int | None = None, maxiter: int = 500,
         normalized = raw / wnorm ** 2
         if normalized < tol_eigenflag:
             verdict = "eigenflag_within_tol"
-        elif normalized > tol_not_eigenflag:
+        elif normalized > DEFAULT_TOL_NOT_EIGENFLAG:
             verdict = "not_eigenflag"
         else:
             verdict = "inconclusive"
@@ -322,12 +323,12 @@ class CertifiedBound:
     points: int
 
 
-def certify_positive_minimum(w, grid_resolution: int = 64,
-                             chunk: int = 65536) -> CertifiedBound:
+def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
     """Certify min E > 0 for a unit-normalized Weyl operator on S^3.
 
-    Evaluates E on a covering grid (the 8 cube faces, radially projected)
-    and subtracts a computed Lipschitz bound times the covering radius.
+    Evaluates E on a covering grid (the 8 cube faces, radially projected),
+    ``CHUNK`` points at a time so memory stays bounded, and subtracts a
+    computed Lipschitz bound times the covering radius.
     The Lipschitz constant comes from the polynomial structure of E:
     |grad E| <= 3 sigma^2 with sigma^2 the largest eigenvalue of the
     first-slot Gram matrix of T, converted to the geodesic metric.  A
@@ -363,8 +364,8 @@ def certify_positive_minimum(w, grid_resolution: int = 64,
             buf[:, a] = sign
             buf[:, rest] = face
             pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
-            for lo in range(0, pts.shape[0], chunk):
-                e = _batch_residual(t, pts[lo:lo + chunk])
+            for lo in range(0, pts.shape[0], CHUNK):
+                e = _batch_residual(t, pts[lo:lo + CHUNK])
                 grid_min = min(grid_min, float(e.min()))
             points += pts.shape[0]
 
@@ -402,13 +403,11 @@ def construct_stratum4(eigenvalues, frame: np.ndarray | None = None) -> WeylOper
     frame = np.asarray(frame, dtype=float)
     if frame.shape != (4, 4) or np.abs(frame.T @ frame - np.eye(4)).max() > 1e-10:
         raise ValueError("frame must be an orthogonal 4x4 matrix")
-    from .bivectors import lift_orthogonal
-
     lift = lift_orthogonal(frame)
     return WeylOperator(4, lift @ diag @ lift.T)
 
 
-def classify_weyl_spectrum(w, tol: float = 1e-8) -> str:
+def classify_weyl_spectrum(w) -> str:
     """Spectrum-pattern label for a 4-dimensional Weyl operator.
 
     ``three_double_eigenvalues``: three distinct values of multiplicity 2
@@ -424,11 +423,11 @@ def classify_weyl_spectrum(w, tol: float = 1e-8) -> str:
         raise DimensionError("spectrum classification applies to n = 4 operators")
     eig = np.sort(np.linalg.eigvalsh(m))
     scale = max(np.abs(eig).max(), 0.0)
-    if scale < tol:
+    if scale < SPECTRUM_TOL:
         return "zero"
     groups: list[list[float]] = []
     for x in eig:
-        if groups and abs(x - groups[-1][-1]) <= tol * scale:
+        if groups and abs(x - groups[-1][-1]) <= SPECTRUM_TOL * scale:
             groups[-1].append(x)
         else:
             groups.append([x])
@@ -439,6 +438,6 @@ def classify_weyl_spectrum(w, tol: float = 1e-8) -> str:
     if sizes == [2, 4]:
         big = means[0] if len(groups[0]) == 2 else means[1]
         small = means[1] if len(groups[0]) == 2 else means[0]
-        if abs(small + big / 2.0) <= tol * scale:
+        if abs(small + big / 2.0) <= SPECTRUM_TOL * scale:
             return "double_quadruple"
     return "other"

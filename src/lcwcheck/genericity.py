@@ -103,9 +103,9 @@ def residual_statistics(n: int, count: int, seed: int, starts: int | None = None
 # --- random polynomial metrics (test fodder and demo material) --------------
 
 
-def random_polynomial_metric(n: int, rng: np.random.Generator, degree: int = 3,
+def random_polynomial_metric(n: int, rng: np.random.Generator,
                              amplitude: float = 0.04) -> MetricSpec:
-    """delta_ij plus small random polynomial entries of the given degree.
+    """delta_ij plus small random cubic polynomial entries.
 
     The amplitude default keeps the result positive definite on the unit
     box with a wide margin.
@@ -120,7 +120,7 @@ def random_polynomial_metric(n: int, rng: np.random.Generator, degree: int = 3,
             if deg > 1:
                 build(term, c, deg - 1)
 
-    build("", 0, degree)
+    build("", 0, 3)
     monos = monomials[1:]
     g = []
     for i in range(n):
@@ -200,21 +200,33 @@ def _batch_size(n: int) -> int:
 _POINT_ERRORS = (ValueError, np.linalg.LinAlgError)
 
 
+def _caught(fn, *args):
+    """``fn(*args)``, or the exception it raised for its point."""
+    try:
+        return fn(*args)
+    except _POINT_ERRORS as exc:
+        # the traceback would keep the point's whole pipeline alive
+        exc.__traceback__ = exc.__context__ = None
+        return exc
+
+
+def _cotton_york_verdict(point, pkg, floor, tol_det) -> PointVerdict:
+    cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
+    label = classify_cy(cy, tol_det, floor)
+    return PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True, label,
+                        _VERDICTS.get(label, "inconclusive"), cy.eigenvalues)
+
+
 def _obstruct_batch(spec: MetricSpec, points, starts, seed, orientation,
-                    tol_eigenflag, tol_det) -> list[PointVerdict]:
-    """The verdicts at a batch of points; any point's failure propagates."""
+                    tol_eigenflag, tol_det) -> list:
+    """The verdicts at a batch of points; a point whose Cotton-York tensor
+    fails its check gets the exception, other failures propagate."""
     points = [tuple(float(x) for x in p) for p in points]
     pkgs = package_from_jets(metric_jets(spec, np.array(points)), orientation)
     floors = [DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm) for pkg in pkgs]
     if spec.dimension == 3:
-        verdicts = []
-        for point, pkg, floor in zip(points, pkgs, floors):
-            cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
-            label = classify_cy(cy, tol_det, floor)
-            verdicts.append(PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True,
-                                         label, _VERDICTS.get(label, "inconclusive"),
-                                         cy.eigenvalues))
-        return verdicts
+        return [_caught(_cotton_york_verdict, point, pkg, floor, tol_det)
+                for point, pkg, floor in zip(points, pkgs, floors)]
     reports = min_residuals([to_operator(pkg.weyl, scale=pkg.riemann_norm) for pkg in pkgs],
                             starts=starts, seed=seed, tol_eigenflag=tol_eigenflag,
                             weyl_floor=floors)
@@ -235,8 +247,11 @@ def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None
     zero below ``DEFAULT_ZERO_FLOOR * (1 + |R|)``.  Pipeline failures
     propagate.
     """
-    return _obstruct_batch(spec, [point], starts, seed, orientation, tol_eigenflag,
-                           tol_det)[0]
+    verdict = _obstruct_batch(spec, [point], starts, seed, orientation, tol_eigenflag,
+                              tol_det)[0]
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
 
 
 def obstruct_points(spec: MetricSpec, points, starts: int | None = None, seed=None,
@@ -246,9 +261,9 @@ def obstruct_points(spec: MetricSpec, points, starts: int | None = None, seed=No
     """:func:`obstruct_point` at each of ``points``, evaluated in batches.
 
     Returns, in input order, each point's :class:`PointVerdict`, or the
-    exception its pipeline raised there.  A batch holding a failing point
-    is evaluated again one point at a time, so a failure stays at its own
-    point and every verdict is the one :func:`obstruct_point` gives.
+    exception its pipeline raised there.  A batch whose jets or curvature
+    fail is evaluated again one point at a time, so a failure stays at its
+    own point and every verdict is the one :func:`obstruct_point` gives.
     """
     points = list(points)
     options = (starts, seed, orientation, tol_eigenflag, tol_det)
@@ -260,17 +275,8 @@ def obstruct_points(spec: MetricSpec, points, starts: int | None = None, seed=No
             verdicts = _obstruct_batch(spec, batch, *options)
         except _POINT_ERRORS:
             verdicts = None  # rerun below, once the failed batch is freed
-        out.extend(verdicts or (_verdict_or_error(spec, p, options) for p in batch))
+        out.extend(verdicts or (_caught(obstruct_point, spec, p, *options) for p in batch))
     return out
-
-
-def _verdict_or_error(spec: MetricSpec, point, options):
-    try:
-        return obstruct_point(spec, point, *options)
-    except _POINT_ERRORS as exc:
-        # the traceback would keep the point's whole pipeline alive
-        exc.__traceback__ = exc.__context__ = None
-        return exc
 
 
 def grid_points(spec: MetricSpec, grid) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class SymIndex:
 
         idx3 = np.empty((n, n, n), dtype=np.intp)
         for t, (i, j, k) in enumerate(triples):
-            for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
+            for perm in permutations((i, j, k)):
                 idx3[perm] = t
         self.idx3 = idx3
 

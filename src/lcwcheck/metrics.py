@@ -46,21 +46,10 @@ class MetricSpec:
     entries: tuple[tuple[Node, ...], ...]
     domain: tuple[tuple[float, float], ...]
 
-    def env(self, values) -> dict:
-        return dict(zip(self.coordinates, values))
-
-    def component(self, i: int, j: int) -> Node:
-        return self.entries[i][j]
-
     def evaluate(self, point) -> np.ndarray:
         """Plain float evaluation of g at a chart point."""
-        env = self.env([float(x) for x in point])
-        n = self.dimension
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = exprs.eval_expr(self.entries[i][j], env)
-        return g
+        env = dict(zip(self.coordinates, [float(x) for x in point]))
+        return np.array(self.component_values(env), dtype=float)
 
     def component_values(self, env: dict) -> list[list]:
         """Evaluate every upper-triangle entry in a prebuilt environment.

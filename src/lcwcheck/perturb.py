@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 from math import exp as _exp
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from . import curvature as _curv
 from .bivectors import WeylOperator, operator_to_tensor
 from .cottonyork import CottonYorkTensor
-from .jets import Jet3, MetricJets
+from .jets import Jet3, MetricJets, SymIndex
 from .metrics import MetricSpec, make_metric
 
 CURVATURE_COEFF = -1.0 / 3.0
@@ -90,9 +91,7 @@ class AlgebraicCurvature:
     @staticmethod
     def random(n: int, rng: np.random.Generator, scale: float = 1.0) -> "AlgebraicCurvature":
         big_n = n * (n - 1) // 2
-        a = rng.standard_normal((big_n, big_n))
-        t = operator_to_tensor(0.5 * (a + a.T))
-        t = t - _bianchi_part(t)
+        t = AlgebraicCurvature.from_operator(rng.standard_normal((big_n, big_n))).tensor
         norm = np.linalg.norm(t)
         return AlgebraicCurvature(n, t * (scale / norm) if norm > 0 else t)
 
@@ -148,12 +147,12 @@ def _quadratic_entry_source(rstar: np.ndarray, i: int, j: int, coords) -> str:
     return src
 
 
-def _check_positivity(spec_like, count: int = 200) -> None:
+def _check_positivity(spec_like) -> None:
     n = spec_like.dimension
     lows = np.array([lo for lo, _ in spec_like.domain])
     highs = np.array([hi for _, hi in spec_like.domain])
     rng = np.random.default_rng(20240901)
-    pts = [lows + (highs - lows) * rng.random(n) for _ in range(count)]
+    pts = [lows + (highs - lows) * rng.random(n) for _ in range(200)]
     if n <= 8:
         for bits in range(2 ** n):
             corner = np.where([(bits >> d) & 1 for d in range(n)], highs, lows)
@@ -270,9 +269,6 @@ class BumpPerturbedMetric:
 
 # --- prescribed Cotton-York ---------------------------------------------------
 
-_SYM3_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-_SYM3_TRIPLES = [(i, j, k) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
-
 _S2 = 1.0 / np.sqrt(2.0)
 _S6 = 1.0 / np.sqrt(6.0)
 _TRACELESS_BASIS = (
@@ -309,13 +305,12 @@ class CottonCoefficients:
 
     def full(self) -> np.ndarray:
         a = np.zeros((3, 3, 3, 3, 3))
-        for p, (i, j) in enumerate(_SYM3_PAIRS):
-            for t, (k, l, m) in enumerate(_SYM3_TRIPLES):
+        for p, (i, j) in enumerate(SymIndex(3).pairs):
+            for t, klm in enumerate(SymIndex(3).triples):
                 v = self.packed[p * 10 + t]
                 if v == 0.0:
                     continue
-                for kk, ll, mm in {(k, l, m), (k, m, l), (l, k, m),
-                                   (l, m, k), (m, k, l), (m, l, k)}:
+                for kk, ll, mm in set(permutations(klm)):
                     a[i, j, kk, ll, mm] = v
                     a[j, i, kk, ll, mm] = v
         return a
@@ -359,8 +354,8 @@ def cubic_metric_spec(coeffs: CottonCoefficients, domain_halfwidth: float = 0.5)
         row = []
         for j in range(3):
             src = "1" if i == j else "0"
-            for t, (k, l, m) in enumerate(_SYM3_TRIPLES):
-                mult = len({(k, l, m), (k, m, l), (l, k, m), (l, m, k), (m, k, l), (m, l, k)})
+            for k, l, m in SymIndex(3).triples:
+                mult = len(set(permutations((k, l, m))))
                 coeff = mult * a[i, j, k, l, m]
                 if coeff == 0.0:
                     continue
@@ -382,21 +377,17 @@ class CySolution:
     target: np.ndarray
 
 
-def solve_cy_target(cy0, domain_halfwidth: float = 0.5,
-                    rtol: float = 1e-7) -> CySolution:
+def solve_cy_target(cy0) -> CySolution:
     """Least-norm cubic coefficients realizing a trace-free target at 0.
 
     The assembled 60 -> 5 map must have rank 5 (checked; a deficiency is
     reported via :class:`RankDeficiencyError` rather than regularized away).
     The returned metric has been re-run through the full pipeline and its
     Cotton-York at the origin verified against the target within
-    ``rtol * (1 + |CY0|)``.
+    ``1e-7 * (1 + |CY0|)``.
     """
     cy0 = np.asarray(cy0, dtype=float)
-    if cy0.shape != (3, 3) or np.abs(cy0 - cy0.T).max() > 1e-10 * max(np.linalg.norm(cy0), 1e-300):
-        raise ValueError("target must be a symmetric 3x3 matrix")
-    if abs(np.trace(cy0)) > 1e-10 * max(np.linalg.norm(cy0), 1e-300):
-        raise ValueError("target must be trace-free")
+    CottonYorkTensor.from_matrix(cy0)  # raises unless 3x3, symmetric and trace-free
 
     m = cy_linear_map()
     svals = np.linalg.svd(m, compute_uv=False)
@@ -406,11 +397,11 @@ def solve_cy_target(cy0, domain_halfwidth: float = 0.5,
 
     packed = np.linalg.pinv(m, rcond=1e-10) @ sym3_to_vec5(cy0)
     coeffs = CottonCoefficients(packed)
-    spec = cubic_metric_spec(coeffs, domain_halfwidth)
+    spec = cubic_metric_spec(coeffs)
     _check_positivity(spec)
     pkg = _curv.curvature_package(spec, np.zeros(3))
     achieved = CottonYorkTensor.from_matrix(pkg.cotton_york)
     err = np.linalg.norm(achieved.matrix - cy0)
-    if err > rtol * (1.0 + np.linalg.norm(cy0)):
+    if err > 1e-7 * (1.0 + np.linalg.norm(cy0)):
         raise RuntimeError(f"round trip missed the target by {err}")
     return CySolution(coeffs, spec, achieved, cy0)

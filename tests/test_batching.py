@@ -273,3 +273,29 @@ def test_rows_do_not_depend_on_failing_neighbours(n, grid):
             assert (v.point, v.label, v.verdict) == (w.point, w.label, w.verdict)
             for name in ("norm", "obstruction", "detail"):
                 assert same_bits(getattr(v, name), getattr(w, name))
+
+
+def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
+    """The sphere's roundoff-level Cotton-York tensor fails its check at most
+    points; those points become errors without the batch being re-run."""
+    import lcwcheck.genericity as genericity
+
+    calls = []
+
+    def counting(spec, points):
+        calls.append(len(points))
+        return metric_jets(spec, points)
+
+    spec = sphere_stereographic_metric(3)
+    points = grid_points(spec, (4, 4, 4)).tolist()
+    expected = expected_failures(spec, points)
+    assert any(isinstance(e, ValueError) for e in expected)
+    monkeypatch.setattr(genericity, "metric_jets", counting)
+    rows = scan_metric(spec, (4, 4, 4)).rows
+    assert calls == [64]
+    for row, want in zip(rows, expected):
+        if isinstance(want, Exception):
+            assert row.verdict == f"error:{type(want).__name__}"
+        else:
+            assert row.verdict == want.label
+            assert same_bits(row.obstruction, want.obstruction)

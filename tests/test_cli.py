@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lcwcheck.cli import dumps17, main
+from lcwcheck.cottonyork import CottonYorkTensor
 from lcwcheck.genericity import obstruct_point
 from lcwcheck.metrics import euclidean_metric, load_metric, sphere_stereographic_metric
 from lcwcheck.perturb import solve_cy_target
@@ -217,3 +218,39 @@ def test_io_error_exit_code(flat4, capsys):
 
 def test_missing_metric_file_is_io_error(capsys):
     assert main(["curvature", "/no/such/metric.json", "--point", "0,0,0"]) == 5
+
+
+@pytest.mark.parametrize("args,bad", [
+    (["sample", "--dimension", "9", "--count", "1"], "--dimension"),
+    (["sample", "--dimension", "3", "--count", "1"], "--dimension"),
+    (["sample", "--dimension", "4", "--count", "0"], "--count"),
+    (["perturb", "--dimension", "2"], "--dimension"),
+    (["perturb", "--dimension", "9"], "--dimension"),
+])
+def test_out_of_range_sizes_are_parse_errors(tmp_path, capsys, args, bad):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {bad}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_cy_rejects_a_target_that_is_not_trace_free(tmp_path, capsys):
+    out = tmp_path / "cubic.json"
+    assert main(["solve-cy", "--target", "0.01", "0.01", "0.01", "0", "0", "0",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "lcwcheck: evaluation error: Cotton-York tensor must be trace-free\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", [np.diag([1.0, 1.0, 1.0]),
+                                    np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]),
+                                    np.zeros((2, 2))])
+def test_solve_cy_checks_its_target_as_a_cotton_york_tensor(target):
+    with pytest.raises(ValueError) as tensor_error:
+        CottonYorkTensor.from_matrix(target)
+    with pytest.raises(ValueError) as target_error:
+        solve_cy_target(target)
+    assert str(target_error.value) == str(tensor_error.value)
