@@ -55,6 +55,8 @@ class CottonYorkTensor:
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError("Cotton-York tensor must be 3x3")
+        if not np.isfinite(m).all():
+            raise ValueError("Cotton-York tensor must be finite")
         scale = float(np.linalg.norm(m))
         if np.abs(m - m.T).max() > 1e-10 * max(scale, 1e-300):
             raise ValueError("Cotton-York tensor must be symmetric")

@@ -20,7 +20,7 @@ offset of the offending token or node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")
 
@@ -314,40 +314,88 @@ def _call_scalar(func: str, x, pos: int):
         raise EvalError(f"domain error in {func}: {exc}", pos) from None
 
 
-def eval_expr(node: Node, env: dict):
-    """Evaluate over any scalar type supporting the grammar's arithmetic.
-
-    ``env`` maps coordinate names to scalars (floats or jets).  Division by
-    zero and elementary-function domain violations raise :class:`EvalError`
-    annotated with the node's source offset.
-    """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
+def children(node: Node) -> tuple:
+    """The operands of an operator node, left to right; () for a leaf."""
+    if isinstance(node, BinOp):
+        return node.left, node.right
     if isinstance(node, Neg):
-        return -eval_expr(node.child, env)
+        return (node.child,)
     if isinstance(node, Call):
-        return _call_scalar(node.func, eval_expr(node.arg, env), node.pos)
+        return (node.arg,)
     if isinstance(node, Pow):
-        base = eval_expr(node.base, env)
+        return (node.base,)
+    if isinstance(node, (Const, Var)):
+        return ()
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def same_tree(a: Node, b: Node) -> bool:
+    """``a == b``, the same shape and values with positions ignored, for
+    trees of any depth."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        for f in fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            if isinstance(u, Node):
+                todo.append((u, v))
+            elif f.compare and u != v:
+                return False
+    return True
+
+
+def apply_op(node: Node, operands):
+    """The value of an operator node given the values of its operands."""
+    if isinstance(node, Neg):
+        return -operands[0]
+    if isinstance(node, Call):
+        return _call_scalar(node.func, operands[0], node.pos)
+    if isinstance(node, Pow):
+        base = operands[0]
         try:
             if isinstance(base, (int, float)):
                 return float(base) ** node.exponent
             return base ** node.exponent
         except (ZeroDivisionError, ArithmeticError) as exc:
             raise EvalError(f"domain error in power: {exc}", node.pos) from None
-    if isinstance(node, BinOp):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
-        except (ZeroDivisionError, ArithmeticError) as exc:
-            raise EvalError(f"domain error: {exc}", node.pos) from None
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+    left, right = operands
+    try:
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        return left / right
+    except (ZeroDivisionError, ArithmeticError) as exc:
+        raise EvalError(f"domain error: {exc}", node.pos) from None
+
+
+def eval_expr(node: Node, env: dict):
+    """Evaluate over any scalar type supporting the grammar's arithmetic.
+
+    ``env`` maps coordinate names to scalars (floats or jets).  Division by
+    zero and elementary-function domain violations raise :class:`EvalError`
+    annotated with the node's source offset.  The walk keeps its own stack,
+    so a tree of any depth evaluates, operands left to right as written.
+    """
+    values = []
+    todo = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):  # an operator whose operands are on ``values``
+            item, arity = item
+            operands = values[-arity:]
+            del values[-arity:]
+            values.append(apply_op(item, operands))
+        elif isinstance(item, Const):
+            values.append(item.value)
+        elif isinstance(item, Var):
+            values.append(env[item.name])
+        else:
+            kids = children(item)
+            todo.append((item, len(kids)))
+            todo.extend(reversed(kids))
+    return values[0]

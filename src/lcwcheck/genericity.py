@@ -30,7 +30,7 @@ from .bivectors import BivectorBasis, WeylOperator, WeylProjector, to_operator
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
 from .curvature import package_from_jets
-from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residual, min_residuals
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, make_metric
 
@@ -82,12 +82,16 @@ def residual_statistics(n: int, count: int, seed: int, starts: int | None = None
 
     ``extra_operators`` are appended after the random batch (e.g. a planted
     stratum operator, to confirm the detector reports a near-zero minimum).
-    The exported threshold is the 5% quantile of the random batch.
+    The exported threshold is the 5% quantile of the random batch.  The
+    operators descend in batches of :func:`_batch_size` (each report is
+    the one :func:`min_residual` gives).
     """
     rng = np.random.default_rng(seed)
     ops = [sample_weyl(n, rng) for _ in range(count)]
     ops.extend(extra_operators)
-    reports = [min_residual(op, starts=starts) for op in ops]
+    size = _batch_size(n)
+    reports = [report for lo in range(0, len(ops), size)
+               for report in min_residuals(ops[lo:lo + size], starts=starts)]
     residuals = np.array([r.residual_min for r in reports])
     random_part = residuals[:count]
     quantiles = {
@@ -186,10 +190,10 @@ class PointVerdict:
         }
 
 
-# Points per batch.  Per point, the curvature chain holds a few arrays of
-# n^5 entries and the eigenflag descent a few of 8n * n^3; a batch of
-# 2^14 / n^5 points (16 at n = 4, 67 at n = 3, one at n = 8) keeps each
-# near 2^14 entries, so batching costs little memory.
+# Points (or operators) per batch.  Per point, the curvature chain holds a
+# few arrays of n^5 entries and the eigenflag descent a few of 8n * n^3; a
+# batch of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at n = 5, one at
+# n = 8) keeps each near 2^14 entries, so batching costs little memory.
 def _batch_size(n: int) -> int:
     return max(1, 2 ** 14 // n ** 5)
 

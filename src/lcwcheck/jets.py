@@ -10,22 +10,26 @@ Second and third derivatives are stored packed over sorted multi-indices,
 n(n+1)/2 and n(n+1)(n+2)/6 entries, so the symmetries hold structurally:
 there is no way to store, or observe, an asymmetric component.
 
-A jet may carry a leading batch axis (one row per chart point), so one
-walk of an expression tree evaluates it at many points at once (Taylor
-mode over a batch, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
-Every operation acts row by row with the scalar path's floating-point
-operations, so a batch computes exactly the bits of its points one at a
-time.
+A jet may carry a leading batch axis, one row per chart point, so one
+operation evaluates many rows at once (Taylor mode over a batch, Griewank
+& Walther, *Evaluating Derivatives*, ch. 13).  Every operation acts row by
+row with the scalar path's floating-point operations, so a batch computes
+exactly the bits of its points one at a time.  :class:`JetTape` compiles
+expression trees into such operations, one per depth and operation, each
+row a node of some tree at some point.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+
+from . import exprs
 
 
 class MetricNotPositive(ValueError):
@@ -318,6 +322,218 @@ class Jet3:
         return self._compose(_atan)
 
 
+# --- compiled expression trees ----------------------------------------------
+
+
+def _shift(jet: Jet3, c) -> Jet3:
+    """``jet + c`` with one constant per row, as the float fast path does it."""
+    return Jet3(jet.n, jet.value + c, jet.grad, jet.hess, jet.third)
+
+
+def _scale(jet: Jet3, c) -> Jet3:
+    """``jet * c`` with one constant per row, as the float fast path does it."""
+    col = c[:, None]
+    return Jet3(jet.n, jet.value * c, jet.grad * col, jet.hess * col, jet.third * col)
+
+
+def _apply_group(op, arg, x, y, c) -> Jet3:
+    """One tape operation on every row at once.
+
+    ``x`` and ``y`` are the gathered jet operands, ``c`` the constant
+    operand of each row.  Each branch does what the expression walk does
+    for one node with the same operand types, so every row gets its bits.
+    """
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    if op == "/":
+        return x / y
+    if op == "+c":  # jet + c and c + jet alike: Jet3.__radd__ is __add__
+        return _shift(x, c)
+    if op == "-c":
+        return Jet3(x.n, x.value - c, x.grad, x.hess, x.third)
+    if op == "c-":  # Jet3.__rsub__: (-jet) + c
+        return _shift(-x, c)
+    if op == "*c":  # jet * c and c * jet alike: Jet3.__rmul__ is __mul__
+        return _scale(x, c)
+    if op == "/c":
+        if not c.all():
+            raise ZeroDivisionError("jet division by zero")
+        return _scale(x, 1.0 / c)
+    if op == "c/":  # Jet3.__rtruediv__: the reciprocal times c
+        return _scale(x.reciprocal(), c)
+    if op == "neg":
+        return -x
+    if op == "^":
+        return x ** arg
+    return getattr(x, arg)()  # an elementary function
+
+
+# BinOp -> tape op, when the left or the right operand is a constant
+_CONST_LEFT = {"+": "+c", "-": "c-", "*": "*c", "/": "c/"}
+_CONST_RIGHT = {"+": "+c", "-": "-c", "*": "*c", "/": "/c"}
+
+# Rows per tape operation.  A jet product gathers operand arrays of
+# 3 x rows x n(n+1)(n+2)/6 entries.  Kept within 2^14 entries (128 KiB),
+# they stay below the C allocator's threshold for fresh pages from the
+# kernel: above it, a 72-lane product at n = 8 cost about twice as much
+# per lane as a 36-lane one.
+_GATHER_ENTRIES = 2 ** 14
+
+
+@dataclass(frozen=True, slots=True)
+class _Group:
+    """The nodes of one depth and operation: lane k sits in row ``start + k``
+    of its level and reads row ``a[k]`` (and ``b[k]``) of the level below,
+    and the constant ``c[k]``."""
+
+    op: str
+    arg: object
+    start: int
+    a: np.ndarray
+    b: np.ndarray | None
+    c: np.ndarray | None
+
+
+class JetTape:
+    """Expression trees compiled once into depth-grouped batched jet ops.
+
+    Each node that depends on a coordinate is a lane of the group keyed by
+    its depth below its tree's root and its operation (a binary operator
+    and which operand is constant, negation, a function, an integer
+    power).  Subtrees without coordinates fold to floats with the
+    expression walk's own operations.  Level ``d`` holds the n coordinate
+    jets, then the lanes of each group of depth ``d``; a group reads its
+    operands from level ``d + 1``.  :meth:`run` goes from the deepest level
+    up, one :class:`Jet3` operation per group (and per ``_GATHER_ENTRIES``)
+    over all its lanes and points: the walk's floating-point operations on
+    every row, not reassociated, so the results have the walk's bits.
+    Nothing is shared between trees; identical subtrees of several trees
+    are lanes of one operation.
+    """
+
+    def __init__(self, coordinates, roots):
+        self.n = n = len(coordinates)
+        var = {name: k for k, name in enumerate(coordinates)}
+        keys = {}     # (depth, op, arg) -> group id
+        groups = []   # per group: depth, op, arg, operand references a, b, constants c
+
+        def lane(key, a, b=None, c=None):
+            """A new lane of the group ``key``, as a reference: (group id + 1)
+            << 32 | lane.  A coordinate's reference is its index."""
+            gid = keys.setdefault(key, len(groups))
+            if gid == len(groups):
+                groups.append(key + (array("q"), array("q"), array("d")))
+            group = groups[gid]
+            group[3].append(a)
+            if b is not None:
+                group[4].append(b)
+            if c is not None:
+                group[5].append(c)
+            return (gid + 1) << 32 | (len(group[3]) - 1)
+
+        Const, Var, BinOp = exprs.Const, exprs.Var, exprs.BinOp
+        results = []
+        for root in roots:
+            done = []  # iterative post-order: operands, a folded float or a reference
+            todo = [(root, 0, False)]
+            while todo:
+                node, depth, ready = todo.pop()
+                cls = type(node)
+                if cls is Const:
+                    done.append(float(node.value))
+                elif cls is Var:
+                    done.append(var[node.name])
+                elif not ready:
+                    todo.append((node, depth, True))
+                    for kid in reversed(exprs.children(node)):
+                        todo.append((kid, depth + 1, False))
+                elif cls is BinOp:
+                    y, x = done.pop(), done.pop()
+                    if type(x) is float and type(y) is float:
+                        done.append(exprs.apply_op(node, (x, y)))
+                    elif type(x) is float:
+                        done.append(lane((depth, _CONST_LEFT[node.op], None), y, c=x))
+                    elif type(y) is float:
+                        done.append(lane((depth, _CONST_RIGHT[node.op], None), x, c=y))
+                    else:
+                        done.append(lane((depth, node.op, None), x, y))
+                else:
+                    x = done.pop()
+                    if type(x) is float:
+                        done.append(exprs.apply_op(node, (x,)))
+                    elif cls is exprs.Neg:
+                        done.append(lane((depth, "neg", None), x))
+                    elif cls is exprs.Pow:
+                        done.append(lane((depth, "^", node.exponent), x))
+                    else:
+                        done.append(lane((depth, "call", node.func), x))
+            results.append(done[0])
+
+        self.sizes = sizes = [0] * (1 + max((g[0] for g in groups), default=-1))
+        start = np.zeros(len(groups) + 1, dtype=np.int64)  # start[0]: the coordinates
+        for gid, (depth, _, _, a, _, _) in enumerate(groups):
+            start[gid + 1] = n + sizes[depth]
+            sizes[depth] += len(a)
+
+        def rows(refs):
+            refs = np.array(refs, dtype=np.int64)
+            return (start[refs >> 32] + (refs & 0xFFFFFFFF)).astype(np.int32)
+
+        self.levels = [[] for _ in sizes]
+        for gid, (depth, op, arg, a, b, c) in enumerate(groups):
+            self.levels[depth].append(_Group(op, arg, int(start[gid + 1]), rows(a),
+                                             rows(b) if b else None, np.array(c) if c else None))
+        self.results = [r if type(r) is float else int(rows([r])[0]) for r in results]
+
+    def run(self, variables) -> list:
+        """The trees' values at the coordinate jets ``variables``.
+
+        The jets are all scalar or all batched over the same points; each
+        result is a float (a tree without coordinates) or a jet like them.
+        """
+        n, ix = self.n, SymIndex(self.n)
+        parts = (slice(1, 1 + n), slice(1 + n, 1 + n + ix.npairs),
+                 slice(1 + n + ix.npairs, None))
+        size = np.size(variables[0].value)
+        var = np.stack([np.concatenate([np.reshape(s, (size, -1)) for s in
+                                        (v.value, v.grad, v.hess, v.third)], axis=1)
+                        for v in variables])
+        width = var.shape[-1]
+
+        def unpack(rows):
+            """Rows of a level, (count, width), as one batched jet."""
+            return Jet3(n, rows[:, 0], *(rows[:, p] for p in parts))
+
+        lanes_per_op = max(1, _GATHER_ENTRIES // (3 * ix.ntriples * size))
+        levels = [np.empty((n + max(self.sizes, default=0), size, width)) for _ in range(2)]
+        for level in levels:
+            level[:n] = var
+        below = var
+        for depth in reversed(range(len(self.sizes))):
+            level = levels[depth % 2]
+            for g in self.levels[depth]:
+                for lo in range(0, len(g.a), lanes_per_op):
+                    lanes = slice(lo, min(lo + lanes_per_op, len(g.a)))
+                    x = unpack(below[g.a[lanes]].reshape(-1, width))
+                    y = None if g.b is None else unpack(below[g.b[lanes]].reshape(-1, width))
+                    c = None if g.c is None else np.repeat(g.c[lanes], size)
+                    jet = _apply_group(g.op, g.arg, x, y, c)
+                    out = level[g.start + lanes.start:g.start + lanes.stop].reshape(-1, width)
+                    out[:, 0] = jet.value
+                    for p, slot in zip(parts, (jet.grad, jet.hess, jet.third)):
+                        out[:, p] = slot
+            below = level
+        jets = [r if type(r) is float else unpack(below[r].copy()) for r in self.results]
+        if variables[0].batched:
+            return jets
+        return [j if type(j) is float else Jet3(n, float(j.value[0]), j.grad[0], j.hess[0],
+                                                j.third[0]) for j in jets]
+
+
 def jet_variable(index: int, base_value, n: int) -> Jet3:
     return Jet3.variable(index, base_value, n)
 
@@ -367,7 +583,7 @@ def metric_jets(spec, points) -> MetricJets:
     """Evaluate a metric's components over jets at chart points.
 
     ``points`` is one point (shape (n,)), which gives :class:`MetricJets`
-    at it, or a (B, n) array, which walks each component tree once for the
+    at it, or a (B, n) array, which evaluates the components once for the
     whole batch and gives batched :class:`MetricJets`.  ``spec`` is
     anything with ``dimension``, ``coordinates``, ``domain`` and
     ``component_values(env)`` (a :class:`~lcwcheck.metrics.MetricSpec` or a

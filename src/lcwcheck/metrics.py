@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import exprs
-from .exprs import Node, ParseError
+from .exprs import EvalError, Node, ParseError
+from .jets import Jet3, JetTape, SymIndex
 
 MIN_DIMENSION = 3
 MAX_DIMENSION = 8
@@ -37,7 +39,8 @@ class MetricError(ValueError):
 class MetricSpec:
     """A symmetric matrix of component expressions on a coordinate box.
 
-    Immutable after parsing; safe to share between concurrent evaluators.
+    Immutable after parsing; safe to share between concurrent evaluators
+    (the jet tape, compiled on first use, is only read after that).
     ``entries[i][j]`` and ``entries[j][i]`` are the same AST object.
     """
 
@@ -54,18 +57,39 @@ class MetricSpec:
     def component_values(self, env: dict) -> list[list]:
         """Evaluate every upper-triangle entry in a prebuilt environment.
 
-        Generic over the scalar type of ``env`` values (floats or jets);
-        returns a full n x n nested list with shared objects across the
-        diagonal.
+        ``env`` maps the coordinates to floats, which the expression walk
+        evaluates, or to jets (scalar or batched), which the compiled tape
+        evaluates with the same bits.  Returns a full n x n nested list
+        with shared objects across the diagonal.
         """
         n = self.dimension
+        pairs = SymIndex(n).pairs
+        variables = [env.get(name) for name in self.coordinates]
+        values = None
+        if all(isinstance(v, Jet3) for v in variables) and self._tape is not None:
+            try:
+                values = self._tape.run(variables)
+            except (ArithmeticError, ValueError):
+                pass  # the walk raises the entry's EvalError, with its offset
+        if values is None:
+            values = [exprs.eval_expr(self.entries[i][j], env) for i, j in pairs]
         out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                val = exprs.eval_expr(self.entries[i][j], env)
-                out[i][j] = val
-                out[j][i] = val
+        for (i, j), val in zip(pairs, values):
+            out[i][j] = out[j][i] = val
         return out
+
+    @cached_property
+    def _tape(self) -> JetTape | None:
+        """The upper-triangle entries compiled for jets, on first use.
+
+        None when a subtree without coordinates fails to fold: that entry
+        fails at every point, and the walk reports it.
+        """
+        try:
+            return JetTape(self.coordinates,
+                           [self.entries[i][j] for i, j in SymIndex(self.dimension).pairs])
+        except EvalError:
+            return None
 
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         lows = np.array([lo for lo, _ in self.domain])
@@ -139,7 +163,7 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
             upper, lower = parsed[i][j], parsed[j][i]
             if upper is None:
                 raise MetricError(f"g[{i}][{j}] is missing")
-            if lower is not None and lower != upper:
+            if lower is not None and not exprs.same_tree(lower, upper):
                 raise MetricError(
                     f"asymmetric entries: g[{i}][{j}] and g[{j}][{i}] are structurally different")
             entries[i][j] = entries[j][i] = upper

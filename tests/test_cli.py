@@ -245,9 +245,21 @@ def test_solve_cy_rejects_a_target_that_is_not_trace_free(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_cy_rejects_a_target_that_is_not_finite(tmp_path, capsys):
+    out = tmp_path / "cubic.json"
+    assert main(["solve-cy", "--target", "nan", "0", "0", "0", "0", "0",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "lcwcheck: evaluation error: Cotton-York tensor must be finite\n")
+    assert not out.exists()
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_cy_target(np.diag([np.inf, -np.inf, 0.0]))
+
+
 @pytest.mark.parametrize("target", [np.diag([1.0, 1.0, 1.0]),
                                     np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]),
-                                    np.zeros((2, 2))])
+                                    np.zeros((2, 2)),
+                                    np.diag([np.nan, 0.0, 0.0])])
 def test_solve_cy_checks_its_target_as_a_cotton_york_tensor(target):
     with pytest.raises(ValueError) as tensor_error:
         CottonYorkTensor.from_matrix(target)

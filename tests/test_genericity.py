@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from lcwcheck import genericity
 from lcwcheck.bivectors import bianchi_map, ricci_contraction
-from lcwcheck.eigenflag import construct_stratum4
+from lcwcheck.eigenflag import construct_stratum4, min_residual
 from lcwcheck.genericity import (SampleStats, fmt17, grid_points, obstruct_point,
                                  random_polynomial_metric, residual_statistics,
                                  sample_weyl, scan_metric)
@@ -62,6 +63,27 @@ def test_residual_statistics_determinism_and_quantiles():
     assert q["min"] <= q["q05"] <= q["q50"] <= q["q95"]
     assert s1.threshold == q["q05"]
     assert (s1.residuals > 0).all()
+
+
+def test_residual_statistics_descends_in_batches_with_per_operator_bits(monkeypatch):
+    batches, batched = [], genericity.min_residuals
+
+    def spy(ws, **kwargs):
+        batches.append(batched(ws, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(genericity, "min_residuals", spy)
+    stats = residual_statistics(5, 12, seed=11)
+    assert [len(b) for b in batches] == [5, 5, 2]
+    rng = np.random.default_rng(11)
+    for got, op in zip([r for b in batches for r in b], [sample_weyl(5, rng) for _ in range(12)]):
+        want = min_residual(op)
+        for name in ("residual_min", "minimizer", "verdict", "iterations", "converged"):
+            assert np.asarray(getattr(got, name)).tobytes() == \
+                np.asarray(getattr(want, name)).tobytes(), name
+    assert stats.to_csv() == "index,residual_min,verdict\n" + "".join(
+        f"{k},{fmt17(r.residual_min)},{r.verdict}\n"
+        for k, r in enumerate(r for b in batches for r in b))
 
 
 def test_planted_stratum_sample_is_detected():
