@@ -95,14 +95,23 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
-def _parse_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}: expected an integer")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be at least 1")
-    return count
+def _integer_at_least(what: str, low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: expected an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: must be at least {low}")
+        return value
+
+    return parse
+
+
+_parse_count = _integer_at_least("count", 1)
+_parse_seed = _integer_at_least("seed", 0)
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -282,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, metric=True):
         if metric:
             p.add_argument("metric", help="metric JSON document")
-        p.add_argument("--seed", type=int, default=None, help="optimizer start-set seed")
+        p.add_argument("--seed", type=_parse_seed, default=None, help="optimizer start-set seed")
         p.add_argument("--starts", type=int, default=None, help="multistart count (default 8n)")
         p.add_argument("--tol-eigenflag", type=float, default=DEFAULT_TOL_EIGENFLAG)
         p.add_argument("--tol-det", type=float, default=DEFAULT_DET_TOL)
@@ -308,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="emit a flat metric with prescribed curvature at 0")
     p.add_argument("--dimension", type=int, choices=range(MIN_DIMENSION, MAX_DIMENSION + 1),
                    required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--scale", type=float, default=0.05,
                    help="Frobenius norm of the prescribed curvature")
     p.add_argument("--zero", action="store_true", help="prescribe zero curvature")
@@ -326,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="residual statistics over random Weyl operators")
     p.add_argument("--dimension", type=int, choices=range(4, MAX_DIMENSION + 1), required=True)
     p.add_argument("--count", type=_parse_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_sample)

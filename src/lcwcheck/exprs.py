@@ -150,11 +150,18 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # --- parser -------------------------------------------------------------
 
 
+# Open parentheses, calls and unary minuses around a token.  Each level
+# takes up to four Python frames, so the limit keeps the recursive
+# descent well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, source: str, coords: tuple[str, ...]):
         self.tokens = _tokenize(source)
         self.coords = coords
         self.k = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -223,31 +230,35 @@ class _Parser:
         kind, text, pos = self.advance()
         if kind == "num":
             return Const(pos, float(text))
-        if kind == "op" and text == "-":
-            return Neg(pos, self.base())
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "ident":
-            nxt_kind, nxt_text, nxt_pos = self.peek()
-            if nxt_kind == "op" and nxt_text == "(":
-                if text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", pos)
-                self.advance()
-                inner_kind, inner_text, inner_pos = self.peek()
-                if inner_kind == "op" and inner_text == ")":
-                    raise ParseError(f"function {text!r} takes exactly one argument", inner_pos)
-                arg = self.expr()
-                sep_kind, sep_text, sep_pos = self.peek()
-                if sep_kind == "op" and sep_text == ",":
-                    raise ParseError(f"function {text!r} takes exactly one argument", sep_pos)
-                self.expect_op(")")
-                return Call(pos, text, arg)
+        if kind == "ident" and self.peek()[1] != "(":
             if text not in self.coords:
                 raise ParseError(f"unknown identifier {text!r}", pos)
             return Var(pos, text)
-        raise ParseError(f"expected expression, found {text!r}" if text else "unexpected end of input", pos)
+        if self.nesting == MAX_NESTING:
+            raise ParseError("expression nested too deeply", pos)
+        self.nesting += 1
+        if kind == "op" and text == "-":
+            node = Neg(pos, self.base())
+        elif kind == "op" and text == "(":
+            node = self.expr()
+            self.expect_op(")")
+        elif kind == "ident":  # a call
+            if text not in FUNCTIONS:
+                raise ParseError(f"unknown function {text!r}", pos)
+            self.advance()
+            inner_kind, inner_text, inner_pos = self.peek()
+            if inner_kind == "op" and inner_text == ")":
+                raise ParseError(f"function {text!r} takes exactly one argument", inner_pos)
+            arg = self.expr()
+            sep_kind, sep_text, sep_pos = self.peek()
+            if sep_kind == "op" and sep_text == ",":
+                raise ParseError(f"function {text!r} takes exactly one argument", sep_pos)
+            self.expect_op(")")
+            node = Call(pos, text, arg)
+        else:
+            raise ParseError(f"expected expression, found {text!r}" if text else "unexpected end of input", pos)
+        self.nesting -= 1
+        return node
 
 
 def parse_expr(source: str, coords) -> Node:

@@ -15,8 +15,10 @@ operation evaluates many rows at once (Taylor mode over a batch, Griewank
 & Walther, *Evaluating Derivatives*, ch. 13).  Every operation acts row by
 row with the scalar path's floating-point operations, so a batch computes
 exactly the bits of its points one at a time.  :class:`JetTape` compiles
-expression trees into such operations, one per depth and operation, each
-row a node of some tree at some point.
+expression trees into groups of nodes, one per depth, operation and
+constant operands, and applies the expression walk's own
+``exprs.apply_op`` to each group, each row a node of some tree at some
+point; a constant operand then holds one float per row.
 """
 
 from __future__ import annotations
@@ -183,13 +185,17 @@ class Jet3:
 
     # -- ring operations --------------------------------------------------
 
+    # numpy defers ``array <op> jet`` to the jet's reflected method, as
+    # Python does for ``float <op> jet``
+    __array_ufunc__ = None
+
     def _coerce(self, other):
         if isinstance(other, Jet3):
             if other.n != self.n:
                 raise ValueError("jets have different variable counts")
             return other
-        if isinstance(other, (int, float)):
-            return None  # scalar fast path
+        if isinstance(other, (int, float)) or isinstance(other, np.ndarray) and other.ndim == 1:
+            return None  # constant fast path: one float, or one per row of a batch
         return NotImplemented
 
     def __add__(self, other):
@@ -225,8 +231,9 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet3(self.n, self.value * other, self.grad * other,
-                        self.hess * other, self.third * other)
+            col = _col(other)
+            return Jet3(self.n, self.value * other, self.grad * col,
+                        self.hess * col, self.third * col)
         ix = SymIndex(self.n)
         av, bv = _col(self.value), _col(o.value)
         ag, bg = self.grad, o.grad
@@ -254,7 +261,7 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            if other == 0:
+            if not np.all(other):
                 raise ZeroDivisionError("jet division by zero")
             return self * (1.0 / other)
         return self * o.reciprocal()
@@ -324,58 +331,6 @@ class Jet3:
 
 # --- compiled expression trees ----------------------------------------------
 
-
-def _shift(jet: Jet3, c) -> Jet3:
-    """``jet + c`` with one constant per row, as the float fast path does it."""
-    return Jet3(jet.n, jet.value + c, jet.grad, jet.hess, jet.third)
-
-
-def _scale(jet: Jet3, c) -> Jet3:
-    """``jet * c`` with one constant per row, as the float fast path does it."""
-    col = c[:, None]
-    return Jet3(jet.n, jet.value * c, jet.grad * col, jet.hess * col, jet.third * col)
-
-
-def _apply_group(op, arg, x, y, c) -> Jet3:
-    """One tape operation on every row at once.
-
-    ``x`` and ``y`` are the gathered jet operands, ``c`` the constant
-    operand of each row.  Each branch does what the expression walk does
-    for one node with the same operand types, so every row gets its bits.
-    """
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    if op == "/":
-        return x / y
-    if op == "+c":  # jet + c and c + jet alike: Jet3.__radd__ is __add__
-        return _shift(x, c)
-    if op == "-c":
-        return Jet3(x.n, x.value - c, x.grad, x.hess, x.third)
-    if op == "c-":  # Jet3.__rsub__: (-jet) + c
-        return _shift(-x, c)
-    if op == "*c":  # jet * c and c * jet alike: Jet3.__rmul__ is __mul__
-        return _scale(x, c)
-    if op == "/c":
-        if not c.all():
-            raise ZeroDivisionError("jet division by zero")
-        return _scale(x, 1.0 / c)
-    if op == "c/":  # Jet3.__rtruediv__: the reciprocal times c
-        return _scale(x.reciprocal(), c)
-    if op == "neg":
-        return -x
-    if op == "^":
-        return x ** arg
-    return getattr(x, arg)()  # an elementary function
-
-
-# BinOp -> tape op, when the left or the right operand is a constant
-_CONST_LEFT = {"+": "+c", "-": "c-", "*": "*c", "/": "c/"}
-_CONST_RIGHT = {"+": "+c", "-": "-c", "*": "*c", "/": "/c"}
-
 # Rows per tape operation.  A jet product gathers operand arrays of
 # 3 x rows x n(n+1)(n+2)/6 entries.  Kept within 2^14 entries (128 KiB),
 # they stay below the C allocator's threshold for fresh pages from the
@@ -386,54 +341,56 @@ _GATHER_ENTRIES = 2 ** 14
 
 @dataclass(frozen=True, slots=True)
 class _Group:
-    """The nodes of one depth and operation: lane k sits in row ``start + k``
-    of its level and reads row ``a[k]`` (and ``b[k]``) of the level below,
-    and the constant ``c[k]``."""
+    """The nodes of one depth and operation, as lanes: lane k sits in row
+    ``start + k`` of its level and is ``exprs.apply_op(node, ...)`` of its
+    operands.  Operand i of lane k is row ``operands[i][k]`` of the level
+    below (an int32 array) or the constant ``operands[i][k]`` (a float
+    array)."""
 
-    op: str
-    arg: object
+    node: exprs.Node
     start: int
-    a: np.ndarray
-    b: np.ndarray | None
-    c: np.ndarray | None
+    operands: tuple
 
 
 class JetTape:
     """Expression trees compiled once into depth-grouped batched jet ops.
 
     Each node that depends on a coordinate is a lane of the group keyed by
-    its depth below its tree's root and its operation (a binary operator
-    and which operand is constant, negation, a function, an integer
-    power).  Subtrees without coordinates fold to floats with the
+    its depth below its tree's root, its operation (a binary operator, a
+    negation, a function, an integer power) and which of its operands are
+    constants; ``c + jet`` and ``c * jet`` are lanes of the ``jet + c`` and
+    ``jet * c`` groups, which is what :class:`Jet3`'s reflected methods
+    compute.  Subtrees without coordinates fold to floats with the
     expression walk's own operations.  Level ``d`` holds the n coordinate
     jets, then the lanes of each group of depth ``d``; a group reads its
     operands from level ``d + 1``.  :meth:`run` goes from the deepest level
-    up, one :class:`Jet3` operation per group (and per ``_GATHER_ENTRIES``)
-    over all its lanes and points: the walk's floating-point operations on
-    every row, not reassociated, so the results have the walk's bits.
-    Nothing is shared between trees; identical subtrees of several trees
-    are lanes of one operation.
+    up and applies the walk's own ``exprs.apply_op`` to each group (once
+    per ``_GATHER_ENTRIES``), its operands batched jets and one constant
+    per row: the walk's floating-point operations on every row, not
+    reassociated, so the results have the walk's bits.  Nothing is shared
+    between trees; identical subtrees of several trees are lanes of one
+    operation.
     """
 
     def __init__(self, coordinates, roots):
         self.n = n = len(coordinates)
         var = {name: k for k, name in enumerate(coordinates)}
-        keys = {}     # (depth, op, arg) -> group id
-        groups = []   # per group: depth, op, arg, operand references a, b, constants c
+        keys = {}     # (depth, operation, constant operands) -> group id
+        groups = []   # per group: depth, node, one array per operand
 
-        def lane(key, a, b=None, c=None):
-            """A new lane of the group ``key``, as a reference: (group id + 1)
-            << 32 | lane.  A coordinate's reference is its index."""
+        def lane(key, node, x, y=None):
+            """A new lane of the group ``key`` with operands ``x`` (and ``y``),
+            each a float or a reference: (group id + 1) << 32 | lane.  A
+            coordinate's reference is its index."""
             gid = keys.setdefault(key, len(groups))
             if gid == len(groups):
-                groups.append(key + (array("q"), array("q"), array("d")))
-            group = groups[gid]
-            group[3].append(a)
-            if b is not None:
-                group[4].append(b)
-            if c is not None:
-                group[5].append(c)
-            return (gid + 1) << 32 | (len(group[3]) - 1)
+                groups.append((key[0], node, [array("d" if type(o) is float else "q")
+                                              for o in (x, y) if o is not None]))
+            columns = groups[gid][2]
+            columns[0].append(x)
+            if y is not None:
+                columns[1].append(y)
+            return (gid + 1) << 32 | (len(columns[0]) - 1)
 
         Const, Var, BinOp = exprs.Const, exprs.Var, exprs.BinOp
         results = []
@@ -453,40 +410,39 @@ class JetTape:
                         todo.append((kid, depth + 1, False))
                 elif cls is BinOp:
                     y, x = done.pop(), done.pop()
-                    if type(x) is float and type(y) is float:
+                    cx, cy = type(x) is float, type(y) is float
+                    if cx and cy:
                         done.append(exprs.apply_op(node, (x, y)))
-                    elif type(x) is float:
-                        done.append(lane((depth, _CONST_LEFT[node.op], None), y, c=x))
-                    elif type(y) is float:
-                        done.append(lane((depth, _CONST_RIGHT[node.op], None), x, c=y))
+                    elif cx and node.op in "+*":
+                        done.append(lane((depth, node.op, False, True), node, y, x))
                     else:
-                        done.append(lane((depth, node.op, None), x, y))
+                        done.append(lane((depth, node.op, cx, cy), node, x, y))
                 else:
                     x = done.pop()
                     if type(x) is float:
                         done.append(exprs.apply_op(node, (x,)))
                     elif cls is exprs.Neg:
-                        done.append(lane((depth, "neg", None), x))
+                        done.append(lane((depth, "neg"), node, x))
                     elif cls is exprs.Pow:
-                        done.append(lane((depth, "^", node.exponent), x))
+                        done.append(lane((depth, "^", node.exponent), node, x))
                     else:
-                        done.append(lane((depth, "call", node.func), x))
+                        done.append(lane((depth, node.func), node, x))
             results.append(done[0])
 
         self.sizes = sizes = [0] * (1 + max((g[0] for g in groups), default=-1))
         start = np.zeros(len(groups) + 1, dtype=np.int64)  # start[0]: the coordinates
-        for gid, (depth, _, _, a, _, _) in enumerate(groups):
+        for gid, (depth, _, columns) in enumerate(groups):
             start[gid + 1] = n + sizes[depth]
-            sizes[depth] += len(a)
+            sizes[depth] += len(columns[0])
 
         def rows(refs):
             refs = np.array(refs, dtype=np.int64)
             return (start[refs >> 32] + (refs & 0xFFFFFFFF)).astype(np.int32)
 
         self.levels = [[] for _ in sizes]
-        for gid, (depth, op, arg, a, b, c) in enumerate(groups):
-            self.levels[depth].append(_Group(op, arg, int(start[gid + 1]), rows(a),
-                                             rows(b) if b else None, np.array(c) if c else None))
+        for gid, (depth, node, columns) in enumerate(groups):
+            self.levels[depth].append(_Group(node, int(start[gid + 1]), tuple(
+                np.array(c) if c.typecode == "d" else rows(c) for c in columns)))
         self.results = [r if type(r) is float else int(rows([r])[0]) for r in results]
 
     def run(self, variables) -> list:
@@ -506,7 +462,7 @@ class JetTape:
 
         def unpack(rows):
             """Rows of a level, (count, width), as one batched jet."""
-            return Jet3(n, rows[:, 0], *(rows[:, p] for p in parts))
+            return Jet3(n, rows[:, 0], rows[:, parts[0]], rows[:, parts[1]], rows[:, parts[2]])
 
         lanes_per_op = max(1, _GATHER_ENTRIES // (3 * ix.ntriples * size))
         levels = [np.empty((n + max(self.sizes, default=0), size, width)) for _ in range(2)]
@@ -516,12 +472,12 @@ class JetTape:
         for depth in reversed(range(len(self.sizes))):
             level = levels[depth % 2]
             for g in self.levels[depth]:
-                for lo in range(0, len(g.a), lanes_per_op):
-                    lanes = slice(lo, min(lo + lanes_per_op, len(g.a)))
-                    x = unpack(below[g.a[lanes]].reshape(-1, width))
-                    y = None if g.b is None else unpack(below[g.b[lanes]].reshape(-1, width))
-                    c = None if g.c is None else np.repeat(g.c[lanes], size)
-                    jet = _apply_group(g.op, g.arg, x, y, c)
+                count = len(g.operands[0])
+                for lo in range(0, count, lanes_per_op):
+                    lanes = slice(lo, min(lo + lanes_per_op, count))
+                    jet = exprs.apply_op(g.node, [
+                        np.repeat(o[lanes], size) if o.dtype.kind == "f"
+                        else unpack(below[o[lanes]].reshape(-1, width)) for o in g.operands])
                     out = level[g.start + lanes.start:g.start + lanes.stop].reshape(-1, width)
                     out[:, 0] = jet.value
                     for p, slot in zip(parts, (jet.grad, jet.hess, jet.third)):
@@ -602,9 +558,7 @@ def metric_jets(spec, points) -> MetricJets:
         raise ValueError(
             f"point {batch[outside][0].tolist()} is outside the chart domain box")
 
-    # one point takes scalar jets: the same floats, without per-batch overhead
-    env = jet_environment(spec.coordinates, batch[0] if len(batch) == 1 else batch)
-    jets = spec.component_values(env)
+    jets = spec.component_values(jet_environment(spec.coordinates, batch))
 
     size = len(batch)
     g = np.zeros((size, n, n))

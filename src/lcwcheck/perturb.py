@@ -63,6 +63,8 @@ class AlgebraicCurvature:
 
     def __post_init__(self):
         t = self.tensor
+        if not np.isfinite(t).all():
+            raise ValueError("curvature tensor must be finite")
         scale = max(np.linalg.norm(t), 1e-300)
         for axes, sign in (((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1), ((2, 3, 0, 1), 1)):
             if np.abs(t - sign * t.transpose(axes)).max() > 1e-12 * scale:
@@ -93,7 +95,8 @@ class AlgebraicCurvature:
         big_n = n * (n - 1) // 2
         t = AlgebraicCurvature.from_operator(rng.standard_normal((big_n, big_n))).tensor
         norm = np.linalg.norm(t)
-        return AlgebraicCurvature(n, t * (scale / norm) if norm > 0 else t)
+        with np.errstate(invalid="ignore"):  # an infinite scale: the constructor rejects it
+            return AlgebraicCurvature(n, t * (scale / norm) if norm > 0 else t)
 
 
 # --- cutoffs ----------------------------------------------------------------

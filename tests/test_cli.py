@@ -7,7 +7,7 @@ from lcwcheck.cli import dumps17, main
 from lcwcheck.cottonyork import CottonYorkTensor
 from lcwcheck.genericity import obstruct_point
 from lcwcheck.metrics import euclidean_metric, load_metric, sphere_stereographic_metric
-from lcwcheck.perturb import solve_cy_target
+from lcwcheck.perturb import AlgebraicCurvature, solve_cy_target
 
 
 @pytest.fixture()
@@ -197,6 +197,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["obstruct", str(asym), "--point", "0,0,0"]) == 2
 
 
+@pytest.mark.parametrize("entry", ["(" * 1200 + "1+x1" + ")" * 1200, "-" * 1200 + "x1+2"],
+                         ids=["parentheses", "minuses"])
+def test_deeply_nested_entries_are_parse_errors(tmp_path, capsys, entry):
+    metric = tmp_path / "deep.json"
+    metric.write_text(json.dumps({
+        "dimension": 3, "coordinates": ["x1", "x2", "x3"],
+        "g": [[entry, "0", "0"], [None, "1", "0"], [None, None, "1"]]}))
+    assert main(["obstruct", str(metric), "--point", "0.1,0.2,0.3"]) == 2
+    assert capsys.readouterr().err == (
+        "lcwcheck: parse error: g[0][0]: expression nested too deeply (offset 100)\n")
+
+
 def test_evaluation_error_exit_code(tmp_path, capsys):
     metric = tmp_path / "m.json"
     metric.write_text(euclidean_metric(4).to_json())
@@ -234,6 +246,34 @@ def test_out_of_range_sizes_are_parse_errors(tmp_path, capsys, args, bad):
     assert exc.value.code == 2
     assert f"argument {bad}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["obstruct", "M", "--point", "0,0,0,0"],
+    ["scan", "M", "--grid", "2,1,1,1"],
+    ["sample", "--dimension", "4", "--count", "1"],
+    ["perturb", "--dimension", "4"],
+])
+def test_negative_seeds_are_parse_errors(flat4, tmp_path, capsys, args):
+    out = tmp_path / "out"
+    args = [str(flat4) if a == "M" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: bad seed '-1': must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_perturb_rejects_a_scale_that_is_not_finite(tmp_path, capsys, scale):
+    out = tmp_path / "metric.json"
+    assert main(["perturb", "--dimension", "4", "--scale", scale, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "lcwcheck: evaluation error: curvature tensor must be finite\n")
+    assert not out.exists()
+    with pytest.raises(ValueError, match="curvature tensor must be finite"):
+        AlgebraicCurvature(4, np.full((4,) * 4, np.inf))
 
 
 def test_solve_cy_rejects_a_target_that_is_not_trace_free(tmp_path, capsys):

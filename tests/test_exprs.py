@@ -49,6 +49,25 @@ def test_parse_errors(source, message):
         parse_expr(source, ("x",))
 
 
+@pytest.mark.parametrize("source", ["(" * 1200 + "1+x1" + ")" * 1200,
+                                    "-" * 1200 + "x1+2",
+                                    "sin(" * 1200 + "x1" + ")" * 1200,
+                                    "-" * (exprs.MAX_NESTING + 1) + "x1"],
+                         ids=["parentheses", "minuses", "calls", "one-past-the-limit"])
+def test_deep_nesting_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="expression nested too deeply") as err:
+        parse_expr(source, ("x1",))
+    assert err.value.pos < len(source)
+
+
+def test_nesting_within_the_limit_parses():
+    coords = ("x1",)
+    assert eval_expr(parse_expr("(" * 50 + "1+x1" + ")" * 50, coords), {"x1": 2.0}) == 3.0
+    assert eval_expr(parse_expr("-" * 50 + "x1+2", coords), {"x1": 2.0}) == 4.0
+    deepest = parse_expr("-" * exprs.MAX_NESTING + "x1", coords)
+    assert eval_expr(deepest, {"x1": 2.0}) == 2.0
+
+
 def test_eval_plain():
     ast = parse_expr("x1^2", ("x1",))
     assert eval_expr(ast, {"x1": 3.0}) == 9.0

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,44 @@ def test_division_and_negative_powers():
         jet_variable(0, 0.0, 1).reciprocal()
     with pytest.raises(TypeError):
         x ** 0.5
+
+
+def _slots(jet) -> bytes:
+    return b"".join(np.asarray(getattr(jet, s), dtype=float).tobytes()
+                    for s in ("value", "grad", "hess", "third"))
+
+
+def _batched_jet() -> Jet3:
+    points = np.random.default_rng(5).uniform(0.2, 1.0, size=(5, 3))
+    x = [Jet3.variable(k, points[:, k], 3) for k in range(3)]
+    return (x[0] * x[1] + x[2]).sin() / x[0]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_a_constant_per_row_acts_as_that_rows_float(op):
+    jet = _batched_jet()
+    c = np.array([-3.25, 0.5, -0.0, 7.0, 0.0])
+    divisor = c + (c == 0)  # jet / c takes no zero
+    right, left = op(jet, divisor if op is operator.truediv else c), op(c, jet)
+    assert isinstance(right, Jet3) and isinstance(left, Jet3)
+    for k in range(len(c)):
+        row = Jet3(3, float(jet.value[k]), jet.grad[k], jet.hess[k], jet.third[k])
+        want_right = op(row, float(divisor[k] if op is operator.truediv else c[k]))
+        assert _slots(right.take([k])) == _slots(want_right), k
+        assert _slots(left.take([k])) == _slots(op(float(c[k]), row)), k
+
+
+def test_a_zero_constant_in_any_row_is_a_division_by_zero():
+    jet = _batched_jet()
+    for c in (np.array([1.0, 2.0, 0.0, 3.0, 4.0]), np.array([-0.0, 1.0, 1.0, 1.0, 1.0])):
+        with pytest.raises(ZeroDivisionError):
+            jet / c
+
+
+def test_numpy_scalars_defer_to_the_jet():
+    for jet in (jet_variable(0, 0.5, 2), _batched_jet()):
+        got = np.float64(2.0) * jet
+        assert isinstance(got, Jet3) and _slots(got) == _slots(2.0 * jet)
 
 
 def test_ring_axioms_at_roundoff():

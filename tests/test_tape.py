@@ -125,16 +125,23 @@ def test_jets_are_evaluated_by_the_tape_alone(monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
+def _operation(group):
+    """A tape group's operation and which of its operands are constants."""
+    node = group.node
+    return (type(node), getattr(node, "op", None), getattr(node, "func", None),
+            getattr(node, "exponent", None), [o.dtype.kind for o in group.operands])
+
+
 def test_identical_entries_are_lanes_of_one_operation():
     sphere = sphere_stereographic_metric(4)
     diagonal = sphere.entries[0][0]
     one = JetTape(sphere.coordinates, [diagonal])
     all_entries = sphere._tape
-    shape = [[(g.op, g.arg) for g in level] for level in one.levels]
-    assert [[(g.op, g.arg) for g in level] for level in all_entries.levels] == shape
+    shape = [[_operation(g) for g in level] for level in one.levels]
+    assert [[_operation(g) for g in level] for level in all_entries.levels] == shape
     for mine, single in zip(all_entries.levels, one.levels):
         for g, h in zip(mine, single):
-            assert len(g.a) == 4 * len(h.a)
+            assert len(g.operands[0]) == 4 * len(h.operands[0])
 
 
 def test_constant_subtrees_fold_with_the_walks_floats():
@@ -144,7 +151,8 @@ def test_constant_subtrees_fold_with_the_walks_floats():
     assert _bits(tape.results[3]) == _bits(-0.0)
     assert tape.results[2] == -3.0
     # x1 times a folded 0.5: one constant operation at the root, nothing deeper
-    assert [[(g.op, list(g.c)) for g in level] for level in tape.levels] == [[("*c", [0.5])]]
+    assert [[(g.node.op, [o.tolist() for o in g.operands if o.dtype.kind == "f"])
+             for g in level] for level in tape.levels] == [[("*", [[0.5]])]]
 
 
 @pytest.mark.parametrize("entry,compiles", [("x1+log(0-1)", False),  # fails to fold
