@@ -16,6 +16,7 @@ failed to converge on all starts at some point (report still emitted),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -112,6 +113,7 @@ def _integer_at_least(what: str, low: int):
 
 _parse_count = _integer_at_least("count", 1)
 _parse_seed = _integer_at_least("seed", 0)
+_parse_starts = _integer_at_least("starts", 1)
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -292,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if metric:
             p.add_argument("metric", help="metric JSON document")
         p.add_argument("--seed", type=_parse_seed, default=None, help="optimizer start-set seed")
-        p.add_argument("--starts", type=int, default=None, help="multistart count (default 8n)")
+        p.add_argument("--starts", type=_parse_starts, default=None,
+                       help="multistart count (default 8n)")
         p.add_argument("--tol-eigenflag", type=float, default=DEFAULT_TOL_EIGENFLAG)
         p.add_argument("--tol-det", type=float, default=DEFAULT_DET_TOL)
         p.add_argument("--orientation", type=int, choices=(1, -1), default=1)
@@ -325,6 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_perturb)
 
     p = sub.add_parser("solve-cy", help="metric with prescribed Cotton-York tensor at 0")
+    # argparse takes "-1e-05" for an option: its own negative-number pattern,
+    # kept in this attribute, misses the exponent form; any float is a value here
+    p._negative_number_matcher = re.compile(
+        r"-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
     p.add_argument("--target", type=float, nargs=6, required=True,
                    metavar=("M11", "M22", "M33", "M12", "M13", "M23"),
                    help="trace-free symmetric target, diagonal then off-diagonal")
@@ -336,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, choices=range(4, MAX_DIMENSION + 1), required=True)
     p.add_argument("--count", type=_parse_count, default=100)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--starts", type=int, default=None)
+    p.add_argument("--starts", type=_parse_starts, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_sample)
 

@@ -14,7 +14,8 @@ evaluation exact (no branch cuts, no conditionals).
 Evaluation is generic over the scalar type: plain ``float`` or any object
 implementing the arithmetic operators plus ``sin()``, ``exp()``, ... methods
 (see ``lcwcheck.jets.Jet3``).  All parse and evaluation errors carry the byte
-offset of the offending token or node.
+offset of the offending token or node.  Parsing, printing and evaluation each
+keep their own stack instead of recursing, so any nesting depth is accepted.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from dataclasses import dataclass, field, fields
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")
 
-_MATH_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "atan": math.atan,
-}
+_MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
 
 
 class ExprError(ValueError):
@@ -115,24 +108,24 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                if i >= n or not source[i].isdigit():
+                if i >= n or not source[i].isdecimal():
                     raise ParseError("malformed number", start)
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j >= n or not source[j].isdigit():
+                if j >= n or not source[j].isdecimal():
                     raise ParseError("malformed exponent in number", start)
                 i = j
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
             tokens.append(("num", source[start:i], start))
             continue
@@ -148,122 +141,81 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 # --- parser -------------------------------------------------------------
+#
+# Precedence climbing on one explicit stack.  An entry is ("neg", pos) for a
+# pending unary minus, ("(", pos) for an open parenthesis, (func, pos) for an
+# open call, or (op, left) for a binary operator awaiting its right operand.
 
-
-# Open parentheses, calls and unary minuses around a token.  Each level
-# takes up to four Python frames, so the limit keeps the recursive
-# descent well inside Python's recursion limit.
-MAX_NESTING = 100
-
-
-class _Parser:
-    def __init__(self, source: str, coords: tuple[str, ...]):
-        self.tokens = _tokenize(source)
-        self.coords = coords
-        self.k = 0
-        self.nesting = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(node.pos, text, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(node.pos, text, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Node:
-        node = self.base()
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(node.pos, node, self.integer())
-        return node
-
-    def integer(self) -> int:
-        sign = 1
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            sign = -1
-            kind, text, pos = self.peek()
-        if kind != "num":
-            raise ParseError("exponent must be an integer", pos)
-        if "." in text or "e" in text or "E" in text:
-            raise ParseError("exponent must be an integer", pos)
-        self.advance()
-        return sign * int(text)
-
-    def base(self) -> Node:
-        kind, text, pos = self.advance()
-        if kind == "num":
-            return Const(pos, float(text))
-        if kind == "ident" and self.peek()[1] != "(":
-            if text not in self.coords:
-                raise ParseError(f"unknown identifier {text!r}", pos)
-            return Var(pos, text)
-        if self.nesting == MAX_NESTING:
-            raise ParseError("expression nested too deeply", pos)
-        self.nesting += 1
-        if kind == "op" and text == "-":
-            node = Neg(pos, self.base())
-        elif kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-        elif kind == "ident":  # a call
-            if text not in FUNCTIONS:
-                raise ParseError(f"unknown function {text!r}", pos)
-            self.advance()
-            inner_kind, inner_text, inner_pos = self.peek()
-            if inner_kind == "op" and inner_text == ")":
-                raise ParseError(f"function {text!r} takes exactly one argument", inner_pos)
-            arg = self.expr()
-            sep_kind, sep_text, sep_pos = self.peek()
-            if sep_kind == "op" and sep_text == ",":
-                raise ParseError(f"function {text!r} takes exactly one argument", sep_pos)
-            self.expect_op(")")
-            node = Call(pos, text, arg)
-        else:
-            raise ParseError(f"expected expression, found {text!r}" if text else "unexpected end of input", pos)
-        self.nesting -= 1
-        return node
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def parse_expr(source: str, coords) -> Node:
-    """Parse ``source`` against the declared coordinate names."""
-    return _Parser(source, tuple(coords)).parse()
+    """Parse ``source`` against the declared coordinate names.
+
+    One pass over the tokens, left to right, without recursion: an error is
+    the first one in source order, and any nesting depth parses.
+    """
+    coords = tuple(coords)
+    tokens = _tokenize(source)
+    stack = []
+    k = 0
+    while True:
+        # an operand: prefix tokens up to a number, coordinate or opener
+        kind, text, pos = tokens[k]
+        k += 1
+        if kind == "num":
+            node = Const(pos, float(text))
+        elif kind == "ident" and tokens[k][1] != "(":
+            if text not in coords:
+                raise ParseError(f"unknown identifier {text!r}", pos)
+            node = Var(pos, text)
+        elif kind == "ident":
+            if text not in FUNCTIONS:
+                raise ParseError(f"unknown function {text!r}", pos)
+            k += 1
+            if tokens[k][1] == ")":
+                raise ParseError(f"function {text!r} takes exactly one argument", tokens[k][2])
+            stack.append((text, pos))
+            continue
+        elif kind == "op" and text in "-(":
+            stack.append(("neg" if text == "-" else "(", pos))
+            continue
+        else:
+            raise ParseError(f"expected expression, found {text!r}" if text else "unexpected end of input", pos)
+        # ``node`` is a base: negate it, raise it to a power, then reduce the
+        # operators that bind tighter than the next one
+        while True:
+            while stack and stack[-1][0] == "neg":
+                node = Neg(stack.pop()[1], node)
+            kind, text, pos = tokens[k]
+            k += 1
+            if text == "^":
+                negative = tokens[k][1] == "-"
+                kind, text, pos = tokens[k + negative]
+                if kind != "num" or not text.isdecimal():
+                    raise ParseError("exponent must be an integer", pos)
+                node = Pow(node.pos, node, -int(text) if negative else int(text))
+                kind, text, pos = tokens[k + negative + 1]
+                k += negative + 2
+            # 0 for a token that ends the operand; openers rank below it
+            level = _LEVEL.get(text, 0)
+            while stack and _LEVEL.get(stack[-1][0], -1) >= level:
+                op, left = stack.pop()
+                node = BinOp(left.pos, op, left, node)
+            if level:
+                stack.append((text, node))
+                break
+            if not stack:
+                if kind != "end":
+                    raise ParseError(f"unexpected trailing input {text!r}", pos)
+                return node
+            opener, opener_pos = stack.pop()
+            if opener != "(" and text == ",":
+                raise ParseError(f"function {opener!r} takes exactly one argument", pos)
+            if text != ")":
+                raise ParseError("expected ')'", pos)
+            if opener != "(":
+                node = Call(opener_pos, opener, node)
 
 
 # --- pretty printer -----------------------------------------------------
@@ -271,43 +223,50 @@ def parse_expr(source: str, coords) -> Node:
 # Emits the minimal parenthesization that reparses to an identical tree.
 # Levels follow the grammar: 1 = expr, 2 = term, 3 = factor, 4 = base.
 
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
-    return repr(v)
-
-
-def _print(node: Node, level: int) -> str:
-    if isinstance(node, Const):
-        if node.value < 0:
-            raise ValueError("parser never produces negative literals")
-        text, own = _fmt_number(node.value), 4
-    elif isinstance(node, Var):
-        text, own = node.name, 4
-    elif isinstance(node, Call):
-        text, own = f"{node.func}({_print(node.arg, 1)})", 4
-    elif isinstance(node, Neg):
-        text, own = "-" + _print(node.child, 4), 4
-    elif isinstance(node, Pow):
-        text, own = _print(node.base, 4) + "^" + str(node.exponent), 3
-    elif isinstance(node, BinOp):
-        own = _LEVEL[node.op]
-        # left operand may sit at the operator's own level; the right one
-        # must be strictly tighter, otherwise associativity is lost.
-        text = _print(node.left, own) + node.op + _print(node.right, own + 1)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {node!r}")
-    if own < level:
-        return "(" + text + ")"
-    return text
+    return repr(v) if v != math.inf else "1e999"  # literals past the float range parse as inf
 
 
 def to_source(node: Node) -> str:
-    """Render an AST back to grammar text; reparses to an identical tree."""
-    return _print(node, 1)
+    """Render an AST back to grammar text; reparses to an identical tree.
+
+    An explicit stack of pending (node, level) pairs and text pieces takes
+    the place of recursion, so a tree of any depth prints.
+    """
+    pieces = []
+    todo = [(node, 1)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, level = item
+        if isinstance(node, Const):
+            if node.value < 0:
+                raise ValueError("parser never produces negative literals")
+            own, parts = 4, [_fmt_number(node.value)]
+        elif isinstance(node, Var):
+            own, parts = 4, [node.name]
+        elif isinstance(node, Call):
+            own, parts = 4, [node.func + "(", (node.arg, 1), ")"]
+        elif isinstance(node, Neg):
+            own, parts = 4, ["-", (node.child, 4)]
+        elif isinstance(node, Pow):
+            own, parts = 3, [(node.base, 4), "^" + str(node.exponent)]
+        elif isinstance(node, BinOp):
+            own = _LEVEL[node.op]
+            # the left operand may sit at the operator's own level; the right
+            # one must be strictly tighter, otherwise associativity is lost.
+            parts = [(node.left, own), node.op, (node.right, own + 1)]
+        else:  # pragma: no cover
+            raise TypeError(f"unknown node {node!r}")
+        if own < level:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(pieces)
 
 
 # --- evaluation ---------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from lcwcheck.cli import dumps17, main
 from lcwcheck.cottonyork import CottonYorkTensor
+from lcwcheck.curvature import curvature_package
 from lcwcheck.genericity import obstruct_point
 from lcwcheck.metrics import euclidean_metric, load_metric, sphere_stereographic_metric
 from lcwcheck.perturb import AlgebraicCurvature, solve_cy_target
@@ -199,14 +200,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", ["(" * 1200 + "1+x1" + ")" * 1200, "-" * 1200 + "x1+2"],
                          ids=["parentheses", "minuses"])
-def test_deeply_nested_entries_are_parse_errors(tmp_path, capsys, entry):
+def test_deeply_nested_entries_evaluate(tmp_path, capsys, entry):
+    # g = diag(g00(x1), 1, 1) is flat, so its Cotton-York tensor is zero
     metric = tmp_path / "deep.json"
     metric.write_text(json.dumps({
         "dimension": 3, "coordinates": ["x1", "x2", "x3"],
         "g": [[entry, "0", "0"], [None, "1", "0"], [None, None, "1"]]}))
-    assert main(["obstruct", str(metric), "--point", "0.1,0.2,0.3"]) == 2
+    assert main(["obstruct", str(metric), "--point", "0.1,0.2,0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"][0]["verdict"] == "zero"
+
+
+def test_non_decimal_digits_are_parse_errors(tmp_path, capsys):
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({
+        "dimension": 3, "coordinates": ["x1", "x2", "x3"],
+        "g": [["2²", "0", "0"], [None, "1", "0"], [None, None, "1"]]}))
+    assert main(["obstruct", str(metric), "--point", "0,0,0"]) == 2
     assert capsys.readouterr().err == (
-        "lcwcheck: parse error: g[0][0]: expression nested too deeply (offset 100)\n")
+        "lcwcheck: parse error: g[0][0]: unexpected character '²' (offset 1)\n")
 
 
 def test_evaluation_error_exit_code(tmp_path, capsys):
@@ -238,6 +249,10 @@ def test_missing_metric_file_is_io_error(capsys):
     (["sample", "--dimension", "4", "--count", "0"], "--count"),
     (["perturb", "--dimension", "2"], "--dimension"),
     (["perturb", "--dimension", "9"], "--dimension"),
+    (["obstruct", "m.json", "--point", "0,0,0", "--starts", "0"], "--starts"),
+    (["obstruct", "m.json", "--point", "0,0,0", "--starts", "-3"], "--starts"),
+    (["scan", "m.json", "--grid", "2,2,2", "--starts", "0"], "--starts"),
+    (["sample", "--dimension", "4", "--count", "1", "--starts", "0"], "--starts"),
 ])
 def test_out_of_range_sizes_are_parse_errors(tmp_path, capsys, args, bad):
     out = tmp_path / "out"
@@ -274,6 +289,18 @@ def test_perturb_rejects_a_scale_that_is_not_finite(tmp_path, capsys, scale):
     assert not out.exists()
     with pytest.raises(ValueError, match="curvature tensor must be finite"):
         AlgebraicCurvature(4, np.full((4,) * 4, np.inf))
+
+
+def test_solve_cy_takes_negative_targets_in_exponent_form(tmp_path, capsys):
+    values = ["-9.114520310293805e-05", "0", "9.114520310293805e-05", "0", "0", "0"]
+    out = tmp_path / "cubic.json"
+    assert main(["solve-cy", "--target", *values, "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    target = np.diag([-9.114520310293805e-05, 0.0, 9.114520310293805e-05])
+    assert doc["target"] == target.tolist()
+    achieved = curvature_package(load_metric(out), np.zeros(3)).cotton_york
+    assert np.linalg.norm(achieved - target) <= 1e-7 * np.linalg.norm(target)
+    assert np.allclose(doc["achieved"], target, rtol=0, atol=1e-12 * np.linalg.norm(target))
 
 
 def test_solve_cy_rejects_a_target_that_is_not_trace_free(tmp_path, capsys):

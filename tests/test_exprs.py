@@ -1,12 +1,16 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcwcheck import exprs
 from lcwcheck.exprs import (BinOp, Call, Const, EvalError, Neg, ParseError, Pow,
-                            Var, eval_expr, parse_expr, to_source)
+                            Var, eval_expr, parse_expr, same_tree, to_source)
 from lcwcheck.jets import Jet3
+from lcwcheck.metrics import make_metric
 
 from oracles import fd_gradient, fd_hessian, fd_third
 
@@ -49,23 +53,60 @@ def test_parse_errors(source, message):
         parse_expr(source, ("x",))
 
 
-@pytest.mark.parametrize("source", ["(" * 1200 + "1+x1" + ")" * 1200,
-                                    "-" * 1200 + "x1+2",
-                                    "sin(" * 1200 + "x1" + ")" * 1200,
-                                    "-" * (exprs.MAX_NESTING + 1) + "x1"],
-                         ids=["parentheses", "minuses", "calls", "one-past-the-limit"])
-def test_deep_nesting_is_a_parse_error(source):
-    with pytest.raises(ParseError, match="expression nested too deeply") as err:
-        parse_expr(source, ("x1",))
-    assert err.value.pos < len(source)
+def _sin_iterated(x: float, depth: int) -> float:
+    for _ in range(depth):
+        x = math.sin(x)
+    return x
 
 
-def test_nesting_within_the_limit_parses():
+@pytest.mark.parametrize("source,value", [
+    ("(" * 1200 + "1+x1" + ")" * 1200, 3.0),
+    ("-" * 1200 + "x1+2", 4.0),
+    ("sin(" * 1200 + "x1" + ")" * 1200, _sin_iterated(2.0, 1200)),
+    ("-" * 101 + "x1", -2.0),
+    ("(" * 5000 + "1+x1" + ")" * 5000, 3.0),
+    ("-" * 5000 + "x1+2", 4.0),
+    ("sin(" * 5000 + "x1" + ")" * 5000, _sin_iterated(2.0, 5000)),
+    ("(" * 50 + "1+x1" + ")" * 50, 3.0),
+    ("-" * 50 + "x1+2", 4.0),
+    ("-" * 100 + "x1", 2.0),
+], ids=["parentheses", "minuses", "calls", "minuses-101",
+        "parentheses-5000", "minuses-5000", "calls-5000",
+        "parentheses-50", "minuses-50", "minuses-100"])
+def test_nested_expressions_parse_evaluate_and_round_trip(source, value):
+    assert sys.getrecursionlimit() <= 1000  # the default: nothing here may recurse per level
     coords = ("x1",)
-    assert eval_expr(parse_expr("(" * 50 + "1+x1" + ")" * 50, coords), {"x1": 2.0}) == 3.0
-    assert eval_expr(parse_expr("-" * 50 + "x1+2", coords), {"x1": 2.0}) == 4.0
-    deepest = parse_expr("-" * exprs.MAX_NESTING + "x1", coords)
-    assert eval_expr(deepest, {"x1": 2.0}) == 2.0
+    tree = parse_expr(source, coords)
+    assert eval_expr(tree, {"x1": 2.0}) == value
+    assert same_tree(parse_expr(to_source(tree), coords), tree)
+
+
+def test_a_long_sum_prints_and_round_trips():
+    source = "1" + "+x1" * 1499
+    tree = parse_expr(source, ("x1",))
+    assert to_source(tree) == source
+    assert same_tree(parse_expr(to_source(tree), ("x1",)), tree)
+    spec = make_metric(3, ["x1", "x2", "x3"],
+                       [[source, "0", "0"], [None, "1", "0"], [None, None, "1"]])
+    again = make_metric(3, ["x1", "x2", "x3"], json.loads(spec.to_json())["g"])
+    assert same_tree(again.entries[0][0], tree)
+
+
+@pytest.mark.parametrize("source,message,pos", [
+    ("2²", "unexpected character '²'", 1),
+    ("1.²", "malformed number", 0),
+    ("x1+3²*x1", "unexpected character '²'", 4),
+])
+def test_non_decimal_digits_are_parse_errors(source, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expr(source, ("x1",))
+    assert (err.value.message, err.value.pos) == (message, pos)
+
+
+def test_an_infinite_literal_prints_as_one_that_reparses():
+    tree = parse_expr("1e400*x1", ("x1",))
+    assert tree.left.value == math.inf
+    assert same_tree(parse_expr(to_source(tree), ("x1",)), tree)
 
 
 def test_eval_plain():
@@ -181,3 +222,40 @@ def test_jet_order_zero_matches_plain():
         jet = eval_expr(ast, env_j)
         value = jet.value if isinstance(jet, Jet3) else jet
         assert value == pytest.approx(plain, rel=1e-13, abs=1e-300)
+
+
+_COORDS = ("x1", "x2", "x3")
+
+_trees = st.recursive(
+    st.one_of(st.floats(min_value=0.0, allow_nan=False).map(lambda v: Const(0, v)),
+              st.sampled_from(_COORDS).map(lambda name: Var(0, name))),
+    lambda kids: st.one_of(
+        kids.map(lambda child: Neg(0, child)),
+        st.builds(lambda base, e: Pow(0, base, e), kids, st.integers(-20, 20)),
+        st.builds(lambda func, arg: Call(0, func, arg), st.sampled_from(exprs.FUNCTIONS), kids),
+        st.builds(lambda op, left, right: BinOp(0, op, left, right),
+                  st.sampled_from("+-*/"), kids, kids)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_printed_trees_reparse_to_themselves(tree):
+    assert same_tree(parse_expr(to_source(tree), _COORDS), tree)
+
+
+# The grammar's characters and words, a few near misses, and characters
+# outside it ('²' is a digit to str.isdigit but not to float).
+_FRAGMENTS = ["x1", "x2", "y", "sin", "sqrt", "foo", "0", "1", "7", "2.5", "1e3", "3E-2",
+              ".", "e", "+", "-", "*", "/", "^", "(", ")", ",", " ", "\t", "²", "$"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
+def test_any_string_parses_or_is_a_parse_error(source):
+    try:
+        tree = parse_expr(source, _COORDS)
+    except ParseError as exc:
+        assert 0 <= exc.pos <= len(source)
+        return
+    assert same_tree(parse_expr(to_source(tree), _COORDS), tree)
