@@ -16,6 +16,7 @@ failed to converge on all starts at some point (report still emitted),
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -109,6 +110,17 @@ def _integer_at_least(what: str, low: int):
         return value
 
     return parse
+
+
+def _parse_tolerance(text: str) -> float:
+    """An argparse type: a finite float above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: expected a number")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: must be finite and above 0")
+    return value
 
 
 _parse_count = _integer_at_least("count", 1)
@@ -296,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_parse_seed, default=None, help="optimizer start-set seed")
         p.add_argument("--starts", type=_parse_starts, default=None,
                        help="multistart count (default 8n)")
-        p.add_argument("--tol-eigenflag", type=float, default=DEFAULT_TOL_EIGENFLAG)
-        p.add_argument("--tol-det", type=float, default=DEFAULT_DET_TOL)
+        p.add_argument("--tol-eigenflag", type=_parse_tolerance, default=DEFAULT_TOL_EIGENFLAG)
+        p.add_argument("--tol-det", type=_parse_tolerance, default=DEFAULT_DET_TOL)
         p.add_argument("--orientation", type=int, choices=(1, -1), default=1)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -335,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, nargs=6, required=True,
                    metavar=("M11", "M22", "M33", "M12", "M13", "M23"),
                    help="trace-free symmetric target, diagonal then off-diagonal")
-    p.add_argument("--tol-det", type=float, default=DEFAULT_DET_TOL)
+    p.add_argument("--tol-det", type=_parse_tolerance, default=DEFAULT_DET_TOL)
     p.add_argument("--out", default=None, help="where to write the metric document")
     p.set_defaults(handler=_cmd_solve_cy)
 

@@ -19,7 +19,8 @@ Conventions, fixed once for the whole toolkit:
 Operator-level work downstream assumes an orthonormal frame, so the
 package driver rotates every tensor into the frame produced by the
 Cholesky factor of g (whose determinant is positive, hence the frame is
-positively oriented relative to the chart).
+positively oriented relative to the chart).  Every stage takes a leading
+batch axis and gives each point the bits of its own unbatched call.
 
 Derivatives of curvature (needed for the Cotton tensor) are propagated
 with explicit chain rules from the exact metric jets; finite differences
@@ -109,35 +110,38 @@ def weyl_tensor(r4: np.ndarray, s2: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def cotton_york(c: np.ndarray, g: np.ndarray, orientation: int = 1) -> np.ndarray:
-    """Hodge dual of the Cotton tensor, n = 3 only.
+    """Hodge dual of the Cotton tensor, n = 3 only (batched over leading axes).
 
     Uses the pure permutation symbol with the explicit sqrt(det g) factor;
     ``orientation`` (+1/-1) flips the symbol, mapping CY to -CY.  The result
     is symmetric and trace-free up to roundoff.
     """
-    if c.shape != (3, 3, 3):
+    if c.shape[-3:] != (3, 3, 3):
         raise DimensionError("Cotton-York tensor is defined in dimension 3 only")
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     ginv = np.linalg.inv(g)
-    craised = np.einsum("ak,bl,kli->abi", ginv, ginv, c)
-    vol = orientation * np.sqrt(np.linalg.det(g)) * _EPS3
-    return 0.5 * np.einsum("abi,abj->ij", craised, vol)
+    craised = np.einsum("...ak,...bl,...kli->...abi", ginv, ginv, c)
+    vol = (orientation * np.sqrt(np.linalg.det(g)))[..., None, None, None] * _EPS3
+    return 0.5 * np.einsum("...abi,...abj->...ij", craised, vol)
 
 
 # --- frames and rotation --------------------------------------------------
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Columns form a g-orthonormal frame: F^T g F = I, det F > 0."""
-    lower = np.linalg.cholesky(g)
-    return np.linalg.inv(lower).T
+    """Columns form a g-orthonormal frame: F^T g F = I, det F > 0 (batched)."""
+    return np.linalg.inv(np.linalg.cholesky(g)).swapaxes(-1, -2)
 
 
 def rotate_tensor(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Re-express a (0,k) tensor in the basis given by the matrix columns."""
-    for _ in range(t.ndim):
-        t = np.tensordot(t, basis, axes=([0], [0]))
+    """Re-express a (0,k) tensor in the basis given by the matrix columns;
+    a stack of bases rotates a stack of tensors slot by slot, through the
+    matmul that ``tensordot`` makes, so each tensor gets its unbatched bits."""
+    if basis.ndim == 2:
+        return rotate_tensor(t[None], basis[None])[0]
+    for _ in range(t.ndim - 1):
+        t = (t.reshape(*t.shape[:2], -1).swapaxes(-1, -2) @ basis).reshape(t.shape)
     return t
 
 
@@ -214,7 +218,7 @@ def package_from_jets(mj: MetricJets, orientation: int = 1):
     """Run the whole pipeline on precomputed metric jets.
 
     Jets at one point give its :class:`CurvaturePackage`; batched jets run
-    the chain with a leading batch axis and give a list of packages, one
+    every stage once over the batch axis and give a list of packages, one
     per point, equal bit for bit to the packages of the points one by one.
     """
     if mj.g.ndim == 2:
@@ -256,29 +260,18 @@ def package_from_jets(mj: MetricJets, orientation: int = 1):
     c3 = nabla_s - np.einsum("...jik->...ijk", nabla_s)
     w4 = weyl_tensor(r4, s2, g)
 
-    packages = []
-    for p in range(len(mj)):
-        cy = cotton_york(c3[p], g[p], orientation) if n == 3 else None
-        frame = orthonormal_frame(g[p])
-        coord = CoordinateTensors(r4[p], ric[p], s2[p], nabla_s[p], c3[p], w4[p], cy)
-        packages.append(CurvaturePackage(
-            point=mj.point[p],
-            g=g[p],
-            frame=frame,
-            gamma=gamma[p],
-            dgamma=dgamma[p],
-            riemann=rotate_tensor(r4[p], frame),
-            ricci=rotate_tensor(ric[p], frame),
-            scalar=float(s[p]),
-            schouten=rotate_tensor(s2[p], frame),
-            grad_schouten=rotate_tensor(nabla_s[p], frame),
-            cotton=rotate_tensor(c3[p], frame),
-            weyl=rotate_tensor(w4[p], frame),
-            cotton_york=None if cy is None else rotate_tensor(cy, frame),
-            coord=coord,
-            orientation=orientation,
-        ))
-    return packages
+    cy = cotton_york(c3, g, orientation) if n == 3 else None
+    frame = orthonormal_frame(g)
+    coord = dict(riemann=r4, ricci=ric, schouten=s2, grad_schouten=nabla_s, cotton=c3,
+                 weyl=w4, cotton_york=cy)
+    rotated = {k: None if t is None else rotate_tensor(t, frame) for k, t in coord.items()}
+    batched = dict(rotated, point=mj.point, g=g, frame=frame, gamma=gamma, dgamma=dgamma)
+
+    def at(p, tensors):
+        return {k: None if t is None else t[p] for k, t in tensors.items()}
+
+    return [CurvaturePackage(**at(p, batched), scalar=float(s[p]), orientation=orientation,
+                             coord=CoordinateTensors(**at(p, coord))) for p in range(len(mj))]
 
 
 def curvature_package(spec, point, orientation: int = 1) -> CurvaturePackage:

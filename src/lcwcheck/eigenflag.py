@@ -53,18 +53,10 @@ def _as_tensor(w) -> tuple[np.ndarray, float]:
 
 def _per_operator(subscripts: str, x: np.ndarray, t: np.ndarray, owner) -> np.ndarray:
     """``np.einsum(subscripts, x, t)`` for one tensor t, or, for a stack of
-    tensors, row b of x against ``t[owner[b]]`` (owner sorted), operator by
-    operator."""
+    tensors, row b of x against ``t[owner[b]]``, all rows in one einsum."""
     if t.ndim == 4:
         return np.einsum(subscripts, x, t)
-    bounds = np.concatenate(([0], np.flatnonzero(owner[1:] != owner[:-1]) + 1, [len(owner)]))
-    out = None
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        piece = np.einsum(subscripts, x[lo:hi], t[owner[lo]])
-        if out is None:
-            out = np.empty((len(x),) + piece.shape[1:])
-        out[lo:hi] = piece
-    return out
+    return np.einsum(subscripts.replace(",", ",b"), x, t[owner])
 
 
 def _flag_parts(t: np.ndarray, v: np.ndarray, owner=None):
@@ -292,9 +284,9 @@ def min_residuals(ws, starts: int | None = None, seed=None,
         # exact re-evaluation at the final iterates; best start wins
         t, wnorm = pairs[k]
         vp = v[p * nb:(p + 1) * nb]
-        best = int(np.argmin(_batch_residual(t, vp)))
-        minimizer = vp[best]
-        raw = float(_batch_residual(t, minimizer[None, :])[0])
+        energies = _batch_residual(t, vp)
+        best = int(np.argmin(energies))
+        minimizer, raw = vp[best], float(energies[best])
         normalized = raw / wnorm ** 2
         if normalized < tol_eigenflag:
             verdict = "eigenflag_within_tol"

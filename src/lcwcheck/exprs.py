@@ -194,7 +194,11 @@ def parse_expr(source: str, coords) -> Node:
                 kind, text, pos = tokens[k + negative]
                 if kind != "num" or not text.isdecimal():
                     raise ParseError("exponent must be an integer", pos)
-                node = Pow(node.pos, node, -int(text) if negative else int(text))
+                try:
+                    exponent = int(text)
+                except ValueError:  # past the interpreter's integer-string limit
+                    raise ParseError("exponent has too many digits", pos) from None
+                node = Pow(node.pos, node, -exponent if negative else exponent)
                 kind, text, pos = tokens[k + negative + 1]
                 k += negative + 2
             # 0 for a token that ends the operand; openers rank below it

@@ -1,9 +1,10 @@
 """Batched evaluation computes exactly the bits of its points one at a time.
 
-``metric_jets``, ``package_from_jets``, ``min_residuals`` and
-``obstruct_points`` take a batch of points (or operators) in one call; each
-result must equal, byte for byte, what the per-point call gives.  A point
-whose pipeline fails must not disturb the others in its batch.
+``metric_jets``, the curvature stages, ``package_from_jets``,
+``min_residuals`` and ``obstruct_points`` take a batch of points (or
+operators) in one call; each result must equal, byte for byte, what the
+per-point call gives.  A point whose pipeline fails must not disturb the
+others in its batch.
 """
 
 import json
@@ -13,7 +14,8 @@ import pytest
 
 from lcwcheck.bivectors import to_operator
 from lcwcheck.cli import main
-from lcwcheck.curvature import package_from_jets
+from lcwcheck.curvature import (cotton_york, orthonormal_frame, package_from_jets,
+                                rotate_tensor)
 from lcwcheck.eigenflag import construct_stratum4, min_residual, min_residuals
 from lcwcheck.exprs import EvalError
 from lcwcheck.genericity import (grid_points, obstruct_point, obstruct_points,
@@ -104,6 +106,46 @@ def test_metric_jets_batch_names_the_first_failing_point():
         metric_jets(spec, [[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="3 coordinates"):
         metric_jets(spec, [[0.5, 0.0]])
+
+
+def tensordot_rotation(t, basis):
+    for _ in range(t.ndim):
+        t = np.tensordot(t, basis, axes=([0], [0]))
+    return t
+
+
+def einsum_cotton_york(c, g, orientation):
+    eps = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
+    ginv = np.linalg.inv(g)
+    craised = np.einsum("ak,bl,kli->abi", ginv, ginv, c)
+    vol = orientation * np.sqrt(np.linalg.det(g)) * eps
+    return 0.5 * np.einsum("abi,abj->ij", craised, vol)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("batch", [1, 5, 67])
+def test_frame_stages_batch_equals_single(n, batch):
+    rng = np.random.default_rng(10 * n + batch)
+    a = rng.standard_normal((batch, n, n))
+    g = a @ a.swapaxes(-1, -2) + n * np.eye(n)
+    frames = orthonormal_frame(g)
+    for p in range(batch):
+        assert same_bits(frames[p], orthonormal_frame(g[p]))
+        assert same_bits(frames[p], np.linalg.inv(np.linalg.cholesky(g[p])).T)
+    for basis in (frames, rng.standard_normal((batch, n, n))):
+        for rank in (1, 2, 3, 4):
+            t = rng.standard_normal((batch,) + (n,) * rank)
+            rotated = rotate_tensor(t, basis)
+            for p in range(batch):
+                assert same_bits(rotated[p], rotate_tensor(t[p], basis[p])), (rank, p)
+                assert same_bits(rotated[p], tensordot_rotation(t[p], basis[p])), (rank, p)
+    if n == 3:
+        c = rng.standard_normal((batch, 3, 3, 3))
+        for orientation in (1, -1):
+            cy = cotton_york(c, g, orientation)
+            for p in range(batch):
+                assert same_bits(cy[p], cotton_york(c[p], g[p], orientation)), p
+                assert same_bits(cy[p], einsum_cotton_york(c[p], g[p], orientation)), p
 
 
 PACKAGE_FIELDS = ("point", "g", "frame", "gamma", "dgamma", "riemann", "ricci", "scalar",

@@ -220,6 +220,16 @@ def test_non_decimal_digits_are_parse_errors(tmp_path, capsys):
         "lcwcheck: parse error: g[0][0]: unexpected character '²' (offset 1)\n")
 
 
+def test_an_exponent_past_the_integer_string_limit_is_a_parse_error(tmp_path, capsys):
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({
+        "dimension": 3, "coordinates": ["x1", "x2", "x3"],
+        "g": [["1+x1^" + "1" * 5000, "0", "0"], [None, "1", "0"], [None, None, "1"]]}))
+    assert main(["obstruct", str(metric), "--point", "0,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        "lcwcheck: parse error: g[0][0]: exponent has too many digits (offset 5)\n")
+
+
 def test_evaluation_error_exit_code(tmp_path, capsys):
     metric = tmp_path / "m.json"
     metric.write_text(euclidean_metric(4).to_json())
@@ -253,6 +263,15 @@ def test_missing_metric_file_is_io_error(capsys):
     (["obstruct", "m.json", "--point", "0,0,0", "--starts", "-3"], "--starts"),
     (["scan", "m.json", "--grid", "2,2,2", "--starts", "0"], "--starts"),
     (["sample", "--dimension", "4", "--count", "1", "--starts", "0"], "--starts"),
+    (["obstruct", "m.json", "--point", "0,0,0", "--tol-det=nan"], "--tol-det"),
+    (["obstruct", "m.json", "--point", "0,0,0", "--tol-det=-1"], "--tol-det"),
+    (["obstruct", "m.json", "--point", "0,0,0", "--tol-det=0"], "--tol-det"),
+    (["obstruct", "m.json", "--point", "0,0,0", "--tol-det=1e-9x"], "--tol-det"),
+    (["obstruct", "m.json", "--point", "0,0,0", "--tol-eigenflag=inf"], "--tol-eigenflag"),
+    (["scan", "m.json", "--grid", "2,2,2", "--tol-eigenflag=-1e-08"], "--tol-eigenflag"),
+    (["scan", "m.json", "--grid", "2,2,2", "--tol-det=-inf"], "--tol-det"),
+    (["solve-cy", "--target", "1", "-1", "0", "0", "0", "0", "--tol-det=nan"], "--tol-det"),
+    (["solve-cy", "--target", "1", "-1", "0", "0", "0", "0", "--tol-det", "0"], "--tol-det"),
 ])
 def test_out_of_range_sizes_are_parse_errors(tmp_path, capsys, args, bad):
     out = tmp_path / "out"

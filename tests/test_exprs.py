@@ -103,6 +103,14 @@ def test_non_decimal_digits_are_parse_errors(source, message, pos):
     assert (err.value.message, err.value.pos) == (message, pos)
 
 
+@pytest.mark.parametrize("source,pos", [("x^" + "9" * 5000, 2), ("2*x^-" + "1" * 4301 + "+1", 5)],
+                         ids=["positive", "negative"])
+def test_an_exponent_past_the_integer_string_limit_is_a_parse_error(source, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expr(source, ("x",))
+    assert (err.value.message, err.value.pos) == ("exponent has too many digits", pos)
+
+
 def test_an_infinite_literal_prints_as_one_that_reparses():
     tree = parse_expr("1e400*x1", ("x1",))
     assert tree.left.value == math.inf
