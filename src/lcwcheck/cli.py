@@ -324,8 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruct", help="obstruction verdicts at points or on a grid")
     common(p)
-    p.add_argument("--point", type=_parse_point, action="append", default=[])
-    p.add_argument("--grid", type=_parse_grid, default=None)
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--point", type=_parse_point, action="append", default=[])
+    where.add_argument("--grid", type=_parse_grid, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_obstruct)
 

@@ -83,7 +83,7 @@ def classify_cy(cy: CottonYorkTensor, tol: float = DEFAULT_DET_TOL,
     norm = cy.norm
     if norm < floor:
         return "zero"
-    if abs(cy.determinant) < tol * norm ** 3:
+    if abs(cy.determinant) <= tol * norm ** 3:
         return "regular_singular"
     return "nonsingular"
 

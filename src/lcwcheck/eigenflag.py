@@ -20,15 +20,16 @@ G' the projection of G's last two slots onto v-perp,
     E(v) = |G'|^2 / 2,   grad E = S1 - 2 S2
 
 (see the inline definitions), which makes gradients exact and cheap.
+Start points map to Gaussians through ``_ndtri``, an in-module port of
+Cephes' inverse normal CDF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import log, pi, sqrt
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bivectors import WeylOperator, lift_orthogonal, operator_to_tensor
 from .cottonyork import DEFAULT_ZERO_FLOOR
@@ -106,6 +107,46 @@ def residual_gradient(w, v) -> np.ndarray:
 
 # --- start sets -------------------------------------------------------------
 
+# Cephes ndtri (Moshier) on [1e-12, 1 - 1e-12]; Q tables are monic (leading 1.0). There
+# sqrt(-2 ln y) <= 7.43 < 8, so the y < exp(-32) branch (P2/Q2 tables) never runs: left out.
+_SQRT_2PI = 2.50662827463100050242
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016)
+_Q0 = (1.0, 1.95448858338141759834, 4.67627912898881538453, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142)
+_P1 = (4.05544892305962419923, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _poly(x: float, coeffs) -> float:  # Horner, highest degree first, as polevl/p1evl
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(y: float) -> float:
+    """Inverse standard normal CDF of y in [1e-12, 1 - 1e-12], bit for bit
+    Cephes' ndtri; math's log and sqrt (not numpy's) keep libm's bits."""
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _poly(y2, _P0) / _poly(y2, _Q0))) * _SQRT_2PI
+    x = sqrt(-2.0 * log(y))
+    z = 1.0 / x
+    x = x - log(x) / x - z * _poly(z, _P1) / _poly(z, _Q1)
+    return x if upper else -x
+
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
@@ -126,12 +167,13 @@ def _halton(count: int, dim: int) -> np.ndarray:
 def sphere_start_set(n: int, count: int, seed=None) -> np.ndarray:
     """Deterministic low-discrepancy unit vectors plus the n frame vectors.
 
+    Halton points become Gaussians through the in-module ``_ndtri``.
     Antipodes are identified by fixing the sign of the largest component
     (the residual is even).  A seed, when given, applies one seeded rotation
     to the low-discrepancy part; the set stays deterministic per seed.
     """
     count = max(count, n)
-    pts = ndtri(np.clip(_halton(count - n, n), 1e-12, 1 - 1e-12))
+    pts = np.vectorize(_ndtri, otypes=[float])(np.clip(_halton(count - n, n), 1e-12, 1 - 1e-12))
     if seed is not None:
         rng = np.random.default_rng(seed)
         q, r = np.linalg.qr(rng.standard_normal((n, n)))

@@ -181,6 +181,8 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
                 raise MetricError(f"domain for {name!r} must be a [lo, hi] pair") from None
             if not lo < hi:
                 raise MetricError(f"domain for {name!r} must satisfy lo < hi")
+            if not np.isfinite(hi - lo):
+                raise MetricError(f"domain for {name!r} must be finite")
             box[coords.index(name)] = (lo, hi)
 
     return MetricSpec(n, coords, tuple(tuple(row) for row in entries), tuple(box))

@@ -77,6 +77,25 @@ def test_obstruct_requires_points_or_grid(flat4, capsys):
     assert "needs --point or --grid" in capsys.readouterr().err
 
 
+def test_obstruct_rejects_point_with_grid(flat4, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruct", str(flat4), "--point", "0.3,0.2,0.1,0", "--grid", "1,1,1,1"])
+    assert exc.value.code == 2
+    assert "argument --grid: not allowed with argument --point" in capsys.readouterr().err
+
+
+def test_subnormal_tol_det_does_not_certify_a_singular_tensor(tmp_path, capsys):
+    metric = tmp_path / "m3.json"
+    metric.write_text(json.dumps({
+        "dimension": 3, "coordinates": ["x1", "x2", "x3"],
+        "g": [["1+0.3*x1^2*x2", "0", "0"], [None, "1+0.2*x1*x2^2+0.1*x2^3", "0"],
+              [None, None, "1"]]}))
+    assert main(["obstruct", str(metric), "--point", "0.3,0.2,0.1", "--tol-det=1e-320"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points"][0]["stratum"] == "regular_singular"
+    assert doc["headline"]["verdict"] == "inconclusive"
+
+
 def test_obstruct_grid_3d_branch(tmp_path, capsys):
     metric = tmp_path / "m3.json"
     metric.write_text(sphere_stereographic_metric(3).to_json())
@@ -183,6 +202,18 @@ def test_wrong_arity_is_a_parse_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("lcwcheck: parse error: ") and "3" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("box", ["[0, Infinity]", "[-1e308, 1e308]"])
+def test_a_domain_that_is_not_finite_is_a_parse_error(tmp_path, capsys, box):
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({
+        "dimension": 3, "coordinates": ["x1", "x2", "x3"],
+        "g": [["1", "0", "0"], [None, "1", "0"], [None, None, "1"]],
+        "domain": {"x1": "BOX"}}).replace('"BOX"', box))
+    assert main(["obstruct", str(metric), "--grid", "2,1,1"]) == 2
+    assert capsys.readouterr().err == (
+        "lcwcheck: parse error: domain for 'x1' must be finite\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -52,6 +52,14 @@ def test_classification_examples():
     assert classify_cy(CottonYorkTensor.from_matrix(np.zeros((3, 3)))) == "zero"
 
 
+@pytest.mark.parametrize("tol", [1e-320, 5e-324])
+def test_zero_determinant_is_singular_at_a_subnormal_tolerance(tol):
+    # tol * |CY|^3 underflows to 0 here; det = 0 must still count as singular
+    cy = CottonYorkTensor.from_matrix(np.diag([1.0, -1.0, 0.0]))
+    assert cy.determinant == 0.0
+    assert classify_cy(cy, tol=tol) == "regular_singular"
+
+
 def test_stratum_param_examples():
     assert np.allclose(stratum_param(1.0, np.eye(3)).matrix, np.diag([1.0, -1.0, 0.0]))
     assert not stratum_param(0.0, random_so3(np.random.default_rng(2))).matrix.any()

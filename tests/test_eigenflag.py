@@ -1,5 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import lcwcheck
 from lcwcheck import curvature, eigenflag
@@ -195,6 +202,50 @@ def test_start_set_shape_and_antipode_convention():
     assert (lead > 0).all()
     assert np.array_equal(pts, sphere_start_set(4, 32))
     assert not np.array_equal(pts, sphere_start_set(4, 32, seed=1))
+
+
+def reference_start_set(n, count, seed):
+    """sphere_start_set's steps, with scipy's ndtri as the inverse normal CDF."""
+    count = max(count, n)
+    pts = ndtri(np.clip(eigenflag._halton(count - n, n), 1e-12, 1 - 1e-12))
+    if seed is not None:
+        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        pts = pts @ (q * np.sign(np.diag(r)))
+    pts = np.vstack([np.eye(n), pts])
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    lead = np.take_along_axis(pts, np.abs(pts).argmax(axis=1)[:, None], axis=1)[:, 0]
+    return pts * np.where(lead < 0, -1.0, 1.0)[:, None]
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_start_set_is_bit_identical_to_the_scipy_reference(n):
+    for count in (1, n, n + 1, 8 * n, 100):
+        for seed in (None, 0, 3):
+            got, want = sphere_start_set(n, count, seed), reference_start_set(n, count, seed)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (count, seed)
+
+
+def test_ndtri_port_is_bit_identical_to_scipy():
+    rng = np.random.default_rng(20240611)
+    edges = [1e-12, 1 - 1e-12, math.exp(-2), 1 - math.exp(-2), 0.5]
+    edges += [np.nextafter(e, d) for e in edges[2:4] for d in (0.0, 1.0)]
+    y = np.concatenate([edges, rng.uniform(1e-12, 1 - 1e-12, 100_000),
+                        10.0 ** rng.uniform(-12, -0.5, 10_000)])
+    got = np.array([eigenflag._ndtri(v) for v in y.tolist()])
+    mismatched = got.view(np.int64) != ndtri(y).view(np.int64)
+    assert not mismatched.any(), y[mismatched][:5]
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = str(Path(lcwcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, lcwcheck, lcwcheck.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # --- certification -----------------------------------------------------------

@@ -82,6 +82,11 @@ def test_domain_validation_and_default():
         euclidean_metric(3, domain={"q": [0, 1]})
     with pytest.raises(MetricError, match="lo < hi"):
         euclidean_metric(3, domain={"x1": [1, 1]})
+    g = [["1", "0", "0"], [None, "1", "0"], [None, None, "1"]]
+    for box in ('[0, Infinity]', '[-1e308, 1e308]'):  # unbounded, and a width that overflows
+        text = doc(3, ["x1", "x2", "x3"], g, domain={"x1": "BOX"}).replace('"BOX"', box)
+        with pytest.raises(MetricError, match="domain for 'x1' must be finite"):
+            parse_metric(text)
 
 
 def test_parse_error_carries_entry_position():
