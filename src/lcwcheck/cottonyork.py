@@ -51,18 +51,22 @@ class CottonYorkTensor:
     eigenvalues: np.ndarray
 
     @staticmethod
-    def from_matrix(m) -> "CottonYorkTensor":
+    def from_matrix(m, floor: float = 0.0) -> "CottonYorkTensor":
+        """Check and symmetrize m.  Below ``floor`` (the point's zero floor)
+        |m| is roundoff, which need not be symmetric or trace-free, so the
+        tensor is taken without those checks (it classifies as ``zero``)."""
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError("Cotton-York tensor must be 3x3")
         if not np.isfinite(m).all():
             raise ValueError("Cotton-York tensor must be finite")
         scale = float(np.linalg.norm(m))
-        if np.abs(m - m.T).max() > 1e-10 * max(scale, 1e-300):
-            raise ValueError("Cotton-York tensor must be symmetric")
         tr = float(np.trace(m))
-        if abs(tr) > 1e-10 * scale + 1e-300:
-            raise ValueError("Cotton-York tensor must be trace-free")
+        if scale >= floor:
+            if np.abs(m - m.T).max() > 1e-10 * max(scale, 1e-300):
+                raise ValueError("Cotton-York tensor must be symmetric")
+            if abs(tr) > 1e-10 * scale + 1e-300:
+                raise ValueError("Cotton-York tensor must be trace-free")
         m = 0.5 * (m + m.T)
         return CottonYorkTensor(m, tr, float(np.linalg.det(m)),
                                 symmetric3_eigenvalues(m))

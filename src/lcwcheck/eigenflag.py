@@ -38,8 +38,14 @@ from .curvature import DimensionError
 DEFAULT_TOL_EIGENFLAG = 1e-8
 DEFAULT_TOL_NOT_EIGENFLAG = 1e-4
 MAXITER = 500     # descent rounds per start
+WINDOW = 5        # accepted energies in the nonmonotone Armijo reference
 GTOL = 1e-12      # converged once |grad E| <= GTOL * max(1, |W|^2)
 CHUNK = 65536     # grid points per residual evaluation of the certificate
+# Floats that the descent's largest array may hold in one min_residuals call:
+# the gathered tensors t[owner], one n^4 block per start (8n^5 floats per
+# operator by default).  2^19 floats (4 MB) take 64 operators at n = 4, 20 at
+# n = 5 and 2 at n = 8; see descent_batch_size.
+DESCENT_BUDGET = 2 ** 19
 SPECTRUM_TOL = 1e-8  # relative eigenvalue gap of classify_weyl_spectrum
 
 
@@ -220,6 +226,13 @@ def min_residual(w, starts: int | None = None, seed=None,
     return min_residuals([w], starts, seed, tol_eigenflag, weyl_floor)[0]
 
 
+def descent_batch_size(n: int, starts: int | None = None) -> int:
+    """Operators per :func:`min_residuals` call that keep its gathered
+    tensors within ``DESCENT_BUDGET`` floats (at least one)."""
+    rows = max(8 * n if starts is None else starts, n)  # per operator, as sphere_start_set
+    return max(1, DESCENT_BUDGET // (rows * n ** 4))
+
+
 def min_residuals(ws, starts: int | None = None, seed=None,
                   tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
                   weyl_floor=DEFAULT_ZERO_FLOOR) -> list[EigenflagReport]:
@@ -252,80 +265,82 @@ def min_residuals(ws, starts: int | None = None, seed=None,
     nb = start_set.shape[0]
     tensors = np.stack([pairs[k][0] for k in live])
     wnorms = [pairs[k][1] for k in live]
-    owner = np.repeat(np.arange(len(live)), nb)
 
-    # one operator's rows share its tensor; of several, row b has tensors[owner[b]]
+    # one operator's rows share its tensor; of several, row b has tensors[own[b]]
     stack = tensors[0] if len(live) == 1 else tensors
 
+    # The state holds only the starts still descending, row b being start
+    # ids[b].  It is compacted on the rounds in which some start converges or
+    # freezes; a start leaves its last iterate in ``final``.
+    ids = np.arange(len(live) * nb)
+    own = ids // nb
     v = np.tile(start_set, (len(live), 1))
-    gp, a = _flag_parts(stack, v, owner)  # kept at the current iterates
-    energy = _energy(gp)
-    memory = 5  # nonmonotone reference window
-    hist = np.tile(energy[:, None], (1, memory))
+    final = np.empty_like(v)
+    gp, a = _flag_parts(stack, v, own)  # kept at the current iterates
+    # nonmonotone reference window: a ring of the last WINDOW accepted
+    # energies with a write cursor per start; only its max is read
+    hist = np.tile(_energy(gp)[:, None], (1, WINDOW))
+    cursor = np.zeros(ids.size, dtype=int)
     alpha = np.repeat([1.0 / max(wn ** 2, 1e-30) for wn in wnorms], nb)
     gtol_eff = np.repeat([GTOL * max(1.0, wn ** 2) for wn in wnorms], nb)
-    done = np.zeros(v.shape[0], dtype=bool)      # converged (small gradient)
-    frozen = np.zeros(v.shape[0], dtype=bool)    # line search exhausted
-    prev_v = np.zeros_like(v)
-    prev_g = np.zeros_like(v)
-    have_prev = np.zeros(v.shape[0], dtype=bool)
+    prev_v, prev_g, have_prev = np.zeros_like(v), np.zeros_like(v), False
+    done = np.zeros(ids.size, dtype=bool)      # converged (small gradient)
     c1 = 1e-4
     iterations = np.zeros(len(live), dtype=int)
 
     for _ in range(MAXITER):
-        act = np.flatnonzero(~(done | frozen))
-        if act.size == 0:
+        if ids.size == 0:
             break
-        iterations += np.bincount(owner[act], minlength=len(live)) > 0
-        va = v[act]
-        egrad = _gradient(stack, gp[act], a[act], owner[act])
-        rgrad = egrad - np.einsum("bi,bi->b", egrad, va)[:, None] * va
+        iterations += np.bincount(own, minlength=len(live)) > 0
+        egrad = _gradient(stack, gp, a, own)
+        rgrad = egrad - np.einsum("bi,bi->b", egrad, v)[:, None] * v
         gnorm2 = np.einsum("bi,bi->b", rgrad, rgrad)
-        small = np.sqrt(gnorm2) <= gtol_eff[act]
-        done[act[small]] = True
-        act, va, rgrad, gnorm2 = act[~small], va[~small], rgrad[~small], gnorm2[~small]
-        if act.size == 0:
-            continue
+        small = np.sqrt(gnorm2) <= gtol_eff
 
-        s = va - prev_v[act]
-        y = rgrad - prev_g[act]
+        s, y = v - prev_v, rgrad - prev_g
         sy = np.einsum("bi,bi->b", s, y)
-        ss = np.einsum("bi,bi->b", s, s)
-        step = np.where((sy > 1e-300) & have_prev[act],
-                        ss / np.maximum(sy, 1e-300), alpha[act])
+        step = np.where((sy > 1e-300) & have_prev,
+                        np.einsum("bi,bi->b", s, s) / np.maximum(sy, 1e-300), alpha)
         step = np.clip(step, 1e-10, 1e10)
-        prev_v[act], prev_g[act], have_prev[act] = va, rgrad, True
-        reference = hist[act].max(axis=1)
+        prev_v, prev_g, have_prev = v.copy(), rgrad, True
+        reference = hist.max(axis=1)
 
-        searching = np.ones(act.size, dtype=bool)
+        searching = ~small
+        gone = small.copy()                    # converged, or line search exhausted
         for _ in range(60):
             idx = np.flatnonzero(searching)
             if idx.size == 0:
                 break
-            rows = act[idx]
-            trial = v[rows] - step[idx, None] * rgrad[idx]
+            trial = v[idx] - step[idx, None] * rgrad[idx]
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            gp_trial, a_trial = _flag_parts(stack, trial, owner[rows])
+            gp_trial, a_trial = _flag_parts(stack, trial, own[idx])
             e_trial = _energy(gp_trial)
             ok = e_trial <= reference[idx] - c1 * step[idx] * gnorm2[idx]
-            accepted = rows[ok]
+            accepted = idx[ok]
             v[accepted] = trial[ok]
             gp[accepted], a[accepted] = gp_trial[ok], a_trial[ok]
-            energy[accepted] = e_trial[ok]
-            alpha[accepted] = step[idx[ok]]
-            hist[accepted] = np.roll(hist[accepted], 1, axis=1)
-            hist[accepted, 0] = e_trial[ok]
-            searching[idx[ok]] = False
+            alpha[accepted] = step[accepted]
+            hist[accepted, cursor[accepted]] = e_trial[ok]
+            cursor[accepted] = (cursor[accepted] + 1) % WINDOW
+            searching[accepted] = False
             rejected = idx[~ok]
             step[rejected] *= 0.5
             tiny = rejected[step[rejected] * np.sqrt(gnorm2[rejected]) < 1e-18]
-            frozen[act[tiny]] = True
+            gone[tiny] = True
             searching[tiny] = False
+
+        if gone.any():
+            done[ids[small]] = True
+            final[ids[gone]] = v[gone]
+            ids, own, v, gp, a, hist, cursor, alpha, gtol_eff, prev_v, prev_g = (
+                x[~gone] for x in (ids, own, v, gp, a, hist, cursor, alpha, gtol_eff,
+                                   prev_v, prev_g))
+    final[ids] = v
 
     for p, k in enumerate(live):
         # exact re-evaluation at the final iterates; best start wins
         t, wnorm = pairs[k]
-        vp = v[p * nb:(p + 1) * nb]
+        vp = final[p * nb:(p + 1) * nb]
         energies = _batch_residual(t, vp)
         best = int(np.argmin(energies))
         minimizer, raw = vp[best], float(energies[best])

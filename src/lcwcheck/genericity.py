@@ -30,7 +30,7 @@ from .bivectors import BivectorBasis, WeylOperator, WeylProjector, to_operator
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
 from .curvature import package_from_jets
-from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residuals
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_batch_size, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, make_metric
 
@@ -83,13 +83,13 @@ def residual_statistics(n: int, count: int, seed: int, starts: int | None = None
     ``extra_operators`` are appended after the random batch (e.g. a planted
     stratum operator, to confirm the detector reports a near-zero minimum).
     The exported threshold is the 5% quantile of the random batch.  The
-    operators descend in batches of :func:`_batch_size` (each report is
-    the one :func:`min_residual` gives).
+    operators descend in chunks of :func:`descent_batch_size`, sized by the
+    descent's own memory (each report is the one :func:`min_residual` gives).
     """
     rng = np.random.default_rng(seed)
     ops = [sample_weyl(n, rng) for _ in range(count)]
     ops.extend(extra_operators)
-    size = _batch_size(n)
+    size = descent_batch_size(n, starts)
     reports = [report for lo in range(0, len(ops), size)
                for report in min_residuals(ops[lo:lo + size], starts=starts)]
     residuals = np.array([r.residual_min for r in reports])
@@ -190,10 +190,13 @@ class PointVerdict:
         }
 
 
-# Points (or operators) per batch.  Per point, the curvature chain holds a
-# few arrays of n^5 entries and the eigenflag descent a few of 8n * n^3; a
-# batch of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at n = 5, one at
-# n = 8) keeps each near 2^14 entries, so batching costs little memory.
+# Points per batch of jets, curvature and (n >= 4) the eigenflag descent.
+# Per point, the curvature chain holds a few arrays of n^5 entries, so a batch
+# of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at n = 5, one at n = 8)
+# keeps each near 2^14 entries.  The descent's largest array, the gathered
+# tensors, holds starts * n^4 = 8n^5 floats per point by default, 2^17 per
+# batch; residual_statistics, which has no curvature, sizes its descent
+# chunks by eigenflag.DESCENT_BUDGET instead.
 def _batch_size(n: int) -> int:
     return max(1, 2 ** 14 // n ** 5)
 
@@ -215,7 +218,7 @@ def _caught(fn, *args):
 
 
 def _cotton_york_verdict(point, pkg, floor, tol_det) -> PointVerdict:
-    cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
+    cy = CottonYorkTensor.from_matrix(pkg.cotton_york, floor)
     label = classify_cy(cy, tol_det, floor)
     return PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True, label,
                         _VERDICTS.get(label, "inconclusive"), cy.eigenvalues)

@@ -14,6 +14,7 @@ import pytest
 
 from lcwcheck.bivectors import to_operator
 from lcwcheck.cli import main
+from lcwcheck.cottonyork import CottonYorkTensor
 from lcwcheck.curvature import (cotton_york, orthonormal_frame, package_from_jets,
                                 rotate_tensor)
 from lcwcheck.eigenflag import construct_stratum4, min_residual, min_residuals
@@ -318,8 +319,10 @@ def test_rows_do_not_depend_on_failing_neighbours(n, grid):
 
 
 def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
-    """The sphere's roundoff-level Cotton-York tensor fails its check at most
-    points; those points become errors without the batch being re-run."""
+    """Points whose Cotton-York tensor fails its check become errors without
+    the batch being re-run.  No metric's tensor fails the check above the zero
+    floor, so the check is made to fail at the half of the points with the
+    largest (1,1) entry."""
     import lcwcheck.genericity as genericity
 
     calls = []
@@ -328,10 +331,21 @@ def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
         calls.append(len(points))
         return metric_jets(spec, points)
 
-    spec = sphere_stereographic_metric(3)
+    spec = random_polynomial_metric(3, np.random.default_rng(12))
     points = grid_points(spec, (4, 4, 4)).tolist()
+    median = np.median([p.cotton_york[0, 0]
+                        for p in package_from_jets(metric_jets(spec, np.array(points)))])
+
+    class Failing(CottonYorkTensor):
+        @staticmethod
+        def from_matrix(m, floor=0.0):
+            if m[0, 0] > median:
+                raise ValueError("Cotton-York tensor must be symmetric")
+            return CottonYorkTensor.from_matrix(m, floor)
+
+    monkeypatch.setattr(genericity, "CottonYorkTensor", Failing)
     expected = expected_failures(spec, points)
-    assert any(isinstance(e, ValueError) for e in expected)
+    assert 0 < sum(isinstance(e, ValueError) for e in expected) < len(points)
     monkeypatch.setattr(genericity, "metric_jets", counting)
     rows = scan_metric(spec, (4, 4, 4)).rows
     assert calls == [64]

@@ -7,7 +7,8 @@ from lcwcheck.cli import dumps17, main
 from lcwcheck.cottonyork import CottonYorkTensor
 from lcwcheck.curvature import curvature_package
 from lcwcheck.genericity import obstruct_point
-from lcwcheck.metrics import euclidean_metric, load_metric, sphere_stereographic_metric
+from lcwcheck.metrics import (conformally_flat_metric, euclidean_metric, load_metric,
+                              sphere_stereographic_metric)
 from lcwcheck.perturb import AlgebraicCurvature, solve_cy_target
 
 
@@ -104,6 +105,36 @@ def test_obstruct_grid_3d_branch(tmp_path, capsys):
     assert doc["branch"] == "cotton_york"
     assert doc["headline"]["verdict"] == "inconclusive"  # constant curvature: CY = 0
     assert all(r["verdict"] in ("zero", "inconclusive") for r in doc["points"])
+
+
+CONFORMAL3 = "0.1*x1^2+0.1*x2^2+0.1*x3^2+0.05*x1*x2"
+
+
+def test_scan_of_the_round_sphere_is_zero_everywhere(tmp_path):
+    metric = tmp_path / "sphere3.json"
+    metric.write_text(sphere_stereographic_metric(3).to_json())
+    out = tmp_path / "scan.csv"
+    assert main(["scan", str(metric), "--grid", "6,6,6", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 216
+    assert all(row.endswith(",zero") for row in rows)
+
+
+@pytest.mark.parametrize("spec", [sphere_stereographic_metric(3),
+                                  conformally_flat_metric(3, CONFORMAL3)],
+                         ids=["sphere", "conformal"])
+@pytest.mark.parametrize("where", [["--point", "0.1,0.1,0.1"], ["--point=-0.3,-0.3,-0.3"],
+                                   ["--grid", "4,4,3"]])
+def test_obstruct_on_conformally_flat_3d_metrics_is_zero(tmp_path, capsys, spec, where):
+    """Their Cotton-York tensor is roundoff below the zero floor, which need
+    not pass the symmetry check; the points are ``zero``, not errors."""
+    metric = tmp_path / "m3.json"
+    metric.write_text(spec.to_json())
+    assert main(["obstruct", str(metric), *where]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["headline"]["verdict"] == "inconclusive"
+    assert len(doc["points"]) == (48 if where[0] == "--grid" else 1)
+    assert all(p["stratum"] == p["verdict"] == "zero" for p in doc["points"])
 
 
 def test_perturb_zero_emits_flat_metric(tmp_path, capsys):

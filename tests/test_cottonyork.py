@@ -52,6 +52,22 @@ def test_classification_examples():
     assert classify_cy(CottonYorkTensor.from_matrix(np.zeros((3, 3)))) == "zero"
 
 
+def test_a_tensor_below_the_zero_floor_is_zero_whatever_its_roundoff():
+    # roundoff of the true zero: neither symmetric nor trace-free relative to itself
+    noise = np.array([[1e-15, 3e-15, 0.0], [0.0, -2e-15, 1e-15], [-1e-15, 0.0, 4e-15]])
+    for check in ("symmetric", "trace-free"):
+        m = noise if check == "symmetric" else 0.5 * (noise + noise.T)
+        with pytest.raises(ValueError, match=check):
+            CottonYorkTensor.from_matrix(m)
+        with pytest.raises(ValueError, match=check):
+            CottonYorkTensor.from_matrix(m, floor=1e-16)  # the floor is below |m|
+        cy = CottonYorkTensor.from_matrix(m, floor=1e-12)
+        assert np.array_equal(cy.matrix, cy.matrix.T)
+        assert classify_cy(cy, floor=1e-12) == "zero"
+    with pytest.raises(ValueError, match="finite"):
+        CottonYorkTensor.from_matrix(np.full((3, 3), np.nan), floor=1e-12)
+
+
 @pytest.mark.parametrize("tol", [1e-320, 5e-324])
 def test_zero_determinant_is_singular_at_a_subnormal_tolerance(tol):
     # tol * |CY|^3 underflows to 0 here; det = 0 must still count as singular

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from lcwcheck import genericity
+from lcwcheck import eigenflag, genericity
 from lcwcheck.bivectors import bianchi_map, ricci_contraction
 from lcwcheck.eigenflag import construct_stratum4, min_residual
 from lcwcheck.genericity import (SampleStats, fmt17, grid_points, obstruct_point,
@@ -66,24 +66,32 @@ def test_residual_statistics_determinism_and_quantiles():
 
 
 def test_residual_statistics_descends_in_batches_with_per_operator_bits(monkeypatch):
-    batches, batched = [], genericity.min_residuals
-
-    def spy(ws, **kwargs):
-        batches.append(batched(ws, **kwargs))
-        return batches[-1]
-
-    monkeypatch.setattr(genericity, "min_residuals", spy)
-    stats = residual_statistics(5, 12, seed=11)
-    assert [len(b) for b in batches] == [5, 5, 2]
+    """The chunks of descent_batch_size (20 operators at n = 5, so 45 leave
+    the last one part full) and chunks of another size give every operator
+    the report min_residual gives it alone, and the same CSV bytes."""
     rng = np.random.default_rng(11)
-    for got, op in zip([r for b in batches for r in b], [sample_weyl(5, rng) for _ in range(12)]):
-        want = min_residual(op)
-        for name in ("residual_min", "minimizer", "verdict", "iterations", "converged"):
-            assert np.asarray(getattr(got, name)).tobytes() == \
-                np.asarray(getattr(want, name)).tobytes(), name
-    assert stats.to_csv() == "index,residual_min,verdict\n" + "".join(
-        f"{k},{fmt17(r.residual_min)},{r.verdict}\n"
-        for k, r in enumerate(r for b in batches for r in b))
+    singles = [min_residual(sample_weyl(5, rng)) for _ in range(45)]
+    want_csv = "index,residual_min,verdict\n" + "".join(
+        f"{k},{fmt17(r.residual_min)},{r.verdict}\n" for k, r in enumerate(singles))
+    batched = genericity.min_residuals
+    for budget, sizes in ((None, [20, 20, 5]), (7 * 40 * 5 ** 4, [7] * 6 + [3])):
+        if budget is not None:  # 7 operators of 40 starts, n^4 floats each
+            monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", budget)
+        batches = []
+
+        def spy(ws, **kwargs):
+            batches.append(batched(ws, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(genericity, "min_residuals", spy)
+        stats = residual_statistics(5, 45, seed=11)
+        assert [len(b) for b in batches] == sizes
+        for got, want in zip([r for b in batches for r in b], singles, strict=True):
+            for name in ("residual_min", "raw_residual", "minimizer", "verdict",
+                         "iterations", "converged"):
+                assert np.asarray(getattr(got, name)).tobytes() == \
+                    np.asarray(getattr(want, name)).tobytes(), name
+        assert stats.to_csv() == want_csv
 
 
 def test_planted_stratum_sample_is_detected():
