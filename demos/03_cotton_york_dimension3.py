@@ -36,7 +36,7 @@ p = rng.uniform(-0.5, 0.5, 3)
 pkg = lw.curvature_package(generic, p)
 cy = lw.CottonYorkTensor.from_matrix(pkg.cotton_york)
 print(f"\ngeneric metric at {np.round(p, 3)}:")
-print(f"  det(CY) = {cy.determinant:+.3e} -> {lw.obstruction_verdict_3d(cy)}")
+print(f"  det(CY) = {cy.determinant:+.3e} -> {lw.obstruct_point(generic, p).verdict}")
 
 # The singular set inside the 5-dimensional space of trace-free symmetric
 # operators is a cone: a 4-dimensional stratum of spectra (l, -l, 0)

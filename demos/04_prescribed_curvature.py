@@ -51,9 +51,10 @@ print(f"random-Weyl-prescribed metric at origin: residual = "
       f"{report_g.residual_min:.4f} -> {report_g.verdict}"
       " (certifies: no local weight near 0)")
 
-# The construction also exists with a smooth bump cutoff: the perturbation
-# then lives inside a ball and the metric is exactly flat outside it.
-bump = lw.perturb_curvature(rstar, cutoff=lw.CutoffSpec("smooth_bump", radius=0.8))
+# The construction also exists with the grammar's smooth bump cutoff: the
+# perturbation then lives inside a ball and the metric is exactly flat
+# outside it.
+bump = lw.perturb_curvature(rstar, radius=0.8)
 inside, outside = np.array([0.2, 0.1, 0, 0.0]), np.array([0.9, 0, 0, 0.0])
 print(f"\nbump cutoff: g(inside) differs from flat by "
       f"{np.abs(bump.evaluate(inside) - np.eye(4)).max():.1e}, "
@@ -62,6 +63,6 @@ pkg = lw.curvature_package(bump, np.zeros(4))
 print(f"bump cutoff leaves curvature at the center exact: error = "
       f"{np.linalg.norm(pkg.coord.riemann - rstar.tensor) / rstar.norm:.2e}")
 
-# Everything emitted with the constant-one cutoff is a parseable document,
-# so constructed metrics feed straight back into the command line.
+# Every constructed metric, the bump one included, is a parseable document,
+# so it feeds straight back into the command line.
 print("\nemitted document g_11 =", spec.to_document()["g"][0][0][:60], "...")

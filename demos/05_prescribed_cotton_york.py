@@ -25,7 +25,7 @@ sol = lw.solve_cy_target(target)
 print("\ntarget diag(1,-1,0)*0.01:")
 print(f"  achieved error = {np.abs(sol.achieved.matrix - target).max():.2e}")
 print(f"  classification = {lw.classify_cy(sol.achieved)}"
-      f" -> verdict {lw.obstruction_verdict_3d(sol.achieved)}")
+      f" -> verdict {lw.obstruct_point(sol.metric, np.zeros(3)).verdict}")
 
 # Target a *nonsingular* one: the constructed metric is certified to admit
 # no limiting Carleman weight near the origin.
@@ -33,7 +33,7 @@ target = 0.01 * np.diag([2.0, -1.0, -1.0])
 sol = lw.solve_cy_target(target)
 print("\ntarget diag(2,-1,-1)*0.01:")
 print(f"  achieved det = {sol.achieved.determinant:.6e} (exact 2e-06)")
-print(f"  verdict = {lw.obstruction_verdict_3d(sol.achieved)}")
+print(f"  verdict = {lw.obstruct_point(sol.metric, np.zeros(3)).verdict}")
 print(f"  coefficient norm used = {np.linalg.norm(sol.coefficients.packed):.4f}")
 
 # The emitted metric is an ordinary document; rerun the full pipeline on

@@ -15,8 +15,8 @@ from .bivectors import (BivectorBasis, WeylOperator, WeylProjector, bianchi_map,
                         conjugate_operator, lift_orthogonal, operator_to_tensor,
                         project_weyl, ricci_contraction, to_operator,
                         weyl_space_dim)
-from .cottonyork import (CottonYorkTensor, classify_cy, obstruction_verdict_3d,
-                         stratum_param, symmetric3_eigenvalues)
+from .cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
+                         symmetric3_eigenvalues)
 from .curvature import (CurvaturePackage, DimensionError, christoffel, cotton_york,
                         curvature_package, kulkarni_nomizu, orthonormal_frame,
                         package_from_jets, rotate_tensor, schouten, weyl_tensor)
@@ -28,11 +28,10 @@ from .exprs import EvalError, ExprError, ParseError, eval_expr, parse_expr, to_s
 from .genericity import (PointVerdict, SampleStats, ScanResult, grid_points,
                          obstruct_point, obstruct_points, random_polynomial_metric,
                          residual_statistics, sample_weyl, scan_metric)
-from .jets import Jet3, MetricJets, MetricNotPositive, jet_variable, metric_jets
+from .jets import Jet3, MetricJets, MetricNotPositive, metric_jets
 from .metrics import (MetricError, MetricSpec, conformally_flat_metric,
                       euclidean_metric, load_metric, make_metric, parse_metric,
                       sphere_stereographic_metric)
-from .perturb import (AlgebraicCurvature, BumpPerturbedMetric, CottonCoefficients,
-                      CutoffSpec, CySolution, PositivityError, RankDeficiencyError,
-                      cubic_metric_spec, cy_linear_map, perturb_curvature,
-                      solve_cy_target)
+from .perturb import (AlgebraicCurvature, CottonCoefficients, CySolution,
+                      PositivityError, RankDeficiencyError, cubic_metric_spec,
+                      cy_linear_map, perturb_curvature, solve_cy_target)

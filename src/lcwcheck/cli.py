@@ -23,12 +23,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cottonyork import DEFAULT_DET_TOL, obstruction_verdict_3d
+from .cottonyork import DEFAULT_DET_TOL
 from .curvature import DimensionError, curvature_package
 from .eigenflag import DEFAULT_TOL_EIGENFLAG, DEFAULT_TOL_NOT_EIGENFLAG
 from .exprs import EvalError, ExprError
-from .genericity import (ScanResult, ScanRow, fmt17, grid_points, obstruct_points,
-                         residual_statistics, scan_metric)
+from .genericity import (ScanResult, ScanRow, fmt17, grid_points, obstruct_point,
+                         obstruct_points, residual_statistics, scan_metric)
 from .jets import MetricNotPositive
 from .metrics import MAX_DIMENSION, MIN_DIMENSION, MetricError, load_metric
 from .perturb import (AlgebraicCurvature, PositivityError, RankDeficiencyError,
@@ -255,7 +255,7 @@ def _cmd_solve_cy(args) -> int:
         "achieved_det": solution.achieved.determinant,
         "achieved_eigenvalues": solution.achieved.eigenvalues,
         "coefficient_norm": float(np.linalg.norm(solution.coefficients.packed)),
-        "verdict": obstruction_verdict_3d(solution.achieved, args.tol_det),
+        "verdict": obstruct_point(solution.metric, (0, 0, 0), tol_det=args.tol_det).verdict,
         "metric_file": None if args.out is None else str(args.out),
     }
     sys.stdout.write(dumps17(doc) + "\n")

@@ -107,13 +107,3 @@ def stratum_param(lam: float, q: np.ndarray) -> CottonYorkTensor:
     core = np.diag([float(lam), -float(lam), 0.0])
     return CottonYorkTensor.from_matrix(q @ core @ q.T)
 
-
-def obstruction_verdict_3d(cy: CottonYorkTensor, tol: float = DEFAULT_DET_TOL) -> str:
-    """``no_lcw_certified`` iff the tensor is nonsingular.
-
-    One-sided by design: a singular Cotton-York tensor does NOT imply that
-    a weight exists, so everything else is ``inconclusive``.
-    """
-    if classify_cy(cy, tol) == "nonsingular":
-        return "no_lcw_certified"
-    return "inconclusive"

@@ -3,13 +3,16 @@
 The grammar is deliberately tiny: arithmetic, integer powers and a fixed
 set of smooth elementary functions.  That is enough to write down any
 metric we care about in closed form, and it keeps truncated-Taylor
-evaluation exact (no branch cuts, no conditionals).
+evaluation exact (no branch cuts, no conditionals).  ``bump`` is the
+smooth cutoff exp(1 - 1/(1 - s)) for s < 1 and 0 otherwise: C-infinity on
+the whole line, so a perturbation localized with it needs no conditional.
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := base ('^' integer)?
     base   := number | ident | '(' expr ')' | func '(' expr ')' | '-' base
-    func   := 'sin'|'cos'|'tan'|'exp'|'log'|'sqrt'|'atan'
+    func   := 'sin'|'cos'|'tan'|'exp'|'log'|'sqrt'|'atan'|'bump'
+    number := a decimal literal within the float range
 
 Evaluation is generic over the scalar type: plain ``float`` or any object
 implementing the arithmetic operators plus ``sin()``, ``exp()``, ... methods
@@ -23,9 +26,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")
+FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan", "bump")
 
-_MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
+
+def bump(s: float) -> float:
+    """The smooth cutoff: exp(1 - 1/(1 - s)) for s < 1, else 0 (NaN gives NaN).
+
+    It is 1 at s = 0 and vanishes with all its derivatives as s rises to 1.
+    """
+    if s >= 1.0:
+        return 0.0
+    return math.exp(1.0 - 1.0 / (1.0 - s))
+
+
+_MATH_FUNCS = {name: bump if name == "bump" else getattr(math, name) for name in FUNCTIONS}
 
 
 class ExprError(ValueError):
@@ -165,6 +179,8 @@ def parse_expr(source: str, coords) -> Node:
         k += 1
         if kind == "num":
             node = Const(pos, float(text))
+            if node.value == math.inf:
+                raise ParseError("number out of range", pos)
         elif kind == "ident" and tokens[k][1] != "(":
             if text not in coords:
                 raise ParseError(f"unknown identifier {text!r}", pos)
@@ -231,7 +247,7 @@ def parse_expr(source: str, coords) -> Node:
 def _fmt_number(v: float) -> str:
     if abs(v) < 1e16 and v == int(v):
         return str(int(v))
-    return repr(v) if v != math.inf else "1e999"  # literals past the float range parse as inf
+    return repr(v)
 
 
 def to_source(node: Node) -> str:
@@ -249,8 +265,8 @@ def to_source(node: Node) -> str:
             continue
         node, level = item
         if isinstance(node, Const):
-            if node.value < 0:
-                raise ValueError("parser never produces negative literals")
+            if node.value < 0 or node.value == math.inf:
+                raise ValueError("parser never produces negative or infinite literals")
             own, parts = 4, [_fmt_number(node.value)]
         elif isinstance(node, Var):
             own, parts = 4, [node.name]

@@ -132,6 +132,14 @@ def _atan(v):
     return math.atan(v), d, -2.0 * v * d * d, (6.0 * v * v - 2.0) * d**3
 
 
+def _bump(v):
+    f = exprs.bump(v)
+    if f == 0.0:  # outside the support or underflowed: exact zeros, and no 1/0 at v = 1
+        return 0.0, 0.0, 0.0, 0.0
+    u = 1.0 / (1.0 - v)
+    return f, -f * u * u, f * u**3 * (u - 2.0), -f * u**4 * (u * u - 6.0 * u + 6.0)
+
+
 @dataclass
 class Jet3:
     """Truncated multivariate Taylor expansion of order 3 in n variables.
@@ -169,11 +177,6 @@ class Jet3:
     @property
     def batched(self) -> bool:
         return isinstance(self.value, np.ndarray)
-
-    def take(self, rows) -> "Jet3":
-        """The rows of a batch selected by an index array or a boolean mask."""
-        return Jet3(self.n, self.value[rows], self.grad[rows], self.hess[rows],
-                    self.third[rows])
 
     # -- unpacked views ---------------------------------------------------
 
@@ -327,6 +330,9 @@ class Jet3:
 
     def atan(self) -> "Jet3":
         return self._compose(_atan)
+
+    def bump(self) -> "Jet3":
+        return self._compose(_bump)
 
 
 # --- compiled expression trees ----------------------------------------------
@@ -490,10 +496,6 @@ class JetTape:
                                                 j.third[0]) for j in jets]
 
 
-def jet_variable(index: int, base_value, n: int) -> Jet3:
-    return Jet3.variable(index, base_value, n)
-
-
 def jet_environment(coordinates, point) -> dict:
     """Seed one jet variable per coordinate at a chart point, or batched
     variables at the rows of a (B, n) array of points."""
@@ -540,12 +542,12 @@ def metric_jets(spec, points) -> MetricJets:
 
     ``points`` is one point (shape (n,)), which gives :class:`MetricJets`
     at it, or a (B, n) array, which evaluates the components once for the
-    whole batch and gives batched :class:`MetricJets`.  ``spec`` is
-    anything with ``dimension``, ``coordinates``, ``domain`` and
-    ``component_values(env)`` (a :class:`~lcwcheck.metrics.MetricSpec` or a
-    cutoff-perturbed metric).  Raises :class:`MetricNotPositive` when g at
-    a point has no Cholesky factor, and ``ValueError`` when a point is
-    outside the chart box; either names the first such point.
+    whole batch and gives batched :class:`MetricJets`.  ``spec`` is a
+    :class:`~lcwcheck.metrics.MetricSpec`, the one metric representation
+    (a bump-localized perturbation is one too).  Raises
+    :class:`MetricNotPositive` when g at a point has no Cholesky factor,
+    and ``ValueError`` when a point is outside the chart box; either names
+    the first such point.
     """
     n = spec.dimension
     points = np.asarray(points, dtype=float)

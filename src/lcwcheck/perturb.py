@@ -8,32 +8,33 @@ which is what makes the prescriptions exact):
   realizes any algebraic curvature operator R* as the curvature at 0.
   The -1/3 is the classical normal-coordinate coefficient; the linearized
   curvature of the quadratic term is exactly R* (cross terms carry at
-  least one factor of dg(0) = 0).
+  least one factor of dg(0) = 0).  The cutoff phi is 1, or, given a radius
+  rho, the grammar's smooth ``bump(|x|^2/rho^2)``: phi(0) = 1 and the
+  quadratic term vanishes to second order at 0, so the curvature there is
+  still exactly R*, while outside the ball of radius rho the metric is the
+  flat one with all its derivatives.
 * a cubic perturbation  g_ij = delta_ij + phi sum A_ij^klm x^k x^l x^m
   leaves g(0), dg(0), d2g(0) untouched, so the Cotton-York tensor at 0 is
   an explicit linear map of the 60 coefficients A; inverting its 5 x 60
-  matrix (least-norm pseudoinverse) realizes any small trace-free target.
+  matrix (least-norm pseudoinverse) realizes any small target.
 
-With the constant-one cutoff the result is an honest MetricSpec document.
-The smooth bump cutoff is not expressible in the closed-form expression
-grammar (no conditionals), so bump perturbations return an evaluator
-object with the same jet-evaluation protocol instead; outside the support
-it returns the base components exactly.
+Both return a :class:`~lcwcheck.metrics.MetricSpec`: an ordinary metric
+document that prints, parses and runs through the CLI like any other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from math import exp as _exp
 
 import numpy as np
 
 from . import curvature as _curv
 from .bivectors import WeylOperator, operator_to_tensor
 from .cottonyork import CottonYorkTensor
-from .jets import Jet3, MetricJets, SymIndex
+from .jets import MetricJets, SymIndex
 from .metrics import MetricSpec, make_metric
 
 CURVATURE_COEFF = -1.0 / 3.0
@@ -99,32 +100,6 @@ class AlgebraicCurvature:
             return AlgebraicCurvature(n, t * (scale / norm) if norm > 0 else t)
 
 
-# --- cutoffs ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Cutoff multiplying the perturbation: identically one, or a smooth bump.
-
-    The constant-one cutoff is only meaningful on a global chart; the bump
-    exp(1 - 1/(1 - |x-p|^2 / rho^2)) is smooth, equals one at the center
-    and vanishes with all derivatives at radius rho.
-    """
-
-    kind: str = "constant_one"
-    radius: float = 1.0
-    center: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("constant_one", "smooth_bump"):
-            raise ValueError(f"unknown cutoff kind {self.kind!r}")
-        if self.kind == "smooth_bump" and not self.radius > 0:
-            raise ValueError("bump radius must be positive")
-
-
-CONSTANT_ONE = CutoffSpec()
-
-
 # --- prescribed curvature ----------------------------------------------------
 
 
@@ -132,10 +107,11 @@ def _fmt_coeff(c: float) -> str:
     return repr(abs(float(c)))
 
 
-def _quadratic_entry_source(rstar: np.ndarray, i: int, j: int, coords) -> str:
-    """Expression string for delta_ij + c * sum_hk R*[i,h,j,k] x^h x^k."""
+def _quadratic_entry_source(rstar: np.ndarray, i: int, j: int, coords, cutoff: str) -> str:
+    """Expression string for delta_ij + c * sum_hk R*[i,h,j,k] x^h x^k, the
+    sum multiplied by the expression ``cutoff`` unless that is empty."""
     n = len(coords)
-    terms = []
+    quad = ""
     for h in range(n):
         for k in range(h, n):
             coeff = rstar[i, h, j, k] + (rstar[i, k, j, h] if h != k else 0.0)
@@ -143,17 +119,17 @@ def _quadratic_entry_source(rstar: np.ndarray, i: int, j: int, coords) -> str:
             if coeff == 0.0:
                 continue
             mono = f"{coords[h]}^2" if h == k else f"{coords[h]}*{coords[k]}"
-            terms.append((coeff, mono))
+            quad += ("+" if coeff > 0 else "-") + f"{_fmt_coeff(coeff)}*{mono}"
     src = "1" if i == j else "0"
-    for coeff, mono in terms:
-        src += ("+" if coeff > 0 else "-") + f"{_fmt_coeff(coeff)}*{mono}"
-    return src
+    if quad and cutoff:
+        return f"{src}+({quad.removeprefix('+')})*{cutoff}"
+    return src + quad
 
 
-def _check_positivity(spec_like) -> None:
-    n = spec_like.dimension
-    lows = np.array([lo for lo, _ in spec_like.domain])
-    highs = np.array([hi for _, hi in spec_like.domain])
+def _check_positivity(spec: MetricSpec) -> None:
+    n = spec.dimension
+    lows = np.array([lo for lo, _ in spec.domain])
+    highs = np.array([hi for _, hi in spec.domain])
     rng = np.random.default_rng(20240901)
     pts = [lows + (highs - lows) * rng.random(n) for _ in range(200)]
     if n <= 8:
@@ -161,7 +137,7 @@ def _check_positivity(spec_like) -> None:
             corner = np.where([(bits >> d) & 1 for d in range(n)], highs, lows)
             pts.append(corner)
     for p in pts:
-        g = spec_like.evaluate(p)
+        g = spec.evaluate(p)
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -170,104 +146,27 @@ def _check_positivity(spec_like) -> None:
                 "shrink the perturbation or the domain box") from None
 
 
-def perturb_curvature(rstar: AlgebraicCurvature, cutoff: CutoffSpec = CONSTANT_ONE,
-                      domain_halfwidth: float = 1.0):
+def perturb_curvature(rstar: AlgebraicCurvature, radius: float | None = None,
+                      domain_halfwidth: float = 1.0) -> MetricSpec:
     """Flat metric plus a quadratic perturbation with curvature R* at 0.
 
-    Returns a :class:`MetricSpec` for the constant-one cutoff, or a
-    :class:`BumpPerturbedMetric` for a smooth bump.  Positive definiteness
-    is checked by sampling the chart box (corners included) and rejected
-    with :class:`PositivityError`.
+    With a ``radius``, the perturbation is multiplied by the smooth cutoff
+    ``bump((x1^2+...+xn^2)/radius^2)``, so the metric is flat outside that
+    ball.  Positive definiteness is checked by sampling the chart box
+    (corners included) and rejected with :class:`PositivityError`.
     """
+    if radius is not None and not (radius > 0.0 and 0.0 < radius * radius < math.inf):
+        raise ValueError(
+            f"bump radius must be positive with a finite nonzero square, got {radius!r}")
     n = rstar.n
     coords = [f"x{i + 1}" for i in range(n)]
-    box = {c: [-domain_halfwidth, domain_halfwidth] for c in coords}
-    if cutoff.kind == "constant_one":
-        g = [[_quadratic_entry_source(rstar.tensor, i, j, coords) for j in range(n)]
-             for i in range(n)]
-        spec = make_metric(n, coords, g, box)
-        _check_positivity(spec)
-        return spec
-    pert = BumpPerturbedMetric(rstar, cutoff, tuple(coords),
-                               tuple((-domain_halfwidth, domain_halfwidth) for _ in coords))
-    _check_positivity(pert)
-    return pert
-
-
-@dataclass(frozen=True)
-class BumpPerturbedMetric:
-    """Flat metric with a bump-localized quadratic perturbation.
-
-    Implements the same evaluation protocol as MetricSpec (``dimension``,
-    ``coordinates``, ``domain``, ``component_values``, ``evaluate``) so the
-    jet pipeline accepts it.  Outside the bump support the returned
-    components are the base metric's, exactly.
-    """
-
-    rstar: AlgebraicCurvature
-    cutoff: CutoffSpec
-    coordinates: tuple[str, ...]
-    domain: tuple[tuple[float, float], ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.rstar.n
-
-    def _center(self) -> np.ndarray:
-        c = self.cutoff.center
-        return np.asarray(c if c else [0.0] * self.dimension, dtype=float)
-
-    def component_values(self, env: dict):
-        """g over floats, scalar jets or batched jets, one bump mask per row."""
-        n = self.dimension
-        xs = [env[name] for name in self.coordinates]
-        batched = isinstance(xs[0], Jet3) and xs[0].batched
-        values = np.array([x.value if isinstance(x, Jet3) else float(x) for x in xs])
-        center = self._center()
-        # the band 1 - |x/rho|^2 < 1e-14 underflows the bump to zero anyway;
-        # treating it as outside avoids a spurious division by zero in the jets
-        inside = np.array([float(np.dot(p - center, p - center)) / self.cutoff.radius ** 2
-                           < 1.0 - 1e-14 for p in (values.T if batched else [values])])
-        if not inside.any():
-            return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-        if not batched:
-            return self._perturbed(xs)
-        out = self._perturbed([x.take(inside) for x in xs])
-        for i in range(n):
-            for j in range(i, n):
-                full = Jet3.constant(np.full(len(inside), 1.0 if i == j else 0.0), n)
-                for slot in ("value", "grad", "hess", "third"):
-                    getattr(full, slot)[inside] = getattr(out[i][j], slot)
-                out[i][j] = out[j][i] = full
-        return out
-
-    def _perturbed(self, xs):
-        """base + quad * bump at points inside the bump."""
-        n = self.dimension
-        rho = self.cutoff.radius
-        shifted = [(x - c) / rho for x, c in zip(xs, self._center())]
-        s = shifted[0] * shifted[0]
-        for t in shifted[1:]:
-            s = s + t * t
-        u = 1.0 / (1.0 - s) if not isinstance(s, Jet3) else (1.0 - s).reciprocal()
-        bump = _exp(1.0 - u) if not isinstance(u, Jet3) else (1.0 - u).exp()
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                quad = 0.0
-                for h in range(n):
-                    for k in range(n):
-                        coeff = CURVATURE_COEFF * self.rstar.tensor[i, h, j, k]
-                        if coeff != 0.0:
-                            quad = quad + coeff * (xs[h] * xs[k])
-                out[i][j] = out[j][i] = (1.0 if i == j else 0.0) + quad * bump
-        return out
-
-    def evaluate(self, point) -> np.ndarray:
-        env = dict(zip(self.coordinates, [float(x) for x in point]))
-        vals = self.component_values(env)
-        return np.array([[float(vals[i][j]) for j in range(self.dimension)]
-                         for i in range(self.dimension)])
+    cutoff = "" if radius is None else (
+        f"bump(({'+'.join(f'{c}^2' for c in coords)})/{_fmt_coeff(radius)}^2)")
+    g = [[_quadratic_entry_source(rstar.tensor, i, j, coords, cutoff) for j in range(n)]
+         for i in range(n)]
+    spec = make_metric(n, coords, g, {c: [-domain_halfwidth, domain_halfwidth] for c in coords})
+    _check_positivity(spec)
+    return spec
 
 
 # --- prescribed Cotton-York ---------------------------------------------------

@@ -23,7 +23,7 @@ from lcwcheck.genericity import (grid_points, obstruct_point, obstruct_points,
                                  random_polynomial_metric, sample_weyl, scan_metric)
 from lcwcheck.jets import MetricJets, MetricNotPositive, metric_jets
 from lcwcheck.metrics import make_metric, sphere_stereographic_metric
-from lcwcheck.perturb import AlgebraicCurvature, CutoffSpec, perturb_curvature
+from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature
 
 COORDS3 = ["x1", "x2", "x3"]
 
@@ -80,7 +80,7 @@ def test_metric_jets_batch_functions_powers_division(entry):
 
 def test_metric_jets_batch_bump_inside_and_outside():
     rstar = AlgebraicCurvature.random(4, np.random.default_rng(9), scale=0.05)
-    pert = perturb_curvature(rstar, cutoff=CutoffSpec(kind="smooth_bump", radius=0.8))
+    pert = perturb_curvature(rstar, radius=0.8)
     points = np.array([[0.9, 0.0, 0.0, 0.0],      # outside the bump
                        [0.2, 0.1, 0.0, 0.0],      # inside
                        [0.0, 0.0, 0.0, 0.0],      # the center

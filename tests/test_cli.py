@@ -9,7 +9,7 @@ from lcwcheck.curvature import curvature_package
 from lcwcheck.genericity import obstruct_point
 from lcwcheck.metrics import (conformally_flat_metric, euclidean_metric, load_metric,
                               sphere_stereographic_metric)
-from lcwcheck.perturb import AlgebraicCurvature, solve_cy_target
+from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature, solve_cy_target
 
 
 @pytest.fixture()
@@ -163,6 +163,41 @@ def test_solve_cy_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "no_lcw_certified"
     assert out.exists()
+
+
+def test_solve_cy_zero_target_prints_the_verdict_obstruct_prints(tmp_path, capsys):
+    out = tmp_path / "cubic.json"
+    assert main(["solve-cy", "--target", "0", "0", "0", "0", "0", "0", "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "zero"
+    assert main(["obstruct", str(out), "--point", "0,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"][0]["verdict"] == "zero"
+
+
+def test_obstruct_on_a_bump_document(tmp_path, capsys):
+    rstar = AlgebraicCurvature.random(4, np.random.default_rng(0), scale=0.05)
+    paths = tmp_path / "plain.json", tmp_path / "bump.json"
+    paths[0].write_text(perturb_curvature(rstar).to_json())
+    paths[1].write_text(perturb_curvature(rstar, radius=0.8).to_json())
+    assert main(["obstruct", str(paths[0]), "--point", "0,0,0,0"]) == 0
+    plain = json.loads(capsys.readouterr().out)["points"]
+    assert main(["obstruct", str(paths[1]), "--point", "0,0,0,0", "--point", "0.9,0,0,0"]) == 0
+    center, outside = json.loads(capsys.readouterr().out)["points"]
+    # the cutoff leaves the prescribed curvature at the center untouched
+    assert plain[0]["verdict"] == center["verdict"] == "no_lcw_certified"
+    assert center["obstruction"] == pytest.approx(plain[0]["obstruction"], rel=1e-12)
+    # and outside its ball the metric is flat
+    assert (outside["verdict"], outside["norm"]) == ("weyl_negligible", 0.0)
+
+
+def test_an_out_of_range_literal_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dimension": 3, "coordinates": ["x1", "x2", "x3"],
+                                "g": [["1e400*x1^2+1", "0", "0"], [None, "1", "0"],
+                                      [None, None, "1"]]}))
+    assert main(["obstruct", str(path), "--point", "0,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        "lcwcheck: parse error: g[0][0]: number out of range (offset 0)\n")
 
 
 def test_sample_determinism(tmp_path):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lcwcheck.cottonyork import (CottonYorkTensor, classify_cy,
-                                 obstruction_verdict_3d, stratum_param,
+from lcwcheck.cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
                                  symmetric3_eigenvalues)
 from lcwcheck.curvature import curvature_package
-from lcwcheck.genericity import random_polynomial_metric
+from lcwcheck.genericity import obstruct_point, random_polynomial_metric
 from lcwcheck.metrics import conformally_flat_metric
 
 from oracles import cotton_york_at
@@ -134,10 +133,10 @@ def test_stratum_jacobian_has_rank_4():
 
 
 def test_obstruction_verdicts():
-    assert obstruction_verdict_3d(CottonYorkTensor.from_matrix(np.diag([2.0, -1.0, -1.0]))) \
-        == "no_lcw_certified"
-    assert obstruction_verdict_3d(CottonYorkTensor.from_matrix(np.diag([1.0, -1.0, 0.0]))) \
-        == "inconclusive"
+    assert classify_cy(CottonYorkTensor.from_matrix(np.diag([2.0, -1.0, -1.0]))) \
+        == "nonsingular"
+    assert classify_cy(CottonYorkTensor.from_matrix(np.diag([1.0, -1.0, 0.0]))) \
+        == "regular_singular"
 
 
 def test_generic_metric_certified_and_matches_fd_oracle():
@@ -146,7 +145,7 @@ def test_generic_metric_certified_and_matches_fd_oracle():
     p = rng.uniform(-0.5, 0.5, 3)
     pkg = curvature_package(spec, p)
     cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
-    assert obstruction_verdict_3d(cy) == "no_lcw_certified"
+    assert obstruct_point(spec, p).verdict == "no_lcw_certified"
 
     oracle = cotton_york_at(spec.evaluate, p)
     assert np.abs(oracle - pkg.coord.cotton_york).max() < 1e-4 * max(cy.norm, 1e-12)
@@ -159,7 +158,8 @@ def test_orientation_flips_det_sign_not_verdict():
     plus = CottonYorkTensor.from_matrix(curvature_package(spec, p, 1).cotton_york)
     minus = CottonYorkTensor.from_matrix(curvature_package(spec, p, -1).cotton_york)
     assert plus.determinant == pytest.approx(-minus.determinant, rel=1e-9)
-    assert obstruction_verdict_3d(plus) == obstruction_verdict_3d(minus)
+    assert obstruct_point(spec, p, orientation=1).verdict \
+        == obstruct_point(spec, p, orientation=-1).verdict == "no_lcw_certified"
 
 
 def test_cotton_zero_iff_cotton_york_zero():

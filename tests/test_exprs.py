@@ -111,10 +111,31 @@ def test_an_exponent_past_the_integer_string_limit_is_a_parse_error(source, pos)
     assert (err.value.message, err.value.pos) == ("exponent has too many digits", pos)
 
 
-def test_an_infinite_literal_prints_as_one_that_reparses():
-    tree = parse_expr("1e400*x1", ("x1",))
-    assert tree.left.value == math.inf
-    assert same_tree(parse_expr(to_source(tree), ("x1",)), tree)
+@pytest.mark.parametrize("source,pos", [("1e400*x1", 0), ("x1+2*(3-1e309)", 8),
+                                        ("x1^2+" + "9" * 400, 5)],
+                         ids=["1e400", "1e309", "400-digits"])
+def test_an_out_of_range_literal_is_a_parse_error(source, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expr(source, ("x1",))
+    assert (err.value.message, err.value.pos) == ("number out of range", pos)
+
+
+def test_an_infinite_constant_does_not_print():
+    with pytest.raises(ValueError, match="infinite"):
+        to_source(BinOp(0, "*", Const(0, math.inf), Var(0, "x1")))
+    # an underflowing literal is zero, which is in range
+    assert parse_expr("1e-400", ()).value == 0.0
+
+
+def test_bump_is_one_at_zero_zero_from_one_on_and_nan_for_nan():
+    assert exprs.bump(0.0) == 1.0
+    assert exprs.bump(0.5) == math.exp(-1.0)
+    for s in (1.0, 1.5, 1e300, math.inf):
+        assert exprs.bump(s) == 0.0
+    assert exprs.bump(math.nextafter(1.0, 0.0)) == 0.0  # underflows to zero
+    assert math.isnan(exprs.bump(math.nan))
+    assert exprs.bump(-math.inf) == math.e
+    assert eval_expr(parse_expr("bump(x^2)", ("x",)), {"x": 0.5}) == exprs.bump(0.25)
 
 
 def test_eval_plain():
@@ -235,7 +256,8 @@ def test_jet_order_zero_matches_plain():
 _COORDS = ("x1", "x2", "x3")
 
 _trees = st.recursive(
-    st.one_of(st.floats(min_value=0.0, allow_nan=False).map(lambda v: Const(0, v)),
+    st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+              .map(lambda v: Const(0, v)),
               st.sampled_from(_COORDS).map(lambda name: Var(0, name))),
     lambda kids: st.one_of(
         kids.map(lambda child: Neg(0, child)),

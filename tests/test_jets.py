@@ -1,12 +1,13 @@
+import math
 import operator
 
 import numpy as np
 import pytest
 
 from lcwcheck.exprs import eval_expr, parse_expr
-from lcwcheck.jets import (Jet3, MetricNotPositive, SymIndex, jet_variable,
-                           metric_jets)
+from lcwcheck.jets import Jet3, MetricNotPositive, SymIndex, metric_jets
 from lcwcheck.metrics import euclidean_metric, parse_metric, sphere_stereographic_metric
+from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature
 
 from oracles import fd_gradient, fd_hessian, fd_third
 
@@ -24,33 +25,33 @@ def test_packed_index_bijections():
 
 
 def test_variable_seeds():
-    jet = jet_variable(0, 0.5, 2)
+    jet = Jet3.variable(0, 0.5, 2)
     assert jet.value == 0.5
     assert np.array_equal(jet.grad, [1.0, 0.0])
     assert not jet.hess.any() and not jet.third.any()
 
-    jet = jet_variable(1, -2.0, 3)
+    jet = Jet3.variable(1, -2.0, 3)
     assert jet.value == -2.0
     assert np.array_equal(jet.grad, [0.0, 1.0, 0.0])
 
     with pytest.raises(IndexError):
-        jet_variable(3, 0.0, 3)
+        Jet3.variable(3, 0.0, 3)
 
 
 def test_sum_of_variables_is_linear():
     n = 4
-    total = sum((jet_variable(k, 0.1 * k, n) for k in range(n)), Jet3.constant(0.0, n))
+    total = sum((Jet3.variable(k, 0.1 * k, n) for k in range(n)), Jet3.constant(0.0, n))
     assert np.array_equal(total.grad, np.ones(n))
     assert not total.hess.any() and not total.third.any()
 
 
 def test_product_examples():
-    x = jet_variable(0, 3.0, 1)
+    x = Jet3.variable(0, 3.0, 1)
     sq = x * x
     assert (sq.value, sq.grad[0], sq.hess[0], sq.third[0]) == (9.0, 6.0, 2.0, 0.0)
 
-    x = jet_variable(0, 1.0, 2)
-    y = jet_variable(1, 2.0, 2)
+    x = Jet3.variable(0, 1.0, 2)
+    y = Jet3.variable(1, 2.0, 2)
     xy = x * y
     assert xy.value == 2.0
     assert np.array_equal(xy.grad, [2.0, 1.0])
@@ -60,8 +61,8 @@ def test_product_examples():
 
 
 def test_cube_of_sum():
-    x = jet_variable(0, 1.0, 2)
-    y = jet_variable(1, 1.0, 2)
+    x = Jet3.variable(0, 1.0, 2)
+    y = Jet3.variable(1, 1.0, 2)
     cube = (x + y) ** 3
     assert cube.value == 8.0
     assert np.allclose(cube.grad, 12.0)
@@ -78,15 +79,41 @@ def test_cube_of_sum():
 
 
 def test_compose_taylor_tables():
-    e = jet_variable(0, 0.0, 1).exp()
+    e = Jet3.variable(0, 0.0, 1).exp()
     assert np.allclose([e.value, e.grad[0], e.hess[0], e.third[0]], 1.0)
-    s = jet_variable(0, 0.0, 1).sin()
+    s = Jet3.variable(0, 0.0, 1).sin()
     assert np.allclose([s.value, s.grad[0], s.hess[0], s.third[0]], [0, 1, 0, -1])
+
+
+def test_bump_taylor_coefficients_at_zero_are_exact():
+    b = Jet3.variable(0, 0.0, 1).bump()
+    assert (b.value, b.grad[0], b.hess[0], b.third[0]) == (1.0, -1.0, -1.0, -1.0)
+
+
+def test_bump_jets_are_exact_zeros_from_one_on():
+    for s in (1.0, 1.25, 1e300, math.inf):
+        assert _slots(Jet3.variable(0, s, 2).bump()) == _slots(Jet3.constant(0.0, 2)), s
+    s = np.array([1.0, 2.0, math.inf])
+    assert _slots(Jet3.variable(1, s, 2).bump()) == _slots(Jet3.constant(np.zeros(3), 2))
+
+
+def test_bump_jets_are_finite_up_to_the_edge_of_the_support():
+    s = np.append(np.linspace(0.99, 1.0, 2001), math.nextafter(1.0, 0.0))
+    b = Jet3.variable(0, s, 2).bump()
+    assert all(np.isfinite(slot).all() for slot in (b.value, b.grad, b.hess, b.third))
+    near = 1.0 - s <= 1e-3
+    assert near.sum() > 200 and not b.value[near].any() and not b.third[near].any()
+    assert b.value[0] > 0 and b.third[0, 0] != 0  # exp(-99) at s = 0.99
+
+
+def test_bump_jets_propagate_nan():
+    b = Jet3.variable(0, math.nan, 2).bump()
+    assert all(np.isnan(slot).all() for slot in (b.value, b.grad, b.hess, b.third))
 
 
 def test_log_composition_vs_fd():
     ast = parse_expr("log(1+x1^2)", ("x1",))
-    jet = eval_expr(ast, {"x1": jet_variable(0, 0.3, 1)})
+    jet = eval_expr(ast, {"x1": Jet3.variable(0, 0.3, 1)})
 
     def f(p):
         return np.log(1 + p[0] ** 2)
@@ -98,14 +125,14 @@ def test_log_composition_vs_fd():
 
 
 def test_division_and_negative_powers():
-    x = jet_variable(0, 2.0, 1)
+    x = Jet3.variable(0, 2.0, 1)
     inv = 1.0 / x
     assert inv.value == 0.5
     assert inv.grad[0] == -0.25
     assert (x ** -2).value == 0.25
     assert (x ** 0).value == 1.0
     with pytest.raises(ZeroDivisionError):
-        jet_variable(0, 0.0, 1).reciprocal()
+        Jet3.variable(0, 0.0, 1).reciprocal()
     with pytest.raises(TypeError):
         x ** 0.5
 
@@ -113,6 +140,11 @@ def test_division_and_negative_powers():
 def _slots(jet) -> bytes:
     return b"".join(np.asarray(getattr(jet, s), dtype=float).tobytes()
                     for s in ("value", "grad", "hess", "third"))
+
+
+def _row(jet, k) -> Jet3:
+    """Row ``k`` of a batched jet, as a batch of one."""
+    return Jet3(jet.n, jet.value[[k]], jet.grad[[k]], jet.hess[[k]], jet.third[[k]])
 
 
 def _batched_jet() -> Jet3:
@@ -131,8 +163,8 @@ def test_a_constant_per_row_acts_as_that_rows_float(op):
     for k in range(len(c)):
         row = Jet3(3, float(jet.value[k]), jet.grad[k], jet.hess[k], jet.third[k])
         want_right = op(row, float(divisor[k] if op is operator.truediv else c[k]))
-        assert _slots(right.take([k])) == _slots(want_right), k
-        assert _slots(left.take([k])) == _slots(op(float(c[k]), row)), k
+        assert _slots(_row(right, k)) == _slots(want_right), k
+        assert _slots(_row(left, k)) == _slots(op(float(c[k]), row)), k
 
 
 def test_a_zero_constant_in_any_row_is_a_division_by_zero():
@@ -143,7 +175,7 @@ def test_a_zero_constant_in_any_row_is_a_division_by_zero():
 
 
 def test_numpy_scalars_defer_to_the_jet():
-    for jet in (jet_variable(0, 0.5, 2), _batched_jet()):
+    for jet in (Jet3.variable(0, 0.5, 2), _batched_jet()):
         got = np.float64(2.0) * jet
         assert isinstance(got, Jet3) and _slots(got) == _slots(2.0 * jet)
 
@@ -171,11 +203,12 @@ def test_grammar_expressions_vs_fd_property():
     rng = np.random.default_rng(23)
     coords = ("x1", "x2", "x3")
     sources = ["sin(x1)*exp(0.5*x2)+x3^3", "sqrt(4+x1*x2)", "atan(x1-x2^2)/(2+x3)",
-               "cos(x1*x2*x3)", "exp(sin(x1)+cos(x2))", "1/(1+x1^2+x2^2+x3^2)"]
+               "cos(x1*x2*x3)", "exp(sin(x1)+cos(x2))", "1/(1+x1^2+x2^2+x3^2)",
+               "bump(x1^2+x2^2/2+x3^2/3)"]
     for source in sources:
         ast = parse_expr(source, coords)
         pt = rng.uniform(-0.6, 0.6, size=3)
-        env = {c: jet_variable(k, pt[k], 3) for k, c in enumerate(coords)}
+        env = {c: Jet3.variable(k, pt[k], 3) for k, c in enumerate(coords)}
         jet = eval_expr(ast, env)
 
         def f(p, ast=ast):
@@ -220,6 +253,20 @@ def test_metric_jets_sphere_vs_fd():
             assert np.allclose(mj.dg[:, i, j], grad, rtol=1e-6, atol=1e-8)
             assert np.allclose(mj.d2g[:, :, i, j], hess, rtol=1e-6, atol=1e-7)
             assert np.allclose(mj.d3g[:, :, :, i, j], third, rtol=1e-6, atol=1e-5)
+
+
+def test_bump_metric_jets_vs_fd_inside_the_support():
+    rstar = AlgebraicCurvature.random(3, np.random.default_rng(4), scale=0.05)
+    spec = perturb_curvature(rstar, radius=0.8)
+    for pt in (np.array([0.3, -0.2, 0.1]), np.array([-0.1, 0.45, 0.35])):
+        mj = metric_jets(spec, pt)
+        for i, j in SymIndex(3).pairs:
+            def f(p, i=i, j=j):
+                return spec.evaluate(p)[i, j]
+
+            assert np.allclose(mj.dg[:, i, j], fd_gradient(f, pt), rtol=1e-6, atol=1e-10)
+            assert np.allclose(mj.d2g[:, :, i, j], fd_hessian(f, pt), rtol=1e-6, atol=1e-9)
+            assert np.allclose(mj.d3g[:, :, :, i, j], fd_third(f, pt), rtol=1e-5, atol=1e-7)
 
 
 def test_metric_jets_failures():

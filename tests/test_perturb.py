@@ -1,14 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from lcwcheck.bivectors import to_operator
-from lcwcheck.cottonyork import classify_cy, obstruction_verdict_3d
+from lcwcheck.cottonyork import classify_cy
 from lcwcheck.curvature import curvature_package, kulkarni_nomizu
 from lcwcheck.eigenflag import construct_stratum4, min_residual
+from lcwcheck.genericity import obstruct_point
 from lcwcheck.jets import metric_jets
 from lcwcheck.metrics import MetricSpec, parse_metric
-from lcwcheck.perturb import (AlgebraicCurvature, BumpPerturbedMetric,
-                              CottonCoefficients, CutoffSpec, PositivityError,
+from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, PositivityError,
                               cubic_metric_spec, cy_linear_map, perturb_curvature,
                               solve_cy_target, sym3_to_vec5, vec5_to_sym3)
 
@@ -116,9 +118,8 @@ def test_halving_the_prescription_halves_the_positivity_margin():
 def test_bump_cutoff_locality():
     rng = np.random.default_rng(9)
     rstar = AlgebraicCurvature.random(4, rng, scale=0.05)
-    bump = CutoffSpec(kind="smooth_bump", radius=0.8)
-    pert = perturb_curvature(rstar, cutoff=bump)
-    assert isinstance(pert, BumpPerturbedMetric)
+    pert = perturb_curvature(rstar, radius=0.8)
+    assert isinstance(pert, MetricSpec)
 
     outside = np.array([0.9, 0.0, 0.0, 0.0])
     assert np.array_equal(pert.evaluate(outside), np.eye(4))
@@ -134,10 +135,23 @@ def test_bump_cutoff_locality():
 
 
 def test_cutoff_validation():
-    with pytest.raises(ValueError, match="cutoff kind"):
-        CutoffSpec(kind="boxcar")
-    with pytest.raises(ValueError, match="radius"):
-        CutoffSpec(kind="smooth_bump", radius=0.0)
+    rstar = AlgebraicCurvature.random(4, np.random.default_rng(9), scale=0.05)
+    for radius in (0.0, -0.8, float("inf"), float("nan"), 1e-200, 1e200):
+        message = f"bump radius must be .*, got {re.escape(repr(radius))}$"
+        with pytest.raises(ValueError, match=message):
+            perturb_curvature(rstar, radius=radius)
+
+
+def test_bump_document_reparses_and_is_flat_without_curvature():
+    rstar = AlgebraicCurvature.random(4, np.random.default_rng(9), scale=0.05)
+    spec = perturb_curvature(rstar, radius=0.8)
+    assert spec.to_document()["g"][0][1].endswith("*bump((x1^2+x2^2+x3^2+x4^2)/0.8^2)")
+    again = parse_metric(spec.to_json())
+    p = np.array([0.3, -0.2, 0.1, 0.4])
+    assert np.array_equal(again.evaluate(p), spec.evaluate(p))
+    zero = AlgebraicCurvature(4, np.zeros((4,) * 4))
+    assert perturb_curvature(zero, radius=0.8).to_document() == \
+        perturb_curvature(zero).to_document()
 
 
 # --- prescribed Cotton-York -----------------------------------------------------
@@ -201,7 +215,7 @@ def test_solve_cy_singular_target():
 def test_solve_cy_nonsingular_target():
     sol = solve_cy_target(0.01 * np.diag([2.0, -1.0, -1.0]))
     assert sol.achieved.determinant == pytest.approx(2e-6, rel=1e-7)
-    assert obstruction_verdict_3d(sol.achieved) == "no_lcw_certified"
+    assert obstruct_point(sol.metric, np.zeros(3)).verdict == "no_lcw_certified"
 
 
 def test_solve_cy_rejects_bad_targets():
