@@ -12,18 +12,17 @@ weight exists on any neighborhood of the point.
 __version__ = "0.1.0"
 
 from .bivectors import (BivectorBasis, WeylOperator, WeylProjector, bianchi_map,
-                        conjugate_operator, lift_orthogonal, operator_to_tensor,
-                        project_weyl, ricci_contraction, to_operator,
-                        weyl_space_dim)
+                        lift_orthogonal, operator_to_tensor, ricci_contraction,
+                        to_operator)
 from .cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
                          symmetric3_eigenvalues)
-from .curvature import (CurvaturePackage, DimensionError, christoffel, cotton_york,
+from .curvature import (CurvaturePackage, DimensionError, cotton_york,
                         curvature_package, kulkarni_nomizu, orthonormal_frame,
                         package_from_jets, rotate_tensor, schouten, weyl_tensor)
 from .eigenflag import (CertifiedBound, EigenflagReport, certify_positive_minimum,
                         classify_weyl_spectrum, codim_eigenflag,
                         construct_stratum4, min_residual, min_residuals, residual,
-                        residual_gradient, sphere_start_set)
+                        sphere_start_set)
 from .exprs import EvalError, ExprError, ParseError, eval_expr, parse_expr, to_source
 from .genericity import (PointVerdict, SampleStats, ScanResult, grid_points,
                          obstruct_point, obstruct_points, random_polynomial_metric,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -45,20 +44,13 @@ class BivectorBasis:
         self.first = np.array([i for i, _ in self.pairs], dtype=np.intp)
         self.second = np.array([j for _, j in self.pairs], dtype=np.intp)
 
-    def index(self, i: int, j: int) -> int:
-        a = self.flat[i, j]
-        if a < 0:
-            raise ValueError(f"({i}, {j}) is not a bivector index pair")
-        return int(a)
-
 
 def _dimension(size: int) -> int:
     """n with n(n-1)/2 = size, the dimension of an operator on Lambda^2."""
     return int(round((1 + np.sqrt(1 + 8 * size)) / 2))
 
 
-def to_operator(r4: np.ndarray, basis: BivectorBasis | None = None,
-                scale: float | None = None) -> np.ndarray:
+def to_operator(r4: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Curvature operator matrix of a (0,4) tensor in an orthonormal frame.
 
     Raises if the pair-exchange symmetry is violated beyond 1e-8 times the
@@ -66,8 +58,7 @@ def to_operator(r4: np.ndarray, basis: BivectorBasis | None = None,
     full curvature norm when converting a derived piece such as the Weyl
     part, which may be pure cancellation noise (n = 3, conformally flat).
     """
-    n = r4.shape[0]
-    basis = basis or BivectorBasis(n)
+    basis = BivectorBasis(r4.shape[0])
     fi, se = basis.first, basis.second
     m = r4[fi[:, None], se[:, None], fi[None, :], se[None, :]]
     scale = max(scale or 0.0, np.linalg.norm(r4), 1e-300)
@@ -76,10 +67,10 @@ def to_operator(r4: np.ndarray, basis: BivectorBasis | None = None,
     return 0.5 * (m + m.T)
 
 
-def operator_to_tensor(op: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
+def operator_to_tensor(op: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_operator`: the full antisymmetric (0,4) array."""
     n = _dimension(op.shape[0])
-    basis = basis or BivectorBasis(n)
+    basis = BivectorBasis(n)
     fi, se = basis.first, basis.second
     t = np.zeros((n, n, n, n))
     t[fi[:, None], se[:, None], fi[None, :], se[None, :]] = op
@@ -87,12 +78,11 @@ def operator_to_tensor(op: np.ndarray, basis: BivectorBasis | None = None) -> np
     return t - t.transpose(0, 1, 3, 2)
 
 
-def bianchi_map(op: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
+def bianchi_map(op: np.ndarray) -> np.ndarray:
     """Lambda^4 component of a symmetric bivector operator, one entry per
     sorted quadruple i<j<k<l (C(n,4) of them)."""
     n = _dimension(op.shape[0])
-    basis = basis or BivectorBasis(n)
-    fl = basis.flat
+    fl = BivectorBasis(n).flat
     out = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -104,9 +94,9 @@ def bianchi_map(op: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarra
     return np.array(out)
 
 
-def ricci_contraction(op: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
+def ricci_contraction(op: np.ndarray) -> np.ndarray:
     """r(R)(x, y) = sum_i R(x ^ e_i, y ^ e_i), a symmetric n x n matrix."""
-    t = operator_to_tensor(op, basis)
+    t = operator_to_tensor(op)
     return np.einsum("aibi->ab", t)
 
 
@@ -120,12 +110,6 @@ def lift_orthogonal(q: np.ndarray) -> np.ndarray:
     fi, se = basis.first, basis.second
     return (q[fi[:, None], fi[None, :]] * q[se[:, None], se[None, :]]
             - q[se[:, None], fi[None, :]] * q[fi[:, None], se[None, :]])
-
-
-def conjugate_operator(op: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Operator components in the frame rotated by orthogonal Q (columns)."""
-    lift = lift_orthogonal(q)
-    return lift.T @ op @ lift
 
 
 # --- symmetric-matrix vectorization (isometric for Frobenius) -------------
@@ -149,16 +133,6 @@ def unsvec(v: np.ndarray, n: int) -> np.ndarray:
 # --- the Weyl subspace ----------------------------------------------------
 
 
-def weyl_space_dim(n: int) -> int:
-    """dim S^2(Lambda^2) - dim Lambda^4 - dim S^2(R^n)."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    big_n = n * (n - 1) // 2
-    dim = big_n * (big_n + 1) // 2 - comb(n, 4) - n * (n + 1) // 2
-    assert dim == n * n * (n * n - 1) // 12 - n * (n + 1) // 2
-    return dim
-
-
 @lru_cache(maxsize=None)
 class WeylProjector:
     """Orthogonal projector onto ker(bianchi) intersect ker(ricci).
@@ -177,8 +151,7 @@ class WeylProjector:
             e = np.zeros(dim)
             e[d] = 1.0
             op = unsvec(e, big_n)
-            rows.append(np.concatenate([bianchi_map(op, basis),
-                                        svec(ricci_contraction(op, basis))]))
+            rows.append(np.concatenate([bianchi_map(op), svec(ricci_contraction(op))]))
         constraints = np.array(rows).T  # (n_constraints, dim)
         u, s, vh = np.linalg.svd(constraints)
         rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
@@ -190,9 +163,6 @@ class WeylProjector:
     def project(self, op: np.ndarray) -> np.ndarray:
         v = svec(op)
         return unsvec(self.kernel @ (self.kernel.T @ v), self.basis.size)
-
-    def matrix(self) -> np.ndarray:
-        return self.kernel @ self.kernel.T
 
 
 @dataclass(frozen=True)
@@ -222,13 +192,3 @@ class WeylOperator:
 
     def tensor(self) -> np.ndarray:
         return operator_to_tensor(self.matrix)
-
-
-def project_weyl(op: np.ndarray) -> WeylOperator:
-    """Orthogonal (Frobenius) projection onto the Weyl subspace.
-
-    Idempotent and self-adjoint; fixes genuine Weyl operators.
-    """
-    n = _dimension(op.shape[0])
-    proj = WeylProjector(n)
-    return WeylOperator(n, proj.project(0.5 * (op + op.T)))

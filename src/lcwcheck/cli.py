@@ -16,6 +16,7 @@ failed to converge on all starts at some point (report still emitted),
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -64,7 +65,7 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt17(obj)
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if obj is None:
         return "null"
     if isinstance(obj, np.ndarray):

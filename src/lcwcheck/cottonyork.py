@@ -43,12 +43,14 @@ def symmetric3_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CottonYorkTensor:
-    """Symmetric trace-free 3x3 carrier with cached spectrum and determinant."""
+    """Symmetric trace-free 3x3 carrier with cached spectrum, determinant
+    and Frobenius norm."""
 
     matrix: np.ndarray
     trace: float
     determinant: float
     eigenvalues: np.ndarray
+    norm: float
 
     @staticmethod
     def from_matrix(m, floor: float = 0.0) -> "CottonYorkTensor":
@@ -69,11 +71,7 @@ class CottonYorkTensor:
                 raise ValueError("Cotton-York tensor must be trace-free")
         m = 0.5 * (m + m.T)
         return CottonYorkTensor(m, tr, float(np.linalg.det(m)),
-                                symmetric3_eigenvalues(m))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+                                symmetric3_eigenvalues(m), float(np.linalg.norm(m)))
 
 
 def classify_cy(cy: CottonYorkTensor, tol: float = DEFAULT_DET_TOL,

@@ -80,17 +80,6 @@ def _symbols(mj: MetricJets, ginv, dginv, d2ginv):
     return gamma, dgamma, d2gamma
 
 
-def christoffel(mj: MetricJets):
-    """Christoffel symbols and their first two coordinate derivatives.
-
-    Returns ``(gamma, dgamma, d2gamma)`` with ``gamma[k, i, j]`` the symbol
-    with upper index k, ``dgamma[b, k, i, j]`` its b-derivative and
-    ``d2gamma[b, c, k, i, j]`` the second derivative, all exact given the
-    metric jets (with a leading batch axis for batched jets).
-    """
-    return _symbols(mj, *_inverse_jets(mj))
-
-
 def schouten(ric: np.ndarray, s: float, g: np.ndarray, n: int) -> np.ndarray:
     if n < 3:
         raise DimensionError("Schouten tensor needs dimension >= 3")

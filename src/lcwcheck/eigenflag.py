@@ -103,14 +103,6 @@ def residual(w, v) -> float:
     return float(_batch_residual(t, _unit(v)[None, :])[0])
 
 
-def residual_gradient(w, v) -> np.ndarray:
-    """Riemannian gradient of E at v: Euclidean gradient projected to v-perp."""
-    t, _ = _as_tensor(w)
-    v = _unit(v)
-    egrad = _gradient(t, *_flag_parts(t, v[None, :]))[0]
-    return egrad - np.dot(egrad, v) * v
-
-
 # --- start sets -------------------------------------------------------------
 
 # Cephes ndtri (Moshier) on [1e-12, 1 - 1e-12]; Q tables are monic (leading 1.0). There

@@ -10,15 +10,14 @@ Second and third derivatives are stored packed over sorted multi-indices,
 n(n+1)/2 and n(n+1)(n+2)/6 entries, so the symmetries hold structurally:
 there is no way to store, or observe, an asymmetric component.
 
-A jet may carry a leading batch axis, one row per chart point, so one
-operation evaluates many rows at once (Taylor mode over a batch, Griewank
-& Walther, *Evaluating Derivatives*, ch. 13).  Every operation acts row by
-row with the scalar path's floating-point operations, so a batch computes
-exactly the bits of its points one at a time.  :class:`JetTape` compiles
-expression trees into groups of nodes, one per depth, operation and
-constant operands, and applies the expression walk's own
-``exprs.apply_op`` to each group, each row a node of some tree at some
-point; a constant operand then holds one float per row.
+Every jet is a batch, one row per chart point, so one operation evaluates
+many rows at once (Taylor mode over a batch, Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).  Every operation acts row by row, so a
+row of a batch has exactly the bits of its point in a batch of one.
+:class:`JetTape` compiles expression trees into groups of nodes, one per
+depth, operation and constant operands, and applies the expression walk's
+own ``exprs.apply_op`` to each group, each row a node of some tree at
+some point; a constant operand then holds one float per row.
 """
 
 from __future__ import annotations
@@ -78,14 +77,12 @@ def _col(value):
 
 def _operands(slot, index):
     """``slot`` gathered at each row of a stacked index, one array per row."""
-    if slot.ndim == 1:
-        return slot[index]  # numpy's fast path for gathers from 1-D arrays
     return slot[:, index].swapaxes(0, 1)
 
 
 # Taylor coefficients f, f', f'', f''' of the elementary functions at one
-# float.  A batch applies them element by element with ``math``, so every
-# row gets exactly the floats of the scalar path.
+# float.  A batch applies them element by element with ``math``, so a row
+# gets exactly the floats of its point in a batch of one.
 
 def _reciprocal(v):
     if v == 0.0:
@@ -142,15 +139,15 @@ def _bump(v):
 
 @dataclass
 class Jet3:
-    """Truncated multivariate Taylor expansion of order 3 in n variables.
+    """Truncated multivariate Taylor expansions of order 3 in n variables,
+    one per row of a batch of B points.
 
-    Scalar: ``value`` is a float, ``grad`` has shape (n,), ``hess`` and
-    ``third`` are packed.  Batched: every slot gains a leading axis of
-    length B (``value`` of shape (B,), ``grad`` of shape (B, n), ...).
+    ``value`` has shape (B,) and ``grad`` (B, n); ``hess`` and ``third``
+    are packed, (B, n(n+1)/2) and (B, n(n+1)(n+2)/6).
     """
 
     n: int
-    value: float | np.ndarray
+    value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
     third: np.ndarray
@@ -159,10 +156,10 @@ class Jet3:
 
     @staticmethod
     def constant(value, n: int) -> "Jet3":
-        """A constant jet; a 1-D array of values gives a batch."""
+        """Constant jets at a 1-D array of values; a float is a batch of one."""
         ix = SymIndex(n)
-        value = np.array(value, dtype=float) if np.ndim(value) else float(value)
-        batch = np.shape(value)
+        value = np.array(value, dtype=float).reshape(-1)
+        batch = value.shape
         return Jet3(n, value, np.zeros(batch + (n,)), np.zeros(batch + (ix.npairs,)),
                     np.zeros(batch + (ix.ntriples,)))
 
@@ -171,12 +168,8 @@ class Jet3:
         if not 0 <= index < n:
             raise IndexError(f"variable index {index} out of range for n={n}")
         jet = Jet3.constant(base_value, n)
-        jet.grad[..., index] = 1.0
+        jet.grad[:, index] = 1.0
         return jet
-
-    @property
-    def batched(self) -> bool:
-        return isinstance(self.value, np.ndarray)
 
     # -- unpacked views ---------------------------------------------------
 
@@ -293,12 +286,8 @@ class Jet3:
 
     def _compose(self, coefficients) -> "Jet3":
         """f(self) for the f whose Taylor coefficients ``coefficients(v)`` gives."""
-        if self.batched:
-            c0, c1, c2, c3 = (np.array(c) for c in
-                              zip(*map(coefficients, self.value.tolist())))
-        else:
-            c0, c1, c2, c3 = coefficients(self.value)
-        c1, c2, c3 = _col(c1), _col(c2), _col(c3)
+        c0, c1, c2, c3 = (np.array(c) for c in zip(*map(coefficients, self.value.tolist())))
+        c1, c2, c3 = c1[:, None], c2[:, None], c3[:, None]
         ix = SymIndex(self.n)
         ag = self.grad
         g_i, g_j = _operands(ag, ix.pair_ij)
@@ -454,15 +443,14 @@ class JetTape:
     def run(self, variables) -> list:
         """The trees' values at the coordinate jets ``variables``.
 
-        The jets are all scalar or all batched over the same points; each
-        result is a float (a tree without coordinates) or a jet like them.
+        The jets are batched over the same points; each result is a float
+        (a tree without coordinates) or a jet over those points.
         """
         n, ix = self.n, SymIndex(self.n)
         parts = (slice(1, 1 + n), slice(1 + n, 1 + n + ix.npairs),
                  slice(1 + n + ix.npairs, None))
-        size = np.size(variables[0].value)
-        var = np.stack([np.concatenate([np.reshape(s, (size, -1)) for s in
-                                        (v.value, v.grad, v.hess, v.third)], axis=1)
+        size = len(variables[0].value)
+        var = np.stack([np.concatenate([v.value[:, None], v.grad, v.hess, v.third], axis=1)
                         for v in variables])
         width = var.shape[-1]
 
@@ -489,16 +477,12 @@ class JetTape:
                     for p, slot in zip(parts, (jet.grad, jet.hess, jet.third)):
                         out[:, p] = slot
             below = level
-        jets = [r if type(r) is float else unpack(below[r].copy()) for r in self.results]
-        if variables[0].batched:
-            return jets
-        return [j if type(j) is float else Jet3(n, float(j.value[0]), j.grad[0], j.hess[0],
-                                                j.third[0]) for j in jets]
+        return [r if type(r) is float else unpack(below[r].copy()) for r in self.results]
 
 
 def jet_environment(coordinates, point) -> dict:
-    """Seed one jet variable per coordinate at a chart point, or batched
-    variables at the rows of a (B, n) array of points."""
+    """Seed one jet variable per coordinate at the rows of a (B, n) array of
+    points; one chart point is a batch of one."""
     n = len(coordinates)
     point = np.asarray(point, dtype=float)
     return {name: Jet3.variable(k, point[..., k], n) for k, name in enumerate(coordinates)}

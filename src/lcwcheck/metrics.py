@@ -58,7 +58,7 @@ class MetricSpec:
         """Evaluate every upper-triangle entry in a prebuilt environment.
 
         ``env`` maps the coordinates to floats, which the expression walk
-        evaluates, or to jets (scalar or batched), which the compiled tape
+        evaluates, or to batched jets, which the compiled tape
         evaluates with the same bits.  Returns a full n x n nested list
         with shared objects across the diagonal.
         """
@@ -91,11 +91,6 @@ class MetricSpec:
         except EvalError:
             return None
 
-    def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        lows = np.array([lo for lo, _ in self.domain])
-        highs = np.array([hi for _, hi in self.domain])
-        return lows + (highs - lows) * rng.random((count, self.dimension))
-
     def to_document(self) -> dict:
         g = [[exprs.to_source(self.entries[i][j]) for j in range(self.dimension)]
              for i in range(self.dimension)]
@@ -123,13 +118,17 @@ def _check_identifier(name: str) -> None:
 def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSpec:
     """Validate and assemble a MetricSpec from expression strings.
 
-    ``g_sources`` is an n x n nested sequence of strings, with ``None``
-    allowed strictly below the diagonal.
+    ``coordinates`` is a list or tuple of names and ``g_sources`` an n x n
+    list or tuple of rows of strings, with ``None`` allowed strictly below
+    the diagonal.
     """
     n = dimension
     if not isinstance(n, int) or not MIN_DIMENSION <= n <= MAX_DIMENSION:
         raise MetricError(
             f"dimension must be an integer in [{MIN_DIMENSION}, {MAX_DIMENSION}], got {dimension!r}")
+    if not isinstance(coordinates, (list, tuple)) or not all(
+            isinstance(name, str) for name in coordinates):
+        raise MetricError("'coordinates' must be a list of coordinate names")
     coords = tuple(coordinates)
     if len(coords) != n:
         raise MetricError(f"expected {n} coordinate names, got {len(coords)}")
@@ -138,8 +137,9 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
     for name in coords:
         _check_identifier(name)
 
-    rows = list(g_sources)
-    if len(rows) != n or any(len(row) != n for row in rows):
+    rows = g_sources
+    if (not isinstance(rows, (list, tuple)) or len(rows) != n
+            or any(not isinstance(row, (list, tuple)) or len(row) != n for row in rows)):
         raise MetricError(f"'g' must be an {n}x{n} array of expressions")
 
     parsed = [[None] * n for _ in range(n)]

@@ -186,10 +186,6 @@ def sym3_to_vec5(m: np.ndarray) -> np.ndarray:
     return np.array([float(np.tensordot(m, b)) for b in _TRACELESS_BASIS])
 
 
-def vec5_to_sym3(v: np.ndarray) -> np.ndarray:
-    return sum(c * b for c, b in zip(v, _TRACELESS_BASIS))
-
-
 @dataclass(frozen=True)
 class CottonCoefficients:
     """Cubic perturbation coefficients A_ij^klm, symmetric in (i,j) and (k,l,m).

@@ -1,13 +1,23 @@
-"""Independent finite-difference oracles.
+"""Independent finite-difference oracles, and helpers only the tests use.
 
-Everything here recomputes pipeline quantities from plain float metric
+The oracles recompute pipeline quantities from plain float metric
 evaluations and central differences (Richardson-extrapolated at the outer
-layer), with its own index conventions, so that agreement with the jet
+layer), with their own index conventions, so that agreement with the jet
 pipeline is meaningful.  Finite differences are used in tests only; the
 pipeline itself never touches them.
+
+The helpers at the end are small maps that the tests need and the tool
+does not run, built on the package's own stages.
 """
 
+from math import comb
+
 import numpy as np
+
+from lcwcheck.bivectors import WeylOperator, WeylProjector, _dimension, lift_orthogonal
+from lcwcheck.curvature import _inverse_jets, _symbols
+from lcwcheck.eigenflag import _as_tensor, _flag_parts, _gradient, _unit
+from lcwcheck.perturb import _TRACELESS_BASIS
 
 
 def fd_gradient(f, x, h=1e-4):
@@ -181,3 +191,65 @@ def residual_explicit(tensor, v, rng):
                 val = np.einsum("ijkl,i,j,k,l->", tensor, v, wa, perp[bi], perp[ci])
                 total += val ** 2
     return total
+
+
+# --- helpers only the tests use ----------------------------------------------
+
+
+def christoffel(mj):
+    """Christoffel symbols and their first two coordinate derivatives.
+
+    ``(gamma, dgamma, d2gamma)`` with ``gamma[k, i, j]`` the symbol with
+    upper index k, ``dgamma[b, k, i, j]`` its b-derivative and
+    ``d2gamma[b, c, k, i, j]`` the second derivative, from the pipeline's
+    own stages (with a leading batch axis for batched jets).
+    """
+    return _symbols(mj, *_inverse_jets(mj))
+
+
+def conjugate_operator(op, q):
+    """Operator components in the frame rotated by orthogonal Q (columns)."""
+    lift = lift_orthogonal(q)
+    return lift.T @ op @ lift
+
+
+def weyl_space_dim(n):
+    """dim S^2(Lambda^2) - dim Lambda^4 - dim S^2(R^n)."""
+    if n < 3:
+        raise ValueError("needs n >= 3")
+    big_n = n * (n - 1) // 2
+    dim = big_n * (big_n + 1) // 2 - comb(n, 4) - n * (n + 1) // 2
+    assert dim == n * n * (n * n - 1) // 12 - n * (n + 1) // 2
+    return dim
+
+
+def weyl_projector_matrix(n):
+    """The Weyl projector as a matrix on svec coordinates."""
+    kernel = WeylProjector(n).kernel
+    return kernel @ kernel.T
+
+
+def project_weyl(op):
+    """Orthogonal (Frobenius) projection onto the Weyl subspace."""
+    n = _dimension(op.shape[0])
+    return WeylOperator(n, WeylProjector(n).project(0.5 * (op + op.T)))
+
+
+def residual_gradient(w, v):
+    """Riemannian gradient of the eigenflag residual at a unit vector v."""
+    t, _ = _as_tensor(w)
+    v = _unit(v)
+    egrad = _gradient(t, *_flag_parts(t, v[None, :]))[0]
+    return egrad - np.dot(egrad, v) * v
+
+
+def vec5_to_sym3(v):
+    """Inverse of ``perturb.sym3_to_vec5`` on trace-free symmetric 3x3 matrices."""
+    return sum(c * b for c, b in zip(v, _TRACELESS_BASIS))
+
+
+def domain_points(spec, count, rng):
+    """``count`` uniform random points of a metric's chart box."""
+    lows = np.array([lo for lo, _ in spec.domain])
+    highs = np.array([hi for _, hi in spec.domain])
+    return lows + (highs - lows) * rng.random((count, spec.dimension))

@@ -31,6 +31,8 @@ def test_dumps17_round_trips_through_json():
     parsed = json.loads(dumps17(doc))
     assert parsed["a"] == [0.1, 1.0, 2e-6]
     assert parsed["b"]["e"] == 'x"y'
+    for text in ("a\nb", "tab\there", "\x00\x1f\\", "non-ASCII: é ∂"):
+        assert json.loads(dumps17({"metric": text}))["metric"] == text
 
 
 def test_curvature_command(flat4, sphere4, capsys, tmp_path):
@@ -293,6 +295,30 @@ def test_parse_error_exit_code(tmp_path, capsys):
         "dimension": 3, "coordinates": ["x1", "x2", "x3"],
         "g": [["1", "x1", "0"], ["x2", "1", "0"], ["0", "0", "1"]]}))
     assert main(["obstruct", str(asym), "--point", "0,0,0"]) == 2
+
+
+_ROWS = [["1", "0", "0"], [None, "1", "0"], [None, None, "1"]]
+
+
+@pytest.mark.parametrize("coordinates,g", [
+    ([1, 2, 3], _ROWS),
+    (None, _ROWS),
+    (["x1", "x2", "x3"], 5),
+    (["x1", "x2", "x3"], [["1", "0", "0"], 5, [None, None, "1"]]),
+    ("xyz", _ROWS),
+], ids=["int-names", "null-names", "int-g", "int-row", "string-names"])
+def test_malformed_coordinates_or_g_are_parse_errors(tmp_path, capsys, coordinates, g):
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({"dimension": 3, "coordinates": coordinates, "g": g}))
+    assert main(["obstruct", str(metric), "--point", "0,0,0"]) == 2
+    assert capsys.readouterr().err.startswith("lcwcheck: parse error:")
+
+
+def test_reports_echo_a_metric_path_with_control_characters(tmp_path, capsys):
+    metric = tmp_path / "tab\there\nnewline.json"
+    metric.write_text(euclidean_metric(3).to_json())
+    assert main(["obstruct", str(metric), "--point", "0,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["metric"] == str(metric)
 
 
 @pytest.mark.parametrize("entry", ["(" * 1200 + "1+x1" + ")" * 1200, "-" * 1200 + "x1+2"],

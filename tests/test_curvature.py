@@ -41,8 +41,7 @@ def rel(a, b):
 
 def test_christoffel_flat_is_zero():
     mj = metric_jets(euclidean_metric(4), [0.2, 0.1, 0.0, -0.3])
-    from lcwcheck.curvature import christoffel
-    gamma, dgamma, d2gamma = christoffel(mj)
+    gamma, dgamma, d2gamma = oracles.christoffel(mj)
     assert not gamma.any() and not dgamma.any() and not d2gamma.any()
 
 
@@ -51,15 +50,13 @@ def test_christoffel_polar_like():
         '{"dimension": 3, "coordinates": ["x1", "x2", "x3"],'
         ' "g": [["1", "0", "0"], [null, "x1^2", "0"], [null, null, "1"]],'
         ' "domain": {"x1": [0.5, 3.0]}}')
-    from lcwcheck.curvature import christoffel
-    gamma, _, _ = christoffel(metric_jets(spec, [2.0, 0.3, 0.0]))
+    gamma, _, _ = oracles.christoffel(metric_jets(spec, [2.0, 0.3, 0.0]))
     assert gamma[0, 1, 1] == pytest.approx(-2.0, abs=1e-12)
     assert gamma[1, 0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_christoffel_conformal_closed_form():
     # g = exp(2f) delta with f = 0.3 x1 + 0.1 x2^2: closed-form symbols
-    from lcwcheck.curvature import christoffel
     n = 4
     spec = conformally_flat_metric(n, "0.3*x1+0.1*x2^2")
     rng = np.random.default_rng(1)
@@ -74,7 +71,7 @@ def test_christoffel_conformal_closed_form():
                 for j in range(n):
                     want[k, i, j] = ((i == k) * df[j] + (j == k) * df[i]
                                      - (i == j) * df[k])
-        gamma, _, _ = christoffel(metric_jets(spec, p))
+        gamma, _, _ = oracles.christoffel(metric_jets(spec, p))
         assert np.abs(gamma - want).max() < 1e-10
 
 

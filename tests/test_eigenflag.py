@@ -10,16 +10,16 @@ from scipy.special import ndtri
 
 import lcwcheck
 from lcwcheck import curvature, eigenflag
-from lcwcheck.bivectors import WeylOperator, conjugate_operator, to_operator
+from lcwcheck.bivectors import WeylOperator, to_operator
 from lcwcheck.curvature import curvature_package
 from lcwcheck.eigenflag import (DimensionError, certify_positive_minimum,
                                 classify_weyl_spectrum, codim_eigenflag,
                                 construct_stratum4, min_residual, residual,
-                                residual_gradient, sphere_start_set)
+                                sphere_start_set)
 from lcwcheck.genericity import sample_weyl
 from lcwcheck.metrics import parse_metric
 
-from oracles import residual_explicit
+from oracles import conjugate_operator, project_weyl, residual_explicit, residual_gradient
 
 
 def random_rotation(n, rng):
@@ -176,8 +176,6 @@ def test_min_residual_determinism():
 def test_min_residual_inconclusive_band():
     # slightly perturbed eigenflag operator: minimum is positive but lands
     # between the two thresholds, which must be reported as such
-    from lcwcheck.bivectors import project_weyl
-
     w0 = construct_stratum4((0.6, -0.1, -0.5))
     noise = sample_weyl(4, np.random.default_rng(77))
     w = project_weyl(w0.matrix / np.linalg.norm(w0.matrix) + 1e-2 * noise.matrix)

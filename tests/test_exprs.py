@@ -162,9 +162,9 @@ def test_eval_jet_vs_finite_differences():
     x = np.array([0.0, 0.0])
     jet = eval_expr(ast, {"x1": Jet3.variable(0, 0.0, 2), "x2": Jet3.variable(1, 0.0, 2)})
     assert jet.value == 0.0
-    for got, want in ((jet.grad, fd_gradient(f, x)),
-                      (jet.hess_matrix(), fd_hessian(f, x)),
-                      (jet.third_tensor(), fd_third(f, x))):
+    for got, want in ((jet.grad[0], fd_gradient(f, x)),
+                      (jet.hess_matrix()[0], fd_hessian(f, x)),
+                      (jet.third_tensor()[0], fd_third(f, x))):
         mask = np.abs(want) > 1e-8
         assert np.allclose(got[mask], want[mask], rtol=1e-6)
         assert np.allclose(got[~mask], want[~mask], atol=1e-6)

@@ -26,13 +26,13 @@ def test_packed_index_bijections():
 
 def test_variable_seeds():
     jet = Jet3.variable(0, 0.5, 2)
-    assert jet.value == 0.5
-    assert np.array_equal(jet.grad, [1.0, 0.0])
+    assert np.array_equal(jet.value, [0.5])
+    assert np.array_equal(jet.grad, [[1.0, 0.0]])
     assert not jet.hess.any() and not jet.third.any()
 
     jet = Jet3.variable(1, -2.0, 3)
-    assert jet.value == -2.0
-    assert np.array_equal(jet.grad, [0.0, 1.0, 0.0])
+    assert np.array_equal(jet.value, [-2.0])
+    assert np.array_equal(jet.grad, [[0.0, 1.0, 0.0]])
 
     with pytest.raises(IndexError):
         Jet3.variable(3, 0.0, 3)
@@ -41,22 +41,22 @@ def test_variable_seeds():
 def test_sum_of_variables_is_linear():
     n = 4
     total = sum((Jet3.variable(k, 0.1 * k, n) for k in range(n)), Jet3.constant(0.0, n))
-    assert np.array_equal(total.grad, np.ones(n))
+    assert np.array_equal(total.grad, np.ones((1, n)))
     assert not total.hess.any() and not total.third.any()
 
 
 def test_product_examples():
     x = Jet3.variable(0, 3.0, 1)
     sq = x * x
-    assert (sq.value, sq.grad[0], sq.hess[0], sq.third[0]) == (9.0, 6.0, 2.0, 0.0)
+    assert (sq.value[0], sq.grad[0, 0], sq.hess[0, 0], sq.third[0, 0]) == (9.0, 6.0, 2.0, 0.0)
 
     x = Jet3.variable(0, 1.0, 2)
     y = Jet3.variable(1, 2.0, 2)
     xy = x * y
-    assert xy.value == 2.0
-    assert np.array_equal(xy.grad, [2.0, 1.0])
-    assert xy.hess_matrix()[0, 1] == 1.0
-    assert xy.hess_matrix()[0, 0] == xy.hess_matrix()[1, 1] == 0.0
+    assert np.array_equal(xy.value, [2.0])
+    assert np.array_equal(xy.grad, [[2.0, 1.0]])
+    assert xy.hess_matrix()[0, 0, 1] == 1.0
+    assert xy.hess_matrix()[0, 0, 0] == xy.hess_matrix()[0, 1, 1] == 0.0
     assert not xy.third.any()
 
 
@@ -80,14 +80,14 @@ def test_cube_of_sum():
 
 def test_compose_taylor_tables():
     e = Jet3.variable(0, 0.0, 1).exp()
-    assert np.allclose([e.value, e.grad[0], e.hess[0], e.third[0]], 1.0)
+    assert np.allclose([e.value[0], e.grad[0, 0], e.hess[0, 0], e.third[0, 0]], 1.0)
     s = Jet3.variable(0, 0.0, 1).sin()
-    assert np.allclose([s.value, s.grad[0], s.hess[0], s.third[0]], [0, 1, 0, -1])
+    assert np.allclose([s.value[0], s.grad[0, 0], s.hess[0, 0], s.third[0, 0]], [0, 1, 0, -1])
 
 
 def test_bump_taylor_coefficients_at_zero_are_exact():
     b = Jet3.variable(0, 0.0, 1).bump()
-    assert (b.value, b.grad[0], b.hess[0], b.third[0]) == (1.0, -1.0, -1.0, -1.0)
+    assert (b.value[0], b.grad[0, 0], b.hess[0, 0], b.third[0, 0]) == (1.0, -1.0, -1.0, -1.0)
 
 
 def test_bump_jets_are_exact_zeros_from_one_on():
@@ -119,18 +119,18 @@ def test_log_composition_vs_fd():
         return np.log(1 + p[0] ** 2)
 
     pt = np.array([0.3])
-    assert jet.grad[0] == pytest.approx(fd_gradient(f, pt)[0], rel=1e-6)
-    assert jet.hess[0] == pytest.approx(fd_hessian(f, pt)[0, 0], rel=1e-6)
-    assert jet.third[0] == pytest.approx(fd_third(f, pt)[0, 0, 0], rel=1e-6)
+    assert jet.grad[0, 0] == pytest.approx(fd_gradient(f, pt)[0], rel=1e-6)
+    assert jet.hess[0, 0] == pytest.approx(fd_hessian(f, pt)[0, 0], rel=1e-6)
+    assert jet.third[0, 0] == pytest.approx(fd_third(f, pt)[0, 0, 0], rel=1e-6)
 
 
 def test_division_and_negative_powers():
     x = Jet3.variable(0, 2.0, 1)
     inv = 1.0 / x
-    assert inv.value == 0.5
-    assert inv.grad[0] == -0.25
-    assert (x ** -2).value == 0.25
-    assert (x ** 0).value == 1.0
+    assert np.array_equal(inv.value, [0.5])
+    assert inv.grad[0, 0] == -0.25
+    assert np.array_equal((x ** -2).value, [0.25])
+    assert np.array_equal((x ** 0).value, [1.0])
     with pytest.raises(ZeroDivisionError):
         Jet3.variable(0, 0.0, 1).reciprocal()
     with pytest.raises(TypeError):
@@ -161,7 +161,7 @@ def test_a_constant_per_row_acts_as_that_rows_float(op):
     right, left = op(jet, divisor if op is operator.truediv else c), op(c, jet)
     assert isinstance(right, Jet3) and isinstance(left, Jet3)
     for k in range(len(c)):
-        row = Jet3(3, float(jet.value[k]), jet.grad[k], jet.hess[k], jet.third[k])
+        row = _row(jet, k)
         want_right = op(row, float(divisor[k] if op is operator.truediv else c[k]))
         assert _slots(_row(right, k)) == _slots(want_right), k
         assert _slots(_row(left, k)) == _slots(op(float(c[k]), row)), k
@@ -186,11 +186,11 @@ def test_ring_axioms_at_roundoff():
     ix = SymIndex(n)
 
     def random_jet():
-        return Jet3(n, rng.uniform(-1, 1), rng.uniform(-1, 1, n),
-                    rng.uniform(-1, 1, ix.npairs), rng.uniform(-1, 1, ix.ntriples))
+        return Jet3(n, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, (1, n)),
+                    rng.uniform(-1, 1, (1, ix.npairs)), rng.uniform(-1, 1, (1, ix.ntriples)))
 
     def slots(j):
-        return np.concatenate([[j.value], j.grad, j.hess, j.third])
+        return np.concatenate([j.value, j.grad[0], j.hess[0], j.third[0]])
 
     for _ in range(50):
         a, b, c = random_jet(), random_jet(), random_jet()
@@ -214,9 +214,9 @@ def test_grammar_expressions_vs_fd_property():
         def f(p, ast=ast):
             return eval_expr(ast, dict(zip(coords, p)))
 
-        for got, want in ((jet.grad, fd_gradient(f, pt)),
-                          (jet.hess_matrix(), fd_hessian(f, pt)),
-                          (jet.third_tensor(), fd_third(f, pt))):
+        for got, want in ((jet.grad[0], fd_gradient(f, pt)),
+                          (jet.hess_matrix()[0], fd_hessian(f, pt)),
+                          (jet.third_tensor()[0], fd_third(f, pt))):
             mask = np.abs(want) > 1e-8
             assert np.allclose(got[mask], want[mask], rtol=1e-6)
 

@@ -8,6 +8,8 @@ from lcwcheck.metrics import (MetricError, MetricSpec, euclidean_metric,
                               make_metric, parse_metric,
                               sphere_stereographic_metric)
 
+from oracles import domain_points
+
 
 def doc(dimension, coords, g, domain=None):
     d = {"dimension": dimension, "coordinates": coords, "g": g}
@@ -103,7 +105,7 @@ def test_symmetric_at_random_points():
                                [None, None, "2"]]))]
     rng = np.random.default_rng(0)
     for spec in specs:
-        for p in spec.sample_points(100, rng):
+        for p in domain_points(spec, 100, rng):
             g = spec.evaluate(p)
             assert np.array_equal(g, g.T)
 

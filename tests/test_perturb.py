@@ -12,7 +12,9 @@ from lcwcheck.jets import metric_jets
 from lcwcheck.metrics import MetricSpec, parse_metric
 from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, PositivityError,
                               cubic_metric_spec, cy_linear_map, perturb_curvature,
-                              solve_cy_target, sym3_to_vec5, vec5_to_sym3)
+                              solve_cy_target, sym3_to_vec5)
+
+from oracles import vec5_to_sym3
 
 
 def rel(a, b):
