@@ -7,26 +7,33 @@ orthogonal to v.  The residual
     E(v) = sum_a sum_{b<c} W(v ^ w_a, w_b ^ w_c)^2
 
 over an orthonormal basis {w_a} of v-perp is basis independent (it is the
-squared norm of the Lambda^2(v-perp) block of W(v ^ .)), even in v, a
-degree-6 polynomial on the sphere.  Membership is decided by global
-minimization: multistart projected gradient descent (spectral step sizes,
-nonmonotone Armijo backtracking safeguard), plus an optional rigorous
-grid certificate in dimension 4.
+squared norm of the Lambda^2(v-perp) block of W(v ^ .)) and even in v.
 
 The implementation works on the (0,4) tensor form T of the operator and
 never builds a basis of v-perp: with G = T(v,.,.,.), A = G(., v, .) and
-G' the projection of G's last two slots onto v-perp,
+G' the projection of G's last two slots onto v-perp, on the unit sphere
 
-    E(v) = |G'|^2 / 2,   grad E = S1 - 2 S2
+    E(v) = |G'|^2 / 2 = |v|^2 v.M.v / 2 - |A|^2,
 
-(see the inline definitions), which makes gradients exact and cheap.
-Start points map to Gaussians through ``_ndtri``, an in-module port of
-Cephes' inverse normal CDF.
+M the first-slot Gram matrix of T.  So E is a quartic form there: E = w.K.w
+in the products w = (v_i v_k), i <= k, with K a symmetric N x N matrix
+(N = n(n+1)/2) built once per operator from the fully symmetrized form.
+One product u = K w gives E = w.u, the Euclidean gradient 2 U v and the
+Hessian 6 U, U the symmetric n x n matrix of u with its diagonal doubled.
+
+Membership is decided by global minimization: multistart Riemannian
+Newton descent on the sphere (Hessian eigenvalues taken in absolute value
+and floored, a step radius per start, Armijo backtracking relaxed by the
+rounding floor of w.K.w), final iterates scored with the exact |G'|^2 / 2,
+plus an optional rigorous grid certificate in dimension 4.  Start points
+map to Gaussians through ``_ndtri``, an in-module port of Cephes' inverse
+normal CDF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import log, pi, sqrt
 
 import numpy as np
@@ -38,13 +45,17 @@ from .curvature import DimensionError
 DEFAULT_TOL_EIGENFLAG = 1e-8
 DEFAULT_TOL_NOT_EIGENFLAG = 1e-4
 MAXITER = 500     # descent rounds per start
-WINDOW = 5        # accepted energies in the nonmonotone Armijo reference
 GTOL = 1e-12      # converged once |grad E| <= GTOL * max(1, |W|^2)
+C1 = 1e-4         # Armijo sufficient-decrease factor
+E_SLACK = 1e-13   # rounding floor of w.K.w, as a share of |W|^2, that Armijo forgives
+LAMBDA_FLOOR = 1e-8  # Hessian eigenvalues floored at this share of the largest
+MAX_STEP = 1.0    # largest tangent step of a start, and its first step radius
 CHUNK = 65536     # grid points per residual evaluation of the certificate
-# Floats that the descent's largest array may hold in one min_residuals call:
-# the gathered tensors t[owner], one n^4 block per start (8n^5 floats per
-# operator by default).  2^19 floats (4 MB) take 64 operators at n = 4, 20 at
-# n = 5 and 2 at n = 8; see descent_batch_size.
+# Floats per min_residuals call, counted as n^4 per start (8n^5 per operator
+# by default): 2^19 floats (4 MB) take 64 operators at n = 4, 20 at n = 5 and
+# 2 at n = 8; see descent_batch_size.  The descent's largest array, the
+# gathered forms K[own], holds N^2 = (n(n+1)/2)^2 floats per start, 32-39% of
+# the count, so a call's peak stays well inside the budget.
 DESCENT_BUDGET = 2 ** 19
 SPECTRUM_TOL = 1e-8  # relative eigenvalue gap of classify_weyl_spectrum
 
@@ -58,36 +69,67 @@ def _as_tensor(w) -> tuple[np.ndarray, float]:
     raise TypeError("expected a WeylOperator or an operator matrix")
 
 
-def _per_operator(subscripts: str, x: np.ndarray, t: np.ndarray, owner) -> np.ndarray:
-    """``np.einsum(subscripts, x, t)`` for one tensor t, or, for a stack of
-    tensors, row b of x against ``t[owner[b]]``, all rows in one einsum."""
-    if t.ndim == 4:
-        return np.einsum(subscripts, x, t)
-    return np.einsum(subscripts.replace(",", ",b"), x, t[owner])
-
-
-def _flag_parts(t: np.ndarray, v: np.ndarray, owner=None):
+def _flag_parts(t: np.ndarray, v: np.ndarray):
     """G' and A (see the module docstring) at each unit row of v."""
-    gp = _per_operator("bi,ijkl->bjkl", v, t, owner)  # G, made G' in place
+    gp = np.einsum("bi,ijkl->bjkl", v, t)  # G, made G' in place
     a = np.einsum("bk,bjkl->bjl", v, gp)
     gp -= v[:, None, :, None] * a[:, :, None, :]
     gp += v[:, None, None, :] * a[:, :, :, None]
     return gp, a
 
 
-def _energy(gp: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("bjkl,bjkl->b", gp, gp)
+class _QuarticForms:
+    """E(v) = w.K.w on the unit sphere for each operator of a stack.
 
+    E = |v|^2 v.M.v / 2 - |A|^2 is a quartic form Q(v, v, v, v); K holds Q
+    fully symmetrized and packed on the products w = (v_i v_k), i <= k, so
+    that the Hessian of w.K.w is 6 U (see the module docstring).  Rows are
+    evaluated against the forms of their ``owners``.
+    """
 
-def _gradient(t: np.ndarray, gp: np.ndarray, a: np.ndarray, owner=None) -> np.ndarray:
-    """Euclidean gradient of E from the flag parts of a batch of unit rows."""
-    s1 = _per_operator("bjkl,mjkl->bm", gp, t, owner)
-    s2 = np.einsum("bjml,bjl->bm", gp, a)
-    return s1 - 2.0 * s2
+    def __init__(self, tensors: np.ndarray):
+        p, n = tensors.shape[:2]
+        first = tensors.reshape(p, n, n ** 3)
+        gram = first @ first.swapaxes(1, 2)  # M, the first-slot Gram matrix
+        pairs = tensors.transpose(0, 1, 3, 2, 4).reshape(p, n * n, n * n)  # A = pairs.(v_i v_k)
+        b = 0.5 * gram[:, :, :, None, None] * np.eye(n)
+        b -= (pairs @ pairs.swapaxes(1, 2)).reshape(b.shape)
+        q = sum(b.transpose(0, *(1 + np.array(s))) for s in permutations(range(4))) / 24.0
+        self.ia, self.ib = np.triu_indices(n)
+        m = np.where(self.ia == self.ib, 1.0, 2.0)
+        self.k = q[:, self.ia[:, None], self.ib[:, None], self.ia, self.ib] * (m[:, None] * m)
+        self.packed = np.zeros((n, n), dtype=int)  # (a, b) -> index of v_a v_b in w
+        self.packed[self.ia, self.ib] = self.packed[self.ib, self.ia] = np.arange(self.ia.size)
+
+    def values(self, v: np.ndarray, owners: np.ndarray):
+        """E = w.u and u = K w at each unit row of v."""
+        # np.take keeps w, and so u, in C order: einsum then sums each row
+        # in the same order whatever the number of rows
+        w = np.take(v, self.ia, axis=1) * np.take(v, self.ib, axis=1)
+        u = np.einsum("bpq,bq->bp", self.k[owners], w)
+        return np.einsum("bp,bp->b", w, u), u
+
+    def derivatives(self, v: np.ndarray, u: np.ndarray):
+        """Riemannian gradient and Hessian at each unit row of v, from u = K w.
+
+        With U the symmetric matrix of u (diagonal doubled), the Euclidean
+        gradient is g = 2 U v and the Hessian H = 6 U; on the sphere they
+        become P g and P (H - (v.g) I) P, P = I - v v^T.
+        """
+        n = v.shape[1]
+        ut = np.take(u, self.packed, axis=1) * (1.0 + np.eye(n))
+        egrad = 2.0 * np.einsum("bij,bj->bi", ut, v)
+        vg = np.einsum("bi,bi->b", egrad, v)
+        h = 6.0 * ut - vg[:, None, None] * np.eye(n)
+        hv = np.einsum("bij,bj->bi", h, v)
+        h += (np.einsum("bi,bi->b", v, hv)[:, None, None] * v[:, :, None] * v[:, None, :]
+              - v[:, :, None] * hv[:, None, :] - hv[:, :, None] * v[:, None, :])
+        return egrad - vg[:, None] * v, h
 
 
 def _batch_residual(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _energy(_flag_parts(t, v)[0])
+    gp = _flag_parts(t, v)[0]
+    return 0.5 * np.einsum("bjkl,bjkl->b", gp, gp)
 
 
 def _unit(v) -> np.ndarray:
@@ -207,10 +249,16 @@ def min_residual(w, starts: int | None = None, seed=None,
     """Globally minimize the eigenflag residual by multistart descent.
 
     Defaults: 8n starts (deterministic low-discrepancy set plus the frame
-    vectors), projected gradient descent with spectral (Barzilai-Borwein)
-    step sizes under a nonmonotone Armijo backtracking safeguard (factor
-    0.5), at most ``MAXITER`` iterations per start.  Deterministic for a
-    fixed seed.  Verdict thresholds act on the normalized residual; values
+    vectors).  Each start takes Riemannian Newton steps on the quartic form
+    of E: along the Riemannian Hessian's eigenvectors, with eigenvalues
+    taken in absolute value and floored at ``LAMBDA_FLOOR`` of the largest,
+    capped by a radius that doubles (up to ``MAX_STEP``) after a full step
+    and halves after a backtrack.  Steps backtrack (factor 0.5) until they
+    pass an Armijo test relaxed by ``E_SLACK * |W|^2``, the rounding floor
+    of the form.  A start stops once its gradient is below
+    ``GTOL * max(1, |W|^2)``, or after ``MAXITER`` rounds.  The best final
+    iterate is scored with the exact residual.  Deterministic for a fixed
+    seed.  Verdict thresholds act on the normalized residual; values
     between ``tol_eigenflag`` and ``DEFAULT_TOL_NOT_EIGENFLAG`` are reported
     as inconclusive.  The verdict stays heuristic unless backed by
     :func:`certify_positive_minimum`.
@@ -219,8 +267,8 @@ def min_residual(w, starts: int | None = None, seed=None,
 
 
 def descent_batch_size(n: int, starts: int | None = None) -> int:
-    """Operators per :func:`min_residuals` call that keep its gathered
-    tensors within ``DESCENT_BUDGET`` floats (at least one)."""
+    """Operators per :func:`min_residuals` call that keep n^4 floats per
+    start within ``DESCENT_BUDGET`` (at least one); see its comment."""
     rows = max(8 * n if starts is None else starts, n)  # per operator, as sphere_start_set
     return max(1, DESCENT_BUDGET // (rows * n ** 4))
 
@@ -255,11 +303,8 @@ def min_residuals(ws, starts: int | None = None, seed=None,
 
     start_set = sphere_start_set(n, starts, seed)
     nb = start_set.shape[0]
-    tensors = np.stack([pairs[k][0] for k in live])
-    wnorms = [pairs[k][1] for k in live]
-
-    # one operator's rows share its tensor; of several, row b has tensors[own[b]]
-    stack = tensors[0] if len(live) == 1 else tensors
+    wnorms = np.array([pairs[k][1] for k in live])
+    forms = _QuarticForms(np.stack([pairs[k][0] for k in live]))
 
     # The state holds only the starts still descending, row b being start
     # ids[b].  It is compacted on the rounds in which some start converges or
@@ -268,65 +313,56 @@ def min_residuals(ws, starts: int | None = None, seed=None,
     own = ids // nb
     v = np.tile(start_set, (len(live), 1))
     final = np.empty_like(v)
-    gp, a = _flag_parts(stack, v, own)  # kept at the current iterates
-    # nonmonotone reference window: a ring of the last WINDOW accepted
-    # energies with a write cursor per start; only its max is read
-    hist = np.tile(_energy(gp)[:, None], (1, WINDOW))
-    cursor = np.zeros(ids.size, dtype=int)
-    alpha = np.repeat([1.0 / max(wn ** 2, 1e-30) for wn in wnorms], nb)
-    gtol_eff = np.repeat([GTOL * max(1.0, wn ** 2) for wn in wnorms], nb)
-    prev_v, prev_g, have_prev = np.zeros_like(v), np.zeros_like(v), False
+    e, u = forms.values(v, own)  # kept at the current iterates
+    radius = np.full(ids.size, MAX_STEP)
+    gtol_eff = np.repeat(GTOL * np.maximum(1.0, wnorms ** 2), nb)
+    slack = np.repeat(E_SLACK * wnorms ** 2, nb)  # rounding floor of E = w.Kw
     done = np.zeros(ids.size, dtype=bool)      # converged (small gradient)
-    c1 = 1e-4
     iterations = np.zeros(len(live), dtype=int)
 
     for _ in range(MAXITER):
         if ids.size == 0:
             break
         iterations += np.bincount(own, minlength=len(live)) > 0
-        egrad = _gradient(stack, gp, a, own)
-        rgrad = egrad - np.einsum("bi,bi->b", egrad, v)[:, None] * v
-        gnorm2 = np.einsum("bi,bi->b", rgrad, rgrad)
-        small = np.sqrt(gnorm2) <= gtol_eff
+        rgrad, hess = forms.derivatives(v, u)
+        small = np.sqrt(np.einsum("bi,bi->b", rgrad, rgrad)) <= gtol_eff
+        idx = np.flatnonzero(~small)
 
-        s, y = v - prev_v, rgrad - prev_g
-        sy = np.einsum("bi,bi->b", s, y)
-        step = np.where((sy > 1e-300) & have_prev,
-                        np.einsum("bi,bi->b", s, s) / np.maximum(sy, 1e-300), alpha)
-        step = np.clip(step, 1e-10, 1e10)
-        prev_v, prev_g, have_prev = v.copy(), rgrad, True
-        reference = hist.max(axis=1)
+        # saddle-free Newton step -sum_q (q.g)/|lambda_q| q in the Hessian's eigenbasis
+        lam, vecs = np.linalg.eigh(hess[idx])
+        lam = np.abs(lam)
+        lam = np.maximum(lam, LAMBDA_FLOOR * lam.max(axis=1, keepdims=True))
+        step = -np.einsum("bij,bj->bi", vecs,
+                          np.einsum("bij,bi->bj", vecs, rgrad[idx]) / lam)
+        length = np.sqrt(np.einsum("bi,bi->b", step, step))
+        step *= np.minimum(1.0, radius[idx] / length)[:, None]
+        slope = np.einsum("bi,bi->b", step, rgrad[idx])
 
-        searching = ~small
+        # backtrack on E: Armijo, relaxed by the form's rounding floor
+        scale = np.ones(idx.size)
         gone = small.copy()                    # converged, or line search exhausted
+        searching = np.arange(idx.size)
         for _ in range(60):
-            idx = np.flatnonzero(searching)
-            if idx.size == 0:
+            if searching.size == 0:
                 break
-            trial = v[idx] - step[idx, None] * rgrad[idx]
+            rows = idx[searching]
+            trial = v[rows] + scale[searching, None] * step[searching]
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            gp_trial, a_trial = _flag_parts(stack, trial, own[idx])
-            e_trial = _energy(gp_trial)
-            ok = e_trial <= reference[idx] - c1 * step[idx] * gnorm2[idx]
-            accepted = idx[ok]
-            v[accepted] = trial[ok]
-            gp[accepted], a[accepted] = gp_trial[ok], a_trial[ok]
-            alpha[accepted] = step[accepted]
-            hist[accepted, cursor[accepted]] = e_trial[ok]
-            cursor[accepted] = (cursor[accepted] + 1) % WINDOW
-            searching[accepted] = False
-            rejected = idx[~ok]
-            step[rejected] *= 0.5
-            tiny = rejected[step[rejected] * np.sqrt(gnorm2[rejected]) < 1e-18]
-            gone[tiny] = True
-            searching[tiny] = False
+            e_trial, u_trial = forms.values(trial, own[rows])
+            ok = e_trial <= e[rows] + C1 * scale[searching] * slope[searching] + slack[rows]
+            accepted = rows[ok]
+            v[accepted], u[accepted], e[accepted] = trial[ok], u_trial[ok], e_trial[ok]
+            searching = searching[~ok]
+            scale[searching] *= 0.5
+        gone[idx[searching]] = True
+        radius[idx] = np.where(scale == 1.0, np.minimum(2.0 * radius[idx], MAX_STEP),
+                               0.5 * radius[idx])
 
         if gone.any():
             done[ids[small]] = True
             final[ids[gone]] = v[gone]
-            ids, own, v, gp, a, hist, cursor, alpha, gtol_eff, prev_v, prev_g = (
-                x[~gone] for x in (ids, own, v, gp, a, hist, cursor, alpha, gtol_eff,
-                                   prev_v, prev_g))
+            ids, own, v, u, e, radius, gtol_eff, slack = (
+                x[~gone] for x in (ids, own, v, u, e, radius, gtol_eff, slack))
     final[ids] = v
 
     for p, k in enumerate(live):

@@ -194,9 +194,10 @@ class PointVerdict:
 # Per point, the curvature chain holds a few arrays of n^5 entries, so a batch
 # of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at n = 5, one at n = 8)
 # keeps each near 2^14 entries.  The descent's largest array, the gathered
-# tensors, holds starts * n^4 = 8n^5 floats per point by default, 2^17 per
-# batch; residual_statistics, which has no curvature, sizes its descent
-# chunks by eigenflag.DESCENT_BUDGET instead.
+# forms K[own], holds starts * N^2 floats per point, N = n(n+1)/2 (8n N^2 by
+# default: 3,200 at n = 4, 82,944 at n = 8), under 2^17 per batch;
+# residual_statistics, which has no curvature, sizes its descent chunks by
+# eigenflag.DESCENT_BUDGET instead.
 def _batch_size(n: int) -> int:
     return max(1, 2 ** 14 // n ** 5)
 

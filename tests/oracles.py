@@ -16,7 +16,7 @@ import numpy as np
 
 from lcwcheck.bivectors import WeylOperator, WeylProjector, _dimension, lift_orthogonal
 from lcwcheck.curvature import _inverse_jets, _symbols
-from lcwcheck.eigenflag import _as_tensor, _flag_parts, _gradient, _unit
+from lcwcheck.eigenflag import _as_tensor, _flag_parts, _unit
 from lcwcheck.perturb import _TRACELESS_BASIS
 
 
@@ -236,10 +236,13 @@ def project_weyl(op):
 
 
 def residual_gradient(w, v):
-    """Riemannian gradient of the eigenflag residual at a unit vector v."""
+    """Riemannian gradient of the eigenflag residual at a unit vector v,
+    from G' and A: grad E = S1 - 2 S2 with S1 = G'.T over the last three
+    slots and S2 = G'(., m, .).A."""
     t, _ = _as_tensor(w)
     v = _unit(v)
-    egrad = _gradient(t, *_flag_parts(t, v[None, :]))[0]
+    gp, a = _flag_parts(t, v[None, :])
+    egrad = np.einsum("bjkl,mjkl->m", gp, t) - 2.0 * np.einsum("bjml,bjl->m", gp, a)
     return egrad - np.dot(egrad, v) * v
 
 

@@ -29,21 +29,21 @@ def operators(n: int) -> list:
 # converged flags per start, iterations, verdict
 GOLDEN = {
     (4, None): [
-        ('0x1.7f911ef8664f4p-6', '0x1.7f911ef8664f4p-6',
-         ['0x1.fdb187912371dp-2', '0x1.55e0dbc591451p-1', '0x1.17c23fc55ec0dp-1',
-          '-0x1.6a55c18ca9f2dp-4'],
+        ('0x1.7f911ef8664f2p-6', '0x1.7f911ef8664f2p-6',
+         ['0x1.6e1c5a6c55e0ep-1', '-0x1.5aaddf6cceed2p-1', '0x1.601452bfe1d71p-3',
+          '-0x1.a4d8b430a2d0ep-6'],
          '11111111111111111111111111111111',
-         39, 'not_eigenflag'),
+         13, 'not_eigenflag'),
         ('0x1.b8a768f3e6850p-8', '0x1.b8a768f3e684ep-8',
-         ['-0x1.37a66def45a77p-2', '0x1.468f9a898c711p-2', '0x1.2577971aa06f1p-3',
-          '0x1.c5ac555fa633ep-1'],
+         ['-0x1.37a66def46e8bp-2', '0x1.468f9a898f865p-2', '0x1.2577971aa6a11p-3',
+          '0x1.c5ac555fa52e9p-1'],
          '11111111111111111111111111111111',
-         34, 'not_eigenflag'),
-        ('0x1.f6600fe94a528p-103', '0x1.3778ffa000000p-102',
-         ['0x1.e328ae5abd088p-1', '0x1.0a21ebdf62782p-2', '-0x1.1d22650e6b4cfp-6',
-          '0x1.a1e872bbf0e4ep-3'],
+         12, 'not_eigenflag'),
+        ('0x1.be45294a52949p-107', '0x1.14b0000000000p-106',
+         ['0x1.21a670bad1240p-2', '-0x1.a8543e00567bfp-2', '0x1.c6816fb9515f0p-2',
+          '-0x1.7c25bdfebc14ap-1'],
          '11111111111111111111111111111111',
-         36, 'eigenflag_within_tol'),
+         14, 'eigenflag_within_tol'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
@@ -51,160 +51,162 @@ GOLDEN = {
     ],
     (4, 3): [
         ('0x1.7f911ef8664f3p-6', '0x1.7f911ef8664f3p-6',
-         ['0x1.fdb1879125b7cp-2', '0x1.55e0dbc591b06p-1', '0x1.17c23fc55d064p-1',
-          '-0x1.6a55c18cb2e6bp-4'],
+         ['0x1.e1b5af54af550p-3', '0x1.33d02ae7b78afp-3', '-0x1.fb5eb78374c7ap-3',
+          '0x1.db017504a9f9bp-1'],
          '11111111111111111111111111111111',
-         40, 'not_eigenflag'),
-        ('0x1.b8a768f3e684fp-8', '0x1.b8a768f3e684dp-8',
-         ['-0x1.37a66def46b29p-2', '0x1.468f9a898fa3cp-2', '0x1.2577971aa69f2p-3',
-          '0x1.c5ac555fa532bp-1'],
+         15, 'not_eigenflag'),
+        ('0x1.b8a768f3e6850p-8', '0x1.b8a768f3e684ep-8',
+         ['-0x1.37a66def46e8bp-2', '0x1.468f9a898f865p-2', '0x1.2577971aa6a11p-3',
+          '0x1.c5ac555fa52e9p-1'],
          '11111111111111111111111111111111',
-         34, 'not_eigenflag'),
-        ('0x1.710d9ef7bdef7p-105', '0x1.c9a0400000000p-105',
-         ['0x1.1377eae7e6679p-5', '-0x1.2ddd7079467a7p-1', '0x1.fa94192f7dbaep-2',
-          '0x1.467338e8e7761p-1'],
+         12, 'not_eigenflag'),
+        ('0x1.bd36318c6318bp-107', '0x1.1408000000000p-106',
+         ['-0x1.21a670bad1240p-2', '0x1.a8543e00567c0p-2', '-0x1.c6816fb9515efp-2',
+          '0x1.7c25bdfebc14ap-1'],
          '11111111111111111111111111111111',
-         41, 'eigenflag_within_tol'),
+         11, 'eigenflag_within_tol'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (5, None): [
-        ('0x1.079ac07e509cdp-4', '0x1.079ac07e509ccp-4',
-         ['0x1.2446ad51602a2p-1', '0x1.ac3a643691c0ap-2', '-0x1.6066f32a46788p-1',
-          '0x1.dada5bad01d01p-4', '-0x1.c1f3aa715e56bp-4'],
+        ('0x1.079ac07e509ccp-4', '0x1.079ac07e509cbp-4',
+         ['0x1.2446ad515fdc5p-1', '0x1.ac3a643692604p-2', '-0x1.6066f32a46819p-1',
+          '0x1.dada5bad023d5p-4', '-0x1.c1f3aa715f3a1p-4'],
          '1111111111111111111111111111111111111111',
-         62, 'not_eigenflag'),
-        ('0x1.abe65461daca2p-5', '0x1.abe65461daca2p-5',
-         ['-0x1.fa80a72cc7d45p-6', '0x1.5c01ffc8184d5p-1', '0x1.a0cd322638a9dp-3',
-          '-0x1.03936e9b18df6p-2', '-0x1.5046996e483c8p-1'],
+         14, 'not_eigenflag'),
+        ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
+         ['-0x1.fa80a72cd7595p-6', '0x1.5c01ffc818ba9p-1', '0x1.a0cd32263a7c3p-3',
+          '-0x1.03936e9b1ad35p-2', '-0x1.5046996e4740fp-1'],
          '1111111111111111111111111111111111111111',
-         70, 'not_eigenflag'),
+         15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (5, 3): [
-        ('0x1.079ac07e509ccp-4', '0x1.079ac07e509cbp-4',
-         ['-0x1.2446ad516016dp-1', '-0x1.ac3a643692552p-2', '0x1.6066f32a465bfp-1',
-          '-0x1.dada5bad01795p-4', '0x1.c1f3aa715e959p-4'],
+        ('0x1.079ac07e509cbp-4', '0x1.079ac07e509cap-4',
+         ['0x1.2446ad5160153p-1', '0x1.ac3a643692dfbp-2', '-0x1.6066f32a46117p-1',
+          '0x1.dada5bad0a975p-4', '-0x1.c1f3aa715b937p-4'],
          '1111111111111111111111111111111111111111',
-         46, 'not_eigenflag'),
-        ('0x1.abe65461daca6p-5', '0x1.abe65461daca6p-5',
-         ['-0x1.fa80a72cd5adap-6', '0x1.5c01ffc81881bp-1', '0x1.a0cd322639d5cp-3',
-          '-0x1.03936e9b18429p-2', '-0x1.5046996e48081p-1'],
+         19, 'not_eigenflag'),
+        ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
+         ['-0x1.fa80a72cd7595p-6', '0x1.5c01ffc818ba9p-1', '0x1.a0cd32263a7c3p-3',
+          '-0x1.03936e9b1ad35p-2', '-0x1.5046996e4740fp-1'],
          '1111111111111111111111111111111111111111',
-         60, 'not_eigenflag'),
+         17, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (6, None): [
-        ('0x1.701706a9a1828p-4', '0x1.701706a9a1828p-4',
-         ['-0x1.e9c1f44a27b90p-2', '0x1.20407ffc20a4dp-1', '-0x1.50962e498d2e5p-3',
-          '0x1.23fe4b0c70d09p-1', '0x1.8d917194cc6cfp-6', '-0x1.462756d8abca2p-2'],
+        ('0x1.701706a9a182bp-4', '0x1.701706a9a182bp-4',
+         ['0x1.e9c1f44a2c762p-2', '-0x1.20407ffc1f05fp-1', '0x1.50962e498ff3bp-3',
+          '-0x1.23fe4b0c70e2ap-1', '-0x1.8d917194e52b2p-6', '0x1.462756d8a951bp-2'],
          '111111111111111111111111111111111111111111111111',
-         86, 'not_eigenflag'),
-        ('0x1.5d531241a183fp-4', '0x1.5d531241a183ep-4',
-         ['-0x1.e9bdc9b0b7e4fp-3', '0x1.905f875473f47p-2', '0x1.c8b51a8fad012p-3',
-          '-0x1.e62a44f5909b9p-3', '0x1.a274fc8200852p-2', '-0x1.70183f90ebadep-1'],
+         16, 'not_eigenflag'),
+        ('0x1.5d531241a1841p-4', '0x1.5d531241a1840p-4',
+         ['-0x1.e9bdc9b0bcbbbp-3', '0x1.905f875473301p-2', '0x1.c8b51a8fad815p-3',
+          '-0x1.e62a44f58e06fp-3', '0x1.a274fc82014a3p-2', '-0x1.70183f90eb70ep-1'],
          '111111111111111111111111111111111111111111111111',
-         105, 'not_eigenflag'),
+         16, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (6, 3): [
-        ('0x1.701706a9a1828p-4', '0x1.701706a9a1828p-4',
-         ['-0x1.e9c1f44a27b90p-2', '0x1.20407ffc20a4dp-1', '-0x1.50962e498d2e5p-3',
-          '0x1.23fe4b0c70d09p-1', '0x1.8d917194cc6cfp-6', '-0x1.462756d8abca2p-2'],
+        ('0x1.701706a9a182ap-4', '0x1.701706a9a182ap-4',
+         ['-0x1.e9c1f44a2c761p-2', '0x1.20407ffc1f05ep-1', '-0x1.50962e498ff3dp-3',
+          '0x1.23fe4b0c70e2ap-1', '0x1.8d917194e52aap-6', '-0x1.462756d8a951bp-2'],
          '111111111111111111111111111111111111111111111111',
-         97, 'not_eigenflag'),
-        ('0x1.5d531241a183fp-4', '0x1.5d531241a183ep-4',
-         ['0x1.e9bdc9b0c3987p-3', '-0x1.905f875470e5cp-2', '-0x1.c8b51a8fafefap-3',
-          '0x1.e62a44f58a09dp-3', '-0x1.a274fc8200fb7p-2', '0x1.70183f90ebb8bp-1'],
+         19, 'not_eigenflag'),
+        ('0x1.5d531241a1843p-4', '0x1.5d531241a1842p-4',
+         ['0x1.e9bdc9b0bcbbcp-3', '-0x1.905f875473302p-2', '-0x1.c8b51a8fad815p-3',
+          '0x1.e62a44f58e06ep-3', '-0x1.a274fc82014a4p-2', '0x1.70183f90eb70ep-1'],
          '111111111111111111111111111111111111111111111111',
-         117, 'not_eigenflag'),
+         21, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (7, None): [
-        ('0x1.68d69a4d7e6c5p-4', '0x1.68d69a4d7e6c2p-4',
-         ['-0x1.5ea048b4853c6p-2', '-0x1.e692e7bde9befp-7', '-0x1.ca390aa984f98p-3',
-          '0x1.fa4c6300086d4p-2', '0x1.3e1ff32de3790p-1', '-0x1.df86f32ec21d5p-3',
-          '0x1.88c79ac48cec5p-2'],
+        ('0x1.68d69a4d7e6c6p-4', '0x1.68d69a4d7e6c3p-4',
+         ['0x1.5ea048b48600ep-2', '0x1.e692e7be1256ap-7', '0x1.ca390aa982b89p-3',
+          '-0x1.fa4c630006582p-2', '-0x1.3e1ff32de31c6p-1', '0x1.df86f32ec20f3p-3',
+          '-0x1.88c79ac490b7ep-2'],
          '11111111111111111111111111111111111111111111111111111111',
-         62, 'not_eigenflag'),
-        ('0x1.a2447935dba54p-4', '0x1.a2447935dba54p-4',
-         ['0x1.9d5adb3c4cbe2p-4', '0x1.d692707ef0032p-1', '-0x1.155eb343d0802p-7',
-          '-0x1.70e730a7be1abp-3', '0x1.0e8bcec85c4dbp-3', '0x1.6e2d10f2cc996p-3',
-          '-0x1.0158d067e8acap-2'],
-         '11111111111111111111111111111111111101111111111111111111',
-         65, 'not_eigenflag'),
+         15, 'not_eigenflag'),
+        ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
+         ['0x1.9d5adb3c4b335p-4', '0x1.d692707eefebap-1', '-0x1.155eb343ccd7cp-7',
+          '-0x1.70e730a7bd340p-3', '0x1.0e8bcec855b2dp-3', '0x1.6e2d10f2ce54fp-3',
+          '-0x1.0158d067eaf25p-2'],
+         '11111111111111111111111111111111111111111111111111111111',
+         15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+          '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (7, 3): [
-        ('0x1.68d69a4d7e6c5p-4', '0x1.68d69a4d7e6c2p-4',
-         ['-0x1.5ea048b4853c6p-2', '-0x1.e692e7bde9befp-7', '-0x1.ca390aa984f98p-3',
-          '0x1.fa4c6300086d4p-2', '0x1.3e1ff32de3790p-1', '-0x1.df86f32ec21d5p-3',
-          '0x1.88c79ac48cec5p-2'],
+        ('0x1.68d69a4d7e6c9p-4', '0x1.68d69a4d7e6c6p-4',
+         ['0x1.5ea048b485149p-2', '0x1.e692e7be0c365p-7', '0x1.ca390aa9850f9p-3',
+          '-0x1.fa4c630007f73p-2', '-0x1.3e1ff32de26cfp-1', '0x1.df86f32ec37a9p-3',
+          '-0x1.88c79ac490913p-2'],
          '11111111111111111111111111111111111111111111111111111111',
-         62, 'not_eigenflag'),
-        ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
-         ['0x1.9d5adb3c49ba3p-4', '0x1.d692707ef0008p-1', '-0x1.155eb343e30d7p-7',
-          '-0x1.70e730a7be0f7p-3', '0x1.0e8bcec85b36cp-3', '0x1.6e2d10f2ca05fp-3',
-          '-0x1.0158d067ea3fap-2'],
+         15, 'not_eigenflag'),
+        ('0x1.a2447935dba54p-4', '0x1.a2447935dba54p-4',
+         ['0x1.9d5adb3c4aef0p-4', '0x1.d692707eeff20p-1', '-0x1.155eb343cd1fap-7',
+          '-0x1.70e730a7bd0eap-3', '0x1.0e8bcec855bedp-3', '0x1.6e2d10f2ce1e3p-3',
+          '-0x1.0158d067eae84p-2'],
          '11111111111111111111111111111111111111111111111111111111',
-         116, 'not_eigenflag'),
+         15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+          '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (8, None): [
-        ('0x1.b6c54763f4f42p-4', '0x1.b6c54763f4f42p-4',
-         ['0x1.0b41327dd4c7dp-1', '0x1.242c9e84aa392p-1', '-0x1.117c946f45668p-3',
-          '0x1.e00f823997aa7p-3', '0x1.183ea445e787ap-5', '0x1.ecf710b8ace45p-8',
-          '0x1.b052725f713c3p-2', '-0x1.8c1e7fb7937afp-2'],
+        ('0x1.b6c54763f4f44p-4', '0x1.b6c54763f4f44p-4',
+         ['-0x1.0b41327dd3b75p-1', '-0x1.242c9e84ad522p-1', '0x1.117c946f42221p-3',
+          '-0x1.e00f82399d50fp-3', '-0x1.183ea445f9cb5p-5', '-0x1.ecf710b83c806p-8',
+          '-0x1.b052725f714b7p-2', '0x1.8c1e7fb78bd55p-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         230, 'not_eigenflag'),
-        ('0x1.a8fa675ebb1d2p-4', '0x1.a8fa675ebb1d2p-4',
-         ['-0x1.41c222d790aebp-3', '0x1.b9376685672a5p-4', '-0x1.1f1338f8ecb06p-2',
-          '-0x1.d9e5648ce425ap-3', '-0x1.23722ab5c7f8ap-1', '0x1.0eeff21438370p-2',
-          '0x1.9b0725db2778cp-2', '0x1.0d310c3952f73p-1'],
-         '1111111111111111111111111111111111111111111111111111111111111011',
-         500, 'not_eigenflag'),
+         20, 'not_eigenflag'),
+        ('0x1.a8fa675ebb1d7p-4', '0x1.a8fa675ebb1d7p-4',
+         ['0x1.41c222d78db64p-3', '-0x1.b937668563862p-4', '0x1.1f1338f8eb734p-2',
+          '0x1.d9e5648ce79e7p-3', '0x1.23722ab5c82f0p-1', '-0x1.0eeff21437aecp-2',
+          '-0x1.9b0725db27ee5p-2', '-0x1.0d310c3952f54p-1'],
+         '1111111111111111111111111111111111111111111111111111111111111111',
+         24, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-          '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+          '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (8, 3): [
-        ('0x1.b6c54763f4f46p-4', '0x1.b6c54763f4f46p-4',
-         ['0x1.0b41327dd3703p-1', '0x1.242c9e84ac7acp-1', '-0x1.117c946f41c9dp-3',
-          '0x1.e00f82399d015p-3', '0x1.183ea446060b8p-5', '0x1.ecf710b614d68p-8',
-          '0x1.b052725f74b9dp-2', '-0x1.8c1e7fb78b81bp-2'],
+        ('0x1.b6c54763f4f41p-4', '0x1.b6c54763f4f41p-4',
+         ['0x1.0b41327dd3365p-1', '0x1.242c9e84adc0dp-1', '-0x1.117c946f42ed9p-3',
+          '0x1.e00f82399da06p-3', '0x1.183ea445fbac5p-5', '0x1.ecf710b80a59ap-8',
+          '0x1.b052725f70ee1p-2', '-0x1.8c1e7fb78c13ep-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         154, 'not_eigenflag'),
-        ('0x1.a8fa675ebb1d3p-4', '0x1.a8fa675ebb1d3p-4',
-         ['0x1.41c222d789177p-3', '-0x1.b93766855fe43p-4', '0x1.1f1338f8e6909p-2',
-          '0x1.d9e5648cf08e9p-3', '0x1.23722ab5c9185p-1', '-0x1.0eeff214359e3p-2',
-          '-0x1.9b0725db29437p-2', '-0x1.0d310c3952bd5p-1'],
+         21, 'not_eigenflag'),
+        ('0x1.a8fa675ebb1d7p-4', '0x1.a8fa675ebb1d7p-4',
+         ['-0x1.41c222d78e8e9p-3', '0x1.b937668563b73p-4', '-0x1.1f1338f8eb47dp-2',
+          '-0x1.d9e5648ce708ap-3', '-0x1.23722ab5c8422p-1', '0x1.0eeff214376f4p-2',
+          '0x1.9b0725db27fd2p-2', '0x1.0d310c3952f58p-1'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         104, 'not_eigenflag'),
+         18, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-          '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+          '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],

@@ -337,3 +337,54 @@ def test_construct_stratum4_frame_equivariance():
 def test_classify_generic_sample_is_other():
     rng = np.random.default_rng(31)
     assert classify_weyl_spectrum(sample_weyl(4, rng)) == "other"
+
+
+# --- the packed quartic form of E ----------------------------------------------
+
+
+def tangent_unit(x, rng):
+    t = rng.standard_normal(len(x))
+    t -= np.dot(t, x) * x
+    return t / np.linalg.norm(t)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_quartic_form_matches_residual_gradient_and_hessian(n):
+    """E, its Riemannian gradient and Hessian from K agree with the exact
+    |G'|^2 / 2, the oracle gradient and central differences of it."""
+    rng = np.random.default_rng(90 + n)
+    ops = [sample_weyl(n, rng), WeylOperator(n, 3.0 * sample_weyl(n, rng).matrix)]
+    v = rng.standard_normal((5, n))
+    if n == 4:  # a planted flag: E vanishes at the first frame vector
+        frame = random_rotation(4, rng)
+        ops.append(construct_stratum4((0.6, -0.1, -0.5), frame))
+        v[0] = frame[:, 0]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    forms = eigenflag._QuarticForms(np.stack([w.tensor() for w in ops]))
+    h = 1e-5
+    for p, w in enumerate(ops):
+        scale = w.norm ** 2
+        e, u = forms.values(v, np.full(len(v), p))
+        rgrad, hess = forms.derivatives(v, u)
+        exact = np.array([residual(w, x) for x in v])
+        assert np.abs(e - exact).max() <= 1e-14 * scale
+        for x, g, hx in zip(v, rgrad, hess):
+            assert np.abs(g - residual_gradient(w, x)).max() <= 1e-13 * scale
+            for _ in range(3):
+                t = tangent_unit(x, rng)
+                plus, minus = x + h * t, x - h * t
+                fd = (residual_gradient(w, plus / np.linalg.norm(plus))
+                      - residual_gradient(w, minus / np.linalg.norm(minus))) / (2 * h)
+                fd -= np.dot(fd, x) * x
+                assert np.abs(hx @ t - fd).max() <= 1e-8 * scale
+
+
+def test_seed0_dimension5_hard_operators_converge():
+    """The operators of residual_statistics(5, 300, seed=0) on which a
+    first-order descent left a start short of GTOL after MAXITER rounds."""
+    rng = np.random.default_rng(0)
+    ops = [sample_weyl(5, rng) for _ in range(300)]
+    hard = [ops[k] for k in (135, 163, 183, 209, 224, 252, 278, 299)]
+    for report in eigenflag.min_residuals(hard):
+        assert report.converged.all()
+        assert report.iterations < eigenflag.MAXITER
