@@ -41,6 +41,7 @@ import numpy as np
 from .bivectors import WeylOperator, lift_orthogonal, operator_to_tensor
 from .cottonyork import DEFAULT_ZERO_FLOOR
 from .curvature import DimensionError
+from .jets import SymIndex
 
 DEFAULT_TOL_EIGENFLAG = 1e-8
 DEFAULT_TOL_NOT_EIGENFLAG = 1e-4
@@ -95,11 +96,11 @@ class _QuarticForms:
         b = 0.5 * gram[:, :, :, None, None] * np.eye(n)
         b -= (pairs @ pairs.swapaxes(1, 2)).reshape(b.shape)
         q = sum(b.transpose(0, *(1 + np.array(s))) for s in permutations(range(4))) / 24.0
-        self.ia, self.ib = np.triu_indices(n)
+        sym = SymIndex(n)
+        self.ia, self.ib = sym.pair_ij
+        self.packed = sym.idx2  # (a, b) -> index of v_a v_b in w
         m = np.where(self.ia == self.ib, 1.0, 2.0)
         self.k = q[:, self.ia[:, None], self.ib[:, None], self.ia, self.ib] * (m[:, None] * m)
-        self.packed = np.zeros((n, n), dtype=int)  # (a, b) -> index of v_a v_b in w
-        self.packed[self.ia, self.ib] = self.packed[self.ib, self.ia] = np.arange(self.ia.size)
 
     def values(self, v: np.ndarray, owners: np.ndarray):
         """E = w.u and u = K w at each unit row of v."""
