@@ -11,9 +11,9 @@ weight exists on any neighborhood of the point.
 
 __version__ = "0.1.0"
 
-from .bivectors import (BivectorBasis, WeylOperator, WeylProjector, bianchi_map,
-                        lift_orthogonal, operator_to_tensor, ricci_contraction,
-                        to_operator)
+from .bivectors import (BivectorBasis, WeylOperator, bianchi_map, lift_orthogonal,
+                        operator_to_tensor, ricci_contraction, to_operator,
+                        weyl_part)
 from .cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
                          symmetric3_eigenvalues)
 from .curvature import (CurvaturePackage, DimensionError, cotton_york,
@@ -32,5 +32,5 @@ from .metrics import (MetricError, MetricSpec, conformally_flat_metric,
                       euclidean_metric, load_metric, make_metric, parse_metric,
                       sphere_stereographic_metric)
 from .perturb import (AlgebraicCurvature, CottonCoefficients, CySolution,
-                      PositivityError, RankDeficiencyError, cubic_metric_spec,
-                      cy_linear_map, perturb_curvature, solve_cy_target)
+                      RankDeficiencyError, cubic_metric_spec, cy_linear_map,
+                      perturb_curvature, solve_cy_target)

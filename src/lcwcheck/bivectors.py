@@ -12,19 +12,23 @@ The two linear maps that carve out the Weyl space:
   one component per sorted quadruple i<j<k<l;
 * Ricci contraction  r(R)(x,y) = sum_i R(x^e_i, y^e_i).
 
-Weyl operators are exactly ker(b) iintersect ker(r); the orthogonal projector
-onto that subspace is built once per dimension from the SVD kernel of the
-stacked constraint matrix and cached.
+Weyl operators are exactly ker(b) intersect ker(r).  :func:`weyl_part`
+projects onto that subspace with the curvature pipeline's own formula:
+drop the Bianchi part, then W = R - S ^o g with the Schouten tensor S of
+the Ricci trace (g = I in the frame).  The split of the symmetric
+operators into the Lambda^4 part, the Ricci part and W is orthogonal for
+the Frobenius inner product, so this is the orthogonal projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-RANK_TOL = 1e-9  # singular values below RANK_TOL * largest count as zero
+from .curvature import schouten, weyl_tensor
 
 
 @lru_cache(maxsize=None)
@@ -78,20 +82,18 @@ def operator_to_tensor(op: np.ndarray) -> np.ndarray:
     return t - t.transpose(0, 1, 3, 2)
 
 
+def bianchi_part(t: np.ndarray) -> np.ndarray:
+    """Lambda^4 part of a (0,4) tensor with the curvature symmetries: the
+    cyclic sum over its first three slots, divided by 3."""
+    return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
+
+
 def bianchi_map(op: np.ndarray) -> np.ndarray:
     """Lambda^4 component of a symmetric bivector operator, one entry per
     sorted quadruple i<j<k<l (C(n,4) of them)."""
     n = _dimension(op.shape[0])
-    fl = BivectorBasis(n).flat
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    out.append((op[fl[i, j], fl[k, l]]
-                                + op[fl[j, k], fl[i, l]]
-                                - op[fl[i, k], fl[j, l]]) / 3.0)
-    return np.array(out)
+    quads = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    return bianchi_part(operator_to_tensor(op))[tuple(quads.T)]
 
 
 def ricci_contraction(op: np.ndarray) -> np.ndarray:
@@ -112,57 +114,21 @@ def lift_orthogonal(q: np.ndarray) -> np.ndarray:
             - q[se[:, None], fi[None, :]] * q[fi[:, None], se[None, :]])
 
 
-# --- symmetric-matrix vectorization (isometric for Frobenius) -------------
+def weyl_part(op: np.ndarray) -> np.ndarray:
+    """The Weyl part of a symmetric bivector operator, its orthogonal
+    projection onto ker(b) intersect ker(r).
 
-
-def svec(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    iu, ju = np.triu_indices(n)
-    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
-    return m[iu, ju] * w
-
-
-def unsvec(v: np.ndarray, n: int) -> np.ndarray:
-    iu, ju = np.triu_indices(n)
-    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
-    m = np.zeros((n, n))
-    m[iu, ju] = v / w
-    return m + np.triu(m, 1).T
-
-
-# --- the Weyl subspace ----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-class WeylProjector:
-    """Orthogonal projector onto ker(bianchi) intersect ker(ricci).
-
-    Built once per dimension by dense SVD of the stacked constraint matrix
-    over svec coordinates of symmetric N x N operators.  ``kernel`` holds an
-    orthonormal basis of the Weyl subspace as columns.
+    The tensor of ``op`` less its Bianchi part is an algebraic curvature
+    tensor R; the result is the operator of W = R - S ^o g, S the Schouten
+    tensor of R's Ricci trace and g = I.
     """
-
-    def __init__(self, n: int):
-        basis = BivectorBasis(n)
-        big_n = basis.size
-        dim = big_n * (big_n + 1) // 2
-        rows = []
-        for d in range(dim):
-            e = np.zeros(dim)
-            e[d] = 1.0
-            op = unsvec(e, big_n)
-            rows.append(np.concatenate([bianchi_map(op), svec(ricci_contraction(op))]))
-        constraints = np.array(rows).T  # (n_constraints, dim)
-        u, s, vh = np.linalg.svd(constraints)
-        rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
-        self.n = n
-        self.basis = basis
-        self.kernel = vh[rank:].T  # (dim, weyl_dim), orthonormal columns
-        self.dim = self.kernel.shape[1]
-
-    def project(self, op: np.ndarray) -> np.ndarray:
-        v = svec(op)
-        return unsvec(self.kernel @ (self.kernel.T @ v), self.basis.size)
+    n = _dimension(op.shape[0])
+    t = operator_to_tensor(op)
+    t = t - bianchi_part(t)
+    ric = np.einsum("aibi->ab", t)
+    eye = np.eye(n)
+    w = weyl_tensor(t, schouten(ric, np.trace(ric), eye, n), eye)
+    return to_operator(w, scale=np.linalg.norm(t))
 
 
 @dataclass(frozen=True)

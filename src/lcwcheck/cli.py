@@ -25,15 +25,14 @@ import numpy as np
 
 from . import __version__
 from .cottonyork import DEFAULT_DET_TOL
-from .curvature import DimensionError, curvature_package
+from .curvature import curvature_package
 from .eigenflag import DEFAULT_TOL_EIGENFLAG, DEFAULT_TOL_NOT_EIGENFLAG
 from .exprs import EvalError, ExprError
 from .genericity import (ScanResult, ScanRow, fmt17, grid_points, obstruct_point,
                          obstruct_points, residual_statistics, scan_metric)
-from .jets import MetricNotPositive
 from .metrics import MAX_DIMENSION, MIN_DIMENSION, MetricError, load_metric
-from .perturb import (AlgebraicCurvature, PositivityError, RankDeficiencyError,
-                      perturb_curvature, solve_cy_target)
+from .perturb import (AlgebraicCurvature, RankDeficiencyError, perturb_curvature,
+                      solve_cy_target)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -379,8 +378,7 @@ def main(argv=None) -> int:
             return EXIT_EVAL
         print(f"lcwcheck: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (MetricNotPositive, DimensionError, PositivityError,
-            RankDeficiencyError, np.linalg.LinAlgError, ValueError) as exc:
+    except (RankDeficiencyError, ValueError) as exc:
         print(f"lcwcheck: evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
     except OSError as exc:

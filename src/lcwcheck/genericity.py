@@ -1,8 +1,8 @@
 """Sampling experiments behind the genericity picture.
 
-Random Weyl operators (Gaussian in the ambient operator space, projected
-onto the Weyl subspace, normalized) should stay away from the eigenflag
-set, whose codimension is positive; residual statistics over such samples
+Random Weyl operators (Gaussian in the ambient operator space, reduced to
+their Weyl part, normalized) should stay away from the eigenflag set,
+whose codimension is positive; residual statistics over such samples
 calibrate the "not eigenflag" threshold empirically.  The calibration is
 an artifact of the sampling, not a quantity with an analytic value, and
 is therefore seed-stamped in every report.
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivectors import BivectorBasis, WeylOperator, WeylProjector, to_operator
+from .bivectors import BivectorBasis, WeylOperator, to_operator, weyl_part
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
-from .curvature import package_from_jets
+from .curvature import DimensionError, package_from_jets
 from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_batch_size, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, make_metric
@@ -42,14 +42,16 @@ def fmt17(x: float) -> str:
 def sample_weyl(n: int, rng: np.random.Generator) -> WeylOperator:
     """Unit-Frobenius-norm Weyl operator, orthogonally invariant in law.
 
-    Gaussian on the symmetric bivector operators, projected by the Weyl
-    projector (both steps equivariant under frame rotation), normalized.
+    Gaussian on the symmetric bivector operators, reduced to its Weyl part
+    by :func:`~lcwcheck.bivectors.weyl_part` (W = R - S ^o g, the formula of
+    the curvature pipeline; both steps equivariant under frame rotation),
+    normalized.  Raises :class:`DimensionError` for n < 4.
     """
     if n < 4:
-        raise ValueError("Weyl operators vanish below dimension 4")
+        raise DimensionError("Weyl operators vanish below dimension 4")
     basis = BivectorBasis(n)
     a = rng.standard_normal((basis.size, basis.size))
-    proj = WeylProjector(n).project(0.5 * (a + a.T))
+    proj = weyl_part(0.5 * (a + a.T))
     norm = np.linalg.norm(proj)
     if norm == 0.0:  # pragma: no cover - probability zero
         return sample_weyl(n, rng)

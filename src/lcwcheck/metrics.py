@@ -161,8 +161,6 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
     for i in range(n):
         for j in range(i, n):
             upper, lower = parsed[i][j], parsed[j][i]
-            if upper is None:
-                raise MetricError(f"g[{i}][{j}] is missing")
             if i != j and lower is not None and not exprs.same_tree(lower, upper):
                 raise MetricError(
                     f"asymmetric entries: g[{i}][{j}] and g[{j}][{i}] are structurally different")

@@ -32,16 +32,12 @@ from itertools import permutations
 import numpy as np
 
 from . import curvature as _curv
-from .bivectors import WeylOperator, operator_to_tensor
+from .bivectors import WeylOperator, bianchi_part, operator_to_tensor
 from .cottonyork import CottonYorkTensor
-from .jets import MetricJets, SymIndex
+from .jets import MetricJets, MetricNotPositive, SymIndex
 from .metrics import MetricSpec, make_metric
 
 CURVATURE_COEFF = -1.0 / 3.0
-
-
-class PositivityError(ValueError):
-    """Perturbed metric fails positive definiteness somewhere on the box."""
 
 
 class RankDeficiencyError(RuntimeError):
@@ -49,10 +45,6 @@ class RankDeficiencyError(RuntimeError):
 
 
 # --- algebraic curvature ----------------------------------------------------
-
-
-def _bianchi_part(t: np.ndarray) -> np.ndarray:
-    return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ class AlgebraicCurvature:
         for axes, sign in (((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1), ((2, 3, 0, 1), 1)):
             if np.abs(t - sign * t.transpose(axes)).max() > 1e-12 * scale:
                 raise ValueError("tensor lacks curvature symmetries")
-        if np.linalg.norm(_bianchi_part(t)) > 1e-12 * scale:
+        if np.linalg.norm(bianchi_part(t)) > 1e-12 * scale:
             raise ValueError("tensor violates the first Bianchi identity")
 
     @property
@@ -83,7 +75,7 @@ class AlgebraicCurvature:
             return AlgebraicCurvature(op.n, op.tensor())
         op = np.asarray(op, dtype=float)
         t = operator_to_tensor(0.5 * (op + op.T))
-        t = t - _bianchi_part(t)
+        t = t - bianchi_part(t)
         return AlgebraicCurvature(t.shape[0], t)
 
     @staticmethod
@@ -141,7 +133,7 @@ def _check_positivity(spec: MetricSpec) -> None:
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
-            raise PositivityError(
+            raise MetricNotPositive(
                 f"perturbed metric is not positive definite at {p.tolist()}; "
                 "shrink the perturbation or the domain box") from None
 
@@ -153,7 +145,8 @@ def perturb_curvature(rstar: AlgebraicCurvature, radius: float | None = None,
     With a ``radius``, the perturbation is multiplied by the smooth cutoff
     ``bump((x1^2+...+xn^2)/radius^2)``, so the metric is flat outside that
     ball.  Positive definiteness is checked by sampling the chart box
-    (corners included) and rejected with :class:`PositivityError`.
+    (corners included); a failure raises
+    :class:`~lcwcheck.jets.MetricNotPositive`.
     """
     if radius is not None and not (radius > 0.0 and 0.0 < radius * radius < math.inf):
         raise ValueError(
@@ -202,45 +195,36 @@ class CottonCoefficients:
             raise ValueError("expected 60 packed coefficients")
 
     def full(self) -> np.ndarray:
-        a = np.zeros((3, 3, 3, 3, 3))
-        for p, (i, j) in enumerate(SymIndex(3).pairs):
-            for t, klm in enumerate(SymIndex(3).triples):
-                v = self.packed[p * 10 + t]
-                if v == 0.0:
-                    continue
-                for kk, ll, mm in set(permutations(klm)):
-                    a[i, j, kk, ll, mm] = v
-                    a[j, i, kk, ll, mm] = v
-        return a
+        return _unpack_cubic(self.packed)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.full()))
+
+def _unpack_cubic(packed: np.ndarray) -> np.ndarray:
+    """(..., 60) packed coefficients -> (..., 3, 3, 3, 3, 3) A_ij^klm, one
+    gather through the symmetric index tables."""
+    sym = SymIndex(3)
+    by_pair = packed.reshape(*packed.shape[:-1], sym.npairs, sym.ntriples)
+    return by_pair[..., sym.idx2[:, :, None, None, None], sym.idx3]
 
 
 def _cubic_metric_jets(a_full: np.ndarray) -> MetricJets:
-    """Exact jets at the origin of g = delta + sum A_ij^klm x^k x^l x^m."""
-    d3g = 6.0 * np.einsum("ijklm->klmij", a_full)
-    return MetricJets(np.zeros(3), np.eye(3), np.zeros((3, 3, 3)),
-                      np.zeros((3, 3, 3, 3)), d3g)
+    """Exact jets at the origin of g = delta + sum A_ij^klm x^k x^l x^m, one
+    point per leading entry of ``a_full``."""
+    b = len(a_full)
+    d3g = 6.0 * np.einsum("...ijklm->...klmij", a_full)
+    return MetricJets(np.zeros((b, 3)), np.tile(np.eye(3), (b, 1, 1)),
+                      np.zeros((b, 3, 3, 3)), np.zeros((b, 3, 3, 3, 3)), d3g)
 
 
 @lru_cache(maxsize=1)
 def cy_linear_map() -> np.ndarray:
     """The 5 x 60 matrix of the coefficient-to-Cotton-York map at the origin.
 
-    Assembled column by column by running the pipeline on each packed basis
-    coefficient; exactness follows from g(0) = delta, dg(0) = d2g(0) = 0,
-    which kills every nonlinear term.
+    Column d is the pipeline's Cotton-York tensor for the d-th packed basis
+    coefficient, the 60 of them run as one batch; exactness follows from
+    g(0) = delta, dg(0) = d2g(0) = 0, which kills every nonlinear term.
     """
-    cols = []
-    for d in range(60):
-        packed = np.zeros(60)
-        packed[d] = 1.0
-        mj = _cubic_metric_jets(CottonCoefficients(packed).full())
-        pkg = _curv.package_from_jets(mj)
-        cols.append(sym3_to_vec5(pkg.cotton_york))
-    return np.array(cols).T
+    pkgs = _curv.package_from_jets(_cubic_metric_jets(_unpack_cubic(np.eye(60))))
+    return np.array([sym3_to_vec5(pkg.cotton_york) for pkg in pkgs]).T
 
 
 def cubic_metric_spec(coeffs: CottonCoefficients, domain_halfwidth: float = 0.5) -> MetricSpec:

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from lcwcheck.bivectors import WeylOperator, WeylProjector, _dimension, lift_orthogonal
+from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_part
 from lcwcheck.curvature import _inverse_jets, _symbols
 from lcwcheck.eigenflag import _as_tensor, _flag_parts, _unit
 from lcwcheck.perturb import _TRACELESS_BASIS
@@ -223,16 +223,33 @@ def weyl_space_dim(n):
     return dim
 
 
+def svec(m):
+    """Upper triangle of a symmetric matrix, off-diagonal entries times
+    sqrt(2): an isometry for the Frobenius inner product."""
+    iu, ju = np.triu_indices(m.shape[0])
+    return m[iu, ju] * np.where(iu == ju, 1.0, np.sqrt(2.0))
+
+
+def unsvec(v, n):
+    """Inverse of :func:`svec`: the symmetric n x n matrix."""
+    iu, ju = np.triu_indices(n)
+    m = np.zeros((n, n))
+    m[iu, ju] = v / np.where(iu == ju, 1.0, np.sqrt(2.0))
+    return m + np.triu(m, 1).T
+
+
 def weyl_projector_matrix(n):
-    """The Weyl projector as a matrix on svec coordinates."""
-    kernel = WeylProjector(n).kernel
-    return kernel @ kernel.T
+    """``bivectors.weyl_part`` as a matrix on svec coordinates, one column
+    per svec basis vector."""
+    big_n = n * (n - 1) // 2
+    basis = np.eye(big_n * (big_n + 1) // 2)
+    return np.array([svec(weyl_part(unsvec(e, big_n))) for e in basis]).T
 
 
 def project_weyl(op):
     """Orthogonal (Frobenius) projection onto the Weyl subspace."""
     n = _dimension(op.shape[0])
-    return WeylOperator(n, WeylProjector(n).project(0.5 * (op + op.T)))
+    return WeylOperator(n, weyl_part(0.5 * (op + op.T)))
 
 
 def residual_gradient(w, v):

@@ -1,14 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from lcwcheck.bivectors import (BivectorBasis, WeylOperator, WeylProjector,
-                                bianchi_map, lift_orthogonal, operator_to_tensor,
-                                ricci_contraction, svec, to_operator, unsvec)
+from lcwcheck.bivectors import (BivectorBasis, WeylOperator, bianchi_map, lift_orthogonal,
+                                operator_to_tensor, ricci_contraction, to_operator,
+                                weyl_part)
 from lcwcheck.curvature import curvature_package, kulkarni_nomizu, rotate_tensor
 from lcwcheck.genericity import random_polynomial_metric
 from lcwcheck.metrics import sphere_stereographic_metric
 
-from oracles import conjugate_operator, project_weyl, weyl_projector_matrix, weyl_space_dim
+from oracles import (conjugate_operator, project_weyl, svec, unsvec, weyl_projector_matrix,
+                     weyl_space_dim)
 
 
 def random_rotation(n, rng):
@@ -90,6 +93,18 @@ def test_bianchi_single_offdiagonal_entry():
     assert out[0] == pytest.approx(1.0 / 3.0)
 
 
+def test_bianchi_map_matches_the_entrywise_sum():
+    rng = np.random.default_rng(37)
+    for n in (4, 5, 6):
+        basis = BivectorBasis(n)
+        a = rng.standard_normal((basis.size, basis.size))
+        op, fl = 0.5 * (a + a.T), basis.flat
+        want = [(op[fl[i, j], fl[k, l]] + op[fl[j, k], fl[i, l]] - op[fl[i, k], fl[j, l]]) / 3.0
+                for i, j, k, l in combinations(range(n), 4)]
+        # the same three terms, summed in another order
+        assert np.abs(bianchi_map(op) - want).max() <= 8 * np.finfo(float).eps * np.abs(op).max()
+
+
 def test_ricci_contraction_values():
     assert not ricci_contraction(np.zeros((6, 6))).any()
     for n in (4, 5):
@@ -149,8 +164,6 @@ def test_weyl_space_dimension_values():
 
 def test_projector_rank_matches_formula():
     for n in (3, 4, 5, 6):
-        proj = WeylProjector(n)
-        assert proj.dim == weyl_space_dim(n)
         p = weyl_projector_matrix(n)
         if p.size:
             svals = np.linalg.svd(p, compute_uv=False)
@@ -177,8 +190,8 @@ def test_project_weyl_kills_kn_products():
     rng = np.random.default_rng(29)
     a = rng.standard_normal((4, 4))
     op = to_operator(kulkarni_nomizu(a + a.T, np.eye(4)))
-    w = project_weyl(op)
-    assert np.linalg.norm(ricci_contraction(w.matrix)) < 1e-11 * max(np.linalg.norm(op), 1.0)
+    # the Weyl part is roundoff, which WeylOperator's own-norm checks reject
+    assert np.linalg.norm(weyl_part(op)) < 1e-11 * max(np.linalg.norm(op), 1.0)
 
 
 def test_weyl_operator_invariants_on_random_metrics():

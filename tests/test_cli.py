@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lcwcheck import eigenflag
 from lcwcheck.cli import dumps17, main
 from lcwcheck.cottonyork import CottonYorkTensor
 from lcwcheck.curvature import curvature_package
@@ -475,3 +476,61 @@ def test_solve_cy_checks_its_target_as_a_cotton_york_tensor(target):
     with pytest.raises(ValueError) as target_error:
         solve_cy_target(target)
     assert str(target_error.value) == str(tensor_error.value)
+
+
+def test_curvature_command_in_dimension_3(tmp_path, capsys):
+    metric = tmp_path / "cy.json"
+    metric.write_text(solve_cy_target(0.01 * np.diag([2.0, -1.0, -1.0])).metric.to_json())
+    assert main(["curvature", str(metric), "--point", "0,0,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    cy = np.array(doc["components_frame"]["cotton_york"])
+    assert cy.shape == (3, 3) and np.array(doc["components_frame"]["cotton"]).shape == (3, 3, 3)
+    assert doc["norms"]["cotton_york"] == np.linalg.norm(cy) > 0.0
+    assert doc["cotton_york_det"] == np.linalg.det(cy) != 0.0
+
+
+_GOOD = {"dimension": 3, "coordinates": ["x1", "x2", "x3"], "g": _ROWS}
+
+
+@pytest.mark.parametrize("document,message", [
+    (dict(_GOOD, coordinates=["1x", "x2", "x3"]), "invalid coordinate name '1x'"),
+    (dict(_GOOD, coordinates=["x1", "x2"]), "expected 3 coordinate names, got 2"),
+    (dict(_GOOD, g=[[1, "0", "0"], [None, "1", "0"], [None, None, "1"]]),
+     "g[0][0] must be an expression string"),
+    (dict(_GOOD, domain=[[-1, 1]]), "'domain' must be an object mapping coordinates to [lo, hi]"),
+    (dict(_GOOD, domain={"x2": [0]}), "domain for 'x2' must be a [lo, hi] pair"),
+    ([_GOOD], "document must be a JSON object"),
+], ids=["digit-name", "name-count", "number-entry", "domain-list", "short-interval",
+        "not-an-object"])
+def test_metric_document_errors_exit_2_with_their_message(tmp_path, capsys, document, message):
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps(document))
+    assert main(["obstruct", str(metric), "--point", "0,0,0"]) == 2
+    assert capsys.readouterr().err == f"lcwcheck: parse error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["obstruct", "M", "--point", "0,x"],
+     "argument --point: bad point '0,x': expected comma-separated floats"),
+    (["scan", "M", "--grid", "2,a"],
+     "argument --grid: bad grid '2,a': expected comma-separated counts"),
+    (["obstruct", "M", "--point", "0,0,0,0", "--seed", "x"],
+     "argument --seed: bad seed 'x': expected an integer"),
+])
+def test_malformed_numbers_on_the_command_line_exit_2(flat4, capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main([str(flat4) if a == "M" else a for a in args])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_obstruct_exits_4_with_its_report_when_no_start_converges(monkeypatch, tmp_path):
+    monkeypatch.setattr(eigenflag, "MAXITER", 0)
+    metric = tmp_path / "m4.json"
+    metric.write_text(perturb_curvature(
+        AlgebraicCurvature.random(4, np.random.default_rng(0), scale=0.05)).to_json())
+    out = tmp_path / "report.json"
+    assert main(["obstruct", str(metric), "--point", "0,0,0,0", "--out", str(out)]) == 4
+    point = json.loads(out.read_text())["points"][0]
+    assert point["optimizer_converged"] is False
+    assert point["eigenflag_verdict"] != "weyl_negligible"

@@ -29,14 +29,14 @@ def operators(n: int) -> list:
 # converged flags per start, iterations, verdict
 GOLDEN = {
     (4, None): [
-        ('0x1.7f911ef8664f2p-6', '0x1.7f911ef8664f2p-6',
-         ['0x1.6e1c5a6c55e0ep-1', '-0x1.5aaddf6cceed2p-1', '0x1.601452bfe1d71p-3',
-          '-0x1.a4d8b430a2d0ep-6'],
+        ('0x1.7f911ef8664f9p-6', '0x1.7f911ef8664f9p-6',
+         ['0x1.fdb187912483bp-2', '0x1.55e0dbc5914f4p-1', '0x1.17c23fc55e2b2p-1',
+          '-0x1.6a55c18cac571p-4'],
          '11111111111111111111111111111111',
          13, 'not_eigenflag'),
-        ('0x1.b8a768f3e6850p-8', '0x1.b8a768f3e684ep-8',
-         ['-0x1.37a66def46e8bp-2', '0x1.468f9a898f865p-2', '0x1.2577971aa6a11p-3',
-          '0x1.c5ac555fa52e9p-1'],
+        ('0x1.b8a768f3e683cp-8', '0x1.b8a768f3e683ap-8',
+         ['0x1.9dc2ea6836e68p-2', '-0x1.a391def0706a5p-2', '0x1.9aff79927b668p-1',
+          '0x1.40623bfedb829p-3'],
          '11111111111111111111111111111111',
          12, 'not_eigenflag'),
         ('0x1.be45294a52949p-107', '0x1.14b0000000000p-106',
@@ -50,14 +50,14 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (4, 3): [
-        ('0x1.7f911ef8664f3p-6', '0x1.7f911ef8664f3p-6',
-         ['0x1.e1b5af54af550p-3', '0x1.33d02ae7b78afp-3', '-0x1.fb5eb78374c7ap-3',
-          '0x1.db017504a9f9bp-1'],
+        ('0x1.7f911ef8664fap-6', '0x1.7f911ef8664fap-6',
+         ['0x1.6e1c5a6c55e0ep-1', '-0x1.5aaddf6cceed2p-1', '0x1.601452bfe1d6cp-3',
+          '-0x1.a4d8b430a2cccp-6'],
          '11111111111111111111111111111111',
          15, 'not_eigenflag'),
-        ('0x1.b8a768f3e6850p-8', '0x1.b8a768f3e684ep-8',
-         ['-0x1.37a66def46e8bp-2', '0x1.468f9a898f865p-2', '0x1.2577971aa6a11p-3',
-          '0x1.c5ac555fa52e9p-1'],
+        ('0x1.b8a768f3e683ap-8', '0x1.b8a768f3e6838p-8',
+         ['0x1.253a231f522bdp-2', '-0x1.4df13c4b506b5p-1', '-0x1.1e84f9cf818fep-1',
+          '0x1.b1c3592ab6f2bp-2'],
          '11111111111111111111111111111111',
          12, 'not_eigenflag'),
         ('0x1.bd36318c6318bp-107', '0x1.1408000000000p-106',
@@ -71,14 +71,14 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (5, None): [
-        ('0x1.079ac07e509ccp-4', '0x1.079ac07e509cbp-4',
-         ['0x1.2446ad515fdc5p-1', '0x1.ac3a643692604p-2', '-0x1.6066f32a46819p-1',
-          '0x1.dada5bad023d5p-4', '-0x1.c1f3aa715f3a1p-4'],
+        ('0x1.079ac07e509ccp-4', '0x1.079ac07e509ccp-4',
+         ['-0x1.2446ad515fd71p-1', '-0x1.ac3a6436926e8p-2', '0x1.6066f32a467f5p-1',
+          '-0x1.dada5bad0290bp-4', '0x1.c1f3aa715f588p-4'],
          '1111111111111111111111111111111111111111',
          14, 'not_eigenflag'),
         ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
-         ['-0x1.fa80a72cd7595p-6', '0x1.5c01ffc818ba9p-1', '0x1.a0cd32263a7c3p-3',
-          '-0x1.03936e9b1ad35p-2', '-0x1.5046996e4740fp-1'],
+         ['0x1.fa80a72ccfdc5p-6', '-0x1.5c01ffc819748p-1', '-0x1.a0cd32263ccbep-3',
+          '0x1.03936e9b1d719p-2', '0x1.5046996e45d42p-1'],
          '1111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -87,14 +87,14 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (5, 3): [
-        ('0x1.079ac07e509cbp-4', '0x1.079ac07e509cap-4',
-         ['0x1.2446ad5160153p-1', '0x1.ac3a643692dfbp-2', '-0x1.6066f32a46117p-1',
-          '0x1.dada5bad0a975p-4', '-0x1.c1f3aa715b937p-4'],
+        ('0x1.079ac07e509ccp-4', '0x1.079ac07e509ccp-4',
+         ['0x1.2446ad515fd93p-1', '0x1.ac3a64369262fp-2', '-0x1.6066f32a4682dp-1',
+          '0x1.dada5bad025f0p-4', '-0x1.c1f3aa715f37dp-4'],
          '1111111111111111111111111111111111111111',
          19, 'not_eigenflag'),
-        ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
-         ['-0x1.fa80a72cd7595p-6', '0x1.5c01ffc818ba9p-1', '0x1.a0cd32263a7c3p-3',
-          '-0x1.03936e9b1ad35p-2', '-0x1.5046996e4740fp-1'],
+        ('0x1.abe65461daca5p-5', '0x1.abe65461daca5p-5',
+         ['0x1.fa80a72cc79a9p-6', '-0x1.5c01ffc818480p-1', '-0x1.a0cd322638b24p-3',
+          '0x1.03936e9b18f89p-2', '0x1.5046996e483c8p-1'],
          '1111111111111111111111111111111111111111',
          17, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -104,13 +104,13 @@ GOLDEN = {
     ],
     (6, None): [
         ('0x1.701706a9a182bp-4', '0x1.701706a9a182bp-4',
-         ['0x1.e9c1f44a2c762p-2', '-0x1.20407ffc1f05fp-1', '0x1.50962e498ff3bp-3',
-          '-0x1.23fe4b0c70e2ap-1', '-0x1.8d917194e52b2p-6', '0x1.462756d8a951bp-2'],
+         ['-0x1.e9c1f44a2be77p-2', '0x1.20407ffc1f15dp-1', '-0x1.50962e4990219p-3',
+          '0x1.23fe4b0c71078p-1', '0x1.8d917194de144p-6', '-0x1.462756d8a9684p-2'],
          '111111111111111111111111111111111111111111111111',
          16, 'not_eigenflag'),
-        ('0x1.5d531241a1841p-4', '0x1.5d531241a1840p-4',
-         ['-0x1.e9bdc9b0bcbbbp-3', '0x1.905f875473301p-2', '0x1.c8b51a8fad815p-3',
-          '-0x1.e62a44f58e06fp-3', '0x1.a274fc82014a3p-2', '-0x1.70183f90eb70ep-1'],
+        ('0x1.5d531241a1842p-4', '0x1.5d531241a1842p-4',
+         ['0x1.e9bdc9b0bcbbap-3', '-0x1.905f875473304p-2', '-0x1.c8b51a8fad812p-3',
+          '0x1.e62a44f58e06fp-3', '-0x1.a274fc82014a3p-2', '0x1.70183f90eb70cp-1'],
          '111111111111111111111111111111111111111111111111',
          16, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -119,14 +119,14 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (6, 3): [
-        ('0x1.701706a9a182ap-4', '0x1.701706a9a182ap-4',
-         ['-0x1.e9c1f44a2c761p-2', '0x1.20407ffc1f05ep-1', '-0x1.50962e498ff3dp-3',
-          '0x1.23fe4b0c70e2ap-1', '0x1.8d917194e52aap-6', '-0x1.462756d8a951bp-2'],
+        ('0x1.701706a9a1828p-4', '0x1.701706a9a1828p-4',
+         ['-0x1.e9c1f44a2c75dp-2', '0x1.20407ffc1f05fp-1', '-0x1.50962e498ff3dp-3',
+          '0x1.23fe4b0c70e2ap-1', '0x1.8d917194e52d0p-6', '-0x1.462756d8a951cp-2'],
          '111111111111111111111111111111111111111111111111',
          19, 'not_eigenflag'),
-        ('0x1.5d531241a1843p-4', '0x1.5d531241a1842p-4',
-         ['0x1.e9bdc9b0bcbbcp-3', '-0x1.905f875473302p-2', '-0x1.c8b51a8fad815p-3',
-          '0x1.e62a44f58e06ep-3', '-0x1.a274fc82014a4p-2', '0x1.70183f90eb70ep-1'],
+        ('0x1.5d531241a1842p-4', '0x1.5d531241a1842p-4',
+         ['0x1.e9bdc9b0bcbbcp-3', '-0x1.905f875473303p-2', '-0x1.c8b51a8fad813p-3',
+          '0x1.e62a44f58e06dp-3', '-0x1.a274fc82014a3p-2', '0x1.70183f90eb70dp-1'],
          '111111111111111111111111111111111111111111111111',
          21, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -135,16 +135,16 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (7, None): [
-        ('0x1.68d69a4d7e6c6p-4', '0x1.68d69a4d7e6c3p-4',
-         ['0x1.5ea048b48600ep-2', '0x1.e692e7be1256ap-7', '0x1.ca390aa982b89p-3',
-          '-0x1.fa4c630006582p-2', '-0x1.3e1ff32de31c6p-1', '0x1.df86f32ec20f3p-3',
-          '-0x1.88c79ac490b7ep-2'],
+        ('0x1.68d69a4d7e6c5p-4', '0x1.68d69a4d7e6c4p-4',
+         ['0x1.5ea048b485b42p-2', '0x1.e692e7be0d738p-7', '0x1.ca390aa97f8d6p-3',
+          '-0x1.fa4c630007044p-2', '-0x1.3e1ff32de2b85p-1', '0x1.df86f32ec315fp-3',
+          '-0x1.88c79ac49200dp-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
-         ['0x1.9d5adb3c4b335p-4', '0x1.d692707eefebap-1', '-0x1.155eb343ccd7cp-7',
-          '-0x1.70e730a7bd340p-3', '0x1.0e8bcec855b2dp-3', '0x1.6e2d10f2ce54fp-3',
-          '-0x1.0158d067eaf25p-2'],
+         ['-0x1.9d5adb3c4aef6p-4', '-0x1.d692707eeff1ep-1', '0x1.155eb343cd211p-7',
+          '0x1.70e730a7bd0f1p-3', '-0x1.0e8bcec855be2p-3', '-0x1.6e2d10f2ce1e8p-3',
+          '0x1.0158d067eae88p-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -154,16 +154,16 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (7, 3): [
-        ('0x1.68d69a4d7e6c9p-4', '0x1.68d69a4d7e6c6p-4',
-         ['0x1.5ea048b485149p-2', '0x1.e692e7be0c365p-7', '0x1.ca390aa9850f9p-3',
-          '-0x1.fa4c630007f73p-2', '-0x1.3e1ff32de26cfp-1', '0x1.df86f32ec37a9p-3',
-          '-0x1.88c79ac490913p-2'],
+        ('0x1.68d69a4d7e6c5p-4', '0x1.68d69a4d7e6c4p-4',
+         ['0x1.5ea048b485b42p-2', '0x1.e692e7be0d738p-7', '0x1.ca390aa97f8d6p-3',
+          '-0x1.fa4c630007044p-2', '-0x1.3e1ff32de2b85p-1', '0x1.df86f32ec315fp-3',
+          '-0x1.88c79ac49200dp-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
-        ('0x1.a2447935dba54p-4', '0x1.a2447935dba54p-4',
-         ['0x1.9d5adb3c4aef0p-4', '0x1.d692707eeff20p-1', '-0x1.155eb343cd1fap-7',
-          '-0x1.70e730a7bd0eap-3', '0x1.0e8bcec855bedp-3', '0x1.6e2d10f2ce1e3p-3',
-          '-0x1.0158d067eae84p-2'],
+        ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
+         ['-0x1.9d5adb3c4aef6p-4', '-0x1.d692707eeff1ep-1', '0x1.155eb343cd211p-7',
+          '0x1.70e730a7bd0f1p-3', '-0x1.0e8bcec855be2p-3', '-0x1.6e2d10f2ce1e8p-3',
+          '0x1.0158d067eae88p-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -173,40 +173,40 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (8, None): [
-        ('0x1.b6c54763f4f44p-4', '0x1.b6c54763f4f44p-4',
-         ['-0x1.0b41327dd3b75p-1', '-0x1.242c9e84ad522p-1', '0x1.117c946f42221p-3',
-          '-0x1.e00f82399d50fp-3', '-0x1.183ea445f9cb5p-5', '-0x1.ecf710b83c806p-8',
-          '-0x1.b052725f714b7p-2', '0x1.8c1e7fb78bd55p-2'],
+        ('0x1.b6c54763f4f49p-4', '0x1.b6c54763f4f49p-4',
+         ['0x1.0b41327dd3b4ap-1', '0x1.242c9e84ad6bap-1', '-0x1.117c946f419f9p-3',
+          '0x1.e00f82399d0ccp-3', '0x1.183ea445fa62fp-5', '0x1.ecf710b847af1p-8',
+          '0x1.b052725f714b3p-2', '-0x1.8c1e7fb78bba0p-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
          20, 'not_eigenflag'),
-        ('0x1.a8fa675ebb1d7p-4', '0x1.a8fa675ebb1d7p-4',
-         ['0x1.41c222d78db64p-3', '-0x1.b937668563862p-4', '0x1.1f1338f8eb734p-2',
-          '0x1.d9e5648ce79e7p-3', '0x1.23722ab5c82f0p-1', '-0x1.0eeff21437aecp-2',
-          '-0x1.9b0725db27ee5p-2', '-0x1.0d310c3952f54p-1'],
+        ('0x1.a8fa675ebb1d6p-4', '0x1.a8fa675ebb1d6p-4',
+         ['0x1.41c222d78ed18p-3', '-0x1.b937668563bc7p-4', '0x1.1f1338f8eb52dp-2',
+          '0x1.d9e5648ce7046p-3', '0x1.23722ab5c8250p-1', '-0x1.0eeff21437b22p-2',
+          '-0x1.9b0725db27aafp-2', '-0x1.0d310c39531bep-1'],
          '1111111111111111111111111111111111111111111111111111111111111111',
          24, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-          '0x0.0p+0', '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+          '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (8, 3): [
-        ('0x1.b6c54763f4f41p-4', '0x1.b6c54763f4f41p-4',
-         ['0x1.0b41327dd3365p-1', '0x1.242c9e84adc0dp-1', '-0x1.117c946f42ed9p-3',
-          '0x1.e00f82399da06p-3', '0x1.183ea445fbac5p-5', '0x1.ecf710b80a59ap-8',
-          '0x1.b052725f70ee1p-2', '-0x1.8c1e7fb78c13ep-2'],
+        ('0x1.b6c54763f4f45p-4', '0x1.b6c54763f4f45p-4',
+         ['0x1.0b41327dd337dp-1', '0x1.242c9e84adbefp-1', '-0x1.117c946f42ea1p-3',
+          '0x1.e00f82399da02p-3', '0x1.183ea445fba7bp-5', '0x1.ecf710b80a668p-8',
+          '0x1.b052725f70f0cp-2', '-0x1.8c1e7fb78c139p-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         21, 'not_eigenflag'),
+         22, 'not_eigenflag'),
         ('0x1.a8fa675ebb1d7p-4', '0x1.a8fa675ebb1d7p-4',
-         ['-0x1.41c222d78e8e9p-3', '0x1.b937668563b73p-4', '-0x1.1f1338f8eb47dp-2',
-          '-0x1.d9e5648ce708ap-3', '-0x1.23722ab5c8422p-1', '0x1.0eeff214376f4p-2',
-          '0x1.9b0725db27fd2p-2', '0x1.0d310c3952f58p-1'],
+         ['-0x1.41c222d78d240p-3', '0x1.b937668563750p-4', '-0x1.1f1338f8eb82bp-2',
+          '-0x1.d9e5648ce7ee2p-3', '-0x1.23722ab5c8353p-1', '0x1.0eeff21437acbp-2',
+          '0x1.9b0725db2813fp-2', '0x1.0d310c3952df1p-1'],
          '1111111111111111111111111111111111111111111111111111111111111111',
          18, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-          '0x0.0p+0', '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+          '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],

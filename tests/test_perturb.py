@@ -1,4 +1,5 @@
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from lcwcheck.cottonyork import classify_cy
 from lcwcheck.curvature import curvature_package, kulkarni_nomizu
 from lcwcheck.eigenflag import construct_stratum4, min_residual
 from lcwcheck.genericity import obstruct_point
-from lcwcheck.jets import metric_jets
+from lcwcheck.jets import MetricNotPositive, SymIndex, metric_jets
 from lcwcheck.metrics import MetricSpec, parse_metric
-from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, PositivityError,
-                              cubic_metric_spec, cy_linear_map, perturb_curvature,
-                              solve_cy_target, sym3_to_vec5)
+from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, cubic_metric_spec,
+                              cy_linear_map, perturb_curvature, solve_cy_target,
+                              sym3_to_vec5)
 
 from oracles import vec5_to_sym3
 
@@ -98,7 +99,7 @@ def test_emitted_document_reparses():
 
 
 def test_positivity_rejection():
-    with pytest.raises(PositivityError):
+    with pytest.raises(MetricNotPositive, match="perturbed metric is not positive definite"):
         perturb_curvature(AlgebraicCurvature.space_form(4, 1.0), domain_halfwidth=1.0)
 
 
@@ -243,3 +244,13 @@ def test_cotton_coefficients_validation():
     assert np.allclose(full, full.transpose(1, 0, 2, 3, 4))
     assert np.allclose(full, full.transpose(0, 1, 3, 2, 4))
     assert np.allclose(full, full.transpose(0, 1, 2, 4, 3))
+
+
+def test_cotton_coefficients_full_matches_the_entrywise_expansion():
+    packed = np.random.default_rng(23).standard_normal(60)
+    want = np.zeros((3, 3, 3, 3, 3))
+    for p, (i, j) in enumerate(SymIndex(3).pairs):
+        for t, klm in enumerate(SymIndex(3).triples):
+            for k, l, m in set(permutations(klm)):
+                want[i, j, k, l, m] = want[j, i, k, l, m] = packed[p * 10 + t]
+    assert np.array_equal(CottonCoefficients(packed).full(), want)
