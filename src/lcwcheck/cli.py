@@ -302,9 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lcwcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, metric=True):
-        if metric:
-            p.add_argument("metric", help="metric JSON document")
+    def common(p):
+        p.add_argument("metric", help="metric JSON document")
         p.add_argument("--seed", type=_parse_seed, default=None, help="optimizer start-set seed")
         p.add_argument("--starts", type=_parse_starts, default=None,
                        help="multistart count (default 8n)")

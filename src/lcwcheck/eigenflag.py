@@ -25,9 +25,11 @@ Membership is decided by global minimization: multistart Riemannian
 Newton descent on the sphere (Hessian eigenvalues taken in absolute value
 and floored, a step radius per start, Armijo backtracking relaxed by the
 rounding floor of w.K.w), final iterates scored with the exact |G'|^2 / 2,
-plus an optional rigorous grid certificate in dimension 4.  Start points
-map to Gaussians through ``_ndtri``, an in-module port of Cephes' inverse
-normal CDF.
+plus an optional rigorous grid certificate in dimension 4.  Operators
+descend in chunks whose gathered forms fit in ``DESCENT_BUDGET``; this
+module alone sizes them.  E being even, the certificate scores each pair
++-v once.  Start points map to Gaussians through ``_ndtri``, an in-module
+port of Cephes' inverse normal CDF.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ E_SLACK = 1e-13   # rounding floor of w.K.w, as a share of |W|^2, that Armijo fo
 LAMBDA_FLOOR = 1e-8  # Hessian eigenvalues floored at this share of the largest
 MAX_STEP = 1.0    # largest tangent step of a start, and its first step radius
 CHUNK = 65536     # grid points per residual evaluation of the certificate
-# Floats per min_residuals call, counted as n^4 per start (8n^5 per operator
-# by default): 2^19 floats (4 MB) take 64 operators at n = 4, 20 at n = 5 and
-# 2 at n = 8; see descent_batch_size.  The descent's largest array, the
-# gathered forms K[own], holds N^2 = (n(n+1)/2)^2 floats per start, 32-39% of
-# the count, so a call's peak stays well inside the budget.
+# Floats of the descent's largest array, the gathered forms K[own], per
+# min_residuals chunk: starts * N^2 per operator, N = n(n+1)/2 (8n N^2 by
+# default), so 2^19 floats (4 MB) take 163 operators at n = 4, 58 at n = 5
+# and 6 at n = 8.
 DESCENT_BUDGET = 2 ** 19
 SPECTRUM_TOL = 1e-8  # relative eigenvalue gap of classify_weyl_spectrum
 
@@ -267,23 +268,17 @@ def min_residual(w, starts: int | None = None, seed=None,
     return min_residuals([w], starts, seed, tol_eigenflag, weyl_floor)[0]
 
 
-def descent_batch_size(n: int, starts: int | None = None) -> int:
-    """Operators per :func:`min_residuals` call that keep n^4 floats per
-    start within ``DESCENT_BUDGET`` (at least one); see its comment."""
-    rows = max(8 * n if starts is None else starts, n)  # per operator, as sphere_start_set
-    return max(1, DESCENT_BUDGET // (rows * n ** 4))
-
-
 def min_residuals(ws, starts: int | None = None, seed=None,
                   tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
                   weyl_floor=DEFAULT_ZERO_FLOOR) -> list[EigenflagReport]:
     """:func:`min_residual` for several operators of one dimension at once.
 
-    All operators x starts descend in one loop; each start's iterates, and
-    so each report, are exactly those of its operator on its own.
-    ``weyl_floor`` is one floor for all operators or one per operator.  A
-    report's ``iterations`` counts the loop rounds in which some start of
-    its operator was still descending.
+    ``weyl_floor`` is one floor for all operators or one per operator.  The
+    operators above their floor descend in chunks whose gathered forms fit
+    in ``DESCENT_BUDGET``, all operators x starts of a chunk in one loop;
+    each start's iterates, and so each report, are exactly those of its
+    operator on its own.  A report's ``iterations`` counts the loop rounds
+    in which some start of its operator was still descending.
     """
     pairs = [_as_tensor(w) for w in ws]
     n = pairs[0][0].shape[0]
@@ -291,18 +286,23 @@ def min_residuals(ws, starts: int | None = None, seed=None,
         raise DimensionError("eigenflag test needs dimension >= 4")
     if any(t.shape[0] != n for t, _ in pairs):
         raise DimensionError("operators of one batch must share their dimension")
-    if starts is None:
-        starts = 8 * n
     floors = np.broadcast_to(np.asarray(weyl_floor, dtype=float), (len(pairs),))
 
     reports = [EigenflagReport(0.0, 0.0, np.zeros(n), wnorm, 0, np.zeros(0, dtype=bool),
                                "weyl_negligible", 0, seed) if wnorm < floor else None
                for (_, wnorm), floor in zip(pairs, floors)]
     live = [k for k, r in enumerate(reports) if r is None]
-    if not live:
-        return reports
+    if live:
+        start_set = sphere_start_set(n, 8 * n if starts is None else starts, seed)
+        size = max(1, DESCENT_BUDGET // (start_set.shape[0] * (n * (n + 1) // 2) ** 2))
+        for lo in range(0, len(live), size):
+            _descend(pairs, live[lo:lo + size], reports, start_set, seed, tol_eigenflag)
+    return reports
 
-    start_set = sphere_start_set(n, starts, seed)
+
+def _descend(pairs, live, reports, start_set, seed, tol_eigenflag) -> None:
+    """Descend the operators ``pairs[k]``, k in ``live``, in one loop from
+    ``start_set``, and set their ``reports[k]``; see :func:`min_residuals`."""
     nb = start_set.shape[0]
     wnorms = np.array([pairs[k][1] for k in live])
     forms = _QuarticForms(np.stack([pairs[k][0] for k in live]))
@@ -383,7 +383,6 @@ def min_residuals(ws, starts: int | None = None, seed=None,
         reports[k] = EigenflagReport(normalized, raw, minimizer, wnorm, nb,
                                      done[p * nb:(p + 1) * nb].copy(), verdict,
                                      int(iterations[p]), seed)
-    return reports
 
 
 # --- rigorous grid certificate (n = 4) --------------------------------------
@@ -404,9 +403,12 @@ class CertifiedBound:
 def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
     """Certify min E > 0 for a unit-normalized Weyl operator on S^3.
 
-    Evaluates E on a covering grid (the 8 cube faces, radially projected),
-    ``CHUNK`` points at a time so memory stays bounded, and subtracts a
-    computed Lipschitz bound times the covering radius.
+    Evaluates E on a covering grid of the 4 cube faces x_a = +1, radially
+    projected, ``CHUNK`` points at a time so memory stays bounded, and
+    subtracts a computed Lipschitz bound times the covering radius.  The
+    faces x_a = -1 are left out: every unit v or -v projects from one of
+    the 4 faces, the projection is 1-Lipschitz and E(-v) = E(v), so those
+    faces would only repeat values.
     The Lipschitz constant comes from the polynomial structure of E:
     |grad E| <= 3 sigma^2 with sigma^2 the largest eigenvalue of the
     first-slot Gram matrix of T, converted to the geodesic metric.  A
@@ -434,18 +436,14 @@ def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
     covering = sqrt(3.0) / 2.0 * h  # face half-diagonal; projection is 1-Lipschitz here
 
     grid_min = np.inf
-    points = 0
     buf = np.empty((face.shape[0], 4))
     for a in range(4):
-        rest = [d for d in range(4) if d != a]
-        for sign in (1.0, -1.0):
-            buf[:, a] = sign
-            buf[:, rest] = face
-            pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
-            for lo in range(0, pts.shape[0], CHUNK):
-                e = _batch_residual(t, pts[lo:lo + CHUNK])
-                grid_min = min(grid_min, float(e.min()))
-            points += pts.shape[0]
+        buf[:, a] = 1.0
+        buf[:, [d for d in range(4) if d != a]] = face
+        pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
+        for lo in range(0, pts.shape[0], CHUNK):
+            grid_min = min(grid_min, float(_batch_residual(t, pts[lo:lo + CHUNK]).min()))
+    points = 4 * face.shape[0]
 
     bound = grid_min - lipschitz * covering
     return CertifiedBound(bound, bound > 0.0, grid_min, lipschitz, covering, points)
@@ -500,7 +498,7 @@ def classify_weyl_spectrum(w) -> str:
     if m.shape != (6, 6):
         raise DimensionError("spectrum classification applies to n = 4 operators")
     eig = np.sort(np.linalg.eigvalsh(m))
-    scale = max(np.abs(eig).max(), 0.0)
+    scale = np.abs(eig).max()
     if scale < SPECTRUM_TOL:
         return "zero"
     groups: list[list[float]] = []

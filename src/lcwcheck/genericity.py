@@ -30,7 +30,7 @@ from .bivectors import BivectorBasis, WeylOperator, to_operator, weyl_part
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
 from .curvature import DimensionError, package_from_jets
-from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_batch_size, min_residuals
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, make_metric
 
@@ -84,16 +84,13 @@ def residual_statistics(n: int, count: int, seed: int, starts: int | None = None
 
     ``extra_operators`` are appended after the random batch (e.g. a planted
     stratum operator, to confirm the detector reports a near-zero minimum).
-    The exported threshold is the 5% quantile of the random batch.  The
-    operators descend in chunks of :func:`descent_batch_size`, sized by the
-    descent's own memory (each report is the one :func:`min_residual` gives).
+    The exported threshold is the 5% quantile of the random batch.  Each
+    report is the one :func:`min_residual` gives its operator alone.
     """
     rng = np.random.default_rng(seed)
     ops = [sample_weyl(n, rng) for _ in range(count)]
     ops.extend(extra_operators)
-    size = descent_batch_size(n, starts)
-    reports = [report for lo in range(0, len(ops), size)
-               for report in min_residuals(ops[lo:lo + size], starts=starts)]
+    reports = min_residuals(ops, starts=starts)
     residuals = np.array([r.residual_min for r in reports])
     random_part = residuals[:count]
     quantiles = {
@@ -195,11 +192,7 @@ class PointVerdict:
 # Points per batch of jets, curvature and (n >= 4) the eigenflag descent.
 # Per point, the curvature chain holds a few arrays of n^5 entries, so a batch
 # of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at n = 5, one at n = 8)
-# keeps each near 2^14 entries.  The descent's largest array, the gathered
-# forms K[own], holds starts * N^2 floats per point, N = n(n+1)/2 (8n N^2 by
-# default: 3,200 at n = 4, 82,944 at n = 8), under 2^17 per batch;
-# residual_statistics, which has no curvature, sizes its descent chunks by
-# eigenflag.DESCENT_BUDGET instead.
+# keeps each near 2^14 entries.
 def _batch_size(n: int) -> int:
     return max(1, 2 ** 14 // n ** 5)
 

@@ -34,6 +34,7 @@ import numpy as np
 from . import curvature as _curv
 from .bivectors import WeylOperator, bianchi_part, operator_to_tensor
 from .cottonyork import CottonYorkTensor
+from .genericity import grid_points
 from .jets import MetricJets, MetricNotPositive, SymIndex
 from .metrics import MetricSpec, make_metric
 
@@ -124,11 +125,7 @@ def _check_positivity(spec: MetricSpec) -> None:
     highs = np.array([hi for _, hi in spec.domain])
     rng = np.random.default_rng(20240901)
     pts = [lows + (highs - lows) * rng.random(n) for _ in range(200)]
-    if n <= 8:
-        for bits in range(2 ** n):
-            corner = np.where([(bits >> d) & 1 for d in range(n)], highs, lows)
-            pts.append(corner)
-    for p in pts:
+    for p in [*pts, *grid_points(spec, [2] * n)]:
         g = spec.evaluate(p)
         try:
             np.linalg.cholesky(g)

@@ -16,7 +16,7 @@ import numpy as np
 
 from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_part
 from lcwcheck.curvature import _inverse_jets, _symbols
-from lcwcheck.eigenflag import _as_tensor, _flag_parts, _unit
+from lcwcheck.eigenflag import CHUNK, _as_tensor, _batch_residual, _flag_parts, _unit
 from lcwcheck.perturb import _TRACELESS_BASIS
 
 
@@ -191,6 +191,28 @@ def residual_explicit(tensor, v, rng):
                 val = np.einsum("ijkl,i,j,k,l->", tensor, v, wa, perp[bi], perp[ci])
                 total += val ** 2
     return total
+
+
+def grid_min_both_signs(w, k):
+    """(min E, point count) over the radially projected k^3 grids of all 8
+    cube faces x_a = +-1 around S^3, for the operator normalized to unit
+    norm: the grid of ``certify_positive_minimum`` with both signs of each
+    direction, evaluated ``CHUNK`` points at a time as it does."""
+    t, wnorm = _as_tensor(w)
+    t = t / wnorm
+    axis = np.linspace(-1.0, 1.0, k)
+    face = axis[np.indices((k, k, k)).reshape(3, -1).T]
+    grid_min, points = np.inf, 0
+    buf = np.empty((face.shape[0], 4))
+    for a in range(4):
+        for sign in (1.0, -1.0):
+            buf[:, a] = sign
+            buf[:, [d for d in range(4) if d != a]] = face
+            pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
+            for lo in range(0, pts.shape[0], CHUNK):
+                grid_min = min(grid_min, float(_batch_residual(t, pts[lo:lo + CHUNK]).min()))
+            points += pts.shape[0]
+    return grid_min, points
 
 
 # --- helpers only the tests use ----------------------------------------------

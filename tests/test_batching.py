@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from lcwcheck import eigenflag
 from lcwcheck.bivectors import to_operator
 from lcwcheck.cli import main
 from lcwcheck.cottonyork import CottonYorkTensor
@@ -206,13 +207,27 @@ def test_min_residuals_batch_equals_single(n, seed):
     assert len({r.iterations for r in batch}) > 1
 
 
-def test_min_residuals_per_operator_floors():
+def test_min_residuals_per_operator_floors(monkeypatch):
     rng = np.random.default_rng(5)
-    ops = [sample_weyl(4, rng) for _ in range(3)]
-    floors = [0.5, 2.0, 0.5]  # the operators have unit norm
+    ops = [sample_weyl(4, rng) for _ in range(5)]
+    floors = [0.5, 2.0, 0.5, 0.5, 2.0]  # the operators have unit norm
+    singles = [min_residual(op, weyl_floor=f) for op, f in zip(ops, floors)]
     batch = min_residuals(ops, weyl_floor=floors)
-    assert [r.verdict == "weyl_negligible" for r in batch] == [False, True, False]
-    assert_reports_match(batch, [min_residual(op, weyl_floor=f) for op, f in zip(ops, floors)])
+    assert [r.verdict == "weyl_negligible" for r in batch] == [False, True, False, False, True]
+    assert_reports_match(batch, singles)
+    # chunks of 2 operators (32 starts, N^2 = 10^2 floats each): the
+    # negligible operators take no place in a chunk, and the reports of the
+    # second chunk land around them
+    monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 2 * 32 * 10 ** 2)
+    descend, chunks = eigenflag._descend, []
+
+    def spy(pairs, live, *args):
+        chunks.append(list(live))
+        return descend(pairs, live, *args)
+
+    monkeypatch.setattr(eigenflag, "_descend", spy)
+    assert_reports_match(min_residuals(ops, weyl_floor=floors), singles)
+    assert chunks == [[0, 2], [3]]
 
 
 def test_min_residuals_on_curvature_operators():

@@ -19,7 +19,8 @@ from lcwcheck.eigenflag import (DimensionError, certify_positive_minimum,
 from lcwcheck.genericity import sample_weyl
 from lcwcheck.metrics import parse_metric
 
-from oracles import conjugate_operator, project_weyl, residual_explicit, residual_gradient
+from oracles import (conjugate_operator, grid_min_both_signs, project_weyl, residual_explicit,
+                     residual_gradient)
 
 
 def random_rotation(n, rng):
@@ -289,6 +290,30 @@ def test_certify_positive_for_far_operator():
     assert cert.conclusive
     assert cert.lower_bound > 0.0
     assert cert.grid_min >= min_residual(w).raw_residual - 1e-12
+
+
+def certificate_operators():
+    rng = np.random.default_rng(77)
+    planted = []
+    for _ in range(3):
+        a, b = rng.uniform(-1.0, 1.0, 2)
+        planted.append(construct_stratum4((a, b, -a - b), random_rotation(4, rng)))
+    return [(sample_weyl(4, rng), False) for _ in range(6)] + [(w, True) for w in planted]
+
+
+@pytest.mark.parametrize("k", [8, 24])
+def test_certify_scores_each_direction_pair_once(k):
+    """E is even, so the 4 faces x_a = +1 give the grid minimum of all 8
+    faces up to roundoff in E(-v) - E(v), with half the points."""
+    for w, planted in certificate_operators():
+        cert = certify_positive_minimum(w, grid_resolution=k)
+        ref_min, ref_points = grid_min_both_signs(w, k)
+        assert cert.points == 4 * k ** 3 == ref_points // 2
+        assert ref_min <= cert.grid_min <= ref_min + 1e-15
+        ref_bound = ref_min - cert.lipschitz * cert.covering_radius
+        assert cert.conclusive == (ref_bound > 0.0)
+        if planted:
+            assert not cert.conclusive
 
 
 # --- strata ------------------------------------------------------------------

@@ -68,27 +68,34 @@ def test_residual_statistics_determinism_and_quantiles():
 
 
 def test_residual_statistics_descends_in_batches_with_per_operator_bits(monkeypatch):
-    """The chunks of descent_batch_size (20 operators at n = 5, so 45 leave
-    the last one part full) and chunks of another size give every operator
-    the report min_residual gives it alone, and the same CSV bytes."""
+    """min_residuals descends in chunks of its own (58 operators at n = 5,
+    so 70 leave the last one part full, and chunks of a patched budget);
+    residual_statistics calls it once, and every operator gets the report
+    min_residual gives it alone, and the same CSV bytes."""
     rng = np.random.default_rng(11)
-    singles = [min_residual(sample_weyl(5, rng)) for _ in range(45)]
+    singles = [min_residual(sample_weyl(5, rng)) for _ in range(70)]
     want_csv = "index,residual_min,verdict\n" + "".join(
         f"{k},{fmt17(r.residual_min)},{r.verdict}\n" for k, r in enumerate(singles))
-    batched = genericity.min_residuals
-    for budget, sizes in ((None, [20, 20, 5]), (7 * 40 * 5 ** 4, [7] * 6 + [3])):
-        if budget is not None:  # 7 operators of 40 starts, n^4 floats each
+    descend, batched = eigenflag._descend, genericity.min_residuals
+    for budget, sizes in ((None, [58, 12]), (8 * 40 * 15 ** 2, [8] * 8 + [6])):
+        if budget is not None:  # 8 operators of 40 starts, N^2 = 15^2 floats each
             monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", budget)
-        batches = []
+        calls, chunks = [], []
 
         def spy(ws, **kwargs):
-            batches.append(batched(ws, **kwargs))
-            return batches[-1]
+            calls.append(batched(ws, **kwargs))
+            return calls[-1]
+
+        def chunk_spy(pairs, live, *args):
+            chunks.append(len(live))
+            return descend(pairs, live, *args)
 
         monkeypatch.setattr(genericity, "min_residuals", spy)
-        stats = residual_statistics(5, 45, seed=11)
-        assert [len(b) for b in batches] == sizes
-        for got, want in zip([r for b in batches for r in b], singles, strict=True):
+        monkeypatch.setattr(eigenflag, "_descend", chunk_spy)
+        stats = residual_statistics(5, 70, seed=11)
+        assert len(calls) == 1
+        assert chunks == sizes
+        for got, want in zip(calls[0], singles, strict=True):
             for name in ("residual_min", "raw_residual", "minimizer", "verdict",
                          "iterations", "converged"):
                 assert np.asarray(getattr(got, name)).tobytes() == \
