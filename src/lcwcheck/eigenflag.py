@@ -22,14 +22,18 @@ One product u = K w gives E = w.u, the Euclidean gradient 2 U v and the
 Hessian 6 U, U the symmetric n x n matrix of u with its diagonal doubled.
 
 Membership is decided by global minimization: multistart Riemannian
-Newton descent on the sphere (Hessian eigenvalues taken in absolute value
-and floored, a step radius per start, Armijo backtracking relaxed by the
-rounding floor of w.K.w), final iterates scored with the exact |G'|^2 / 2,
-plus an optional rigorous grid certificate in dimension 4.  Operators
-descend in chunks whose gathered forms fit in ``DESCENT_BUDGET``; this
-module alone sizes them.  E being even, the certificate scores each pair
-+-v once.  Start points map to Gaussians through ``_ndtri``, an in-module
-port of Cephes' inverse normal CDF.
+Newton descent on the sphere (a step radius per start, Armijo backtracking
+relaxed by the rounding floor of w.K.w), final iterates scored with the
+exact |G'|^2 / 2, plus an optional rigorous grid certificate in dimension
+4.  Each round solves H x = -g for the tangent Hessians by an in-module
+batched Cholesky, H shifted by s v v^T so it is nonsingular along v; the
+rows that do not factor (H not positive definite on v-perp) fall back to
+``eigh`` and the saddle-free step, eigenvalues taken in absolute value and
+floored.  Operators descend in chunks whose gathered forms fit in
+``DESCENT_BUDGET``; this module alone sizes them.  The certificate scores
+its grid on the packed form, each pair +-v once as E is even, and
+subtracts the form's rounding floor.  Start points map to Gaussians
+through ``_ndtri``, an in-module port of Cephes' inverse normal CDF.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ MAXITER = 500     # descent rounds per start
 GTOL = 1e-12      # converged once |grad E| <= GTOL * max(1, |W|^2)
 C1 = 1e-4         # Armijo sufficient-decrease factor
 E_SLACK = 1e-13   # rounding floor of w.K.w, as a share of |W|^2, that Armijo forgives
-LAMBDA_FLOOR = 1e-8  # Hessian eigenvalues floored at this share of the largest
+LAMBDA_FLOOR = 1e-8  # eigh fallback rows: |eigenvalues| floored at this share of the largest
 MAX_STEP = 1.0    # largest tangent step of a start, and its first step radius
 CHUNK = 65536     # grid points per residual evaluation of the certificate
 # Floats of the descent's largest array, the gathered forms K[own], per
@@ -111,6 +115,12 @@ class _QuarticForms:
         u = np.einsum("bpq,bq->bp", self.k[owners], w)
         return np.einsum("bp,bp->b", w, u), u
 
+    def first_values(self, v: np.ndarray) -> np.ndarray:
+        """E = w.K w at each unit row of v for the stack's first operator,
+        without gathering K per row."""
+        w = np.take(v, self.ia, axis=1) * np.take(v, self.ib, axis=1)
+        return np.einsum("bp,bp->b", w, w @ self.k[0])
+
     def derivatives(self, v: np.ndarray, u: np.ndarray):
         """Riemannian gradient and Hessian at each unit row of v, from u = K w.
 
@@ -127,6 +137,54 @@ class _QuarticForms:
         h += (np.einsum("bi,bi->b", v, hv)[:, None, None] * v[:, :, None] * v[:, None, :]
               - v[:, :, None] * hv[:, None, :] - hv[:, :, None] * v[:, None, :])
         return egrad - vg[:, None] * v, h
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray):
+    """Solve a x = b for each symmetric matrix of a stack; (x, ok).
+
+    Gauss-Jordan elimination without pivoting on [a | b], one column at a
+    time over all rows.  Its pivots are D of a = L D L^T, the squares of the
+    Cholesky diagonal, so ``ok`` (every pivot positive, x finite) says that
+    a row factors, i.e. is positive definite; x is meaningless elsewhere.
+    """
+    rows, n = b.shape
+    m = np.empty((n, n + 1, rows))  # [a | b] with the rows last: every slice is contiguous
+    m[:, :n] = a.transpose(1, 2, 0)
+    m[:, n] = b.T
+    pivots = np.empty((n, rows))
+    with np.errstate(all="ignore"):  # rows that do not factor may overflow
+        for j in range(n):
+            pivots[j] = m[j, j]
+            m[j, j] -= 1.0  # so that the update leaves row j divided by its pivot
+            m[:, j + 1:] -= m[:, j, None] * (m[j, j + 1:] / pivots[j])
+        x = m[:, n].T.copy()
+    return x, (pivots > 0.0).all(axis=0) & np.isfinite(x).all(axis=1)
+
+
+def _saddle_free_steps(hess: np.ndarray, rgrad: np.ndarray) -> np.ndarray:
+    """-sum_q (q.g)/|lambda_q| q in each Hessian's eigenbasis, |lambda| floored."""
+    lam, vecs = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, LAMBDA_FLOOR * lam.max(axis=1, keepdims=True))
+    return -np.einsum("bij,bj->bi", vecs, np.einsum("bij,bi->bj", vecs, rgrad) / lam)
+
+
+def _newton_steps(v: np.ndarray, rgrad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Riemannian Newton step at each unit row of v from its tangent gradient
+    and Hessian: -H^{-1} g by a Cholesky solve where H is positive definite
+    on the tangent space, else the saddle-free step.
+
+    H v = 0, so H + s v v^T, s = tr H / (n - 1), is positive definite exactly
+    when H is on v-perp, and the solution x of (H + s v v^T) x = -g is
+    tangent (v.x = -v.g / s = 0) with H x = -g.
+    """
+    shift = np.trace(hess, axis1=1, axis2=2) / (v.shape[1] - 1)
+    step, ok = _cholesky_solve(hess + shift[:, None, None] * v[:, :, None] * v[:, None, :],
+                               -rgrad)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        step[bad] = _saddle_free_steps(hess[bad], rgrad[bad])
+    return step
 
 
 def _batch_residual(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -252,18 +310,19 @@ def min_residual(w, starts: int | None = None, seed=None,
 
     Defaults: 8n starts (deterministic low-discrepancy set plus the frame
     vectors).  Each start takes Riemannian Newton steps on the quartic form
-    of E: along the Riemannian Hessian's eigenvectors, with eigenvalues
-    taken in absolute value and floored at ``LAMBDA_FLOOR`` of the largest,
-    capped by a radius that doubles (up to ``MAX_STEP``) after a full step
-    and halves after a backtrack.  Steps backtrack (factor 0.5) until they
-    pass an Armijo test relaxed by ``E_SLACK * |W|^2``, the rounding floor
-    of the form.  A start stops once its gradient is below
-    ``GTOL * max(1, |W|^2)``, or after ``MAXITER`` rounds.  The best final
-    iterate is scored with the exact residual.  Deterministic for a fixed
-    seed.  Verdict thresholds act on the normalized residual; values
-    between ``tol_eigenflag`` and ``DEFAULT_TOL_NOT_EIGENFLAG`` are reported
-    as inconclusive.  The verdict stays heuristic unless backed by
-    :func:`certify_positive_minimum`.
+    of E: the plain Newton step by a Cholesky solve where the Riemannian
+    Hessian is positive definite, else (the ``eigh`` fallback) along its
+    eigenvectors with eigenvalues taken in absolute value and floored at
+    ``LAMBDA_FLOOR`` of the largest; either is capped by a radius that
+    doubles (up to ``MAX_STEP``) after a full step and halves after a
+    backtrack.  Steps backtrack (factor 0.5) until they pass an Armijo test
+    relaxed by ``E_SLACK * |W|^2``, the rounding floor of the form.  A
+    start stops once its gradient is below ``GTOL * max(1, |W|^2)``, or
+    after ``MAXITER`` rounds.  The best final iterate is scored with the
+    exact residual.  Deterministic for a fixed seed.  Verdict thresholds
+    act on the normalized residual; values between ``tol_eigenflag`` and
+    ``DEFAULT_TOL_NOT_EIGENFLAG`` are reported as inconclusive.  The
+    verdict stays heuristic unless backed by :func:`certify_positive_minimum`.
     """
     return min_residuals([w], starts, seed, tol_eigenflag, weyl_floor)[0]
 
@@ -329,12 +388,7 @@ def _descend(pairs, live, reports, start_set, seed, tol_eigenflag) -> None:
         small = np.sqrt(np.einsum("bi,bi->b", rgrad, rgrad)) <= gtol_eff
         idx = np.flatnonzero(~small)
 
-        # saddle-free Newton step -sum_q (q.g)/|lambda_q| q in the Hessian's eigenbasis
-        lam, vecs = np.linalg.eigh(hess[idx])
-        lam = np.abs(lam)
-        lam = np.maximum(lam, LAMBDA_FLOOR * lam.max(axis=1, keepdims=True))
-        step = -np.einsum("bij,bj->bi", vecs,
-                          np.einsum("bij,bi->bj", vecs, rgrad[idx]) / lam)
+        step = _newton_steps(v[idx], rgrad[idx], hess[idx])
         length = np.sqrt(np.einsum("bi,bi->b", step, step))
         step *= np.minimum(1.0, radius[idx] / length)[:, None]
         slope = np.einsum("bi,bi->b", step, rgrad[idx])
@@ -404,11 +458,13 @@ def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
     """Certify min E > 0 for a unit-normalized Weyl operator on S^3.
 
     Evaluates E on a covering grid of the 4 cube faces x_a = +1, radially
-    projected, ``CHUNK`` points at a time so memory stays bounded, and
-    subtracts a computed Lipschitz bound times the covering radius.  The
-    faces x_a = -1 are left out: every unit v or -v projects from one of
-    the 4 faces, the projection is 1-Lipschitz and E(-v) = E(v), so those
-    faces would only repeat values.
+    projected, ``CHUNK`` points at a time so memory stays bounded, as the
+    packed form w.(w @ K) of :class:`_QuarticForms`.  It subtracts the
+    form's rounding floor ``E_SLACK`` (|W| = 1 here) and a computed
+    Lipschitz bound times the covering radius.  The faces x_a = -1 are
+    left out: every unit v or -v projects from one of the 4 faces, the
+    projection is 1-Lipschitz and E(-v) = E(v), so those faces would only
+    repeat values.
     The Lipschitz constant comes from the polynomial structure of E:
     |grad E| <= 3 sigma^2 with sigma^2 the largest eigenvalue of the
     first-slot Gram matrix of T, converted to the geodesic metric.  A
@@ -435,6 +491,7 @@ def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
     h = 2.0 / (k - 1)
     covering = sqrt(3.0) / 2.0 * h  # face half-diagonal; projection is 1-Lipschitz here
 
+    forms = _QuarticForms(t[None])
     grid_min = np.inf
     buf = np.empty((face.shape[0], 4))
     for a in range(4):
@@ -442,10 +499,10 @@ def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
         buf[:, [d for d in range(4) if d != a]] = face
         pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
         for lo in range(0, pts.shape[0], CHUNK):
-            grid_min = min(grid_min, float(_batch_residual(t, pts[lo:lo + CHUNK]).min()))
+            grid_min = min(grid_min, float(forms.first_values(pts[lo:lo + CHUNK]).min()))
     points = 4 * face.shape[0]
 
-    bound = grid_min - lipschitz * covering
+    bound = grid_min - E_SLACK - lipschitz * covering
     return CertifiedBound(bound, bound > 0.0, grid_min, lipschitz, covering, points)
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_part
 from lcwcheck.curvature import _inverse_jets, _symbols
-from lcwcheck.eigenflag import CHUNK, _as_tensor, _batch_residual, _flag_parts, _unit
+from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_tensor, _batch_residual, _flag_parts,
+                                _unit)
 from lcwcheck.perturb import _TRACELESS_BASIS
 
 
@@ -193,26 +194,41 @@ def residual_explicit(tensor, v, rng):
     return total
 
 
-def grid_min_both_signs(w, k):
-    """(min E, point count) over the radially projected k^3 grids of all 8
-    cube faces x_a = +-1 around S^3, for the operator normalized to unit
-    norm: the grid of ``certify_positive_minimum`` with both signs of each
-    direction, evaluated ``CHUNK`` points at a time as it does."""
+def _face_grid_min(w, k, signs, exact):
+    """(min E, point count) over the radially projected k^3 grids of the
+    cube faces x_a = sign, a = 0..3, for the operator normalized to unit
+    norm, ``CHUNK`` points at a time as ``certify_positive_minimum`` does:
+    on its packed quartic form, or with the exact |G'|^2 / 2."""
     t, wnorm = _as_tensor(w)
     t = t / wnorm
+    forms = _QuarticForms(t[None])
     axis = np.linspace(-1.0, 1.0, k)
     face = axis[np.indices((k, k, k)).reshape(3, -1).T]
     grid_min, points = np.inf, 0
     buf = np.empty((face.shape[0], 4))
     for a in range(4):
-        for sign in (1.0, -1.0):
+        for sign in signs:
             buf[:, a] = sign
             buf[:, [d for d in range(4) if d != a]] = face
             pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
             for lo in range(0, pts.shape[0], CHUNK):
-                grid_min = min(grid_min, float(_batch_residual(t, pts[lo:lo + CHUNK]).min()))
+                chunk = pts[lo:lo + CHUNK]
+                e = _batch_residual(t, chunk) if exact else forms.first_values(chunk)
+                grid_min = min(grid_min, float(e.min()))
             points += pts.shape[0]
     return grid_min, points
+
+
+def grid_min_both_signs(w, k):
+    """The certificate's grid minimum over all 8 cube faces x_a = +-1, i.e.
+    with both signs of each direction, on the certificate's own evaluator."""
+    return _face_grid_min(w, k, (1.0, -1.0), exact=False)
+
+
+def grid_min_exact(w, k):
+    """The certificate's grid minimum over its 4 faces x_a = +1, with each
+    point scored by the exact |G'|^2 / 2 instead of the packed form."""
+    return _face_grid_min(w, k, (1.0,), exact=True)
 
 
 # --- helpers only the tests use ----------------------------------------------

@@ -29,19 +29,19 @@ def operators(n: int) -> list:
 # converged flags per start, iterations, verdict
 GOLDEN = {
     (4, None): [
-        ('0x1.7f911ef8664f9p-6', '0x1.7f911ef8664f9p-6',
-         ['0x1.fdb187912483bp-2', '0x1.55e0dbc5914f4p-1', '0x1.17c23fc55e2b2p-1',
-          '-0x1.6a55c18cac571p-4'],
+        ('0x1.7f911ef8664f8p-6', '0x1.7f911ef8664f8p-6',
+         ['0x1.fdb1879124815p-2', '0x1.55e0dbc5914f1p-1', '0x1.17c23fc55e2c7p-1',
+          '-0x1.6a55c18cac5cbp-4'],
          '11111111111111111111111111111111',
          13, 'not_eigenflag'),
-        ('0x1.b8a768f3e683cp-8', '0x1.b8a768f3e683ap-8',
-         ['0x1.9dc2ea6836e68p-2', '-0x1.a391def0706a5p-2', '0x1.9aff79927b668p-1',
-          '0x1.40623bfedb829p-3'],
+        ('0x1.b8a768f3e683ap-8', '0x1.b8a768f3e6838p-8',
+         ['0x1.253a231f526d0p-2', '-0x1.4df13c4b4fe49p-1', '-0x1.1e84f9cf81be9p-1',
+          '0x1.b1c3592ab7ea7p-2'],
          '11111111111111111111111111111111',
          12, 'not_eigenflag'),
         ('0x1.be45294a52949p-107', '0x1.14b0000000000p-106',
-         ['0x1.21a670bad1240p-2', '-0x1.a8543e00567bfp-2', '0x1.c6816fb9515f0p-2',
-          '-0x1.7c25bdfebc14ap-1'],
+         ['-0x1.21a670bad1240p-2', '0x1.a8543e00567bfp-2', '-0x1.c6816fb9515f0p-2',
+          '0x1.7c25bdfebc14ap-1'],
          '11111111111111111111111111111111',
          14, 'eigenflag_within_tol'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -50,19 +50,19 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (4, 3): [
-        ('0x1.7f911ef8664fap-6', '0x1.7f911ef8664fap-6',
-         ['0x1.6e1c5a6c55e0ep-1', '-0x1.5aaddf6cceed2p-1', '0x1.601452bfe1d6cp-3',
-          '-0x1.a4d8b430a2cccp-6'],
+        ('0x1.7f911ef8664f8p-6', '0x1.7f911ef8664f8p-6',
+         ['0x1.fdb1879124815p-2', '0x1.55e0dbc5914f1p-1', '0x1.17c23fc55e2c7p-1',
+          '-0x1.6a55c18cac5d0p-4'],
          '11111111111111111111111111111111',
          15, 'not_eigenflag'),
-        ('0x1.b8a768f3e683ap-8', '0x1.b8a768f3e6838p-8',
-         ['0x1.253a231f522bdp-2', '-0x1.4df13c4b506b5p-1', '-0x1.1e84f9cf818fep-1',
-          '0x1.b1c3592ab6f2bp-2'],
+        ('0x1.b8a768f3e6839p-8', '0x1.b8a768f3e6837p-8',
+         ['0x1.a09d3c9ea26fap-1', '0x1.1ac3f4e869ccfp-1', '-0x1.2f4747469fba8p-3',
+          '0x1.acb47b8198a04p-4'],
          '11111111111111111111111111111111',
          12, 'not_eigenflag'),
-        ('0x1.bd36318c6318bp-107', '0x1.1408000000000p-106',
-         ['-0x1.21a670bad1240p-2', '0x1.a8543e00567c0p-2', '-0x1.c6816fb9515efp-2',
-          '0x1.7c25bdfebc14ap-1'],
+        ('0x1.09dc3cf7bdef7p-106', '0x1.49aab20000000p-106',
+         ['0x1.e328ae5abd087p-1', '0x1.0a21ebdf62781p-2', '-0x1.1d22650e6b4ecp-6',
+          '0x1.a1e872bbf0e5ap-3'],
          '11111111111111111111111111111111',
          11, 'eigenflag_within_tol'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -71,14 +71,14 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (5, None): [
-        ('0x1.079ac07e509ccp-4', '0x1.079ac07e509ccp-4',
-         ['-0x1.2446ad515fd71p-1', '-0x1.ac3a6436926e8p-2', '0x1.6066f32a467f5p-1',
-          '-0x1.dada5bad0290bp-4', '0x1.c1f3aa715f588p-4'],
+        ('0x1.079ac07e509cbp-4', '0x1.079ac07e509cbp-4',
+         ['0x1.2446ad515fb0ep-1', '0x1.ac3a6436947a0p-2', '-0x1.6066f32a46129p-1',
+          '0x1.dada5bad012b5p-4', '-0x1.c1f3aa715d2b3p-4'],
          '1111111111111111111111111111111111111111',
          14, 'not_eigenflag'),
-        ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
-         ['0x1.fa80a72ccfdc5p-6', '-0x1.5c01ffc819748p-1', '-0x1.a0cd32263ccbep-3',
-          '0x1.03936e9b1d719p-2', '0x1.5046996e45d42p-1'],
+        ('0x1.abe65461daca3p-5', '0x1.abe65461daca3p-5',
+         ['-0x1.fa80a72cc7fefp-6', '0x1.5c01ffc81849dp-1', '0x1.a0cd322638b75p-3',
+          '-0x1.03936e9b19003p-2', '-0x1.5046996e4838bp-1'],
          '1111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -88,13 +88,13 @@ GOLDEN = {
     ],
     (5, 3): [
         ('0x1.079ac07e509ccp-4', '0x1.079ac07e509ccp-4',
-         ['0x1.2446ad515fd93p-1', '0x1.ac3a64369262fp-2', '-0x1.6066f32a4682dp-1',
-          '0x1.dada5bad025f0p-4', '-0x1.c1f3aa715f37dp-4'],
+         ['0x1.2446ad515fd93p-1', '0x1.ac3a643692631p-2', '-0x1.6066f32a4682dp-1',
+          '0x1.dada5bad025f0p-4', '-0x1.c1f3aa715f37bp-4'],
          '1111111111111111111111111111111111111111',
          19, 'not_eigenflag'),
-        ('0x1.abe65461daca5p-5', '0x1.abe65461daca5p-5',
-         ['0x1.fa80a72cc79a9p-6', '-0x1.5c01ffc818480p-1', '-0x1.a0cd322638b24p-3',
-          '0x1.03936e9b18f89p-2', '0x1.5046996e483c8p-1'],
+        ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
+         ['0x1.fa80a72cc79acp-6', '-0x1.5c01ffc818480p-1', '-0x1.a0cd322638b24p-3',
+          '0x1.03936e9b18f8ap-2', '0x1.5046996e483c8p-1'],
          '1111111111111111111111111111111111111111',
          17, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -103,14 +103,14 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (6, None): [
-        ('0x1.701706a9a182bp-4', '0x1.701706a9a182bp-4',
-         ['-0x1.e9c1f44a2be77p-2', '0x1.20407ffc1f15dp-1', '-0x1.50962e4990219p-3',
-          '0x1.23fe4b0c71078p-1', '0x1.8d917194de144p-6', '-0x1.462756d8a9684p-2'],
+        ('0x1.701706a9a182ap-4', '0x1.701706a9a182ap-4',
+         ['-0x1.e9c1f44a2d885p-2', '0x1.20407ffc1eadep-1', '-0x1.50962e4990b62p-3',
+          '0x1.23fe4b0c70e13p-1', '0x1.8d917194ec70fp-6', '-0x1.462756d8a8b75p-2'],
          '111111111111111111111111111111111111111111111111',
          16, 'not_eigenflag'),
-        ('0x1.5d531241a1842p-4', '0x1.5d531241a1842p-4',
-         ['0x1.e9bdc9b0bcbbap-3', '-0x1.905f875473304p-2', '-0x1.c8b51a8fad812p-3',
-          '0x1.e62a44f58e06fp-3', '-0x1.a274fc82014a3p-2', '0x1.70183f90eb70cp-1'],
+        ('0x1.5d531241a1844p-4', '0x1.5d531241a1844p-4',
+         ['0x1.e9bdc9b0bcbbap-3', '-0x1.905f875473306p-2', '-0x1.c8b51a8fad813p-3',
+          '0x1.e62a44f58e070p-3', '-0x1.a274fc82014a4p-2', '0x1.70183f90eb70dp-1'],
          '111111111111111111111111111111111111111111111111',
          16, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -119,14 +119,14 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (6, 3): [
-        ('0x1.701706a9a1828p-4', '0x1.701706a9a1828p-4',
-         ['-0x1.e9c1f44a2c75dp-2', '0x1.20407ffc1f05fp-1', '-0x1.50962e498ff3dp-3',
-          '0x1.23fe4b0c70e2ap-1', '0x1.8d917194e52d0p-6', '-0x1.462756d8a951cp-2'],
+        ('0x1.701706a9a182cp-4', '0x1.701706a9a182cp-4',
+         ['0x1.e9c1f44a2c75cp-2', '-0x1.20407ffc1f061p-1', '0x1.50962e498ff3ap-3',
+          '-0x1.23fe4b0c70e29p-1', '-0x1.8d917194e52d9p-6', '0x1.462756d8a9520p-2'],
          '111111111111111111111111111111111111111111111111',
          19, 'not_eigenflag'),
-        ('0x1.5d531241a1842p-4', '0x1.5d531241a1842p-4',
-         ['0x1.e9bdc9b0bcbbcp-3', '-0x1.905f875473303p-2', '-0x1.c8b51a8fad813p-3',
-          '0x1.e62a44f58e06dp-3', '-0x1.a274fc82014a3p-2', '0x1.70183f90eb70dp-1'],
+        ('0x1.5d531241a1844p-4', '0x1.5d531241a1844p-4',
+         ['0x1.e9bdc9b0bcbbbp-3', '-0x1.905f875473306p-2', '-0x1.c8b51a8fad813p-3',
+          '0x1.e62a44f58e06fp-3', '-0x1.a274fc82014a4p-2', '0x1.70183f90eb70dp-1'],
          '111111111111111111111111111111111111111111111111',
          21, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -135,54 +135,52 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (7, None): [
-        ('0x1.68d69a4d7e6c5p-4', '0x1.68d69a4d7e6c4p-4',
-         ['0x1.5ea048b485b42p-2', '0x1.e692e7be0d738p-7', '0x1.ca390aa97f8d6p-3',
-          '-0x1.fa4c630007044p-2', '-0x1.3e1ff32de2b85p-1', '0x1.df86f32ec315fp-3',
-          '-0x1.88c79ac49200dp-2'],
+        ('0x1.68d69a4d7e6c7p-4', '0x1.68d69a4d7e6c6p-4',
+         ['0x1.5ea048b4868f4p-2', '0x1.e692e7be358c4p-7', '0x1.ca390aa9845b8p-3',
+          '-0x1.fa4c630007debp-2', '-0x1.3e1ff32de2eb4p-1', '0x1.df86f32ec454bp-3',
+          '-0x1.88c79ac48daa3p-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
-        ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
-         ['-0x1.9d5adb3c4aef6p-4', '-0x1.d692707eeff1ep-1', '0x1.155eb343cd211p-7',
-          '0x1.70e730a7bd0f1p-3', '-0x1.0e8bcec855be2p-3', '-0x1.6e2d10f2ce1e8p-3',
-          '0x1.0158d067eae88p-2'],
+        ('0x1.a2447935dba50p-4', '0x1.a2447935dba50p-4',
+         ['-0x1.9d5adb3c4adedp-4', '-0x1.d692707eeff25p-1', '0x1.155eb343ccfbap-7',
+          '0x1.70e730a7bd0fep-3', '-0x1.0e8bcec855c15p-3', '-0x1.6e2d10f2ce201p-3',
+          '0x1.0158d067eae5ap-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-          '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (7, 3): [
-        ('0x1.68d69a4d7e6c5p-4', '0x1.68d69a4d7e6c4p-4',
-         ['0x1.5ea048b485b42p-2', '0x1.e692e7be0d738p-7', '0x1.ca390aa97f8d6p-3',
-          '-0x1.fa4c630007044p-2', '-0x1.3e1ff32de2b85p-1', '0x1.df86f32ec315fp-3',
-          '-0x1.88c79ac49200dp-2'],
+        ('0x1.68d69a4d7e6c9p-4', '0x1.68d69a4d7e6c8p-4',
+         ['0x1.5ea048b48515ap-2', '0x1.e692e7be0c7cep-7', '0x1.ca390aa9850b9p-3',
+          '-0x1.fa4c630007f7fp-2', '-0x1.3e1ff32de26d5p-1', '0x1.df86f32ec37e4p-3',
+          '-0x1.88c79ac4908e0p-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
-         ['-0x1.9d5adb3c4aef6p-4', '-0x1.d692707eeff1ep-1', '0x1.155eb343cd211p-7',
-          '0x1.70e730a7bd0f1p-3', '-0x1.0e8bcec855be2p-3', '-0x1.6e2d10f2ce1e8p-3',
-          '0x1.0158d067eae88p-2'],
+         ['0x1.9d5adb3c4b0dap-4', '0x1.d692707eeff4dp-1', '-0x1.155eb343ceec5p-7',
+          '-0x1.70e730a7bcffdp-3', '0x1.0e8bcec855a12p-3', '0x1.6e2d10f2cde1cp-3',
+          '-0x1.0158d067eaf20p-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
-         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-          '0x0.0p+0'],
+         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (8, None): [
-        ('0x1.b6c54763f4f49p-4', '0x1.b6c54763f4f49p-4',
-         ['0x1.0b41327dd3b4ap-1', '0x1.242c9e84ad6bap-1', '-0x1.117c946f419f9p-3',
-          '0x1.e00f82399d0ccp-3', '0x1.183ea445fa62fp-5', '0x1.ecf710b847af1p-8',
-          '0x1.b052725f714b3p-2', '-0x1.8c1e7fb78bba0p-2'],
+        ('0x1.b6c54763f4f47p-4', '0x1.b6c54763f4f47p-4',
+         ['0x1.0b41327dd3b63p-1', '0x1.242c9e84ad6a4p-1', '-0x1.117c946f42cf8p-3',
+          '0x1.e00f82399de50p-3', '0x1.183ea445fc853p-5', '0x1.ecf710b835ca1p-8',
+          '0x1.b052725f711dap-2', '-0x1.8c1e7fb78b70dp-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
          20, 'not_eigenflag'),
-        ('0x1.a8fa675ebb1d6p-4', '0x1.a8fa675ebb1d6p-4',
-         ['0x1.41c222d78ed18p-3', '-0x1.b937668563bc7p-4', '0x1.1f1338f8eb52dp-2',
-          '0x1.d9e5648ce7046p-3', '0x1.23722ab5c8250p-1', '-0x1.0eeff21437b22p-2',
-          '-0x1.9b0725db27aafp-2', '-0x1.0d310c39531bep-1'],
+        ('0x1.a8fa675ebb1d5p-4', '0x1.a8fa675ebb1d5p-4',
+         ['0x1.41c222d78d3c0p-3', '-0x1.b9376685636d5p-4', '0x1.1f1338f8eb7eap-2',
+          '0x1.d9e5648ce7dbbp-3', '0x1.23722ab5c8354p-1', '-0x1.0eeff21437af3p-2',
+          '-0x1.9b0725db2803bp-2', '-0x1.0d310c3952e61p-1'],
          '1111111111111111111111111111111111111111111111111111111111111111',
          24, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -192,16 +190,16 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (8, 3): [
-        ('0x1.b6c54763f4f45p-4', '0x1.b6c54763f4f45p-4',
-         ['0x1.0b41327dd337dp-1', '0x1.242c9e84adbefp-1', '-0x1.117c946f42ea1p-3',
-          '0x1.e00f82399da02p-3', '0x1.183ea445fba7bp-5', '0x1.ecf710b80a668p-8',
-          '0x1.b052725f70f0cp-2', '-0x1.8c1e7fb78c139p-2'],
+        ('0x1.b6c54763f4f44p-4', '0x1.b6c54763f4f44p-4',
+         ['0x1.0b41327dd337cp-1', '0x1.242c9e84adbefp-1', '-0x1.117c946f42ea0p-3',
+          '0x1.e00f82399da04p-3', '0x1.183ea445fba78p-5', '0x1.ecf710b80a6a8p-8',
+          '0x1.b052725f70f0dp-2', '-0x1.8c1e7fb78c137p-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
          22, 'not_eigenflag'),
-        ('0x1.a8fa675ebb1d7p-4', '0x1.a8fa675ebb1d7p-4',
-         ['-0x1.41c222d78d240p-3', '0x1.b937668563750p-4', '-0x1.1f1338f8eb82bp-2',
-          '-0x1.d9e5648ce7ee2p-3', '-0x1.23722ab5c8353p-1', '0x1.0eeff21437acbp-2',
-          '0x1.9b0725db2813fp-2', '0x1.0d310c3952df1p-1'],
+        ('0x1.a8fa675ebb1d5p-4', '0x1.a8fa675ebb1d5p-4',
+         ['0x1.41c222d78d3c0p-3', '-0x1.b9376685636d5p-4', '0x1.1f1338f8eb7eap-2',
+          '0x1.d9e5648ce7dbbp-3', '0x1.23722ab5c8354p-1', '-0x1.0eeff21437af3p-2',
+          '-0x1.9b0725db2803bp-2', '-0x1.0d310c3952e61p-1'],
          '1111111111111111111111111111111111111111111111111111111111111111',
          18, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',

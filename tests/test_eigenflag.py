@@ -19,8 +19,8 @@ from lcwcheck.eigenflag import (DimensionError, certify_positive_minimum,
 from lcwcheck.genericity import sample_weyl
 from lcwcheck.metrics import parse_metric
 
-from oracles import (conjugate_operator, grid_min_both_signs, project_weyl, residual_explicit,
-                     residual_gradient)
+from oracles import (conjugate_operator, grid_min_both_signs, grid_min_exact, project_weyl,
+                     residual_explicit, residual_gradient)
 
 
 def random_rotation(n, rng):
@@ -310,10 +310,26 @@ def test_certify_scores_each_direction_pair_once(k):
         ref_min, ref_points = grid_min_both_signs(w, k)
         assert cert.points == 4 * k ** 3 == ref_points // 2
         assert ref_min <= cert.grid_min <= ref_min + 1e-15
-        ref_bound = ref_min - cert.lipschitz * cert.covering_radius
+        ref_bound = ref_min - eigenflag.E_SLACK - cert.lipschitz * cert.covering_radius
         assert cert.conclusive == (ref_bound > 0.0)
         if planted:
             assert not cert.conclusive
+
+
+@pytest.mark.parametrize("k", [8, 24])
+def test_certify_form_minimum_is_within_slack_of_exact(k):
+    """The certificate scores its grid on the packed quartic form and
+    subtracts E_SLACK, the form's rounding floor at |W| = 1: its grid minimum
+    is that of the exact |G'|^2 / 2 to within E_SLACK, so its bound is never
+    above the one the exact grid minimum gives."""
+    for w, _ in certificate_operators():
+        cert = certify_positive_minimum(w, grid_resolution=k)
+        exact_min, points = grid_min_exact(w, k)
+        assert points == cert.points
+        assert abs(cert.grid_min - exact_min) < eigenflag.E_SLACK
+        lipschitz_term = cert.lipschitz * cert.covering_radius
+        assert cert.lower_bound == cert.grid_min - eigenflag.E_SLACK - lipschitz_term
+        assert cert.lower_bound <= exact_min - lipschitz_term
 
 
 # --- strata ------------------------------------------------------------------
@@ -402,6 +418,66 @@ def test_quartic_form_matches_residual_gradient_and_hessian(n):
                       - residual_gradient(w, minus / np.linalg.norm(minus))) / (2 * h)
                 fd -= np.dot(fd, x) * x
                 assert np.abs(hx @ t - fd).max() <= 1e-8 * scale
+
+
+# --- the Newton step ---------------------------------------------------------
+
+
+def symmetric_stack(n, count, rng, positive):
+    """Symmetric matrices with eigenvalues of modulus in [0.1, 10]: all
+    positive, or with at least one negative."""
+    lam = rng.uniform(0.1, 10.0, (count, n))
+    if not positive:
+        lam *= np.where(rng.random((count, n)) < 0.4, -1.0, 1.0)
+        lam[:, 0] = -np.abs(lam[:, 0])
+    q = np.stack([random_rotation(n, rng) for _ in range(count)])
+    return np.einsum("bij,bj,bkj->bik", q, lam, q)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_cholesky_solve_flags_and_solutions(n):
+    rng = np.random.default_rng(110 + n)
+    a = rng.permutation(np.concatenate([symmetric_stack(n, 40, rng, True),
+                                        symmetric_stack(n, 40, rng, False)]))
+    b = rng.standard_normal((len(a), n))
+    x, ok = eigenflag._cholesky_solve(a, b)
+    assert (ok == (np.linalg.eigvalsh(a)[:, 0] > 0.0)).all()
+    assert ok.sum() == 40
+    ref = np.linalg.solve(a[ok], b[ok, :, None])[:, :, 0]
+    assert (np.linalg.norm(x[ok] - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1)).all()
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_newton_steps_are_tangent_and_match_saddle_free(n):
+    """On a tangent Hessian H and gradient g at v (built from a rotation q
+    with v its first column): rows with H positive definite on v-perp take
+    the Cholesky step, which is tangent and (H being well conditioned) the
+    tangent part of the saddle-free eigh step; the other rows take the
+    saddle-free step itself, whose tangent part is compared."""
+    rng = np.random.default_rng(120 + n)
+    q = np.stack([random_rotation(n, rng) for _ in range(80)])
+    v, tangent = q[:, :, 0], q[:, :, 1:]
+    lam = rng.uniform(1.0, 4.0, (80, n - 1))
+    lam[40:] *= np.where(rng.random((40, n - 1)) < 0.5, -1.0, 1.0)
+    lam[40:, 0] = -lam[40:, 0]
+    hess = np.einsum("bij,bj,bkj->bik", tangent, lam, tangent)
+    rgrad = np.einsum("bij,bj->bi", tangent, rng.standard_normal((80, n - 1)))
+
+    step = eigenflag._newton_steps(v, rgrad, hess)
+    saddle_free = eigenflag._saddle_free_steps(hess, rgrad)
+    good, bad = slice(0, 40), slice(40, 80)
+    length = np.linalg.norm(step, axis=1)
+    assert (np.abs(np.einsum("bi,bi->b", v[good], step[good])) <= 1e-14 * length[good]).all()
+    p = np.eye(n) - v[:, :, None] * v[:, None, :]
+    projected = np.einsum("bij,bj->bi", p, saddle_free)
+    assert (np.linalg.norm(step[good] - projected[good], axis=1) <= 1e-12 * length[good]).all()
+    # the saddle-free step's component along v is rounding over the floored
+    # eigenvalue LAMBDA_FLOOR * max|lambda|, so only its tangent part is compared
+    tangent_part = np.einsum("bij,bj->bi", p[bad], step[bad])
+    assert (np.linalg.norm(tangent_part - projected[bad], axis=1)
+            <= 1e-12 * np.linalg.norm(projected[bad], axis=1)).all()
+    assert np.allclose(np.einsum("bij,bj->bi", hess[good], step[good]), -rgrad[good],
+                       rtol=0.0, atol=1e-12)
 
 
 def test_seed0_dimension5_hard_operators_converge():
