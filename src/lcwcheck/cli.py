@@ -131,21 +131,25 @@ _parse_starts = _integer_at_least("starts", 1)
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _arity_ok(spec, grid, points) -> bool:
-    """Whether a --grid and every --point give one entry per coordinate; says why not."""
-    n = spec.dimension
+def _arity_ok(n: int, grid=None, points=None, starts=None) -> bool:
+    """Whether a --grid and every --point give one entry per coordinate, and
+    --starts covers the n frame vectors every start set holds; says why not."""
     if grid is not None and len(grid) != n:
         print(f"lcwcheck: parse error: --grid must give {n} axis counts", file=sys.stderr)
         return False
     if any(len(p) != n for p in points or ()):
         print(f"lcwcheck: parse error: --point must have {n} coordinates", file=sys.stderr)
         return False
+    if starts is not None and starts < n:
+        print(f"lcwcheck: parse error: --starts must be at least the dimension, {n}",
+              file=sys.stderr)
+        return False
     return True
 
 
 def _cmd_curvature(args) -> int:
     spec = load_metric(args.metric)
-    if not _arity_ok(spec, None, [args.point]):
+    if not _arity_ok(spec.dimension, points=[args.point]):
         return EXIT_PARSE
     pkg = curvature_package(spec, args.point, args.orientation)
     doc = {
@@ -182,7 +186,7 @@ def _cmd_obstruct(args) -> int:
         print("lcwcheck: parse error: obstruct needs --point or --grid", file=sys.stderr)
         return EXIT_PARSE
     spec = load_metric(args.metric)
-    if not _arity_ok(spec, args.grid, args.point):
+    if not _arity_ok(spec.dimension, args.grid, args.point, args.starts):
         return EXIT_PARSE
     points = grid_points(spec, args.grid) if args.grid is not None else args.point
 
@@ -263,6 +267,8 @@ def _cmd_solve_cy(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if not _arity_ok(args.dimension, starts=args.starts):
+        return EXIT_PARSE
     stats = residual_statistics(args.dimension, args.count, args.seed,
                                 starts=args.starts)
     _write_output(stats.to_csv(), args.out)
@@ -281,7 +287,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_scan(args) -> int:
     spec = load_metric(args.metric)
-    if not _arity_ok(spec, args.grid, None):
+    if not _arity_ok(spec.dimension, args.grid, starts=args.starts):
         return EXIT_PARSE
     result = scan_metric(spec, args.grid, starts=args.starts, seed=args.seed,
                          orientation=args.orientation,

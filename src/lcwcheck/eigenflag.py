@@ -25,15 +25,15 @@ Membership is decided by global minimization: multistart Riemannian
 Newton descent on the sphere (a step radius per start, Armijo backtracking
 relaxed by the rounding floor of w.K.w), final iterates scored with the
 exact |G'|^2 / 2, plus an optional rigorous grid certificate in dimension
-4.  Each round solves H x = -g for the tangent Hessians by an in-module
-batched Cholesky, H shifted by s v v^T so it is nonsingular along v; the
-rows that do not factor (H not positive definite on v-perp) fall back to
-``eigh`` and the saddle-free step, eigenvalues taken in absolute value and
-floored.  Operators descend in chunks whose gathered forms fit in
-``DESCENT_BUDGET``; this module alone sizes them.  The certificate scores
-its grid on the packed form, each pair +-v once as E is even, and
-subtracts the form's rounding floor.  Start points map to Gaussians
-through ``_ndtri``, an in-module port of Cephes' inverse normal CDF.
+4.  Each round solves H x = -g for the tangent Hessians by one in-module
+batched modified Cholesky, H shifted by s v v^T so it is nonsingular along
+v, its pivots raised where H is not positive definite on v-perp so that
+the step still goes downhill.  Operators descend in chunks whose gathered
+forms fit in ``DESCENT_BUDGET``; this module alone sizes them.  The
+certificate scores its grid on the packed form, each pair +-v once as E is
+even, one ``CHUNK`` of points at a time, and subtracts the form's rounding
+floor.  Start points map to Gaussians through ``_ndtri``, an in-module
+port of Cephes' inverse normal CDF.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ MAXITER = 500     # descent rounds per start
 GTOL = 1e-12      # converged once |grad E| <= GTOL * max(1, |W|^2)
 C1 = 1e-4         # Armijo sufficient-decrease factor
 E_SLACK = 1e-13   # rounding floor of w.K.w, as a share of |W|^2, that Armijo forgives
-LAMBDA_FLOOR = 1e-8  # eigh fallback rows: |eigenvalues| floored at this share of the largest
+LAMBDA_FLOOR = 1e-8  # Newton step pivot floor, a share of the shifted Hessian's largest entry
 MAX_STEP = 1.0    # largest tangent step of a start, and its first step radius
 CHUNK = 65536     # grid points per residual evaluation of the certificate
 # Floats of the descent's largest array, the gathered forms K[own], per
@@ -139,52 +139,41 @@ class _QuarticForms:
         return egrad - vg[:, None] * v, h
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray):
-    """Solve a x = b for each symmetric matrix of a stack; (x, ok).
-
-    Gauss-Jordan elimination without pivoting on [a | b], one column at a
-    time over all rows.  Its pivots are D of a = L D L^T, the squares of the
-    Cholesky diagonal, so ``ok`` (every pivot positive, x finite) says that
-    a row factors, i.e. is positive definite; x is meaningless elsewhere.
-    """
-    rows, n = b.shape
-    m = np.empty((n, n + 1, rows))  # [a | b] with the rows last: every slice is contiguous
-    m[:, :n] = a.transpose(1, 2, 0)
-    m[:, n] = b.T
-    pivots = np.empty((n, rows))
-    with np.errstate(all="ignore"):  # rows that do not factor may overflow
-        for j in range(n):
-            pivots[j] = m[j, j]
-            m[j, j] -= 1.0  # so that the update leaves row j divided by its pivot
-            m[:, j + 1:] -= m[:, j, None] * (m[j, j + 1:] / pivots[j])
-        x = m[:, n].T.copy()
-    return x, (pivots > 0.0).all(axis=0) & np.isfinite(x).all(axis=1)
-
-
-def _saddle_free_steps(hess: np.ndarray, rgrad: np.ndarray) -> np.ndarray:
-    """-sum_q (q.g)/|lambda_q| q in each Hessian's eigenbasis, |lambda| floored."""
-    lam, vecs = np.linalg.eigh(hess)
-    lam = np.abs(lam)
-    lam = np.maximum(lam, LAMBDA_FLOOR * lam.max(axis=1, keepdims=True))
-    return -np.einsum("bij,bj->bi", vecs, np.einsum("bij,bi->bj", vecs, rgrad) / lam)
-
-
 def _newton_steps(v: np.ndarray, rgrad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """Riemannian Newton step at each unit row of v from its tangent gradient
-    and Hessian: -H^{-1} g by a Cholesky solve where H is positive definite
-    on the tangent space, else the saddle-free step.
+    g and Hessian H, by a bounded modified Cholesky solve.
 
-    H v = 0, so H + s v v^T, s = tr H / (n - 1), is positive definite exactly
-    when H is on v-perp, and the solution x of (H + s v v^T) x = -g is
-    tangent (v.x = -v.g / s = 0) with H x = -g.
+    H v = 0, so where H is positive definite on v-perp the solution x of
+    (H + s v v^T) x = -g, s = tr H / (n - 1), is tangent with H x = -g.
+    Gauss-Jordan elimination without pivoting on [H + s v v^T | -g] meets
+    the L D L^T pivots c_jj one column at a time; each becomes
+    max(|c_jj|, theta_j^2 / beta^2, delta) (Gill, Murray and Wright, 1981),
+    theta_j the largest |c_ij|, i > j, beta^2 = max(gamma, xi / sqrt(n^2 - 1))
+    and delta = LAMBDA_FLOOR max(gamma, xi), gamma and xi the largest diagonal
+    and off-diagonal magnitudes.  So x, projected onto v-perp, goes downhill,
+    and where H + s v v^T is positive definite with pivots above delta it is
+    the plain Newton step: |c_ij|^2 <= c_ii c_jj <= gamma c_jj.
     """
-    shift = np.trace(hess, axis1=1, axis2=2) / (v.shape[1] - 1)
-    step, ok = _cholesky_solve(hess + shift[:, None, None] * v[:, :, None] * v[:, None, :],
-                               -rgrad)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        step[bad] = _saddle_free_steps(hess[bad], rgrad[bad])
-    return step
+    rows, n = v.shape
+    vt = v.T
+    shift = np.trace(hess, axis1=1, axis2=2) / (n - 1)
+    m = np.empty((n, n + 1, rows))  # [H + s v v^T | -g] with the rows last: slices are contiguous
+    m[:, :n] = hess.transpose(1, 2, 0)
+    m[:, :n] += (shift * vt)[:, None] * vt
+    m[:, n] = -rgrad.T
+    upper = np.triu_indices(n, 1)
+    gamma = np.abs(m[range(n), range(n)]).max(axis=0)
+    xi = np.abs(m[upper]).max(axis=0)
+    beta2 = np.maximum(gamma, xi / sqrt(n * n - 1))
+    delta = LAMBDA_FLOOR * np.maximum(gamma, xi)
+    with np.errstate(all="ignore"):  # a zero Hessian gives 0 / 0, a NaN step that Armijo rejects
+        for j in range(n):
+            theta2 = (m[j + 1:, j] ** 2).max(axis=0, initial=0.0)
+            pivot = np.maximum(np.maximum(np.abs(m[j, j]), theta2 / beta2), delta)
+            m[j, j] = pivot - 1.0  # so that the update leaves row j divided by its pivot
+            m[:, j + 1:] -= m[:, j, None] * (m[j, j + 1:] / pivot)
+        x = m[:, n].T
+        return x - np.einsum("bi,bi->b", x, v)[:, None] * v
 
 
 def _batch_residual(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -310,10 +299,10 @@ def min_residual(w, starts: int | None = None, seed=None,
 
     Defaults: 8n starts (deterministic low-discrepancy set plus the frame
     vectors).  Each start takes Riemannian Newton steps on the quartic form
-    of E: the plain Newton step by a Cholesky solve where the Riemannian
-    Hessian is positive definite, else (the ``eigh`` fallback) along its
-    eigenvectors with eigenvalues taken in absolute value and floored at
-    ``LAMBDA_FLOOR`` of the largest; either is capped by a radius that
+    of E by a modified Cholesky solve, its pivots raised to at least their
+    absolute value, ``LAMBDA_FLOOR`` of the Hessian's largest entry and a
+    growth bound: the plain Newton step where the Riemannian Hessian is
+    positive definite, a descent step elsewhere, capped by a radius that
     doubles (up to ``MAX_STEP``) after a full step and halves after a
     backtrack.  Steps backtrack (factor 0.5) until they pass an Armijo test
     relaxed by ``E_SLACK * |W|^2``, the rounding floor of the form.  A
@@ -458,7 +447,8 @@ def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
     """Certify min E > 0 for a unit-normalized Weyl operator on S^3.
 
     Evaluates E on a covering grid of the 4 cube faces x_a = +1, radially
-    projected, ``CHUNK`` points at a time so memory stays bounded, as the
+    projected, ``CHUNK`` points at a time, each chunk built from its flat
+    grid indices so that memory stays bounded by ``CHUNK``, as the
     packed form w.(w @ K) of :class:`_QuarticForms`.  It subtracts the
     form's rounding floor ``E_SLACK`` (|W| = 1 here) and a computed
     Lipschitz bound times the covering radius.  The faces x_a = -1 are
@@ -487,20 +477,23 @@ def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
 
     k = grid_resolution
     axis = np.linspace(-1.0, 1.0, k)
-    face = axis[np.indices((k, k, k)).reshape(3, -1).T]  # C-order (k^3, 3) cube grid
     h = 2.0 / (k - 1)
     covering = sqrt(3.0) / 2.0 * h  # face half-diagonal; projection is 1-Lipschitz here
 
     forms = _QuarticForms(t[None])
     grid_min = np.inf
-    buf = np.empty((face.shape[0], 4))
-    for a in range(4):
-        buf[:, a] = 1.0
-        buf[:, [d for d in range(4) if d != a]] = face
-        pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
-        for lo in range(0, pts.shape[0], CHUNK):
-            grid_min = min(grid_min, float(forms.first_values(pts[lo:lo + CHUNK]).min()))
-    points = 4 * face.shape[0]
+    face_points = k ** 3
+    for lo in range(0, face_points, CHUNK):
+        # rows lo.. of the C-order (k^3, 3) cube grid, built from their flat indices
+        flat = np.arange(lo, min(lo + CHUNK, face_points))
+        face = axis[np.stack(np.unravel_index(flat, (k, k, k)), axis=1)]
+        buf = np.empty((flat.size, 4))
+        for a in range(4):
+            buf[:, a] = 1.0
+            buf[:, [d for d in range(4) if d != a]] = face
+            pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
+            grid_min = min(grid_min, float(forms.first_values(pts).min()))
+    points = 4 * face_points
 
     bound = grid_min - E_SLACK - lipschitz * covering
     return CertifiedBound(bound, bound > 0.0, grid_min, lipschitz, covering, points)

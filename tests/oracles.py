@@ -194,6 +194,16 @@ def residual_explicit(tensor, v, rng):
     return total
 
 
+def face_points(k, a, sign=1.0):
+    """The k^3 grid of the cube face x_a = sign, radially projected, built
+    and normalized as one array in C order."""
+    axis = np.linspace(-1.0, 1.0, k)
+    buf = np.empty((k ** 3, 4))
+    buf[:, a] = sign
+    buf[:, [d for d in range(4) if d != a]] = axis[np.indices((k, k, k)).reshape(3, -1).T]
+    return buf / np.linalg.norm(buf, axis=1, keepdims=True)
+
+
 def _face_grid_min(w, k, signs, exact):
     """(min E, point count) over the radially projected k^3 grids of the
     cube faces x_a = sign, a = 0..3, for the operator normalized to unit
@@ -202,15 +212,10 @@ def _face_grid_min(w, k, signs, exact):
     t, wnorm = _as_tensor(w)
     t = t / wnorm
     forms = _QuarticForms(t[None])
-    axis = np.linspace(-1.0, 1.0, k)
-    face = axis[np.indices((k, k, k)).reshape(3, -1).T]
     grid_min, points = np.inf, 0
-    buf = np.empty((face.shape[0], 4))
     for a in range(4):
         for sign in signs:
-            buf[:, a] = sign
-            buf[:, [d for d in range(4) if d != a]] = face
-            pts = buf / np.linalg.norm(buf, axis=1, keepdims=True)
+            pts = face_points(k, a, sign)
             for lo in range(0, pts.shape[0], CHUNK):
                 chunk = pts[lo:lo + CHUNK]
                 e = _batch_residual(t, chunk) if exact else forms.first_values(chunk)

@@ -262,14 +262,23 @@ def test_grid_counts_below_one_are_parse_errors(tmp_path, capsys, command):
     ["obstruct", "--point", "0,0,0", "--point", "0.1,0.2,0.3,0.4"],
     ["scan", "--grid", "2,2"],
     ["curvature", "--point", "0.1,0.2"],
+    ["obstruct", "--point", "0,0,0", "--starts", "2"],
+    ["obstruct", "--grid", "2,2,2", "--starts", "1"],
+    ["scan", "--grid", "2,2,2", "--starts", "2"],
+    ["sample", "--dimension", "5", "--count", "1", "--starts", "4"],
 ])
 def test_wrong_arity_is_a_parse_error(tmp_path, capsys, args):
+    """A --grid or --point of the wrong length, or --starts below the
+    dimension (the 3-D metric's, or sample's --dimension), exits 2."""
     metric = tmp_path / "m3.json"
     metric.write_text(euclidean_metric(3).to_json())
     out = tmp_path / "report"
-    assert main([args[0], str(metric), *args[1:], "--out", str(out)]) == 2
+    dimension = args[args.index("--dimension") + 1] if args[0] == "sample" else "3"
+    if args[0] != "sample":
+        args = [args[0], str(metric), *args[1:]]
+    assert main([*args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("lcwcheck: parse error: ") and "3" in err
+    assert err.startswith("lcwcheck: parse error: ") and dimension in err
     assert not out.exists()
 
 

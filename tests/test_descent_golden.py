@@ -29,58 +29,58 @@ def operators(n: int) -> list:
 # converged flags per start, iterations, verdict
 GOLDEN = {
     (4, None): [
-        ('0x1.7f911ef8664f8p-6', '0x1.7f911ef8664f8p-6',
-         ['0x1.fdb1879124815p-2', '0x1.55e0dbc5914f1p-1', '0x1.17c23fc55e2c7p-1',
-          '-0x1.6a55c18cac5cbp-4'],
+        ('0x1.7f911ef8664f9p-6', '0x1.7f911ef8664f9p-6',
+         ['0x1.fdb1879124814p-2', '0x1.55e0dbc5914f1p-1', '0x1.17c23fc55e2c8p-1',
+          '-0x1.6a55c18cac5c9p-4'],
          '11111111111111111111111111111111',
-         13, 'not_eigenflag'),
-        ('0x1.b8a768f3e683ap-8', '0x1.b8a768f3e6838p-8',
-         ['0x1.253a231f526d0p-2', '-0x1.4df13c4b4fe49p-1', '-0x1.1e84f9cf81be9p-1',
-          '0x1.b1c3592ab7ea7p-2'],
+         11, 'not_eigenflag'),
+        ('0x1.b8a768f3e683cp-8', '0x1.b8a768f3e683ap-8',
+         ['-0x1.37a66def46eb4p-2', '0x1.468f9a898ec95p-2', '0x1.2577971aa07b7p-3',
+          '0x1.c5ac555fa58fcp-1'],
          '11111111111111111111111111111111',
-         12, 'not_eigenflag'),
-        ('0x1.be45294a52949p-107', '0x1.14b0000000000p-106',
-         ['-0x1.21a670bad1240p-2', '0x1.a8543e00567bfp-2', '-0x1.c6816fb9515f0p-2',
-          '0x1.7c25bdfebc14ap-1'],
+         11, 'not_eigenflag'),
+        ('0x1.2f7a5294a5294p-107', '0x1.7850000000000p-107',
+         ['0x1.21a670bad123fp-2', '-0x1.a8543e00567bfp-2', '0x1.c6816fb9515f1p-2',
+          '-0x1.7c25bdfebc14ap-1'],
          '11111111111111111111111111111111',
-         14, 'eigenflag_within_tol'),
+         10, 'eigenflag_within_tol'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (4, 3): [
-        ('0x1.7f911ef8664f8p-6', '0x1.7f911ef8664f8p-6',
-         ['0x1.fdb1879124815p-2', '0x1.55e0dbc5914f1p-1', '0x1.17c23fc55e2c7p-1',
-          '-0x1.6a55c18cac5d0p-4'],
+        ('0x1.7f911ef8664fap-6', '0x1.7f911ef8664fap-6',
+         ['0x1.fdb1879124813p-2', '0x1.55e0dbc5914f1p-1', '0x1.17c23fc55e2c8p-1',
+          '-0x1.6a55c18cac5cep-4'],
          '11111111111111111111111111111111',
-         15, 'not_eigenflag'),
-        ('0x1.b8a768f3e6839p-8', '0x1.b8a768f3e6837p-8',
-         ['0x1.a09d3c9ea26fap-1', '0x1.1ac3f4e869ccfp-1', '-0x1.2f4747469fba8p-3',
-          '0x1.acb47b8198a04p-4'],
+         13, 'not_eigenflag'),
+        ('0x1.b8a768f3e683cp-8', '0x1.b8a768f3e683ap-8',
+         ['-0x1.253a231f522bdp-2', '0x1.4df13c4b506b6p-1', '0x1.1e84f9cf818fep-1',
+          '-0x1.b1c3592ab6f2bp-2'],
          '11111111111111111111111111111111',
-         12, 'not_eigenflag'),
-        ('0x1.09dc3cf7bdef7p-106', '0x1.49aab20000000p-106',
-         ['0x1.e328ae5abd087p-1', '0x1.0a21ebdf62781p-2', '-0x1.1d22650e6b4ecp-6',
-          '0x1.a1e872bbf0e5ap-3'],
+         10, 'not_eigenflag'),
+        ('0x1.0fab62a5294a4p-106', '0x1.50dec20000000p-106',
+         ['0x1.e328ae5abd087p-1', '0x1.0a21ebdf62781p-2', '-0x1.1d22650e6b4f2p-6',
+          '0x1.a1e872bbf0e59p-3'],
          '11111111111111111111111111111111',
-         11, 'eigenflag_within_tol'),
+         10, 'eigenflag_within_tol'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (5, None): [
-        ('0x1.079ac07e509cbp-4', '0x1.079ac07e509cbp-4',
-         ['0x1.2446ad515fb0ep-1', '0x1.ac3a6436947a0p-2', '-0x1.6066f32a46129p-1',
-          '0x1.dada5bad012b5p-4', '-0x1.c1f3aa715d2b3p-4'],
+        ('0x1.079ac07e509ccp-4', '0x1.079ac07e509ccp-4',
+         ['-0x1.2446ad515fcd0p-1', '-0x1.ac3a64369283ep-2', '0x1.6066f32a4683ap-1',
+          '-0x1.dada5bad02889p-4', '0x1.c1f3aa715ee8cp-4'],
          '1111111111111111111111111111111111111111',
-         14, 'not_eigenflag'),
-        ('0x1.abe65461daca3p-5', '0x1.abe65461daca3p-5',
-         ['-0x1.fa80a72cc7fefp-6', '0x1.5c01ffc81849dp-1', '0x1.a0cd322638b75p-3',
-          '-0x1.03936e9b19003p-2', '-0x1.5046996e4838bp-1'],
+         12, 'not_eigenflag'),
+        ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
+         ['-0x1.fa80a72cc79a4p-6', '0x1.5c01ffc818480p-1', '0x1.a0cd322638b23p-3',
+          '-0x1.03936e9b18f88p-2', '-0x1.5046996e483c8p-1'],
          '1111111111111111111111111111111111111111',
-         15, 'not_eigenflag'),
+         13, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
@@ -88,15 +88,15 @@ GOLDEN = {
     ],
     (5, 3): [
         ('0x1.079ac07e509ccp-4', '0x1.079ac07e509ccp-4',
-         ['0x1.2446ad515fd93p-1', '0x1.ac3a643692631p-2', '-0x1.6066f32a4682dp-1',
-          '0x1.dada5bad025f0p-4', '-0x1.c1f3aa715f37bp-4'],
+         ['0x1.2446ad515fd83p-1', '0x1.ac3a643692643p-2', '-0x1.6066f32a46835p-1',
+          '0x1.dada5bad025adp-4', '-0x1.c1f3aa715f3b8p-4'],
          '1111111111111111111111111111111111111111',
-         19, 'not_eigenflag'),
-        ('0x1.abe65461daca4p-5', '0x1.abe65461daca4p-5',
-         ['0x1.fa80a72cc79acp-6', '-0x1.5c01ffc818480p-1', '-0x1.a0cd322638b24p-3',
-          '0x1.03936e9b18f8ap-2', '0x1.5046996e483c8p-1'],
+         11, 'not_eigenflag'),
+        ('0x1.abe65461daca2p-5', '0x1.abe65461daca2p-5',
+         ['0x1.fa80a72cc7f8fp-6', '-0x1.5c01ffc8184ccp-1', '-0x1.a0cd322638c53p-3',
+          '0x1.03936e9b190b9p-2', '0x1.5046996e48327p-1'],
          '1111111111111111111111111111111111111111',
-         17, 'not_eigenflag'),
+         14, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
@@ -104,47 +104,47 @@ GOLDEN = {
     ],
     (6, None): [
         ('0x1.701706a9a182ap-4', '0x1.701706a9a182ap-4',
-         ['-0x1.e9c1f44a2d885p-2', '0x1.20407ffc1eadep-1', '-0x1.50962e4990b62p-3',
-          '0x1.23fe4b0c70e13p-1', '0x1.8d917194ec70fp-6', '-0x1.462756d8a8b75p-2'],
+         ['-0x1.e9c1f44a2c769p-2', '0x1.20407ffc1f05fp-1', '-0x1.50962e498ff35p-3',
+          '0x1.23fe4b0c70e23p-1', '0x1.8d917194e53ffp-6', '-0x1.462756d8a9524p-2'],
          '111111111111111111111111111111111111111111111111',
-         16, 'not_eigenflag'),
+         15, 'not_eigenflag'),
         ('0x1.5d531241a1844p-4', '0x1.5d531241a1844p-4',
-         ['0x1.e9bdc9b0bcbbap-3', '-0x1.905f875473306p-2', '-0x1.c8b51a8fad813p-3',
-          '0x1.e62a44f58e070p-3', '-0x1.a274fc82014a4p-2', '0x1.70183f90eb70dp-1'],
+         ['0x1.e9bdc9b0bcbbfp-3', '-0x1.905f875473304p-2', '-0x1.c8b51a8fad814p-3',
+          '0x1.e62a44f58e06fp-3', '-0x1.a274fc82014a4p-2', '0x1.70183f90eb70dp-1'],
          '111111111111111111111111111111111111111111111111',
-         16, 'not_eigenflag'),
+         14, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (6, 3): [
-        ('0x1.701706a9a182cp-4', '0x1.701706a9a182cp-4',
-         ['0x1.e9c1f44a2c75cp-2', '-0x1.20407ffc1f061p-1', '0x1.50962e498ff3ap-3',
-          '-0x1.23fe4b0c70e29p-1', '-0x1.8d917194e52d9p-6', '0x1.462756d8a9520p-2'],
+        ('0x1.701706a9a182ap-4', '0x1.701706a9a182ap-4',
+         ['-0x1.e9c1f44a2c75cp-2', '0x1.20407ffc1f061p-1', '-0x1.50962e498ff3ap-3',
+          '0x1.23fe4b0c70e29p-1', '0x1.8d917194e52d2p-6', '-0x1.462756d8a951fp-2'],
          '111111111111111111111111111111111111111111111111',
-         19, 'not_eigenflag'),
-        ('0x1.5d531241a1844p-4', '0x1.5d531241a1844p-4',
-         ['0x1.e9bdc9b0bcbbbp-3', '-0x1.905f875473306p-2', '-0x1.c8b51a8fad813p-3',
-          '0x1.e62a44f58e06fp-3', '-0x1.a274fc82014a4p-2', '0x1.70183f90eb70dp-1'],
+         16, 'not_eigenflag'),
+        ('0x1.5d531241a183ep-4', '0x1.5d531241a183ep-4',
+         ['-0x1.e9bdc9b0bb0c9p-3', '0x1.905f8754737bap-2', '0x1.c8b51a8facfadp-3',
+          '-0x1.e62a44f58ebd7p-3', '0x1.a274fc82011bep-2', '-0x1.70183f90eb88bp-1'],
          '111111111111111111111111111111111111111111111111',
-         21, 'not_eigenflag'),
+         15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (7, None): [
-        ('0x1.68d69a4d7e6c7p-4', '0x1.68d69a4d7e6c6p-4',
-         ['0x1.5ea048b4868f4p-2', '0x1.e692e7be358c4p-7', '0x1.ca390aa9845b8p-3',
-          '-0x1.fa4c630007debp-2', '-0x1.3e1ff32de2eb4p-1', '0x1.df86f32ec454bp-3',
-          '-0x1.88c79ac48daa3p-2'],
+        ('0x1.68d69a4d7e6cap-4', '0x1.68d69a4d7e6c9p-4',
+         ['-0x1.5ea048b486847p-2', '-0x1.e692e7be34d38p-7', '-0x1.ca390aa9846cbp-3',
+          '0x1.fa4c630007d4fp-2', '0x1.3e1ff32de2ef8p-1', '-0x1.df86f32ec43d3p-3',
+          '0x1.88c79ac48db51p-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
-        ('0x1.a2447935dba50p-4', '0x1.a2447935dba50p-4',
-         ['-0x1.9d5adb3c4adedp-4', '-0x1.d692707eeff25p-1', '0x1.155eb343ccfbap-7',
-          '0x1.70e730a7bd0fep-3', '-0x1.0e8bcec855c15p-3', '-0x1.6e2d10f2ce201p-3',
-          '0x1.0158d067eae5ap-2'],
+        ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
+         ['-0x1.9d5adb3c4aeffp-4', '-0x1.d692707eeff1dp-1', '0x1.155eb343cd213p-7',
+          '0x1.70e730a7bd0f7p-3', '-0x1.0e8bcec855be3p-3', '-0x1.6e2d10f2ce1eep-3',
+          '0x1.0158d067eae8ap-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
@@ -154,35 +154,35 @@ GOLDEN = {
     ],
     (7, 3): [
         ('0x1.68d69a4d7e6c9p-4', '0x1.68d69a4d7e6c8p-4',
-         ['0x1.5ea048b48515ap-2', '0x1.e692e7be0c7cep-7', '0x1.ca390aa9850b9p-3',
-          '-0x1.fa4c630007f7fp-2', '-0x1.3e1ff32de26d5p-1', '0x1.df86f32ec37e4p-3',
-          '-0x1.88c79ac4908e0p-2'],
+         ['0x1.5ea048b4865acp-2', '0x1.e692e7be2b774p-7', '0x1.ca390aa9836bfp-3',
+          '-0x1.fa4c630007a5fp-2', '-0x1.3e1ff32de2e3bp-1', '0x1.df86f32ec3e40p-3',
+          '-0x1.88c79ac48ea68p-2'],
          '11111111111111111111111111111111111111111111111111111111',
          15, 'not_eigenflag'),
         ('0x1.a2447935dba52p-4', '0x1.a2447935dba52p-4',
-         ['0x1.9d5adb3c4b0dap-4', '0x1.d692707eeff4dp-1', '-0x1.155eb343ceec5p-7',
-          '-0x1.70e730a7bcffdp-3', '0x1.0e8bcec855a12p-3', '0x1.6e2d10f2cde1cp-3',
-          '-0x1.0158d067eaf20p-2'],
+         ['-0x1.9d5adb3c4aeffp-4', '-0x1.d692707eeff1dp-1', '0x1.155eb343cd213p-7',
+          '0x1.70e730a7bd0f7p-3', '-0x1.0e8bcec855be3p-3', '-0x1.6e2d10f2ce1eep-3',
+          '0x1.0158d067eae8ap-2'],
          '11111111111111111111111111111111111111111111111111111111',
-         15, 'not_eigenflag'),
+         14, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
          '',
          0, 'weyl_negligible'),
     ],
     (8, None): [
-        ('0x1.b6c54763f4f47p-4', '0x1.b6c54763f4f47p-4',
-         ['0x1.0b41327dd3b63p-1', '0x1.242c9e84ad6a4p-1', '-0x1.117c946f42cf8p-3',
-          '0x1.e00f82399de50p-3', '0x1.183ea445fc853p-5', '0x1.ecf710b835ca1p-8',
-          '0x1.b052725f711dap-2', '-0x1.8c1e7fb78b70dp-2'],
+        ('0x1.b6c54763f4f45p-4', '0x1.b6c54763f4f45p-4',
+         ['0x1.0b41327dd3b2dp-1', '0x1.242c9e84ad6dcp-1', '-0x1.117c946f41a05p-3',
+          '0x1.e00f82399d0edp-3', '0x1.183ea445fa6a4p-5', '0x1.ecf710b847151p-8',
+          '0x1.b052725f71499p-2', '-0x1.8c1e7fb78bb9cp-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         20, 'not_eigenflag'),
+         17, 'not_eigenflag'),
         ('0x1.a8fa675ebb1d5p-4', '0x1.a8fa675ebb1d5p-4',
-         ['0x1.41c222d78d3c0p-3', '-0x1.b9376685636d5p-4', '0x1.1f1338f8eb7eap-2',
-          '0x1.d9e5648ce7dbbp-3', '0x1.23722ab5c8354p-1', '-0x1.0eeff21437af3p-2',
-          '-0x1.9b0725db2803bp-2', '-0x1.0d310c3952e61p-1'],
+         ['-0x1.41c222d78d6ddp-3', '0x1.b937668563965p-4', '-0x1.1f1338f8eb7d5p-2',
+          '-0x1.d9e5648ce7ceap-3', '-0x1.23722ab5c8310p-1', '0x1.0eeff21437ae0p-2',
+          '0x1.9b0725db280d1p-2', '0x1.0d310c3952e48p-1'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         24, 'not_eigenflag'),
+         16, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
           '0x0.0p+0'],
@@ -190,18 +190,18 @@ GOLDEN = {
          0, 'weyl_negligible'),
     ],
     (8, 3): [
-        ('0x1.b6c54763f4f44p-4', '0x1.b6c54763f4f44p-4',
-         ['0x1.0b41327dd337cp-1', '0x1.242c9e84adbefp-1', '-0x1.117c946f42ea0p-3',
-          '0x1.e00f82399da04p-3', '0x1.183ea445fba78p-5', '0x1.ecf710b80a6a8p-8',
-          '0x1.b052725f70f0dp-2', '-0x1.8c1e7fb78c137p-2'],
+        ('0x1.b6c54763f4f45p-4', '0x1.b6c54763f4f45p-4',
+         ['-0x1.0b41327dd3b18p-1', '-0x1.242c9e84ad6fep-1', '0x1.117c946f419abp-3',
+          '-0x1.e00f82399d114p-3', '-0x1.183ea445fa708p-5', '-0x1.ecf710b846c43p-8',
+          '-0x1.b052725f71482p-2', '0x1.8c1e7fb78bb8bp-2'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         22, 'not_eigenflag'),
-        ('0x1.a8fa675ebb1d5p-4', '0x1.a8fa675ebb1d5p-4',
-         ['0x1.41c222d78d3c0p-3', '-0x1.b9376685636d5p-4', '0x1.1f1338f8eb7eap-2',
-          '0x1.d9e5648ce7dbbp-3', '0x1.23722ab5c8354p-1', '-0x1.0eeff21437af3p-2',
-          '-0x1.9b0725db2803bp-2', '-0x1.0d310c3952e61p-1'],
+         20, 'not_eigenflag'),
+        ('0x1.a8fa675ebb1dap-4', '0x1.a8fa675ebb1dap-4',
+         ['-0x1.41c222d78d14fp-3', '0x1.b9376685636fep-4', '-0x1.1f1338f8eb848p-2',
+          '-0x1.d9e5648ce7f51p-3', '-0x1.23722ab5c8358p-1', '0x1.0eeff21437ac8p-2',
+          '0x1.9b0725db2816ap-2', '0x1.0d310c3952ddep-1'],
          '1111111111111111111111111111111111111111111111111111111111111111',
-         18, 'not_eigenflag'),
+         17, 'not_eigenflag'),
         ('0x0.0p+0', '0x0.0p+0',
          ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
           '0x0.0p+0'],
