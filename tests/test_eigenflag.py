@@ -450,32 +450,57 @@ def test_quartic_form_matches_residual_gradient_and_hessian(n):
 # --- the Newton step ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(4, 9))
-def test_newton_steps_are_tangent_downhill_and_plain_newton_where_definite(n):
-    """On tangent Hessians H and gradients g at v (v the first column of a
-    rotation q), half of them positive definite on v-perp and half with
-    tangent eigenvalues of random sign: every step is tangent and goes
-    downhill, and on the rows positive definite on v-perp it is the plain
-    Newton step, the solution of (H + s v v^T) x = -g, s = tr H / (n - 1)."""
-    rng = np.random.default_rng(120 + n)
+def tangent_newton_problem(n, seed, mixed_signs):
+    """80 tangent Hessians H and gradients g at v, v the first column of a
+    rotation q: the first 40 positive definite on v-perp, the last 40 with
+    tangent eigenvalues of modulus in [0.1, 10] and random sign (with the
+    first one negative when mixed_signs is False)."""
+    rng = np.random.default_rng(seed)
     q = np.stack([random_rotation(n, rng) for _ in range(80)])
     v, tangent = q[:, :, 0], q[:, :, 1:]
     lam = rng.uniform(0.1, 10.0, (80, n - 1))
     lam[40:] *= np.where(rng.random((40, n - 1)) < 0.5, -1.0, 1.0)
+    if not mixed_signs:
+        lam[40:, 0] = -np.abs(lam[40:, 0])
     hess = np.einsum("bij,bj,bkj->bik", tangent, lam, tangent)
     rgrad = np.einsum("bij,bj->bi", tangent, rng.standard_normal((80, n - 1)))
+    definite = np.linalg.eigvalsh(tangent.transpose(0, 2, 1) @ hess @ tangent)[:, 0] > 0.0
+    return v, tangent, hess, rgrad, definite
 
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_cholesky_solve_flags_and_solutions(n):
+    """The modified Cholesky solve changes a pivot exactly on the rows whose
+    H is not positive definite on v-perp: there the step differs from the
+    plain Newton step, the solution of (H + s v v^T) x = -g with
+    s = tr H / (n - 1); on the positive definite rows it is that solution."""
+    v, _, hess, rgrad, definite = tangent_newton_problem(n, 110 + n, mixed_signs=False)
+    assert (definite == (np.arange(80) < 40)).all()
+    step = eigenflag._newton_steps(v, rgrad, hess)
+    shift = np.trace(hess, axis1=1, axis2=2) / (n - 1)
+    shifted = hess + shift[:, None, None] * v[:, :, None] * v[:, None, :]
+    newton = np.linalg.solve(shifted, -rgrad[:, :, None])[:, :, 0]
+    error = np.linalg.norm(step - newton, axis=1) / np.linalg.norm(newton, axis=1)
+    assert (error[definite] <= 1e-12).all()
+    assert (error[~definite] > 1e-6).all()
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_newton_steps_are_tangent_and_match_saddle_free(n):
+    """Every step is tangent and goes downhill.  On the rows whose H is
+    positive definite on v-perp it is the saddle-free step -|H|^+ g (there
+    |H| = H); on the others it is not, but goes downhill as that one does."""
+    v, tangent, hess, rgrad, definite = tangent_newton_problem(n, 120 + n, mixed_signs=True)
+    assert 40 <= definite.sum() < 80
     step = eigenflag._newton_steps(v, rgrad, hess)
     length = np.linalg.norm(step, axis=1)
     assert (np.abs(np.einsum("bi,bi->b", v, step)) <= 1e-14 * length).all()
     assert (np.einsum("bi,bi->b", rgrad, step) < 0.0).all()
-    definite = np.linalg.eigvalsh(tangent.transpose(0, 2, 1) @ hess @ tangent)[:, 0] > 0.0
-    assert 40 <= definite.sum() < 80
-    shift = np.trace(hess, axis1=1, axis2=2) / (n - 1)
-    shifted = hess + shift[:, None, None] * v[:, :, None] * v[:, None, :]
-    newton = np.linalg.solve(shifted[definite], -rgrad[definite, :, None])[:, :, 0]
-    assert (np.linalg.norm(step[definite] - newton, axis=1)
-            <= 1e-12 * np.linalg.norm(newton, axis=1)).all()
+    lam, basis = np.linalg.eigh(tangent.transpose(0, 2, 1) @ hess @ tangent)
+    coords = np.einsum("bji,bj->bi", basis, np.einsum("bji,bj->bi", tangent, rgrad))
+    saddle_free = -np.einsum("bij,bjk,bk->bi", tangent, basis, coords / np.abs(lam))
+    assert (np.linalg.norm(step[definite] - saddle_free[definite], axis=1)
+            <= 1e-12 * np.linalg.norm(saddle_free[definite], axis=1)).all()
 
 
 def test_seed0_hard_operators_converge():
