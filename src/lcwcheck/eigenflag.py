@@ -29,11 +29,12 @@ exact |G'|^2 / 2, plus an optional rigorous grid certificate in dimension
 batched modified Cholesky, H shifted by s v v^T so it is nonsingular along
 v, its pivots raised where H is not positive definite on v-perp so that
 the step still goes downhill.  Operators descend in chunks whose gathered
-forms fit in ``DESCENT_BUDGET``; this module alone sizes them.  The
-certificate scores its grid on the packed form, each pair +-v once as E is
-even, one ``CHUNK`` of points at a time, and subtracts the form's rounding
-floor.  Start points map to Gaussians through ``_ndtri``, an in-module
-port of Cephes' inverse normal CDF.
+forms fit in ``DESCENT_BUDGET``; :func:`descent_chunk` sizes them, also for
+the groups of points of ``genericity.obstruct_points``.  The certificate
+scores its grid on the packed form, each pair +-v once as E is even, one
+``CHUNK`` of points at a time, and subtracts the form's rounding floor.
+Start points map to Gaussians through ``_ndtri``, an in-module port of
+Cephes' inverse normal CDF.
 """
 
 from __future__ import annotations
@@ -292,6 +293,12 @@ class EigenflagReport:
     seed: object = None
 
 
+def descent_chunk(n: int, starts: int | None = None) -> int:
+    """Operators per :func:`min_residuals` chunk: as many as ``DESCENT_BUDGET`` holds."""
+    count = max(n, 8 * n if starts is None else starts)  # the size of sphere_start_set
+    return max(1, DESCENT_BUDGET // (count * (n * (n + 1) // 2) ** 2))
+
+
 def min_residual(w, starts: int | None = None, seed=None,
                  tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
                  weyl_floor: float = DEFAULT_ZERO_FLOOR) -> EigenflagReport:
@@ -342,7 +349,7 @@ def min_residuals(ws, starts: int | None = None, seed=None,
     live = [k for k, r in enumerate(reports) if r is None]
     if live:
         start_set = sphere_start_set(n, 8 * n if starts is None else starts, seed)
-        size = max(1, DESCENT_BUDGET // (start_set.shape[0] * (n * (n + 1) // 2) ** 2))
+        size = descent_chunk(n, starts)
         for lo in range(0, len(live), size):
             _descend(pairs, live[lo:lo + size], reports, start_set, seed, tol_eigenflag)
     return reports

@@ -60,45 +60,45 @@ class EvalError(ExprError):
 
 
 # --- AST ----------------------------------------------------------------
-#
-# ``pos`` is excluded from equality so that "structurally identical" means
-# the same tree shape and values regardless of source layout.
+# ``pos`` is excluded from equality so that "structurally identical" means the
+# same tree shape and values regardless of source layout.  Nodes are slotted, not
+# frozen (a frozen __init__ builds ~3x slower); nothing changes one after parsing.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Node:
     pos: int = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Const(Node):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg(Node):
     child: Node
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call(Node):
     func: str
     arg: Node
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp(Node):
     op: str  # '+', '-', '*', '/'
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pow(Node):
     base: Node
     exponent: int

@@ -11,9 +11,9 @@ The obstruction engine is shared by the ``obstruct`` and ``scan``
 commands and the library: it picks the branch (the normalized eigenflag
 residual for n >= 4, det of the Cotton-York tensor for n = 3), applies the
 curvature-scaled zero floor and maps the branch label to the one-sided
-verdict.  :func:`obstruct_points` runs it on batches of points (jets,
-curvature and the eigenflag descent each in one pass per batch);
-:func:`obstruct_point` is its batch of one.  Grid scans walk a chart
+verdict.  :func:`obstruct_points` runs jets and curvature once per
+curvature batch of points and the eigenflag descent once per descent
+chunk; :func:`obstruct_point` is its call with one point.  Grid scans walk a chart
 box (:func:`grid_points`) and tabulate that obstruction.  Scans are
 deterministic: fixed-order traversal, floats printed with 17 significant
 digits, so equal seeds give identical bytes.
@@ -30,7 +30,7 @@ from .bivectors import BivectorBasis, WeylOperator, to_operator, weyl_part
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
 from .curvature import DimensionError, package_from_jets
-from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residuals
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_chunk, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, make_metric
 
@@ -189,10 +189,10 @@ class PointVerdict:
         }
 
 
-# Points per batch of jets, curvature and (n >= 4) the eigenflag descent.
-# Per point, the curvature chain holds a few arrays of n^5 entries, so a batch
-# of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at n = 5, one at n = 8)
-# keeps each near 2^14 entries.
+# Points per curvature batch (the descent chunk is the obstruction's other
+# level of batching).  Per point, the curvature chain holds a few arrays of n^5
+# entries, so a batch of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at
+# n = 5, one at n = 8) keeps each near 2^14 entries.
 def _batch_size(n: int) -> int:
     return max(1, 2 ** 14 // n ** 5)
 
@@ -213,30 +213,25 @@ def _caught(fn, *args):
         return exc
 
 
-def _cotton_york_verdict(point, pkg, floor, tol_det) -> PointVerdict:
+def _point_item(point, pkg, tol_det):
+    """A point's Cotton-York verdict (n = 3), or its Weyl operator and zero floor."""
+    floor = DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm)
+    if pkg.cotton_york is None:
+        return to_operator(pkg.weyl, scale=pkg.riemann_norm), floor
     cy = CottonYorkTensor.from_matrix(pkg.cotton_york, floor)
     label = classify_cy(cy, tol_det, floor)
     return PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True, label,
                         _VERDICTS.get(label, "inconclusive"), cy.eigenvalues)
 
 
-def _obstruct_batch(spec: MetricSpec, points, starts, seed, orientation,
-                    tol_eigenflag, tol_det) -> list:
-    """The verdicts at a batch of points; a point whose Cotton-York tensor
-    fails its check gets the exception, other failures propagate."""
-    points = [tuple(float(x) for x in p) for p in points]
-    pkgs = package_from_jets(metric_jets(spec, np.array(points)), orientation)
-    floors = [DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm) for pkg in pkgs]
-    if spec.dimension == 3:
-        return [_caught(_cotton_york_verdict, point, pkg, floor, tol_det)
-                for point, pkg, floor in zip(points, pkgs, floors)]
-    reports = min_residuals([to_operator(pkg.weyl, scale=pkg.riemann_norm) for pkg in pkgs],
-                            starts=starts, seed=seed, tol_eigenflag=tol_eigenflag,
-                            weyl_floor=floors)
-    return [PointVerdict(point, "weyl_eigenflag", r.weyl_norm, r.residual_min,
-                         bool(r.converged.any()) or r.verdict == "weyl_negligible",
-                         r.verdict, _VERDICTS.get(r.verdict, "inconclusive"), r.minimizer)
-            for point, r in zip(points, reports)]
+def _curvature_batch(spec: MetricSpec, points, orientation, tol_det) -> list:
+    """:func:`_point_item` at each of a batch of points, or its exception; a batch
+    whose jets or curvature fail runs again one point at a time."""
+    pkgs = _caught(lambda: package_from_jets(metric_jets(spec, np.array(points)), orientation))
+    if isinstance(pkgs, Exception):
+        return [pkgs] if len(points) == 1 else [
+            item for p in points for item in _curvature_batch(spec, [p], orientation, tol_det)]
+    return [_caught(_point_item, point, pkg, tol_det) for point, pkg in zip(points, pkgs)]
 
 
 def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None,
@@ -250,7 +245,7 @@ def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None
     zero below ``DEFAULT_ZERO_FLOOR * (1 + |R|)``.  Pipeline failures
     propagate.
     """
-    verdict = _obstruct_batch(spec, [point], starts, seed, orientation, tol_eigenflag,
+    verdict = obstruct_points(spec, [point], starts, seed, orientation, tol_eigenflag,
                               tol_det)[0]
     if isinstance(verdict, Exception):
         raise verdict
@@ -264,21 +259,29 @@ def obstruct_points(spec: MetricSpec, points, starts: int | None = None, seed=No
     """:func:`obstruct_point` at each of ``points``, evaluated in batches.
 
     Returns, in input order, each point's :class:`PointVerdict`, or the
-    exception its pipeline raised there.  A batch whose jets or curvature
-    fail is evaluated again one point at a time, so a failure stays at its
-    own point and every verdict is the one :func:`obstruct_point` gives.
+    exception its pipeline raised there.  Jets and curvature run in
+    curvature batches (``_batch_size``), each point keeping only its Weyl
+    operator or Cotton-York verdict; the operators of one descent chunk of
+    points (:func:`~lcwcheck.eigenflag.descent_chunk`) then descend in one
+    :func:`min_residuals` call.  Every verdict is the one
+    :func:`obstruct_point` gives, a failure staying at its own point.
     """
-    points = list(points)
-    options = (starts, seed, orientation, tol_eigenflag, tol_det)
-    size = _batch_size(spec.dimension)
+    points = [tuple(float(x) for x in p) for p in points]
+    size, chunk = _batch_size(spec.dimension), descent_chunk(spec.dimension, starts)
     out = []
-    for lo in range(0, len(points), size):
-        batch = points[lo:lo + size]
-        try:
-            verdicts = _obstruct_batch(spec, batch, *options)
-        except _POINT_ERRORS:
-            verdicts = None  # rerun below, once the failed batch is freed
-        out.extend(verdicts or (_caught(obstruct_point, spec, p, *options) for p in batch))
+    for lo in range(0, len(points), chunk):
+        group = points[lo:lo + chunk]
+        items = [item for b in range(0, len(group), size)
+                 for item in _curvature_batch(spec, group[b:b + size], orientation, tol_det)]
+        live = [k for k, item in enumerate(items) if isinstance(item, tuple)]
+        reports = min_residuals([items[k][0] for k in live], starts, seed, tol_eigenflag,
+                                [items[k][1] for k in live]) if live else []
+        for k, r in zip(live, reports):
+            items[k] = PointVerdict(group[k], "weyl_eigenflag", r.weyl_norm, r.residual_min,
+                                    bool(r.converged.any()) or r.verdict == "weyl_negligible",
+                                    r.verdict, _VERDICTS.get(r.verdict, "inconclusive"),
+                                    r.minimizer)
+        out.extend(items)
     return out
 
 

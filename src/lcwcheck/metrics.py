@@ -39,9 +39,9 @@ class MetricError(ValueError):
 class MetricSpec:
     """A symmetric matrix of component expressions on a coordinate box.
 
-    Immutable after parsing; safe to share between concurrent evaluators
-    (the jet tape, compiled on first use, is only read after that).
-    ``entries[i][j]`` and ``entries[j][i]`` are the same AST object.
+    Nothing changes it or its nodes after parsing; safe to share between
+    concurrent evaluators (the jet tape, compiled on first use, is only read
+    after that).  ``entries[i][j]`` and ``entries[j][i]`` are the same AST object.
     """
 
     dimension: int

@@ -237,6 +237,10 @@ def test_min_residuals_on_curvature_operators():
     assert_reports_match(min_residuals(ops), [min_residual(op) for op in ops])
 
 
+def verdict_json(v) -> str:
+    return json.dumps(v.to_dict(), default=np.ndarray.tolist)
+
+
 @pytest.mark.parametrize("n,grid", [(3, [6, 6, 5]), (4, [3, 3, 2, 2])])
 def test_obstruct_points_equals_obstruct_point(n, grid):
     spec = random_polynomial_metric(n, np.random.default_rng(60 + n))
@@ -244,9 +248,58 @@ def test_obstruct_points_equals_obstruct_point(n, grid):
     batch = obstruct_points(spec, points)
     for got, point in zip(batch, points):
         want = obstruct_point(spec, point)
-        assert json.dumps(got.to_dict(), default=np.ndarray.tolist) == json.dumps(
-            want.to_dict(), default=np.ndarray.tolist)
+        assert verdict_json(got) == verdict_json(want)
         assert same_bits(got.detail, want.detail)
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The operator count of each min_residuals call of the obstruction path,
+    and the point count of each metric_jets call (one per curvature batch)."""
+    import lcwcheck.genericity as genericity
+
+    calls = {"descent": [], "jets": []}
+    batched, jets = genericity.min_residuals, genericity.metric_jets
+
+    def counting_descent(ws, *args, **kwargs):
+        calls["descent"].append(len(ws))
+        return batched(ws, *args, **kwargs)
+
+    def counting_jets(spec, points):
+        calls["jets"].append(len(points))
+        return jets(spec, points)
+
+    monkeypatch.setattr(genericity, "min_residuals", counting_descent)
+    monkeypatch.setattr(genericity, "metric_jets", counting_jets)
+    return calls
+
+
+def test_one_descent_per_descent_chunk(descents):
+    """Six curvature batches of an 81-point grid at n = 4 (16 points each)
+    feed one descent, and so do two n = 8 points (one point per batch)."""
+    spec = random_polynomial_metric(4, np.random.default_rng(64))
+    obstruct_points(spec, grid_points(spec, [3, 3, 3, 3]))
+    assert descents == {"descent": [81], "jets": [16] * 5 + [1]}
+    spec = random_polynomial_metric(8, np.random.default_rng(68))
+    for calls in descents.values():
+        calls.clear()
+    obstruct_points(spec, sample_points(8, 2, seed=8, half_width=0.5))
+    assert descents == {"descent": [2], "jets": [1, 1]}
+
+
+def test_descent_chunks_of_a_patched_budget(monkeypatch, descents):
+    """With a budget of 5 operators (32 starts of N^2 = 10^2 floats each) no
+    descent gets more than 5, curvature batches stop at the chunk's end, and
+    every row is the one obstruct_point gives."""
+    monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 5 * 32 * 10 ** 2)
+    spec = random_polynomial_metric(4, np.random.default_rng(65))
+    points = grid_points(spec, [3, 3, 2, 1])
+    got = obstruct_points(spec, points)
+    assert descents == {"descent": [5, 5, 5, 3], "jets": [5, 5, 5, 3]}
+    for v, point in zip(got, points, strict=True):
+        want = obstruct_point(spec, point)
+        assert verdict_json(v) == verdict_json(want)
+        assert same_bits(v.detail, want.detail)
 
 
 # --- failure isolation -----------------------------------------------------------
@@ -280,8 +333,13 @@ def expected_failures(spec, points):
     return out
 
 
+# [5, 2, 2, 2] fails at points 0 to 19 ("linear") or 0 to 23 ("sqrt") of 40:
+# in the first two of its three n = 4 curvature batches, which feed one descent
+FAILING_GRIDS = [(3, [3, 3, 3]), (4, [3, 2, 2, 2]), (4, [5, 2, 2, 2])]
+
+
 @pytest.mark.parametrize("kind", sorted(FAILING))
-@pytest.mark.parametrize("n,grid", [(3, [3, 3, 3]), (4, [3, 2, 2, 2])])
+@pytest.mark.parametrize("n,grid", FAILING_GRIDS)
 def test_scan_isolates_failing_points(kind, n, grid):
     entry, error = FAILING[kind]
     spec = failing_metric(n, entry)
@@ -317,7 +375,7 @@ def test_obstruct_exits_3_at_the_first_failing_point(tmp_path, capsys, kind):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n,grid", [(3, [3, 3, 3]), (4, [3, 2, 2, 2])])
+@pytest.mark.parametrize("n,grid", FAILING_GRIDS)
 def test_rows_do_not_depend_on_failing_neighbours(n, grid):
     """A healthy point's row is the same bytes in a batch with or without failures."""
     spec = failing_metric(n, FAILING["sqrt"][0])
