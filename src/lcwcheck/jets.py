@@ -12,7 +12,10 @@ there is no way to store, or observe, an asymmetric component.
 
 Every jet is a batch, one row per chart point, so one operation evaluates
 many rows at once (Taylor mode over a batch, Griewank & Walther,
-*Evaluating Derivatives*, ch. 13).  Every operation acts row by row, so a
+*Evaluating Derivatives*, ch. 13).  A row is one packed array in the
+layout of :class:`SymIndex`, from the coordinate seeds through the levels
+of a :class:`JetTape` to the entries that :func:`metric_jets` gathers into
+:class:`MetricJets`.  Every operation acts row by row, so a
 row of a batch has exactly the bits of its point in a batch of one.
 :class:`JetTape` compiles expression trees into groups of nodes, one per
 depth, operation and constant operands, and applies the expression walk's
@@ -39,7 +42,8 @@ class MetricNotPositive(ValueError):
 
 @lru_cache(maxsize=None)
 class SymIndex:
-    """Packed-index bookkeeping for symmetric order-2 and order-3 storage."""
+    """Packed-index bookkeeping for symmetric order-2 and order-3 storage, and the
+    jet row layout: the value at 0, then the ``grad``, ``hess`` and ``third`` slots."""
 
     def __init__(self, n: int):
         self.n = n
@@ -49,6 +53,10 @@ class SymIndex:
         self.triples = triples
         self.npairs = len(pairs)
         self.ntriples = len(triples)
+        self.width = 1 + n + self.npairs + self.ntriples
+        self.grad = slice(1, 1 + n)
+        self.hess = slice(1 + n, 1 + n + self.npairs)
+        self.third = slice(1 + n + self.npairs, self.width)
 
         idx2 = np.empty((n, n), dtype=np.intp)
         for p, (i, j) in enumerate(pairs):
@@ -142,26 +150,24 @@ class Jet3:
     """Truncated multivariate Taylor expansions of order 3 in n variables,
     one per row of a batch of B points.
 
-    ``value`` has shape (B,) and ``grad`` (B, n); ``hess`` and ``third``
-    are packed, (B, n(n+1)/2) and (B, n(n+1)(n+2)/6).
+    ``data`` has shape (B, width), one packed row per point in the layout
+    of ``SymIndex(n)``: the value, the gradient, the packed Hessian and the
+    packed third derivatives.  ``value`` (B,), ``grad`` (B, n), ``hess``
+    (B, n(n+1)/2) and ``third`` (B, n(n+1)(n+2)/6) are views of its slots.
     """
 
     n: int
-    value: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    third: np.ndarray
+    data: np.ndarray
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def constant(value, n: int) -> "Jet3":
         """Constant jets at a 1-D array of values; a float is a batch of one."""
-        ix = SymIndex(n)
         value = np.array(value, dtype=float).reshape(-1)
-        batch = value.shape
-        return Jet3(n, value, np.zeros(batch + (n,)), np.zeros(batch + (ix.npairs,)),
-                    np.zeros(batch + (ix.ntriples,)))
+        data = np.zeros((len(value), SymIndex(n).width))
+        data[:, 0] = value
+        return Jet3(n, data)
 
     @staticmethod
     def variable(index: int, base_value, n: int) -> "Jet3":
@@ -171,13 +177,12 @@ class Jet3:
         jet.grad[:, index] = 1.0
         return jet
 
-    # -- unpacked views ---------------------------------------------------
+    # -- views of the slots of the packed rows ------------------------------
 
-    def hess_matrix(self) -> np.ndarray:
-        return self.hess[..., SymIndex(self.n).idx2]
-
-    def third_tensor(self) -> np.ndarray:
-        return self.third[..., SymIndex(self.n).idx3]
+    value = property(lambda self: self.data[:, 0])
+    grad = property(lambda self: self.data[:, SymIndex(self.n).grad])
+    hess = property(lambda self: self.data[:, SymIndex(self.n).hess])
+    third = property(lambda self: self.data[:, SymIndex(self.n).third])
 
     # -- ring operations --------------------------------------------------
 
@@ -199,25 +204,21 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet3(self.n, self.value + other, self.grad.copy(),
-                        self.hess.copy(), self.third.copy())
-        return Jet3(self.n, self.value + o.value, self.grad + o.grad,
-                    self.hess + o.hess, self.third + o.third)
+            return Jet3(self.n, np.column_stack([self.value + other, self.data[:, 1:]]))
+        return Jet3(self.n, self.data + o.data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet3(self.n, -self.value, -self.grad, -self.hess, -self.third)
+        return Jet3(self.n, -self.data)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet3(self.n, self.value - other, self.grad.copy(),
-                        self.hess.copy(), self.third.copy())
-        return Jet3(self.n, self.value - o.value, self.grad - o.grad,
-                    self.hess - o.hess, self.third - o.third)
+            return Jet3(self.n, np.column_stack([self.value - other, self.data[:, 1:]]))
+        return Jet3(self.n, self.data - o.data)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -227,9 +228,7 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            col = _col(other)
-            return Jet3(self.n, self.value * other, self.grad * col,
-                        self.hess * col, self.third * col)
+            return Jet3(self.n, self.data * _col(other))
         ix = SymIndex(self.n)
         av, bv = _col(self.value), _col(o.value)
         ag, bg = self.grad, o.grad
@@ -239,13 +238,13 @@ class Jet3:
         b1, b2, b3 = _operands(bg, ix.triple_ijk)
         ah1, ah2, ah3 = _operands(self.hess, ix.triple_hess)
         bh1, bh2, bh3 = _operands(o.hess, ix.triple_hess)
-        value = self.value * o.value
+        value = av * bv
         grad = av * bg + bv * ag
         hess = av * o.hess + bv * self.hess + a_i * b_j + a_j * b_i
         third = (av * o.third + bv * self.third
                  + a1 * bh1 + a2 * bh2 + a3 * bh3
                  + b1 * ah1 + b2 * ah2 + b3 * ah3)
-        return Jet3(self.n, value, grad, hess, third)
+        return Jet3(self.n, np.concatenate([value, grad, hess, third], axis=1))
 
     __rmul__ = __mul__
 
@@ -269,7 +268,7 @@ class Jet3:
         if not isinstance(exponent, int):
             raise TypeError("jet powers take integer exponents")
         if exponent == 0:
-            return Jet3.constant(np.ones(np.shape(self.value)), self.n)
+            return Jet3.constant(np.ones(len(self.data)), self.n)
         base = self.reciprocal() if exponent < 0 else self
         k = abs(exponent)
         result = None
@@ -286,18 +285,18 @@ class Jet3:
 
     def _compose(self, coefficients) -> "Jet3":
         """f(self) for the f whose Taylor coefficients ``coefficients(v)`` gives."""
-        c0, c1, c2, c3 = (np.array(c) for c in zip(*map(coefficients, self.value.tolist())))
-        c1, c2, c3 = c1[:, None], c2[:, None], c3[:, None]
+        c0, c1, c2, c3 = (np.array(c)[:, None]
+                          for c in zip(*map(coefficients, self.value.tolist())))
         ix = SymIndex(self.n)
-        ag = self.grad
+        ag, ah = self.grad, self.hess
         g_i, g_j = _operands(ag, ix.pair_ij)
         g1, g2, g3 = _operands(ag, ix.triple_ijk)
-        h1, h2, h3 = _operands(self.hess, ix.triple_hess)
+        h1, h2, h3 = _operands(ah, ix.triple_hess)
         grad = c1 * ag
-        hess = c1 * self.hess + c2 * g_i * g_j
+        hess = c1 * ah + c2 * g_i * g_j
         third = (c1 * self.third + c2 * (g1 * h1 + g2 * h2 + g3 * h3)
                  + c3 * g1 * g2 * g3)
-        return Jet3(self.n, c0, grad, hess, third)
+        return Jet3(self.n, np.concatenate([c0, grad, hess, third], axis=1))
 
     def sin(self) -> "Jet3":
         return self._compose(_sin)
@@ -447,17 +446,8 @@ class JetTape:
         (a tree without coordinates) or a jet over those points.
         """
         n, ix = self.n, SymIndex(self.n)
-        parts = (slice(1, 1 + n), slice(1 + n, 1 + n + ix.npairs),
-                 slice(1 + n + ix.npairs, None))
-        size = len(variables[0].value)
-        var = np.stack([np.concatenate([v.value[:, None], v.grad, v.hess, v.third], axis=1)
-                        for v in variables])
-        width = var.shape[-1]
-
-        def unpack(rows):
-            """Rows of a level, (count, width), as one batched jet."""
-            return Jet3(n, rows[:, 0], rows[:, parts[0]], rows[:, parts[1]], rows[:, parts[2]])
-
+        var = np.stack([v.data for v in variables])
+        size, width = var.shape[1:]
         lanes_per_op = max(1, _GATHER_ENTRIES // (3 * ix.ntriples * size))
         levels = [np.empty((n + max(self.sizes, default=0), size, width)) for _ in range(2)]
         for level in levels:
@@ -468,16 +458,13 @@ class JetTape:
             for g in self.levels[depth]:
                 count = len(g.operands[0])
                 for lo in range(0, count, lanes_per_op):
-                    lanes = slice(lo, min(lo + lanes_per_op, count))
+                    hi = min(lo + lanes_per_op, count)
                     jet = exprs.apply_op(g.node, [
-                        np.repeat(o[lanes], size) if o.dtype.kind == "f"
-                        else unpack(below[o[lanes]].reshape(-1, width)) for o in g.operands])
-                    out = level[g.start + lanes.start:g.start + lanes.stop].reshape(-1, width)
-                    out[:, 0] = jet.value
-                    for p, slot in zip(parts, (jet.grad, jet.hess, jet.third)):
-                        out[:, p] = slot
+                        np.repeat(o[lo:hi], size) if o.dtype.kind == "f"
+                        else Jet3(n, below[o[lo:hi]].reshape(-1, width)) for o in g.operands])
+                    level[g.start + lo:g.start + hi] = jet.data.reshape(-1, size, width)
             below = level
-        return [r if type(r) is float else unpack(below[r].copy()) for r in self.results]
+        return [r if type(r) is float else Jet3(n, below[r].copy()) for r in self.results]
 
 
 def jet_environment(coordinates, point) -> dict:
@@ -546,21 +533,17 @@ def metric_jets(spec, points) -> MetricJets:
 
     jets = spec.component_values(jet_environment(spec.coordinates, batch))
 
-    size = len(batch)
-    g = np.zeros((size, n, n))
-    dg = np.zeros((size, n, n, n))
-    d2g = np.zeros((size, n, n, n, n))
-    d3g = np.zeros((size, n, n, n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            jet = jets[i][j]
-            if not isinstance(jet, Jet3):
-                g[:, i, j] = g[:, j, i] = jet
-                continue
-            g[:, i, j] = g[:, j, i] = jet.value
-            dg[..., i, j] = dg[..., j, i] = jet.grad
-            d2g[..., i, j] = d2g[..., j, i] = jet.hess_matrix()
-            d3g[..., i, j] = d3g[..., j, i] = jet.third_tensor()
+    size, ix = len(batch), SymIndex(n)
+    # entries[p, s * npairs + e] is slot s of the row of upper-triangle entry e at point p
+    entries = np.stack([jet.data if isinstance(jet, Jet3)
+                        else Jet3.constant(np.full(size, jet), n).data
+                        for jet in (jets[i][j] for i, j in ix.pairs)], axis=-1).reshape(size, -1)
+
+    # each field gathers slots of every entry as (B, *slots.shape, n, n), C-contiguous as
+    # np.take writes it, so the curvature pipeline reads a batch and its points alike
+    slot = np.arange(ix.width)
+    g, dg, d2g, d3g = (np.take(entries, np.add.outer(s * ix.npairs, ix.idx2), axis=1) for s in
+                       (slot[0], slot[ix.grad], slot[ix.hess][ix.idx2], slot[ix.third][ix.idx3]))
 
     try:
         np.linalg.cholesky(g)

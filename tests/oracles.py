@@ -18,6 +18,7 @@ from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_p
 from lcwcheck.curvature import _inverse_jets, _symbols
 from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_tensor, _batch_residual, _flag_parts,
                                 _unit)
+from lcwcheck.jets import Jet3, SymIndex, jet_environment
 from lcwcheck.perturb import _TRACELESS_BASIS
 
 
@@ -316,3 +317,36 @@ def domain_points(spec, count, rng):
     lows = np.array([lo for lo, _ in spec.domain])
     highs = np.array([hi for _, hi in spec.domain])
     return lows + (highs - lows) * rng.random((count, spec.dimension))
+
+
+def hess_matrix(jet):
+    """A batched jet's packed Hessians as (B, n, n) matrices."""
+    return jet.hess[..., SymIndex(jet.n).idx2]
+
+
+def third_tensor(jet):
+    """A batched jet's packed third derivatives as (B, n, n, n) tensors."""
+    return jet.third[..., SymIndex(jet.n).idx3]
+
+
+def scattered_metric_jets(spec, batch):
+    """g, dg, d2g and d3g at a (B, n) batch of points, scattered entry by
+    entry from the component jets: the reference for ``metric_jets``."""
+    n = spec.dimension
+    jets = spec.component_values(jet_environment(spec.coordinates, batch))
+    size = len(batch)
+    g = np.zeros((size, n, n))
+    dg = np.zeros((size, n, n, n))
+    d2g = np.zeros((size, n, n, n, n))
+    d3g = np.zeros((size, n, n, n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            jet = jets[i][j]
+            if not isinstance(jet, Jet3):
+                g[:, i, j] = g[:, j, i] = jet
+                continue
+            g[:, i, j] = g[:, j, i] = jet.value
+            dg[..., i, j] = dg[..., j, i] = jet.grad
+            d2g[..., i, j] = d2g[..., j, i] = hess_matrix(jet)
+            d3g[..., i, j] = d3g[..., j, i] = third_tensor(jet)
+    return g, dg, d2g, d3g

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from lcwcheck.exprs import eval_expr, parse_expr
+from lcwcheck.genericity import random_polynomial_metric
 from lcwcheck.jets import Jet3, MetricNotPositive, SymIndex, metric_jets
 from lcwcheck.metrics import euclidean_metric, parse_metric, sphere_stereographic_metric
 from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature
 
-from oracles import fd_gradient, fd_hessian, fd_third
+from oracles import (domain_points, fd_gradient, fd_hessian, fd_third, hess_matrix,
+                     scattered_metric_jets, third_tensor)
 
 
 def test_packed_index_bijections():
@@ -55,8 +57,8 @@ def test_product_examples():
     xy = x * y
     assert np.array_equal(xy.value, [2.0])
     assert np.array_equal(xy.grad, [[2.0, 1.0]])
-    assert xy.hess_matrix()[0, 0, 1] == 1.0
-    assert xy.hess_matrix()[0, 0, 0] == xy.hess_matrix()[0, 1, 1] == 0.0
+    assert hess_matrix(xy)[0, 0, 1] == 1.0
+    assert hess_matrix(xy)[0, 0, 0] == hess_matrix(xy)[0, 1, 1] == 0.0
     assert not xy.third.any()
 
 
@@ -74,8 +76,8 @@ def test_cube_of_sum():
 
     pt = np.array([1.0, 1.0])
     assert np.allclose(cube.grad, fd_gradient(f, pt), rtol=1e-6)
-    assert np.allclose(cube.hess_matrix(), fd_hessian(f, pt), rtol=1e-6)
-    assert np.allclose(cube.third_tensor(), fd_third(f, pt), rtol=1e-6)
+    assert np.allclose(hess_matrix(cube), fd_hessian(f, pt), rtol=1e-6)
+    assert np.allclose(third_tensor(cube), fd_third(f, pt), rtol=1e-6)
 
 
 def test_compose_taylor_tables():
@@ -144,7 +146,7 @@ def _slots(jet) -> bytes:
 
 def _row(jet, k) -> Jet3:
     """Row ``k`` of a batched jet, as a batch of one."""
-    return Jet3(jet.n, jet.value[[k]], jet.grad[[k]], jet.hess[[k]], jet.third[[k]])
+    return Jet3(jet.n, jet.data[[k]])
 
 
 def _batched_jet() -> Jet3:
@@ -186,8 +188,9 @@ def test_ring_axioms_at_roundoff():
     ix = SymIndex(n)
 
     def random_jet():
-        return Jet3(n, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, (1, n)),
-                    rng.uniform(-1, 1, (1, ix.npairs)), rng.uniform(-1, 1, (1, ix.ntriples)))
+        return Jet3(n, np.concatenate([rng.uniform(-1, 1, (1, 1)), rng.uniform(-1, 1, (1, n)),
+                                       rng.uniform(-1, 1, (1, ix.npairs)),
+                                       rng.uniform(-1, 1, (1, ix.ntriples))], axis=1))
 
     def slots(j):
         return np.concatenate([j.value, j.grad[0], j.hess[0], j.third[0]])
@@ -215,8 +218,8 @@ def test_grammar_expressions_vs_fd_property():
             return eval_expr(ast, dict(zip(coords, p)))
 
         for got, want in ((jet.grad[0], fd_gradient(f, pt)),
-                          (jet.hess_matrix()[0], fd_hessian(f, pt)),
-                          (jet.third_tensor()[0], fd_third(f, pt))):
+                          (hess_matrix(jet)[0], fd_hessian(f, pt)),
+                          (third_tensor(jet)[0], fd_third(f, pt))):
             mask = np.abs(want) > 1e-8
             assert np.allclose(got[mask], want[mask], rtol=1e-6)
 
@@ -267,6 +270,34 @@ def test_bump_metric_jets_vs_fd_inside_the_support():
             assert np.allclose(mj.dg[:, i, j], fd_gradient(f, pt), rtol=1e-6, atol=1e-10)
             assert np.allclose(mj.d2g[:, :, i, j], fd_hessian(f, pt), rtol=1e-6, atol=1e-9)
             assert np.allclose(mj.d3g[:, :, :, i, j], fd_third(f, pt), rtol=1e-5, atol=1e-7)
+
+
+def _metric_for_gather(case):
+    if case.startswith("poly"):
+        n = int(case[4:])
+        return random_polynomial_metric(n, np.random.default_rng(n))
+    if case == "constant-off-diagonal":
+        return parse_metric(
+            '{"dimension": 3, "coordinates": ["x", "y", "z"],'
+            ' "g": [["2+sin(x)*y", "0.25", "-0.5"], [null, "exp(y/3)", "0"],'
+            ' [null, null, "1+z^2"]]}')
+    return perturb_curvature(AlgebraicCurvature(4, np.zeros((4,) * 4)))  # all constants
+
+
+@pytest.mark.parametrize("case", [f"poly{n}" for n in range(3, 9)]
+                         + ["constant-off-diagonal", "flat"])
+def test_metric_jets_gather_equals_the_entrywise_scatter(case):
+    spec = _metric_for_gather(case)
+    points = domain_points(spec, 5, np.random.default_rng(11))
+    for batch in (points[:1], points):
+        mj = metric_jets(spec, batch)
+        fields = (mj.g, mj.dg, mj.d2g, mj.d3g)
+        for got, want in zip(fields, scattered_metric_jets(spec, batch)):
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    single = metric_jets(spec, points[3])
+    for got, want in zip((single.g, single.dg, single.d2g, single.d3g), fields):
+        assert got.flags.c_contiguous and got.tobytes() == want[3].tobytes()
 
 
 def test_metric_jets_failures():
