@@ -23,7 +23,7 @@ from .eigenflag import (CertifiedBound, EigenflagReport, certify_positive_minimu
                         classify_weyl_spectrum, codim_eigenflag,
                         construct_stratum4, min_residual, min_residuals, residual,
                         sphere_start_set)
-from .exprs import EvalError, ExprError, ParseError, eval_expr, parse_expr, to_source
+from .exprs import EvalError, ExprError, ParseError, eval_expr, parse_expr
 from .genericity import (PointVerdict, SampleStats, ScanResult, grid_points,
                          obstruct_point, obstruct_points, random_polynomial_metric,
                          residual_statistics, sample_weyl, scan_metric)

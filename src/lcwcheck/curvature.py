@@ -144,7 +144,6 @@ class CoordinateTensors:
     riemann: np.ndarray
     ricci: np.ndarray
     schouten: np.ndarray
-    grad_schouten: np.ndarray
     cotton: np.ndarray
     weyl: np.ndarray
     cotton_york: np.ndarray | None
@@ -169,7 +168,6 @@ class CurvaturePackage:
     ricci: np.ndarray
     scalar: float
     schouten: np.ndarray
-    grad_schouten: np.ndarray
     cotton: np.ndarray
     weyl: np.ndarray
     cotton_york: np.ndarray | None
@@ -251,8 +249,7 @@ def package_from_jets(mj: MetricJets, orientation: int = 1):
 
     cy = cotton_york(c3, g, orientation) if n == 3 else None
     frame = orthonormal_frame(g)
-    coord = dict(riemann=r4, ricci=ric, schouten=s2, grad_schouten=nabla_s, cotton=c3,
-                 weyl=w4, cotton_york=cy)
+    coord = dict(riemann=r4, ricci=ric, schouten=s2, cotton=c3, weyl=w4, cotton_york=cy)
     rotated = {k: None if t is None else rotate_tensor(t, frame) for k, t in coord.items()}
     batched = dict(rotated, point=mj.point, g=g, frame=frame, gamma=gamma, dgamma=dgamma)
 

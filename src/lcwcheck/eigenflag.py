@@ -290,7 +290,6 @@ class EigenflagReport:
     verdict: str               # eigenflag_within_tol | not_eigenflag
     #                          # | inconclusive | weyl_negligible
     iterations: int
-    seed: object = None
 
 
 def descent_chunk(n: int, starts: int | None = None) -> int:
@@ -344,18 +343,18 @@ def min_residuals(ws, starts: int | None = None, seed=None,
     floors = np.broadcast_to(np.asarray(weyl_floor, dtype=float), (len(pairs),))
 
     reports = [EigenflagReport(0.0, 0.0, np.zeros(n), wnorm, 0, np.zeros(0, dtype=bool),
-                               "weyl_negligible", 0, seed) if wnorm < floor else None
+                               "weyl_negligible", 0) if wnorm < floor else None
                for (_, wnorm), floor in zip(pairs, floors)]
     live = [k for k, r in enumerate(reports) if r is None]
     if live:
         start_set = sphere_start_set(n, 8 * n if starts is None else starts, seed)
         size = descent_chunk(n, starts)
         for lo in range(0, len(live), size):
-            _descend(pairs, live[lo:lo + size], reports, start_set, seed, tol_eigenflag)
+            _descend(pairs, live[lo:lo + size], reports, start_set, tol_eigenflag)
     return reports
 
 
-def _descend(pairs, live, reports, start_set, seed, tol_eigenflag) -> None:
+def _descend(pairs, live, reports, start_set, tol_eigenflag) -> None:
     """Descend the operators ``pairs[k]``, k in ``live``, in one loop from
     ``start_set``, and set their ``reports[k]``; see :func:`min_residuals`."""
     nb = start_set.shape[0]
@@ -432,7 +431,7 @@ def _descend(pairs, live, reports, start_set, seed, tol_eigenflag) -> None:
             verdict = "inconclusive"
         reports[k] = EigenflagReport(normalized, raw, minimizer, wnorm, nb,
                                      done[p * nb:(p + 1) * nb].copy(), verdict,
-                                     int(iterations[p]), seed)
+                                     int(iterations[p]))
 
 
 # --- rigorous grid certificate (n = 4) --------------------------------------

@@ -17,8 +17,8 @@ the whole line, so a perturbation localized with it needs no conditional.
 Evaluation is generic over the scalar type: plain ``float`` or any object
 implementing the arithmetic operators plus ``sin()``, ``exp()``, ... methods
 (see ``lcwcheck.jets.Jet3``).  All parse and evaluation errors carry the byte
-offset of the offending token or node.  Parsing, printing and evaluation each
-keep their own stack instead of recursing, so any nesting depth is accepted.
+offset of the offending token or node.  Parsing and evaluation each keep
+their own stack instead of recursing, so any nesting depth is accepted.
 """
 
 from __future__ import annotations
@@ -236,57 +236,6 @@ def parse_expr(source: str, coords) -> Node:
                 raise ParseError("expected ')'", pos)
             if opener != "(":
                 node = Call(opener_pos, opener, node)
-
-
-# --- pretty printer -----------------------------------------------------
-#
-# Emits the minimal parenthesization that reparses to an identical tree.
-# Levels follow the grammar: 1 = expr, 2 = term, 3 = factor, 4 = base.
-
-
-def _fmt_number(v: float) -> str:
-    if abs(v) < 1e16 and v == int(v):
-        return str(int(v))
-    return repr(v)
-
-
-def to_source(node: Node) -> str:
-    """Render an AST back to grammar text; reparses to an identical tree.
-
-    An explicit stack of pending (node, level) pairs and text pieces takes
-    the place of recursion, so a tree of any depth prints.
-    """
-    pieces = []
-    todo = [(node, 1)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        node, level = item
-        if isinstance(node, Const):
-            if node.value < 0 or node.value == math.inf:
-                raise ValueError("parser never produces negative or infinite literals")
-            own, parts = 4, [_fmt_number(node.value)]
-        elif isinstance(node, Var):
-            own, parts = 4, [node.name]
-        elif isinstance(node, Call):
-            own, parts = 4, [node.func + "(", (node.arg, 1), ")"]
-        elif isinstance(node, Neg):
-            own, parts = 4, ["-", (node.child, 4)]
-        elif isinstance(node, Pow):
-            own, parts = 3, [(node.base, 4), "^" + str(node.exponent)]
-        elif isinstance(node, BinOp):
-            own = _LEVEL[node.op]
-            # the left operand may sit at the operator's own level; the right
-            # one must be strictly tighter, otherwise associativity is lost.
-            parts = [(node.left, own), node.op, (node.right, own + 1)]
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        if own < level:
-            parts = ["(", *parts, ")"]
-        todo.extend(reversed(parts))
-    return "".join(pieces)
 
 
 # --- evaluation ---------------------------------------------------------

@@ -537,7 +537,7 @@ def metric_jets(spec, points) -> MetricJets:
     # entries[p, s * npairs + e] is slot s of the row of upper-triangle entry e at point p
     entries = np.stack([jet.data if isinstance(jet, Jet3)
                         else Jet3.constant(np.full(size, jet), n).data
-                        for jet in (jets[i][j] for i, j in ix.pairs)], axis=-1).reshape(size, -1)
+                        for jet in jets], axis=-1).reshape(size, -1)
 
     # each field gathers slots of every entry as (B, *slots.shape, n, n), C-contiguous as
     # np.take writes it, so the curvature pipeline reads a batch and its points alike

@@ -11,14 +11,16 @@ The JSON document format is the sole external input format of the toolkit:
 
 Entries below the diagonal may be ``null``; they are filled by symmetry.
 If both triangles are given explicitly, the two entries must parse to
-structurally identical trees.  The chart box defaults to [-1, 1] per
-coordinate and every sampling operation in the toolkit respects it.
+structurally identical trees.  A parsed metric keeps each upper entry's
+text and tree, packed by pair, and writes that text into both triangles.
+The chart box defaults to [-1, 1] per coordinate and every sampling
+operation in the toolkit respects it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,65 +41,57 @@ class MetricError(ValueError):
 class MetricSpec:
     """A symmetric matrix of component expressions on a coordinate box.
 
-    Nothing changes it or its nodes after parsing; safe to share between
-    concurrent evaluators (the jet tape, compiled on first use, is only read
-    after that).  ``entries[i][j]`` and ``entries[j][i]`` are the same AST object.
+    Packed, one entry per pair i <= j in ``SymIndex(dimension).pairs``
+    order: ``sources[k]`` is the text entry k was given and ``entries[k]``
+    its parse tree.  Equality compares the trees, not the text.  Nothing
+    changes it or its nodes after parsing; safe to share between concurrent
+    evaluators (the jet tape, compiled on first use, is only read after that).
     """
 
     dimension: int
     coordinates: tuple[str, ...]
-    entries: tuple[tuple[Node, ...], ...]
+    sources: tuple[str, ...] = field(compare=False)
+    entries: tuple[Node, ...]
     domain: tuple[tuple[float, float], ...]
 
     def evaluate(self, point) -> np.ndarray:
         """Plain float evaluation of g at a chart point."""
         env = dict(zip(self.coordinates, [float(x) for x in point]))
-        return np.array(self.component_values(env), dtype=float)
+        return np.array(self.component_values(env), dtype=float)[SymIndex(self.dimension).idx2]
 
-    def component_values(self, env: dict) -> list[list]:
-        """Evaluate every upper-triangle entry in a prebuilt environment.
+    def component_values(self, env: dict) -> list:
+        """Evaluate the entries, in pair order, in a prebuilt environment.
 
         ``env`` maps the coordinates to floats, which the expression walk
         evaluates, or to batched jets, which the compiled tape
-        evaluates with the same bits.  Returns a full n x n nested list
-        with shared objects across the diagonal.
+        evaluates with the same bits.
         """
-        n = self.dimension
-        pairs = SymIndex(n).pairs
         variables = [env.get(name) for name in self.coordinates]
-        values = None
         if all(isinstance(v, Jet3) for v in variables) and self._tape is not None:
             try:
-                values = self._tape.run(variables)
+                return self._tape.run(variables)
             except (ArithmeticError, ValueError):
                 pass  # the walk raises the entry's EvalError, with its offset
-        if values is None:
-            values = [exprs.eval_expr(self.entries[i][j], env) for i, j in pairs]
-        out = [[None] * n for _ in range(n)]
-        for (i, j), val in zip(pairs, values):
-            out[i][j] = out[j][i] = val
-        return out
+        return [exprs.eval_expr(entry, env) for entry in self.entries]
 
     @cached_property
     def _tape(self) -> JetTape | None:
-        """The upper-triangle entries compiled for jets, on first use.
+        """The entries compiled for jets, on first use.
 
         None when a subtree without coordinates fails to fold: that entry
         fails at every point, and the walk reports it.
         """
         try:
-            return JetTape(self.coordinates,
-                           [self.entries[i][j] for i, j in SymIndex(self.dimension).pairs])
+            return JetTape(self.coordinates, self.entries)
         except EvalError:
             return None
 
     def to_document(self) -> dict:
-        g = [[exprs.to_source(self.entries[i][j]) for j in range(self.dimension)]
-             for i in range(self.dimension)]
+        """The metric document, each entry's given text in both triangles."""
         return {
             "dimension": self.dimension,
             "coordinates": list(self.coordinates),
-            "g": g,
+            "g": [[self.sources[k] for k in row] for row in SymIndex(self.dimension).idx2],
             "domain": {name: [lo, hi]
                        for name, (lo, hi) in zip(self.coordinates, self.domain)},
         }
@@ -142,7 +136,7 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
             or any(not isinstance(row, (list, tuple)) or len(row) != n for row in rows)):
         raise MetricError(f"'g' must be an {n}x{n} array of expressions")
 
-    parsed = [[None] * n for _ in range(n)]
+    trees = {}
     for i in range(n):
         for j in range(n):
             src = rows[i][j]
@@ -153,18 +147,15 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
             if not isinstance(src, str):
                 raise MetricError(f"g[{i}][{j}] must be an expression string")
             try:
-                parsed[i][j] = exprs.parse_expr(src, coords)
+                trees[i, j] = exprs.parse_expr(src, coords)
             except ParseError as exc:
                 raise MetricError(f"g[{i}][{j}]: {exc}") from exc
 
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            upper, lower = parsed[i][j], parsed[j][i]
-            if i != j and lower is not None and not exprs.same_tree(lower, upper):
-                raise MetricError(
-                    f"asymmetric entries: g[{i}][{j}] and g[{j}][{i}] are structurally different")
-            entries[i][j] = entries[j][i] = upper
+    pairs = SymIndex(n).pairs
+    for i, j in pairs:
+        if i != j and (j, i) in trees and not exprs.same_tree(trees[j, i], trees[i, j]):
+            raise MetricError(
+                f"asymmetric entries: g[{i}][{j}] and g[{j}][{i}] are structurally different")
 
     box = [(-1.0, 1.0)] * n
     if domain is not None:
@@ -183,7 +174,8 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
                 raise MetricError(f"domain for {name!r} must be finite")
             box[coords.index(name)] = (lo, hi)
 
-    return MetricSpec(n, coords, tuple(tuple(row) for row in entries), tuple(box))
+    return MetricSpec(n, coords, tuple(rows[i][j] for i, j in pairs),
+                      tuple(trees[p] for p in pairs), tuple(box))
 
 
 def parse_metric(document: str) -> MetricSpec:

@@ -7,9 +7,11 @@ pipeline is meaningful.  Finite differences are used in tests only; the
 pipeline itself never touches them.
 
 The helpers at the end are small maps that the tests need and the tool
-does not run, built on the package's own stages.
+does not run, built on the package's own stages, and the expression
+printer, whose text the parser's round-trip tests parse.
 """
 
+import math
 from math import comb
 
 import numpy as np
@@ -18,6 +20,7 @@ from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_p
 from lcwcheck.curvature import _inverse_jets, _symbols
 from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_tensor, _batch_residual, _flag_parts,
                                 _unit)
+from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var
 from lcwcheck.jets import Jet3, SymIndex, jet_environment
 from lcwcheck.perturb import _TRACELESS_BASIS
 
@@ -339,14 +342,63 @@ def scattered_metric_jets(spec, batch):
     dg = np.zeros((size, n, n, n))
     d2g = np.zeros((size, n, n, n, n))
     d3g = np.zeros((size, n, n, n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            jet = jets[i][j]
-            if not isinstance(jet, Jet3):
-                g[:, i, j] = g[:, j, i] = jet
-                continue
-            g[:, i, j] = g[:, j, i] = jet.value
-            dg[..., i, j] = dg[..., j, i] = jet.grad
-            d2g[..., i, j] = d2g[..., j, i] = hess_matrix(jet)
-            d3g[..., i, j] = d3g[..., j, i] = third_tensor(jet)
+    for (i, j), jet in zip(SymIndex(n).pairs, jets):
+        if not isinstance(jet, Jet3):
+            g[:, i, j] = g[:, j, i] = jet
+            continue
+        g[:, i, j] = g[:, j, i] = jet.value
+        dg[..., i, j] = dg[..., j, i] = jet.grad
+        d2g[..., i, j] = d2g[..., j, i] = hess_matrix(jet)
+        d3g[..., i, j] = d3g[..., j, i] = third_tensor(jet)
     return g, dg, d2g, d3g
+
+
+# --- the expression printer: input for the parser's round-trip tests -------
+#
+# Emits the minimal parenthesization that reparses to an identical tree.
+# Levels follow the grammar: 1 = expr, 2 = term, 3 = factor, 4 = base.
+
+
+def _fmt_number(v: float) -> str:
+    if abs(v) < 1e16 and v == int(v):
+        return str(int(v))
+    return repr(v)
+
+
+def to_source(node: Node) -> str:
+    """Render an AST back to grammar text; reparses to an identical tree.
+
+    An explicit stack of pending (node, level) pairs and text pieces takes
+    the place of recursion, so a tree of any depth prints.
+    """
+    pieces = []
+    todo = [(node, 1)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, level = item
+        if isinstance(node, Const):
+            if node.value < 0 or node.value == math.inf:
+                raise ValueError("parser never produces negative or infinite literals")
+            own, parts = 4, [_fmt_number(node.value)]
+        elif isinstance(node, Var):
+            own, parts = 4, [node.name]
+        elif isinstance(node, Call):
+            own, parts = 4, [node.func + "(", (node.arg, 1), ")"]
+        elif isinstance(node, Neg):
+            own, parts = 4, ["-", (node.child, 4)]
+        elif isinstance(node, Pow):
+            own, parts = 3, [(node.base, 4), "^" + str(node.exponent)]
+        elif isinstance(node, BinOp):
+            own = _LEVEL[node.op]
+            # the left operand may sit at the operator's own level; the right
+            # one must be strictly tighter, otherwise associativity is lost.
+            parts = [(node.left, own), node.op, (node.right, own + 1)]
+        else:  # pragma: no cover
+            raise TypeError(f"unknown node {node!r}")
+        if own < level:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(pieces)

@@ -151,9 +151,8 @@ def test_frame_stages_batch_equals_single(n, batch):
 
 
 PACKAGE_FIELDS = ("point", "g", "frame", "gamma", "dgamma", "riemann", "ricci", "scalar",
-                  "schouten", "grad_schouten", "cotton", "weyl", "cotton_york")
-COORD_FIELDS = ("riemann", "ricci", "schouten", "grad_schouten", "cotton", "weyl",
-                "cotton_york")
+                  "schouten", "cotton", "weyl", "cotton_york")
+COORD_FIELDS = ("riemann", "ricci", "schouten", "cotton", "weyl", "cotton_york")
 
 
 @pytest.mark.parametrize("spec", [random_polynomial_metric(3, np.random.default_rng(0)),

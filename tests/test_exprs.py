@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from lcwcheck import exprs
 from lcwcheck.exprs import (BinOp, Call, Const, EvalError, Neg, ParseError, Pow,
-                            Var, eval_expr, parse_expr, same_tree, to_source)
+                            Var, eval_expr, parse_expr, same_tree)
 from lcwcheck.jets import Jet3
 from lcwcheck.metrics import make_metric
 
-from oracles import fd_gradient, fd_hessian, fd_third, hess_matrix, third_tensor
+from oracles import fd_gradient, fd_hessian, fd_third, hess_matrix, third_tensor, to_source
 
 
 def test_literal_zero():
@@ -89,7 +89,7 @@ def test_a_long_sum_prints_and_round_trips():
     spec = make_metric(3, ["x1", "x2", "x3"],
                        [[source, "0", "0"], [None, "1", "0"], [None, None, "1"]])
     again = make_metric(3, ["x1", "x2", "x3"], json.loads(spec.to_json())["g"])
-    assert same_tree(again.entries[0][0], tree)
+    assert same_tree(again.entries[0], tree)
 
 
 @pytest.mark.parametrize("source,message,pos", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lcwcheck.exprs import Const
+from lcwcheck.jets import SymIndex
 from lcwcheck.metrics import (MetricError, MetricSpec, euclidean_metric,
                               make_metric, parse_metric,
                               sphere_stereographic_metric)
@@ -22,9 +23,9 @@ def test_euclidean_document():
     spec = parse_metric(doc(4, ["x1", "x2", "x3", "x4"],
                             [["1" if i == j else "0" for j in range(4)] for i in range(4)]))
     assert spec.dimension == 4
-    for i in range(4):
-        for j in range(4):
-            assert spec.entries[i][j] == Const(0, 1.0 if i == j else 0.0)
+    assert len(spec.entries) == 10
+    for (i, j), entry in zip(SymIndex(4).pairs, spec.entries):
+        assert entry == Const(0, 1.0 if i == j else 0.0)
 
 
 def test_sphere_chart_is_valid():
@@ -42,7 +43,7 @@ def test_asymmetric_entries_rejected():
 def test_lower_triangle_omitted_is_symmetrized():
     g = [["1", "x1*x2", "0"], [None, "1", "0"], [None, None, "1"]]
     spec = parse_metric(doc(3, ["x1", "x2", "x3"], g))
-    assert spec.entries[1][0] is spec.entries[0][1]
+    assert len(spec.entries) == 6
     m = spec.evaluate([0.5, 0.25, 0.0])
     assert m[0, 1] == m[1, 0] == 0.125
 
@@ -120,3 +121,18 @@ def test_document_round_trip():
     assert again.entries == spec.entries
     assert again.domain == spec.domain
     assert isinstance(again, MetricSpec)
+
+
+def test_a_document_keeps_the_text_it_was_given():
+    upper = [["1 + (0.1*x2^2)", " 0.05 * x1*x3", "(0)"],
+             [None, "1+exp( 0.1*x1 )", "x2 * (x3)"],
+             [None, None, "((2))"]]
+    g = [[upper[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+    g[1][0], g[2][0], g[2][1] = "0.05*x1*x3", "0", "(x2)*x3"
+    spec = parse_metric(doc(3, ["x1", "x2", "x3"], g))
+    assert len(spec.entries) == 6
+    written = spec.to_document()["g"]
+    for i in range(3):
+        for j in range(3):
+            assert written[i][j] == upper[min(i, j)][max(i, j)]
+    assert parse_metric(spec.to_json()).entries == spec.entries

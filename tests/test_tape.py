@@ -20,6 +20,7 @@ from lcwcheck.exprs import BinOp, Call, Const, Neg, Pow, eval_expr
 from lcwcheck.jets import Jet3, JetTape, jet_environment, metric_jets
 from lcwcheck.metrics import MetricSpec, make_metric, sphere_stereographic_metric
 
+from oracles import to_source
 from test_exprs import _random_ast
 
 COORDS = ("x1", "x2", "x3")
@@ -57,14 +58,9 @@ def _same_jet(got, want) -> bool:
         for s in ("value", "grad", "hess", "third"))
 
 
-def _spec(entries) -> MetricSpec:
+def _spec(trees) -> MetricSpec:
     """A 3-D spec with the six given trees as its upper triangle."""
-    it = iter(entries)
-    rows = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            rows[i][j] = rows[j][i] = next(it)
-    return MetricSpec(3, COORDS, tuple(map(tuple, rows)), ((-1.0, 1.0),) * 3)
+    return MetricSpec(3, COORDS, tuple(map(to_source, trees)), tuple(trees), ((-1.0, 1.0),) * 3)
 
 
 @pytest.mark.parametrize("batch", [None, 3])
@@ -88,7 +84,7 @@ def test_tape_equals_the_walk_on_random_trees(batch):
                 continue
             got = spec._tape.run([env[c] for c in COORDS])
         for tree, g, w in zip(trees, got, want):
-            assert _same_jet(g, w), exprs.to_source(tree)
+            assert _same_jet(g, w), to_source(tree)
         checked += 1
     assert checked > 30 and raised > 10  # both outcomes are exercised
 
@@ -105,9 +101,9 @@ def test_tape_equals_the_walk_on_metrics():
         for pts in (points[0], points[:4], points):
             env = jet_environment(spec.coordinates, pts)
             got = spec.component_values(env)
-            for i in range(n):
-                for j in range(n):
-                    assert _same_jet(got[i][j], eval_expr(spec.entries[i][j], env)), (i, j)
+            assert len(got) == len(spec.entries) == n * (n + 1) // 2
+            for k, entry in enumerate(spec.entries):
+                assert _same_jet(got[k], eval_expr(entry, env)), k
 
 
 def test_jets_are_evaluated_by_the_tape_alone(monkeypatch):
@@ -134,7 +130,7 @@ def _operation(group):
 
 def test_identical_entries_are_lanes_of_one_operation():
     sphere = sphere_stereographic_metric(4)
-    diagonal = sphere.entries[0][0]
+    diagonal = sphere.entries[0]
     one = JetTape(sphere.coordinates, [diagonal])
     all_entries = sphere._tape
     shape = [[_operation(g) for g in level] for level in one.levels]
@@ -164,7 +160,7 @@ def test_errors_are_the_walks(entry, compiles):
     for points in (np.full(3, 0.5), np.full((2, 3), 0.5)):
         env = jet_environment(COORDS, points)
         with pytest.raises(exprs.EvalError) as want:
-            eval_expr(spec.entries[0][0], env)
+            eval_expr(spec.entries[0], env)
         with pytest.raises(exprs.EvalError) as got:
             spec.component_values(env)
         assert str(got.value) == str(want.value)
@@ -186,8 +182,8 @@ def test_a_deep_entry_evaluates(tmp_path):
     assert report["points"][0]["verdict"] in ("zero", "inconclusive", "no_lcw_certified")
     spec = metrics.load_metric(path)
     env = jet_environment(COORDS, np.array([0.1, 0.2, 0.3]))
-    assert _same_jet(spec.component_values(env)[0][0], eval_expr(spec.entries[0][0], env))
-    assert spec.evaluate([0.1, 0.2, 0.3])[0, 0] == eval_expr(spec.entries[0][0],
+    assert _same_jet(spec.component_values(env)[0], eval_expr(spec.entries[0], env))
+    assert spec.evaluate([0.1, 0.2, 0.3])[0, 0] == eval_expr(spec.entries[0],
                                                                dict(zip(COORDS, (0.1, 0.2, 0.3))))
 
 
@@ -195,7 +191,7 @@ def test_a_deep_entry_in_both_triangles_is_compared():
     terms = "".join(f"+1e-6*x{1 + k % 3}" for k in range(1500))
     rows = [["1", "0" + terms, "0"], ["0" + terms, "1", "0"], ["0", "0", "1"]]
     spec = make_metric(3, COORDS, rows)
-    assert spec.entries[1][0] is spec.entries[0][1]
+    assert len(spec.entries) == 6
     rows[1][0] += "+x1"
     with pytest.raises(metrics.MetricError, match="asymmetric"):
         make_metric(3, COORDS, rows)
