@@ -16,11 +16,14 @@ Conventions, fixed once for the whole toolkit:
   Cotton-York (n=3 only) via the raised volume form, see
   :func:`cotton_york`.
 
-Operator-level work downstream assumes an orthonormal frame, so the
-package driver rotates every tensor into the frame produced by the
-Cholesky factor of g (whose determinant is positive, hence the frame is
-positively oriented relative to the chart).  Every stage takes a leading
-batch axis and gives each point the bits of its own unbatched call.
+Two stages over batched jets run the pipeline: :func:`curvature_stage`
+reads g, dg and d2g and gives everything up to W; :func:`derivative_stage`
+adds d3g and gives C (and CY for n = 3).  The n >= 4 obstruction reads W
+alone, so :func:`obstruction_tensors` runs the second stage only for
+n = 3; :func:`package_from_jets`, behind ``curvature``, runs both at one
+point.  Each gives every point of a batch the bits of its batch of one.
+Operator-level work downstream assumes an orthonormal frame: the frame of
+the Cholesky factor of g, positively oriented relative to the chart.
 
 Derivatives of curvature (needed for the Cotton tensor) are propagated
 with explicit chain rules from the exact metric jets; finite differences
@@ -29,6 +32,7 @@ never enter the pipeline (they are a test oracle only).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,39 +49,71 @@ class DimensionError(ValueError):
     """Operation invoked in a dimension where it is undefined."""
 
 
-# --- individual pipeline stages ------------------------------------------
+# --- the two pipeline stages ---------------------------------------------
+
+# Batched chart-coordinate arrays: s3, ds3 are _sym3 of dg, d2g; rup is R^m_uvw.
+CurvatureStage = namedtuple("CurvatureStage", "ginv dginv s3 ds3 gamma dgamma rup riemann "
+                            "ricci scalar schouten weyl")
+DerivativeStage = namedtuple("DerivativeStage", "d2gamma cotton cotton_york")
 
 
-def _inverse_jets(mj: MetricJets):
-    """g^-1 and its first two coordinate derivatives (batched like ``mj``)."""
-    g, dg, d2g = mj.g, mj.dg, mj.d2g
+def _sym3(d: np.ndarray) -> np.ndarray:
+    """d_i g_jl + d_j g_il - d_l g_ij over the last three slots of a jet of g."""
+    return (np.einsum("...ijl->...ijl", d) + np.einsum("...jil->...ijl", d)
+            - np.einsum("...lij->...ijl", d))
+
+
+def curvature_stage(mj: MetricJets) -> CurvatureStage:
+    """Stage 1 on batched jets: everything up to W, from g, dg and d2g."""
+    n, g, dg = mj.n, mj.g, mj.dg
     ginv = np.linalg.inv(g)
     dginv = -np.einsum("...ij,...ajk,...kl->...ail", ginv, dg, ginv)
+    s3, ds3 = _sym3(dg), _sym3(mj.d2g)
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, s3)
+    dgamma = 0.5 * (np.einsum("...bkl,...ijl->...bkij", dginv, s3)
+                    + np.einsum("...kl,...bijl->...bkij", ginv, ds3))
+    rup = (np.einsum("...umvw->...muvw", dgamma) - np.einsum("...vmuw->...muvw", dgamma)
+           + np.einsum("...mua,...avw->...muvw", gamma, gamma)
+           - np.einsum("...mva,...auw->...muvw", gamma, gamma))
+    r4 = np.einsum("...km,...mijl->...ijkl", g, rup)
+    ric = np.einsum("...kl,...ikjl->...ij", ginv, r4)
+    s = np.einsum("...ij,...ij->...", ginv, ric)
+    s2 = schouten(ric, s[:, None, None], g, n)
+    return CurvatureStage(ginv, dginv, s3, ds3, gamma, dgamma, rup, r4, ric, s, s2,
+                          weyl_tensor(r4, s2, g))
+
+
+def derivative_stage(mj: MetricJets, cs: CurvatureStage, orientation: int = 1) -> DerivativeStage:
+    """Stage 2 on batched jets: C (and CY for n = 3) from stage 1 and d3g."""
+    n, g, dg = mj.n, mj.g, mj.dg
+    ginv, dginv, s3, ds3, gamma, dgamma = cs[:6]
     # d_a d_b g^-1 = -(m_ab + m_ab^T) - g^-1 d_a d_b g g^-1 with
     # m_ab = (d_b g^-1) (d_a g) g^-1: the two first-order terms mirror each other
     ginv2 = ginv[..., None, None, :, :]
     m = dginv[..., None, :, :, :] @ dg[..., :, None, :, :] @ ginv2
-    d2ginv = -(m + m.swapaxes(-1, -2)) - ginv2 @ d2g @ ginv2
-    return ginv, dginv, d2ginv
-
-
-def _symbols(mj: MetricJets, ginv, dginv, d2ginv):
-    dg, d2g, d3g = mj.dg, mj.d2g, mj.d3g
-    s3 = (np.einsum("...ijl->...ijl", dg) + np.einsum("...jil->...ijl", dg)
-          - np.einsum("...lij->...ijl", dg))
-    ds3 = (np.einsum("...bijl->...bijl", d2g) + np.einsum("...bjil->...bijl", d2g)
-           - np.einsum("...blij->...bijl", d2g))
-    d2s3 = (np.einsum("...bcijl->...bcijl", d3g) + np.einsum("...bcjil->...bcijl", d3g)
-            - np.einsum("...bclij->...bcijl", d3g))
-
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, s3)
-    dgamma = 0.5 * (np.einsum("...bkl,...ijl->...bkij", dginv, s3)
-                    + np.einsum("...kl,...bijl->...bkij", ginv, ds3))
+    d2ginv = -(m + m.swapaxes(-1, -2)) - ginv2 @ mj.d2g @ ginv2
     d2gamma = 0.5 * (np.einsum("...bckl,...ijl->...bckij", d2ginv, s3)
                      + np.einsum("...bkl,...cijl->...bckij", dginv, ds3)
                      + np.einsum("...ckl,...bijl->...bckij", dginv, ds3)
-                     + np.einsum("...kl,...bcijl->...bckij", ginv, d2s3))
-    return gamma, dgamma, d2gamma
+                     + np.einsum("...kl,...bcijl->...bckij", ginv, _sym3(mj.d3g)))
+    drup = (np.einsum("...bumvw->...bmuvw", d2gamma) - np.einsum("...bvmuw->...bmuvw", d2gamma)
+            + np.einsum("...bmua,...avw->...bmuvw", dgamma, gamma)
+            + np.einsum("...mua,...bavw->...bmuvw", gamma, dgamma)
+            - np.einsum("...bmva,...auw->...bmuvw", dgamma, gamma)
+            - np.einsum("...mva,...bauw->...bmuvw", gamma, dgamma))
+    dr4 = (np.einsum("...bkm,...mijl->...bijkl", dg, cs.rup)
+           + np.einsum("...km,...bmijl->...bijkl", g, drup))
+    dric = (np.einsum("...bkl,...ikjl->...bij", dginv, cs.riemann)
+            + np.einsum("...kl,...bikjl->...bij", ginv, dr4))
+    # point by point: over a batch these two einsums sum in another order
+    ds = np.stack([np.einsum("bij,ij->b", dginv[p], cs.ricci[p])
+                   + np.einsum("ij,bij->b", ginv[p], dric[p]) for p in range(len(mj))])
+    ds2 = (dric - (np.einsum("...b,...ij->...bij", ds, g) + cs.scalar[:, None, None, None] * dg)
+           / (2.0 * (n - 1))) / (n - 2)
+    nabla_s = (ds2 - np.einsum("...dab,...dc->...abc", gamma, cs.schouten)
+               - np.einsum("...dac,...bd->...abc", gamma, cs.schouten))
+    c3 = nabla_s - np.einsum("...jik->...ijk", nabla_s)
+    return DerivativeStage(d2gamma, c3, cotton_york(c3, g, orientation) if n == 3 else None)
 
 
 def schouten(ric: np.ndarray, s: float, g: np.ndarray, n: int) -> np.ndarray:
@@ -134,6 +170,14 @@ def rotate_tensor(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return t
 
 
+def obstruction_tensors(mj: MetricJets, orientation: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Frame R and the obstruction's frame tensor (W if n >= 4, CY if n = 3)."""
+    cs = curvature_stage(mj)
+    tensor = cs.weyl if mj.n > 3 else derivative_stage(mj, cs, orientation).cotton_york
+    frame = orthonormal_frame(mj.g)
+    return rotate_tensor(cs.riemann, frame), rotate_tensor(tensor, frame)
+
+
 # --- the assembled package -------------------------------------------------
 
 
@@ -154,16 +198,14 @@ class CurvaturePackage:
     """Every pointwise tensor of the pipeline at one chart point.
 
     Tensor components (`riemann` through `cotton_york`) are stored in the
-    g-orthonormal frame defined by ``frame``; the symbols ``gamma`` /
-    ``dgamma`` and everything inside ``coord`` stay in chart coordinates.
+    g-orthonormal frame of :func:`orthonormal_frame`; the symbols ``gamma``
+    and everything inside ``coord`` stay in chart coordinates.
     ``cotton_york`` is None unless n = 3.
     """
 
     point: np.ndarray
     g: np.ndarray
-    frame: np.ndarray
     gamma: np.ndarray
-    dgamma: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -201,63 +243,19 @@ class CurvaturePackage:
         return float(np.linalg.det(self.cotton_york))
 
 
-def package_from_jets(mj: MetricJets, orientation: int = 1):
-    """Run the whole pipeline on precomputed metric jets.
-
-    Jets at one point give its :class:`CurvaturePackage`; batched jets run
-    every stage once over the batch axis and give a list of packages, one
-    per point, equal bit for bit to the packages of the points one by one.
-    """
-    if mj.g.ndim == 2:
-        batch = MetricJets(*(a[None] for a in (mj.point, mj.g, mj.dg, mj.d2g, mj.d3g)))
-        return package_from_jets(batch, orientation)[0]
-    n = mj.n
-    g, dg = mj.g, mj.dg
-    ginv, dginv, d2ginv = _inverse_jets(mj)
-    gamma, dgamma, d2gamma = _symbols(mj, ginv, dginv, d2ginv)
-
-    rup = (np.einsum("...umvw->...muvw", dgamma) - np.einsum("...vmuw->...muvw", dgamma)
-           + np.einsum("...mua,...avw->...muvw", gamma, gamma)
-           - np.einsum("...mva,...auw->...muvw", gamma, gamma))
-    drup = (np.einsum("...bumvw->...bmuvw", d2gamma) - np.einsum("...bvmuw->...bmuvw", d2gamma)
-            + np.einsum("...bmua,...avw->...bmuvw", dgamma, gamma)
-            + np.einsum("...mua,...bavw->...bmuvw", gamma, dgamma)
-            - np.einsum("...bmva,...auw->...bmuvw", dgamma, gamma)
-            - np.einsum("...mva,...bauw->...bmuvw", gamma, dgamma))
-
-    r4 = np.einsum("...km,...mijl->...ijkl", g, rup)
-    dr4 = (np.einsum("...bkm,...mijl->...bijkl", dg, rup)
-           + np.einsum("...km,...bmijl->...bijkl", g, drup))
-
-    ric = np.einsum("...kl,...ikjl->...ij", ginv, r4)
-    dric = (np.einsum("...bkl,...ikjl->...bij", dginv, r4)
-            + np.einsum("...kl,...bikjl->...bij", ginv, dr4))
-
-    s = np.einsum("...ij,...ij->...", ginv, ric)
-    # point by point: over a batch these two einsums sum in another order
-    ds = np.stack([np.einsum("bij,ij->b", dginv[p], ric[p])
-                   + np.einsum("ij,bij->b", ginv[p], dric[p]) for p in range(len(mj))])
-
-    s2 = schouten(ric, s[:, None, None], g, n)
-    ds2 = (dric - (np.einsum("...b,...ij->...bij", ds, g) + s[:, None, None, None] * dg)
-           / (2.0 * (n - 1))) / (n - 2)
-
-    nabla_s = (ds2 - np.einsum("...dab,...dc->...abc", gamma, s2)
-               - np.einsum("...dac,...bd->...abc", gamma, s2))
-    c3 = nabla_s - np.einsum("...jik->...ijk", nabla_s)
-    w4 = weyl_tensor(r4, s2, g)
-
-    cy = cotton_york(c3, g, orientation) if n == 3 else None
-    frame = orthonormal_frame(g)
-    coord = dict(riemann=r4, ricci=ric, schouten=s2, cotton=c3, weyl=w4, cotton_york=cy)
-    rotated = {k: None if t is None else rotate_tensor(t, frame) for k, t in coord.items()}
-    batched = dict(rotated, point=mj.point, g=g, frame=frame, gamma=gamma, dgamma=dgamma)
-
-    def at(p, tensors):
-        return {k: None if t is None else t[p] for k, t in tensors.items()}
-
-    return [CurvaturePackage(**at(p, batched), scalar=float(s[p]), orientation=orientation,
-                             coord=CoordinateTensors(**at(p, coord))) for p in range(len(mj))]
+def package_from_jets(mj: MetricJets, orientation: int = 1) -> CurvaturePackage:
+    """Both stages on the jets of one point, as a batch of one, packaged."""
+    one = MetricJets(*(a[None] for a in (mj.point, mj.g, mj.dg, mj.d2g, mj.d3g)))
+    cs = curvature_stage(one)
+    dv = derivative_stage(one, cs, orientation)
+    frame = orthonormal_frame(one.g)
+    coord = dict(riemann=cs.riemann, ricci=cs.ricci, schouten=cs.schouten,
+                 cotton=dv.cotton, weyl=cs.weyl, cotton_york=dv.cotton_york)
+    rotated = {k: None if t is None else rotate_tensor(t, frame)[0] for k, t in coord.items()}
+    return CurvaturePackage(
+        point=mj.point, g=mj.g, gamma=cs.gamma[0], scalar=float(cs.scalar[0]),
+        orientation=orientation, **rotated,
+        coord=CoordinateTensors(**{k: None if t is None else t[0] for k, t in coord.items()}))
 
 
 def curvature_package(spec, point, orientation: int = 1) -> CurvaturePackage:

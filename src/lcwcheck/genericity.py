@@ -29,7 +29,7 @@ import numpy as np
 from .bivectors import BivectorBasis, WeylOperator, to_operator, weyl_part
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
-from .curvature import DimensionError, package_from_jets
+from .curvature import DimensionError, obstruction_tensors
 from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_chunk, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, make_metric
@@ -190,9 +190,10 @@ class PointVerdict:
 
 
 # Points per curvature batch (the descent chunk is the obstruction's other
-# level of batching).  Per point, the curvature chain holds a few arrays of n^5
-# entries, so a batch of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at
-# n = 5, one at n = 8) keeps each near 2^14 entries.
+# level of batching).  Per point, the derivative stage holds a few arrays of
+# n^5 entries, so a batch of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at
+# n = 5, one at n = 8) keeps each near 2^14 entries.  The n >= 4 verdict runs
+# no derivative stage, but the size has not been re-measured without it.
 def _batch_size(n: int) -> int:
     return max(1, 2 ** 14 // n ** 5)
 
@@ -213,12 +214,13 @@ def _caught(fn, *args):
         return exc
 
 
-def _point_item(point, pkg, tol_det):
+def _point_item(point, riemann, tensor, tol_det):
     """A point's Cotton-York verdict (n = 3), or its Weyl operator and zero floor."""
-    floor = DEFAULT_ZERO_FLOOR * (1.0 + pkg.riemann_norm)
-    if pkg.cotton_york is None:
-        return to_operator(pkg.weyl, scale=pkg.riemann_norm), floor
-    cy = CottonYorkTensor.from_matrix(pkg.cotton_york, floor)
+    scale = float(np.linalg.norm(riemann))
+    floor = DEFAULT_ZERO_FLOOR * (1.0 + scale)
+    if tensor.ndim == 4:
+        return to_operator(tensor, scale=scale), floor
+    cy = CottonYorkTensor.from_matrix(tensor, floor)
     label = classify_cy(cy, tol_det, floor)
     return PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True, label,
                         _VERDICTS.get(label, "inconclusive"), cy.eigenvalues)
@@ -227,11 +229,11 @@ def _point_item(point, pkg, tol_det):
 def _curvature_batch(spec: MetricSpec, points, orientation, tol_det) -> list:
     """:func:`_point_item` at each of a batch of points, or its exception; a batch
     whose jets or curvature fail runs again one point at a time."""
-    pkgs = _caught(lambda: package_from_jets(metric_jets(spec, np.array(points)), orientation))
-    if isinstance(pkgs, Exception):
-        return [pkgs] if len(points) == 1 else [
+    got = _caught(lambda: obstruction_tensors(metric_jets(spec, np.array(points)), orientation))
+    if isinstance(got, Exception):
+        return [got] if len(points) == 1 else [
             item for p in points for item in _curvature_batch(spec, [p], orientation, tol_det)]
-    return [_caught(_point_item, point, pkg, tol_det) for point, pkg in zip(points, pkgs)]
+    return [_caught(_point_item, point, r, t, tol_det) for point, r, t in zip(points, *got)]
 
 
 def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None,

@@ -220,8 +220,8 @@ def cy_linear_map() -> np.ndarray:
     coefficient, the 60 of them run as one batch; exactness follows from
     g(0) = delta, dg(0) = d2g(0) = 0, which kills every nonlinear term.
     """
-    pkgs = _curv.package_from_jets(_cubic_metric_jets(_unpack_cubic(np.eye(60))))
-    return np.array([sym3_to_vec5(pkg.cotton_york) for pkg in pkgs]).T
+    _, cy = _curv.obstruction_tensors(_cubic_metric_jets(_unpack_cubic(np.eye(60))))
+    return np.array([sym3_to_vec5(t) for t in cy]).T
 
 
 def cubic_metric_spec(coeffs: CottonCoefficients, domain_halfwidth: float = 0.5) -> MetricSpec:

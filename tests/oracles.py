@@ -17,11 +17,11 @@ from math import comb
 import numpy as np
 
 from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_part
-from lcwcheck.curvature import _inverse_jets, _symbols
+from lcwcheck.curvature import curvature_stage, derivative_stage
 from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_tensor, _batch_residual, _flag_parts,
                                 _unit)
 from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var
-from lcwcheck.jets import Jet3, SymIndex, jet_environment
+from lcwcheck.jets import Jet3, MetricJets, SymIndex, jet_environment
 from lcwcheck.perturb import _TRACELESS_BASIS
 
 
@@ -248,10 +248,12 @@ def christoffel(mj):
 
     ``(gamma, dgamma, d2gamma)`` with ``gamma[k, i, j]`` the symbol with
     upper index k, ``dgamma[b, k, i, j]`` its b-derivative and
-    ``d2gamma[b, c, k, i, j]`` the second derivative, from the pipeline's
-    own stages (with a leading batch axis for batched jets).
+    ``d2gamma[b, c, k, i, j]`` the second derivative, read from the
+    pipeline's two stages at the jets of one point.
     """
-    return _symbols(mj, *_inverse_jets(mj))
+    one = MetricJets(*(a[None] for a in (mj.point, mj.g, mj.dg, mj.d2g, mj.d3g)))
+    cs = curvature_stage(one)
+    return cs.gamma[0], cs.dgamma[0], derivative_stage(one, cs).d2gamma[0]
 
 
 def conjugate_operator(op, q):

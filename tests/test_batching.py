@@ -1,12 +1,13 @@
 """Batched evaluation computes exactly the bits of its points one at a time.
 
-``metric_jets``, the curvature stages, ``package_from_jets``,
+``metric_jets``, the curvature stages, ``obstruction_tensors``,
 ``min_residuals`` and ``obstruct_points`` take a batch of points (or
 operators) in one call; each result must equal, byte for byte, what the
 per-point call gives.  A point whose pipeline fails must not disturb the
 others in its batch.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,8 @@ from lcwcheck import eigenflag
 from lcwcheck.bivectors import to_operator
 from lcwcheck.cli import main
 from lcwcheck.cottonyork import CottonYorkTensor
-from lcwcheck.curvature import (cotton_york, orthonormal_frame, package_from_jets,
+from lcwcheck.curvature import (cotton_york, curvature_stage, derivative_stage,
+                                obstruction_tensors, orthonormal_frame, package_from_jets,
                                 rotate_tensor)
 from lcwcheck.eigenflag import construct_stratum4, min_residual, min_residuals
 from lcwcheck.exprs import EvalError
@@ -150,8 +152,8 @@ def test_frame_stages_batch_equals_single(n, batch):
                 assert same_bits(cy[p], einsum_cotton_york(c[p], g[p], orientation)), p
 
 
-PACKAGE_FIELDS = ("point", "g", "frame", "gamma", "dgamma", "riemann", "ricci", "scalar",
-                  "schouten", "cotton", "weyl", "cotton_york")
+PACKAGE_FIELDS = ("point", "g", "gamma", "riemann", "ricci", "scalar", "schouten", "cotton",
+                  "weyl", "cotton_york")
 COORD_FIELDS = ("riemann", "ricci", "schouten", "cotton", "weyl", "cotton_york")
 
 
@@ -163,18 +165,38 @@ COORD_FIELDS = ("riemann", "ricci", "schouten", "cotton", "weyl", "cotton_york")
                          ids=["poly3", "poly4", "poly5", "sphere3", "exp3"])
 @pytest.mark.parametrize("orientation", [1, -1])
 def test_curvature_packages_batch_equals_single(spec, orientation):
+    """Every array of both stages over a batch has, at each point, the bits
+    of that point's batch of one, and so do the point's package and its
+    obstruction tensors."""
     points = sample_points(spec.dimension, 5, seed=3, half_width=0.7)
-    batch = package_from_jets(metric_jets(spec, points), orientation)
-    assert len(batch) == len(points)
-    for pkg, point in zip(batch, points):
-        one = package_from_jets(metric_jets(spec, point), orientation)
+    mj = metric_jets(spec, points)
+    first = curvature_stage(mj)
+    second = derivative_stage(mj, first, orientation)
+    riemann, tensor = obstruction_tensors(mj, orientation)
+    assert len(riemann) == len(tensor) == len(points)
+    coord = {**first._asdict(), **second._asdict()}
+    frame = orthonormal_frame(mj.g)
+    batch = dict(point=mj.point, g=mj.g, gamma=first.gamma, scalar=first.scalar, **{
+        name: coord[name] if coord[name] is None else rotate_tensor(coord[name], frame)
+        for name in COORD_FIELDS})
+    for p, point in enumerate(points):
+        one = metric_jets(spec, point[None])
+        one_first = curvature_stage(one)
+        one_second = derivative_stage(one, one_first, orientation)
+        for stage, alone in ((first, one_first), (second, one_second)):
+            for name, a, b in zip(stage._fields, stage, alone):
+                assert (a is None and b is None) or same_bits(a[p], b[0]), name
+
+        pkg = package_from_jets(metric_jets(spec, point), orientation)
         for name in PACKAGE_FIELDS:
-            a, b = getattr(pkg, name), getattr(one, name)
-            assert (a is None and b is None) or same_bits(a, b), name
+            a, b = getattr(pkg, name), batch[name]
+            assert (a is None and b is None) or same_bits(a, b[p]), name
         for name in COORD_FIELDS:
-            a, b = getattr(pkg.coord, name), getattr(one.coord, name)
-            assert (a is None and b is None) or same_bits(a, b), name
-        assert pkg.orientation == one.orientation == orientation
+            a, b = getattr(pkg.coord, name), coord[name]
+            assert (a is None and b is None) or same_bits(a, b[p]), name
+        assert pkg.orientation == orientation
+        assert same_bits(riemann[p], pkg.riemann)
+        assert same_bits(tensor[p], pkg.weyl if spec.dimension > 3 else pkg.cotton_york)
 
 
 def assert_reports_match(batch, singles):
@@ -231,7 +253,7 @@ def test_min_residuals_per_operator_floors(monkeypatch):
 
 def test_min_residuals_on_curvature_operators():
     spec = random_polynomial_metric(4, np.random.default_rng(8))
-    pkgs = package_from_jets(metric_jets(spec, grid_points(spec, [2, 2, 1, 2])))
+    pkgs = [package_from_jets(metric_jets(spec, p)) for p in grid_points(spec, [2, 2, 1, 2])]
     ops = [to_operator(p.weyl, scale=p.riemann_norm) for p in pkgs]
     assert_reports_match(min_residuals(ops), [min_residual(op) for op in ops])
 
@@ -249,6 +271,27 @@ def test_obstruct_points_equals_obstruct_point(n, grid):
         want = obstruct_point(spec, point)
         assert verdict_json(got) == verdict_json(want)
         assert same_bits(got.detail, want.detail)
+
+
+@pytest.mark.parametrize("n,grid", [(4, [3, 3, 2, 2]), (6, [2, 1, 1, 1, 1, 2])])
+def test_weyl_verdict_reads_no_third_derivative(monkeypatch, n, grid):
+    """The n >= 4 verdict reads g, dg and d2g alone: jets without d3g give
+    every verdict with the same bits."""
+    import lcwcheck.genericity as genericity
+
+    spec = random_polynomial_metric(n, np.random.default_rng(80 + n))
+    points = grid_points(spec, grid)
+    want = obstruct_points(spec, points)
+    monkeypatch.setattr(genericity, "metric_jets", lambda spec, points: dataclasses.replace(
+        metric_jets(spec, points), d3g=None))
+    got = obstruct_points(spec, points)
+    assert len(got) == len(want) == len(points)
+    for v, w in zip(got, want):
+        assert not isinstance(v, Exception), v
+        assert (v.verdict, v.label) == (w.verdict, w.label)
+        assert same_bits(v.obstruction, w.obstruction)
+        assert same_bits(v.detail, w.detail)
+        assert verdict_json(v) == verdict_json(w)
 
 
 @pytest.fixture
@@ -405,8 +448,7 @@ def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
 
     spec = random_polynomial_metric(3, np.random.default_rng(12))
     points = grid_points(spec, (4, 4, 4)).tolist()
-    median = np.median([p.cotton_york[0, 0]
-                        for p in package_from_jets(metric_jets(spec, np.array(points)))])
+    median = np.median(obstruction_tensors(metric_jets(spec, np.array(points)))[1][:, 0, 0])
 
     class Failing(CottonYorkTensor):
         @staticmethod
