@@ -245,6 +245,9 @@ class CurvaturePackage:
 
 def package_from_jets(mj: MetricJets, orientation: int = 1) -> CurvaturePackage:
     """Both stages on the jets of one point, as a batch of one, packaged."""
+    if mj.g.ndim != 2:
+        raise ValueError("package_from_jets takes the jets of one point; batched jets go "
+                         "through obstruction_tensors, or curvature_stage and derivative_stage")
     one = MetricJets(*(a[None] for a in (mj.point, mj.g, mj.dg, mj.d2g, mj.d3g)))
     cs = curvature_stage(one)
     dv = derivative_stage(one, cs, orientation)

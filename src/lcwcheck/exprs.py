@@ -242,13 +242,8 @@ def parse_expr(source: str, coords) -> Node:
 
 
 def _call_scalar(func: str, x, pos: int):
-    if isinstance(x, (int, float)):
-        try:
-            return _MATH_FUNCS[func](x)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"domain error in {func}: {exc}", pos) from None
     try:
-        return getattr(x, func)()
+        return _MATH_FUNCS[func](x) if isinstance(x, (int, float)) else getattr(x, func)()
     except (ArithmeticError, ValueError) as exc:
         raise EvalError(f"domain error in {func}: {exc}", pos) from None
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -114,30 +115,17 @@ def random_polynomial_metric(n: int, rng: np.random.Generator,
     box with a wide margin.
     """
     coords = [f"x{i + 1}" for i in range(n)]
-    monomials = [""]
+    # the monomials of degree 1 to 3 in sorted order: each one before its multiples
+    monos = ["*".join(coords[c] for c in m) for m in sorted(
+        m for degree in (1, 2, 3) for m in combinations_with_replacement(range(n), degree))]
 
-    def build(prefix, start, deg):
-        for c in range(start, n):
-            term = f"{prefix}*{coords[c]}" if prefix else coords[c]
-            monomials.append(term)
-            if deg > 1:
-                build(term, c, deg - 1)
+    def entry(src):
+        for mono in monos:
+            c = rng.uniform(-amplitude, amplitude) / len(monos)
+            src += ("+" if c >= 0 else "-") + f"{repr(abs(c))}*{mono}"
+        return src
 
-    build("", 0, 3)
-    monos = monomials[1:]
-    g = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(None)
-                continue
-            src = "1" if i == j else "0"
-            for mono in monos:
-                c = rng.uniform(-amplitude, amplitude) / len(monos)
-                src += ("+" if c >= 0 else "-") + f"{repr(abs(c))}*{mono}"
-            row.append(src)
-        g.append(row)
+    g = [[None if j < i else entry("1" if i == j else "0") for j in range(n)] for i in range(n)]
     return make_metric(n, coords, g)
 
 

@@ -4,7 +4,9 @@ A :class:`Jet3` carries a value together with its gradient, Hessian and
 third-derivative tensor with respect to ``n`` chart coordinates.  Order 3 is
 exactly what the downstream pipeline needs (the conformal third-derivative
 tensor of a metric requires three metric derivatives) and is fixed: no
-configurable order, no higher slots.
+configurable order, no higher slots.  A jet in no variables has the value
+slot alone, a plain value with the bits of the value slot in n variables:
+``MetricSpec.evaluate`` seeds those and runs the tape of :func:`metric_jets`.
 
 Second and third derivatives are stored packed over sorted multi-indices,
 n(n+1)/2 and n(n+1)(n+2)/6 entries, so the symmetries hold structurally:
@@ -72,8 +74,8 @@ class SymIndex:
         # Gather indices, stacked so one fancy index fetches all of a product's
         # operands: a gradient at (i, j) of each pair or (i, j, k) of each
         # triple, a packed Hessian at (jk, ik, ij) of each triple.
-        self.pair_ij = np.array(pairs, dtype=np.intp).T
-        self.triple_ijk = np.array(triples, dtype=np.intp).T
+        self.pair_ij = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        self.triple_ijk = np.array(triples, dtype=np.intp).reshape(-1, 3).T
         ti, tj, tk = self.triple_ijk
         self.triple_hess = np.stack([idx2[tj, tk], idx2[ti, tk], idx2[ti, tj]])
 
@@ -442,13 +444,15 @@ class JetTape:
     def run(self, variables) -> list:
         """The trees' values at the coordinate jets ``variables``.
 
-        The jets are batched over the same points; each result is a float
-        (a tree without coordinates) or a jet over those points.
+        The jets are batched over the same points, in the coordinates as
+        variables or in none (plain values); each result is a float (a tree
+        without coordinates) or a jet like them over those points.
         """
-        n, ix = self.n, SymIndex(self.n)
+        n, nvars = self.n, variables[0].n
         var = np.stack([v.data for v in variables])
         size, width = var.shape[1:]
-        lanes_per_op = max(1, _GATHER_ENTRIES // (3 * ix.ntriples * size))
+        # in no variables a product gathers nothing: up to _GATHER_ENTRIES lanes per op
+        lanes_per_op = max(1, _GATHER_ENTRIES // (3 * SymIndex(nvars).ntriples * size or 1))
         levels = [np.empty((n + max(self.sizes, default=0), size, width)) for _ in range(2)]
         for level in levels:
             level[:n] = var
@@ -461,10 +465,10 @@ class JetTape:
                     hi = min(lo + lanes_per_op, count)
                     jet = exprs.apply_op(g.node, [
                         np.repeat(o[lo:hi], size) if o.dtype.kind == "f"
-                        else Jet3(n, below[o[lo:hi]].reshape(-1, width)) for o in g.operands])
+                        else Jet3(nvars, below[o[lo:hi]].reshape(-1, width)) for o in g.operands])
                     level[g.start + lo:g.start + hi] = jet.data.reshape(-1, size, width)
             below = level
-        return [r if type(r) is float else Jet3(n, below[r].copy()) for r in self.results]
+        return [r if type(r) is float else Jet3(nvars, below[r].copy()) for r in self.results]
 
 
 def jet_environment(coordinates, point) -> dict:
@@ -531,13 +535,9 @@ def metric_jets(spec, points) -> MetricJets:
         raise ValueError(
             f"point {batch[outside][0].tolist()} is outside the chart domain box")
 
-    jets = spec.component_values(jet_environment(spec.coordinates, batch))
-
-    size, ix = len(batch), SymIndex(n)
     # entries[p, s * npairs + e] is slot s of the row of upper-triangle entry e at point p
-    entries = np.stack([jet.data if isinstance(jet, Jet3)
-                        else Jet3.constant(np.full(size, jet), n).data
-                        for jet in jets], axis=-1).reshape(size, -1)
+    entries = spec.component_rows(jet_environment(spec.coordinates, batch)).reshape(len(batch), -1)
+    ix = SymIndex(n)
 
     # each field gathers slots of every entry as (B, *slots.shape, n, n), C-contiguous as
     # np.take writes it, so the curvature pipeline reads a batch and its points alike
@@ -545,14 +545,20 @@ def metric_jets(spec, points) -> MetricJets:
     g, dg, d2g, d3g = (np.take(entries, np.add.outer(s * ix.npairs, ix.idx2), axis=1) for s in
                        (slot[0], slot[ix.grad], slot[ix.hess][ix.idx2], slot[ix.third][ix.idx3]))
 
+    check_positive(batch, g, "metric at {} is not positive definite")
+    mj = MetricJets(batch, g, dg, d2g, d3g)
+    return mj if points.ndim == 2 else mj[0]
+
+
+def check_positive(points, g, message: str) -> None:
+    """Raise :class:`MetricNotPositive` unless the (B, n, n) batch g has a
+    Cholesky factor at each of the (B, n) points; ``message.format(point)``
+    names the first point without one."""
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        for p, gp in zip(batch, g):
+        for p, gp in zip(points, g):
             try:
                 np.linalg.cholesky(gp)
             except np.linalg.LinAlgError:
-                raise MetricNotPositive(
-                    f"metric at {p.tolist()} is not positive definite") from None
-    mj = MetricJets(batch, g, dg, d2g, d3g)
-    return mj if points.ndim == 2 else mj[0]
+                raise MetricNotPositive(message.format(p.tolist())) from None

@@ -54,25 +54,37 @@ class MetricSpec:
     entries: tuple[Node, ...]
     domain: tuple[tuple[float, float], ...]
 
-    def evaluate(self, point) -> np.ndarray:
-        """Plain float evaluation of g at a chart point."""
-        env = dict(zip(self.coordinates, [float(x) for x in point]))
-        return np.array(self.component_values(env), dtype=float)[SymIndex(self.dimension).idx2]
+    def evaluate(self, points) -> np.ndarray:
+        """g at a chart point, or at each row of a (B, n) batch: the value slot
+        of jets in no variables, so ``metric_jets(self, points).g`` bit for bit
+        (``^`` is repeated products and ``a/b`` is ``a*(1/b)``, as in the jets)."""
+        points = np.asarray(points, dtype=float)
+        rows = self.component_rows({name: Jet3.constant(x, 0) for name, x in
+                                    zip(self.coordinates, points.reshape(-1, self.dimension).T)})
+        return rows[:, 0, SymIndex(self.dimension).idx2].reshape(*points.shape, self.dimension)
 
     def component_values(self, env: dict) -> list:
-        """Evaluate the entries, in pair order, in a prebuilt environment.
+        """Evaluate the entries, in pair order, at the coordinate jets ``env``.
 
-        ``env`` maps the coordinates to floats, which the expression walk
-        evaluates, or to batched jets, which the compiled tape
-        evaluates with the same bits.
+        ``env`` maps each coordinate to jets over the same points, in the
+        coordinates as variables or in none (plain values), and the compiled
+        tape evaluates them: a jet per entry, a float for an entry without
+        coordinates.  A failing entry raises the walk's ``EvalError``.
         """
-        variables = [env.get(name) for name in self.coordinates]
-        if all(isinstance(v, Jet3) for v in variables) and self._tape is not None:
+        if self._tape is not None:
             try:
-                return self._tape.run(variables)
+                return self._tape.run([env[name] for name in self.coordinates])
             except (ArithmeticError, ValueError):
                 pass  # the walk raises the entry's EvalError, with its offset
         return [exprs.eval_expr(entry, env) for entry in self.entries]
+
+    def component_rows(self, env: dict) -> np.ndarray:
+        """The entries' jet rows at ``env``, (B, width, npairs), an entry
+        without coordinates as constant rows."""
+        seed = env[self.coordinates[0]]
+        return np.stack([v.data if isinstance(v, Jet3)
+                         else Jet3.constant(np.full(len(seed.data), v), seed.n).data
+                         for v in self.component_values(env)], axis=-1)
 
     @cached_property
     def _tape(self) -> JetTape | None:

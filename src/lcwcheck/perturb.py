@@ -35,7 +35,7 @@ from . import curvature as _curv
 from .bivectors import WeylOperator, bianchi_part, operator_to_tensor
 from .cottonyork import CottonYorkTensor
 from .genericity import grid_points
-from .jets import MetricJets, MetricNotPositive, SymIndex
+from .jets import MetricJets, SymIndex, check_positive
 from .metrics import MetricSpec, make_metric
 
 CURVATURE_COEFF = -1.0 / 3.0
@@ -120,19 +120,16 @@ def _quadratic_entry_source(rstar: np.ndarray, i: int, j: int, coords, cutoff: s
 
 
 def _check_positivity(spec: MetricSpec) -> None:
+    """Raise :class:`~lcwcheck.jets.MetricNotPositive` unless g is positive
+    definite at 200 seeded random points of the chart box and at its 2^n
+    corners, evaluated in one batch; the first failing point is named."""
     n = spec.dimension
-    lows = np.array([lo for lo, _ in spec.domain])
-    highs = np.array([hi for _, hi in spec.domain])
+    lows, highs = np.array(spec.domain).T
     rng = np.random.default_rng(20240901)
-    pts = [lows + (highs - lows) * rng.random(n) for _ in range(200)]
-    for p in [*pts, *grid_points(spec, [2] * n)]:
-        g = spec.evaluate(p)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise MetricNotPositive(
-                f"perturbed metric is not positive definite at {p.tolist()}; "
-                "shrink the perturbation or the domain box") from None
+    points = np.concatenate([lows + (highs - lows) * rng.random((200, n)),
+                             grid_points(spec, [2] * n)])
+    check_positive(points, spec.evaluate(points), "perturbed metric is not positive definite"
+                   " at {}; shrink the perturbation or the domain box")
 
 
 def perturb_curvature(rstar: AlgebraicCurvature, radius: float | None = None,
@@ -228,22 +225,21 @@ def cubic_metric_spec(coeffs: CottonCoefficients, domain_halfwidth: float = 0.5)
     """Emit the cubic perturbation as a parseable metric document."""
     coords = ["x1", "x2", "x3"]
     a = coeffs.full()
-    g_rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            src = "1" if i == j else "0"
-            for k, l, m in SymIndex(3).triples:
-                mult = len(set(permutations((k, l, m))))
-                coeff = mult * a[i, j, k, l, m]
-                if coeff == 0.0:
-                    continue
-                counts = {c: (k, l, m).count(c) for c in set((k, l, m))}
-                mono = "*".join(f"{coords[c]}^{e}" if e > 1 else coords[c]
-                                for c, e in sorted(counts.items()))
-                src += ("+" if coeff > 0 else "-") + f"{_fmt_coeff(coeff)}*{mono}"
-            row.append(src)
-        g_rows.append(row)
+
+    def entry(i, j):
+        src = "1" if i == j else "0"
+        for k, l, m in SymIndex(3).triples:
+            mult = len(set(permutations((k, l, m))))
+            coeff = mult * a[i, j, k, l, m]
+            if coeff == 0.0:
+                continue
+            counts = {c: (k, l, m).count(c) for c in set((k, l, m))}
+            mono = "*".join(f"{coords[c]}^{e}" if e > 1 else coords[c]
+                            for c, e in sorted(counts.items()))
+            src += ("+" if coeff > 0 else "-") + f"{_fmt_coeff(coeff)}*{mono}"
+        return src
+
+    g_rows = [[entry(i, j) for j in range(3)] for i in range(3)]
     box = {c: [-domain_halfwidth, domain_halfwidth] for c in coords}
     return make_metric(3, coords, g_rows, box)
 

@@ -20,9 +20,21 @@ from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_p
 from lcwcheck.curvature import curvature_stage, derivative_stage
 from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_tensor, _batch_residual, _flag_parts,
                                 _unit)
-from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var
+from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var, eval_expr
 from lcwcheck.jets import Jet3, MetricJets, SymIndex, jet_environment
 from lcwcheck.perturb import _TRACELESS_BASIS
+
+
+def float_metric(spec):
+    """g at one chart point from the float expression walk over the spec's
+    entries: the oracles' metric, evaluated without the jet tape."""
+    idx2 = SymIndex(spec.dimension).idx2
+
+    def g_at(p):
+        env = dict(zip(spec.coordinates, map(float, p)))
+        return np.array([eval_expr(entry, env) for entry in spec.entries])[idx2]
+
+    return g_at
 
 
 def fd_gradient(f, x, h=1e-4):

@@ -8,7 +8,7 @@ from lcwcheck.curvature import curvature_package
 from lcwcheck.genericity import obstruct_point, random_polynomial_metric
 from lcwcheck.metrics import conformally_flat_metric
 
-from oracles import cotton_york_at
+from oracles import cotton_york_at, float_metric
 
 
 def random_so3(rng):
@@ -147,7 +147,7 @@ def test_generic_metric_certified_and_matches_fd_oracle():
     cy = CottonYorkTensor.from_matrix(pkg.cotton_york)
     assert obstruct_point(spec, p).verdict == "no_lcw_certified"
 
-    oracle = cotton_york_at(spec.evaluate, p)
+    oracle = cotton_york_at(float_metric(spec), p)
     assert np.abs(oracle - pkg.coord.cotton_york).max() < 1e-4 * max(cy.norm, 1e-12)
 
 

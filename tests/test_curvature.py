@@ -3,7 +3,7 @@ import pytest
 
 from lcwcheck.bivectors import bianchi_map, ricci_contraction, to_operator
 from lcwcheck.curvature import (DimensionError, cotton_york, curvature_package,
-                                kulkarni_nomizu, orthonormal_frame,
+                                kulkarni_nomizu, orthonormal_frame, package_from_jets,
                                 rotate_tensor, schouten)
 from lcwcheck.eigenflag import min_residual
 from lcwcheck.genericity import random_polynomial_metric
@@ -319,7 +319,7 @@ def test_pipeline_vs_fd_oracle():
         spec = random_polynomial_metric(n, rng)
         p = rng.uniform(-0.5, 0.5, n)
         pkg = curvature_package(spec, p)
-        g_at = spec.evaluate
+        g_at = oracles.float_metric(spec)
 
         scale = max(pkg.riemann_norm, 1e-12)
         assert rel(oracles.christoffel_at(g_at, p), pkg.gamma) < 1e-5
@@ -332,3 +332,13 @@ def test_pipeline_vs_fd_oracle():
         assert np.linalg.norm(oracles.weyl_at(g_at, p) - pkg.coord.weyl) < 1e-4 * scale
         if n == 3:
             assert rel(oracles.cotton_york_at(g_at, p), pkg.coord.cotton_york) < 1e-4
+
+
+def test_package_from_jets_names_its_error_for_batched_jets():
+    spec = random_polynomial_metric(4, np.random.default_rng(3))
+    points = oracles.domain_points(spec, 3, np.random.default_rng(4))
+    with pytest.raises(ValueError, match=r"^package_from_jets takes the jets of one point; "
+                       r"batched jets go through obstruction_tensors, or curvature_stage "
+                       r"and derivative_stage$"):
+        package_from_jets(metric_jets(spec, points))
+    assert package_from_jets(metric_jets(spec, points[1])).n == 4

@@ -4,14 +4,15 @@ import operator
 import numpy as np
 import pytest
 
-from lcwcheck.exprs import eval_expr, parse_expr
+from lcwcheck.exprs import FUNCTIONS, eval_expr, parse_expr
 from lcwcheck.genericity import random_polynomial_metric
 from lcwcheck.jets import Jet3, MetricNotPositive, SymIndex, metric_jets
-from lcwcheck.metrics import euclidean_metric, parse_metric, sphere_stereographic_metric
+from lcwcheck.metrics import (euclidean_metric, make_metric, parse_metric,
+                              sphere_stereographic_metric)
 from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature
 
-from oracles import (domain_points, fd_gradient, fd_hessian, fd_third, hess_matrix,
-                     scattered_metric_jets, third_tensor)
+from oracles import (domain_points, fd_gradient, fd_hessian, fd_third, float_metric,
+                     hess_matrix, scattered_metric_jets, third_tensor)
 
 
 def test_packed_index_bijections():
@@ -24,6 +25,15 @@ def test_packed_index_bijections():
         assert all(ix.idx2[i, j] == ix.idx2[j, i] for i in range(n) for j in range(n))
         seen3 = {ix.idx3[i, j, k] for i in range(n) for j in range(n) for k in range(n)}
         assert seen3 == set(range(ix.ntriples))
+
+
+def test_no_variables_index_shapes():
+    ix = SymIndex(0)
+    assert (ix.width, ix.npairs, ix.ntriples) == (1, 0, 0)
+    assert ix.grad == ix.hess == ix.third == slice(1, 1)
+    assert ix.idx2.shape == (0, 0) and ix.idx3.shape == (0, 0, 0)
+    assert ix.pair_ij.shape == (2, 0)
+    assert ix.triple_ijk.shape == ix.triple_hess.shape == (3, 0)
 
 
 def test_variable_seeds():
@@ -182,6 +192,52 @@ def test_numpy_scalars_defer_to_the_jet():
         assert isinstance(got, Jet3) and _slots(got) == _slots(2.0 * jet)
 
 
+def _outcome(f, *operands):
+    """The value slot's bytes of ``f(*operands)``, or the error it raises."""
+    try:
+        jet = f(*operands)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert jet.data.shape == (len(jet.data), SymIndex(jet.n).width)
+    return jet.value.tobytes()
+
+
+_UNARY = ([operator.neg] + [lambda a, k=k: a ** k for k in (-3, -1, 0, 1, 2, 5)]
+          + [operator.methodcaller(f) for f in FUNCTIONS]
+          + [lambda a, op=op, c=c: op(a, c) for op in (operator.add, operator.sub, operator.mul,
+                                                         operator.truediv)
+             for c in (0.7, -2.5, 0.0, np.array([0.3, -1.0, 2.0, 0.5, 1.5, -0.0]))]
+          + [lambda a, op=op: op(1.5, a) for op in (operator.add, operator.sub, operator.mul,
+                                                     operator.truediv)])
+_BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("values", [
+    [0.3, 0.7, 0.05, 0.95, 0.5, 0.2],        # every operation succeeds
+    [0.4, -0.6, 1.5, -3.0, 0.999, 2.5],      # negative logs and square roots, bumps past 1
+    [0.0, 0.5, -0.0, 1.0, -1e-160, 1e160]])  # zero divisors, overflowing coefficients
+def test_a_jet_in_no_variables_is_the_value_slot(values):
+    """Every operation on jets in no variables gives the value slot of the
+    same operation in n variables, bit for bit, and the same errors."""
+    rng = np.random.default_rng(13)
+    values = np.array(values)
+    other = np.roll(values, 1) + 0.25
+    for n in (1, 3):
+        def seeded(v):
+            data = rng.uniform(-1.0, 1.0, (len(v), SymIndex(n).width))
+            data[:, 0] = v
+            return Jet3(n, data)
+
+        a, b = seeded(values), seeded(other)
+        a0, b0 = Jet3.constant(values, 0), Jet3.constant(other, 0)
+        with np.errstate(all="ignore"):  # derivative slots may overflow; values are compared
+            for f in _UNARY:
+                assert _outcome(f, a0) == _outcome(f, a)
+            for f in _BINARY:
+                assert _outcome(f, a0, b0) == _outcome(f, a, b)
+                assert _outcome(f, b0, a0) == _outcome(f, b, a)
+
+
 def test_ring_axioms_at_roundoff():
     rng = np.random.default_rng(17)
     n = 3
@@ -245,10 +301,11 @@ def test_metric_jets_sphere_vs_fd():
     spec = sphere_stereographic_metric(4)
     pt = np.array([0.1, 0.2, 0.0, 0.0])
     mj = metric_jets(spec, pt)
+    g_at = float_metric(spec)
     for i in range(4):
         for j in range(4):
             def f(p, i=i, j=j):
-                return spec.evaluate(p)[i, j]
+                return g_at(p)[i, j]
 
             grad = fd_gradient(f, pt)
             hess = fd_hessian(f, pt)
@@ -261,11 +318,12 @@ def test_metric_jets_sphere_vs_fd():
 def test_bump_metric_jets_vs_fd_inside_the_support():
     rstar = AlgebraicCurvature.random(3, np.random.default_rng(4), scale=0.05)
     spec = perturb_curvature(rstar, radius=0.8)
+    g_at = float_metric(spec)
     for pt in (np.array([0.3, -0.2, 0.1]), np.array([-0.1, 0.45, 0.35])):
         mj = metric_jets(spec, pt)
         for i, j in SymIndex(3).pairs:
             def f(p, i=i, j=j):
-                return spec.evaluate(p)[i, j]
+                return g_at(p)[i, j]
 
             assert np.allclose(mj.dg[:, i, j], fd_gradient(f, pt), rtol=1e-6, atol=1e-10)
             assert np.allclose(mj.d2g[:, :, i, j], fd_hessian(f, pt), rtol=1e-6, atol=1e-9)
@@ -308,3 +366,17 @@ def test_metric_jets_failures():
         metric_jets(spec, [-0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="outside"):
         metric_jets(spec, [2.0, 0.0, 0.0])
+
+
+def test_evaluate_is_the_value_slot_of_metric_jets():
+    spec = make_metric(3, ("x", "y", "z"),
+                       [["1+x/3", "bump((x^2+y^2)/0.8^2)*y^3/5", "(x-z)^2/9"],
+                        [None, "1+y/7", "0.125"],
+                        [None, None, "1+x/(3+z)"]])
+    points = domain_points(spec, 300, np.random.default_rng(0))
+    g = spec.evaluate(points)
+    assert g.shape == (300, 3, 3)
+    assert g.tobytes() == metric_jets(spec, points).g.tobytes()
+    for p, gp in zip(points, g):
+        one = spec.evaluate(p)
+        assert one.shape == (3, 3) and one.tobytes() == gp.tobytes()

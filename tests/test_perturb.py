@@ -4,11 +4,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from lcwcheck import perturb
 from lcwcheck.bivectors import to_operator
 from lcwcheck.cottonyork import classify_cy
 from lcwcheck.curvature import curvature_package, kulkarni_nomizu
 from lcwcheck.eigenflag import construct_stratum4, min_residual
-from lcwcheck.genericity import obstruct_point
+from lcwcheck.genericity import grid_points, obstruct_point
 from lcwcheck.jets import MetricNotPositive, SymIndex, metric_jets
 from lcwcheck.metrics import MetricSpec, parse_metric
 from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, cubic_metric_spec,
@@ -101,6 +102,32 @@ def test_emitted_document_reparses():
 def test_positivity_rejection():
     with pytest.raises(MetricNotPositive, match="perturbed metric is not positive definite"):
         perturb_curvature(AlgebraicCurvature.space_form(4, 1.0), domain_halfwidth=1.0)
+
+
+def test_a_failing_prescription_names_the_point_a_point_by_point_scan_finds(monkeypatch):
+    check = perturb._check_positivity
+    monkeypatch.setattr(perturb, "_check_positivity", lambda spec: None)
+    # first failing points: a corner, random points 115 and 94, the second corner, point 0
+    cases = [AlgebraicCurvature.space_form(4, 1.0)] + [
+        AlgebraicCurvature.random(n, np.random.default_rng(0), scale=scale)
+        for n, scale in ((4, 5.0), (8, 5.0), (6, 5.0), (8, 50.0))]
+    for rstar in cases:
+        n, spec = rstar.n, perturb_curvature(rstar)
+        # the check's points one at a time: 200 seeded draws of the box, then its corners
+        rng = np.random.default_rng(20240901)
+        points = [-1.0 + 2.0 * rng.random(n) for _ in range(200)]
+        first = None
+        for p in [*points, *grid_points(spec, [2] * n)]:
+            try:
+                np.linalg.cholesky(spec.evaluate(p))
+            except np.linalg.LinAlgError:
+                first = p
+                break
+        assert first is not None
+        with pytest.raises(MetricNotPositive) as got:
+            check(spec)
+        assert str(got.value) == (f"perturbed metric is not positive definite at "
+                                  f"{first.tolist()}; shrink the perturbation or the domain box")
 
 
 def test_halving_the_prescription_halves_the_positivity_margin():

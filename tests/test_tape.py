@@ -4,8 +4,9 @@
 :class:`~lcwcheck.jets.JetTape`, one batched operation per (depth,
 operation) group; the walk (``eval_expr``) only reports its errors.  Every
 value, gradient, Hessian and third-derivative entry must equal the walk's
-bit for bit, over a batch of one point and of several, and every error
-must be the walk's.
+bit for bit, over a batch of one point and of several, for jets in the
+coordinates and for jets in no variables (plain values, which
+``MetricSpec.evaluate`` seeds), and every error must be the walk's.
 """
 
 import json
@@ -58,6 +59,17 @@ def _same_jet(got, want) -> bool:
         for s in ("value", "grad", "hess", "third"))
 
 
+def _value_environment(coords, points) -> dict:
+    """Each coordinate as jets in no variables at one point or the rows of a batch."""
+    points = np.asarray(points, dtype=float).reshape(-1, len(coords))
+    return {name: Jet3.constant(x, 0) for name, x in zip(coords, points.T)}
+
+
+def _environments(coords, points):
+    """Seeds in the coordinates as variables, then in no variables."""
+    return jet_environment(coords, points), _value_environment(coords, points)
+
+
 def _spec(trees) -> MetricSpec:
     """A 3-D spec with the six given trees as its upper triangle."""
     return MetricSpec(3, COORDS, tuple(map(to_source, trees)), tuple(trees), ((-1.0, 1.0),) * 3)
@@ -66,27 +78,27 @@ def _spec(trees) -> MetricSpec:
 @pytest.mark.parametrize("batch", [None, 3])
 def test_tape_equals_the_walk_on_random_trees(batch):
     rng = np.random.default_rng(2024 + (batch or 0))
-    checked = raised = 0
+    checked, raised = [0, 0], [0, 0]  # per seeding: in the coordinates, in none
     for _ in range(150):
         trees = [_signed_zeros(_random_ast(rng, COORDS, 4), rng) for _ in range(6)]
         spec = _spec(trees)
         points = rng.uniform(0.2, 1.0, size=(batch or 1, 3))
-        env = jet_environment(COORDS, points if batch else points[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                want = [eval_expr(t, env) for t in trees]
-            except Exception as exc:  # noqa: BLE001 - the walk's error is the reference
-                with pytest.raises(type(exc)) as got:
-                    spec.component_values(env)
-                assert str(got.value) == str(exc)
-                raised += 1
-                continue
-            got = spec._tape.run([env[c] for c in COORDS])
-        for tree, g, w in zip(trees, got, want):
-            assert _same_jet(g, w), to_source(tree)
-        checked += 1
-    assert checked > 30 and raised > 10  # both outcomes are exercised
+        for k, env in enumerate(_environments(COORDS, points if batch else points[0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    want = [eval_expr(t, env) for t in trees]
+                except Exception as exc:  # noqa: BLE001 - the walk's error is the reference
+                    with pytest.raises(type(exc)) as got:
+                        spec.component_values(env)
+                    assert str(got.value) == str(exc)
+                    raised[k] += 1
+                    continue
+                got = spec._tape.run([env[c] for c in COORDS])
+            for tree, g, w in zip(trees, got, want):
+                assert _same_jet(g, w), to_source(tree)
+            checked[k] += 1
+    assert min(checked) > 30 and min(raised) > 10  # both outcomes, both seedings
 
 
 def test_tape_equals_the_walk_on_metrics():
@@ -99,11 +111,11 @@ def test_tape_equals_the_walk_on_metrics():
         points = np.random.default_rng(n).uniform(0.2, 0.8, size=(200, n))
         # one point, a few, and enough that each group runs in several slices
         for pts in (points[0], points[:4], points):
-            env = jet_environment(spec.coordinates, pts)
-            got = spec.component_values(env)
-            assert len(got) == len(spec.entries) == n * (n + 1) // 2
-            for k, entry in enumerate(spec.entries):
-                assert _same_jet(got[k], eval_expr(entry, env)), k
+            for env in _environments(spec.coordinates, pts):
+                got = spec.component_values(env)
+                assert len(got) == len(spec.entries) == n * (n + 1) // 2
+                for k, entry in enumerate(spec.entries):
+                    assert _same_jet(got[k], eval_expr(entry, env)), k
 
 
 def test_jets_are_evaluated_by_the_tape_alone(monkeypatch):
