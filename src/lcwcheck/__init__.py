@@ -18,7 +18,7 @@ from .cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
                          symmetric3_eigenvalues)
 from .curvature import (CurvaturePackage, DimensionError, cotton_york,
                         curvature_package, kulkarni_nomizu, obstruction_tensors,
-                        orthonormal_frame, package_from_jets, rotate_tensor, schouten, weyl_tensor)
+                        orthonormal_frame, rotate_tensor, schouten, weyl_tensor)
 from .eigenflag import (CertifiedBound, EigenflagReport, certify_positive_minimum,
                         classify_weyl_spectrum, codim_eigenflag,
                         construct_stratum4, min_residual, min_residuals, residual,

@@ -234,12 +234,8 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    if args.zero:
-        rstar = AlgebraicCurvature(args.dimension,
-                                   np.zeros((args.dimension,) * 4))
-    else:
-        rng = np.random.default_rng(args.seed)
-        rstar = AlgebraicCurvature.random(args.dimension, rng, scale=args.scale)
+    rstar = AlgebraicCurvature.random(args.dimension, np.random.default_rng(args.seed),
+                                      scale=0.0 if args.zero else args.scale)
     spec = perturb_curvature(rstar)
     _write_output(spec.to_json() + "\n", args.out)
     return EXIT_OK
@@ -250,8 +246,7 @@ def _cmd_solve_cy(args) -> int:
     target = np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
     solution = solve_cy_target(target)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(solution.metric.to_json() + "\n")
+        _write_output(solution.metric.to_json() + "\n", args.out)
     doc = {
         "tool_version": __version__,
         "target": target,

@@ -20,8 +20,9 @@ Two stages over batched jets run the pipeline: :func:`curvature_stage`
 reads g, dg and d2g and gives everything up to W; :func:`derivative_stage`
 adds d3g and gives C (and CY for n = 3).  The n >= 4 obstruction reads W
 alone, so :func:`obstruction_tensors` runs the second stage only for
-n = 3; :func:`package_from_jets`, behind ``curvature``, runs both at one
-point.  Each gives every point of a batch the bits of its batch of one.
+n = 3; :func:`curvature_package`, behind ``curvature``, runs both on the
+jets of one point, a batch of one.  Each gives every point of a batch the
+bits of its batch of one.
 Operator-level work downstream assumes an orthonormal frame: the frame of
 the Cholesky factor of g, positively oriented relative to the chart.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import MetricJets, metric_jets
+from .jets import MetricJets, chart_points, metric_jets
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -243,24 +244,18 @@ class CurvaturePackage:
         return float(np.linalg.det(self.cotton_york))
 
 
-def package_from_jets(mj: MetricJets, orientation: int = 1) -> CurvaturePackage:
-    """Both stages on the jets of one point, as a batch of one, packaged."""
-    if mj.g.ndim != 2:
-        raise ValueError("package_from_jets takes the jets of one point; batched jets go "
-                         "through obstruction_tensors, or curvature_stage and derivative_stage")
-    one = MetricJets(*(a[None] for a in (mj.point, mj.g, mj.dg, mj.d2g, mj.d3g)))
-    cs = curvature_stage(one)
-    dv = derivative_stage(one, cs, orientation)
-    frame = orthonormal_frame(one.g)
+def curvature_package(spec, point, orientation: int = 1) -> CurvaturePackage:
+    """Evaluate the full pipeline for a metric spec at one chart point: both
+    stages on its jets, a batch of one, packaged."""
+    batch = chart_points(spec, [point])
+    mj = metric_jets(spec, batch)
+    cs = curvature_stage(mj)
+    dv = derivative_stage(mj, cs, orientation)
+    frame = orthonormal_frame(mj.g)
     coord = dict(riemann=cs.riemann, ricci=cs.ricci, schouten=cs.schouten,
                  cotton=dv.cotton, weyl=cs.weyl, cotton_york=dv.cotton_york)
     rotated = {k: None if t is None else rotate_tensor(t, frame)[0] for k, t in coord.items()}
     return CurvaturePackage(
-        point=mj.point, g=mj.g, gamma=cs.gamma[0], scalar=float(cs.scalar[0]),
+        point=batch[0], g=mj.g[0], gamma=cs.gamma[0], scalar=float(cs.scalar[0]),
         orientation=orientation, **rotated,
         coord=CoordinateTensors(**{k: None if t is None else t[0] for k, t in coord.items()}))
-
-
-def curvature_package(spec, point, orientation: int = 1) -> CurvaturePackage:
-    """Evaluate the full pipeline for a metric spec at a chart point."""
-    return package_from_jets(metric_jets(spec, point), orientation)

@@ -45,7 +45,7 @@ from math import log, pi, sqrt
 
 import numpy as np
 
-from .bivectors import WeylOperator, lift_orthogonal, operator_to_tensor
+from .bivectors import WeylOperator, _dimension, lift_orthogonal, operator_to_tensor
 from .cottonyork import DEFAULT_ZERO_FLOOR
 from .curvature import DimensionError
 from .jets import SymIndex
@@ -67,12 +67,12 @@ DESCENT_BUDGET = 2 ** 19
 SPECTRUM_TOL = 1e-8  # relative eigenvalue gap of classify_weyl_spectrum
 
 
-def _as_tensor(w) -> tuple[np.ndarray, float]:
+def _as_operator(w) -> tuple[np.ndarray, float]:
     if isinstance(w, WeylOperator):
-        return w.tensor(), w.norm
+        return w.matrix, w.norm
     w = np.asarray(w, dtype=float)
     if w.ndim == 2:
-        return operator_to_tensor(w), float(np.linalg.norm(w))
+        return w, float(np.linalg.norm(w))
     raise TypeError("expected a WeylOperator or an operator matrix")
 
 
@@ -191,7 +191,7 @@ def _unit(v) -> np.ndarray:
 
 def residual(w, v) -> float:
     """E(v) for a single direction; raises unless v is a unit vector."""
-    t, _ = _as_tensor(w)
+    t = operator_to_tensor(_as_operator(w)[0])
     return float(_batch_residual(t, _unit(v)[None, :])[0])
 
 
@@ -329,16 +329,17 @@ def min_residuals(ws, starts: int | None = None, seed=None,
 
     ``weyl_floor`` is one floor for all operators or one per operator.  The
     operators above their floor descend in chunks whose gathered forms fit
-    in ``DESCENT_BUDGET``, all operators x starts of a chunk in one loop;
+    in ``DESCENT_BUDGET``, all operators x starts of a chunk in one loop,
+    and each chunk makes the (0,4) tensors of its own operators only;
     each start's iterates, and so each report, are exactly those of its
     operator on its own.  A report's ``iterations`` counts the loop rounds
     in which some start of its operator was still descending.
     """
-    pairs = [_as_tensor(w) for w in ws]
-    n = pairs[0][0].shape[0]
+    pairs = [_as_operator(w) for w in ws]
+    n = _dimension(pairs[0][0].shape[0])
     if n < 4:
         raise DimensionError("eigenflag test needs dimension >= 4")
-    if any(t.shape[0] != n for t, _ in pairs):
+    if any(_dimension(op.shape[0]) != n for op, _ in pairs):
         raise DimensionError("operators of one batch must share their dimension")
     floors = np.broadcast_to(np.asarray(weyl_floor, dtype=float), (len(pairs),))
 
@@ -359,7 +360,8 @@ def _descend(pairs, live, reports, start_set, tol_eigenflag) -> None:
     ``start_set``, and set their ``reports[k]``; see :func:`min_residuals`."""
     nb = start_set.shape[0]
     wnorms = np.array([pairs[k][1] for k in live])
-    forms = _QuarticForms(np.stack([pairs[k][0] for k in live]))
+    tensors = [operator_to_tensor(pairs[k][0]) for k in live]
+    forms = _QuarticForms(np.stack(tensors))
 
     # The state holds only the starts still descending, row b being start
     # ids[b].  It is compacted on the rounds in which some start converges or
@@ -417,9 +419,9 @@ def _descend(pairs, live, reports, start_set, tol_eigenflag) -> None:
 
     for p, k in enumerate(live):
         # exact re-evaluation at the final iterates; best start wins
-        t, wnorm = pairs[k]
+        wnorm = pairs[k][1]
         vp = final[p * nb:(p + 1) * nb]
-        energies = _batch_residual(t, vp)
+        energies = _batch_residual(tensors[p], vp)
         best = int(np.argmin(energies))
         minimizer, raw = vp[best], float(energies[best])
         normalized = raw / wnorm ** 2
@@ -467,7 +469,8 @@ def certify_positive_minimum(w, grid_resolution: int = 64) -> CertifiedBound:
     non-positive bound means the resolution was too coarse (or a true zero
     exists) and is reported as inconclusive.
     """
-    t, wnorm = _as_tensor(w)
+    op, wnorm = _as_operator(w)
+    t = operator_to_tensor(op)
     n = t.shape[0]
     if n != 4:
         raise DimensionError("grid certification is implemented for n = 4 only")

@@ -17,8 +17,10 @@ many rows at once (Taylor mode over a batch, Griewank & Walther,
 *Evaluating Derivatives*, ch. 13).  A row is one packed array in the
 layout of :class:`SymIndex`, from the coordinate seeds through the levels
 of a :class:`JetTape` to the entries that :func:`metric_jets` gathers into
-:class:`MetricJets`.  Every operation acts row by row, so a
+:class:`MetricJets`, batched too.  Every operation acts row by row, so a
 row of a batch has exactly the bits of its point in a batch of one.
+:func:`chart_points` checks and batches the points of :func:`metric_jets`
+and ``MetricSpec.evaluate``.
 :class:`JetTape` compiles expression trees into groups of nodes, one per
 depth, operation and constant operands, and applies the expression walk's
 own ``exprs.apply_op`` to each group, each row a node of some tree at
@@ -484,16 +486,15 @@ def jet_environment(coordinates, point) -> dict:
 
 @dataclass(frozen=True)
 class MetricJets:
-    """g and its first three coordinate-derivative tensors at one point.
+    """g and its first three coordinate-derivative tensors at a batch of B points.
 
-    Derivative indices come first: ``dg[a, i, j]`` is the a-derivative of
-    ``g_ij``, ``d2g[a, b, i, j]`` and ``d3g[a, b, c, i, j]`` likewise.  The
+    Every field has the point axis first, then the derivative indices:
+    ``dg[p, a, i, j]`` is the a-derivative of ``g_ij`` at point p,
+    ``d2g[p, a, b, i, j]`` and ``d3g[p, a, b, c, i, j]`` likewise.  The
     recorded symmetries in the derivative slots are exact by construction
-    (unpacked from symmetric packed storage).  Batched jets put one more
-    axis, of length B, in front of every field (``g[p, i, j]`` at point p).
+    (unpacked from symmetric packed storage).
     """
 
-    point: np.ndarray
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
@@ -504,26 +505,14 @@ class MetricJets:
         return self.g.shape[-1]
 
     def __len__(self) -> int:
-        """The number of points of batched jets."""
-        return self.g.shape[0] if self.g.ndim == 3 else 1
-
-    def __getitem__(self, k) -> "MetricJets":
-        """The jets at point ``k`` of a batch."""
-        return MetricJets(self.point[k], self.g[k], self.dg[k], self.d2g[k], self.d3g[k])
+        """The number of points."""
+        return self.g.shape[0]
 
 
-def metric_jets(spec, points) -> MetricJets:
-    """Evaluate a metric's components over jets at chart points.
-
-    ``points`` is one point (shape (n,)), which gives :class:`MetricJets`
-    at it, or a (B, n) array, which evaluates the components once for the
-    whole batch and gives batched :class:`MetricJets`.  ``spec`` is a
-    :class:`~lcwcheck.metrics.MetricSpec`, the one metric representation
-    (a bump-localized perturbation is one too).  Raises
-    :class:`MetricNotPositive` when g at a point has no Cholesky factor,
-    and ``ValueError`` when a point is outside the chart box; either names
-    the first such point.
-    """
+def chart_points(spec, points) -> np.ndarray:
+    """``points`` as a (B, n) batch of points of ``spec``'s chart; one point,
+    shape (n,), is a batch of one.  Raises ``ValueError`` unless each point
+    has n coordinates and lies in the chart box, naming the first outside."""
     n = spec.dimension
     points = np.asarray(points, dtype=float)
     if points.ndim not in (1, 2) or points.shape[-1] != n:
@@ -534,10 +523,25 @@ def metric_jets(spec, points) -> MetricJets:
     if outside.any():
         raise ValueError(
             f"point {batch[outside][0].tolist()} is outside the chart domain box")
+    return batch
+
+
+def metric_jets(spec, points) -> MetricJets:
+    """Evaluate a metric's components over jets at chart points.
+
+    ``points`` is a (B, n) array, or one point of shape (n,), a batch of
+    one; the components are evaluated once for the whole batch.  ``spec``
+    is a :class:`~lcwcheck.metrics.MetricSpec`, the one metric
+    representation (a bump-localized perturbation is one too).  Raises
+    :func:`chart_points`' ``ValueError`` for a point of the wrong length
+    or outside the chart box, and :class:`MetricNotPositive` when g at a
+    point has no Cholesky factor; either names the first such point.
+    """
+    batch = chart_points(spec, points)
 
     # entries[p, s * npairs + e] is slot s of the row of upper-triangle entry e at point p
     entries = spec.component_rows(jet_environment(spec.coordinates, batch)).reshape(len(batch), -1)
-    ix = SymIndex(n)
+    ix = SymIndex(spec.dimension)
 
     # each field gathers slots of every entry as (B, *slots.shape, n, n), C-contiguous as
     # np.take writes it, so the curvature pipeline reads a batch and its points alike
@@ -546,8 +550,7 @@ def metric_jets(spec, points) -> MetricJets:
                        (slot[0], slot[ix.grad], slot[ix.hess][ix.idx2], slot[ix.third][ix.idx3]))
 
     check_positive(batch, g, "metric at {} is not positive definite")
-    mj = MetricJets(batch, g, dg, d2g, d3g)
-    return mj if points.ndim == 2 else mj[0]
+    return MetricJets(g, dg, d2g, d3g)
 
 
 def check_positive(points, g, message: str) -> None:

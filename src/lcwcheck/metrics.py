@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exprs
 from .exprs import EvalError, Node, ParseError
-from .jets import Jet3, JetTape, SymIndex
+from .jets import Jet3, JetTape, SymIndex, chart_points
 
 MIN_DIMENSION = 3
 MAX_DIMENSION = 8
@@ -57,11 +57,12 @@ class MetricSpec:
     def evaluate(self, points) -> np.ndarray:
         """g at a chart point, or at each row of a (B, n) batch: the value slot
         of jets in no variables, so ``metric_jets(self, points).g`` bit for bit
-        (``^`` is repeated products and ``a/b`` is ``a*(1/b)``, as in the jets)."""
-        points = np.asarray(points, dtype=float)
-        rows = self.component_rows({name: Jet3.constant(x, 0) for name, x in
-                                    zip(self.coordinates, points.reshape(-1, self.dimension).T)})
-        return rows[:, 0, SymIndex(self.dimension).idx2].reshape(*points.shape, self.dimension)
+        (``^`` is repeated products and ``a/b`` is ``a*(1/b)``, as in the jets).
+        Points are checked as :func:`~lcwcheck.jets.metric_jets` checks them."""
+        batch = chart_points(self, points)
+        rows = self.component_rows({name: Jet3.constant(x, 0)
+                                    for name, x in zip(self.coordinates, batch.T)})
+        return rows[:, 0, SymIndex(self.dimension).idx2].reshape(*np.shape(points), self.dimension)
 
     def component_values(self, env: dict) -> list:
         """Evaluate the entries, in pair order, at the coordinate jets ``env``.

@@ -205,8 +205,8 @@ def _cubic_metric_jets(a_full: np.ndarray) -> MetricJets:
     point per leading entry of ``a_full``."""
     b = len(a_full)
     d3g = 6.0 * np.einsum("...ijklm->...klmij", a_full)
-    return MetricJets(np.zeros((b, 3)), np.tile(np.eye(3), (b, 1, 1)),
-                      np.zeros((b, 3, 3, 3)), np.zeros((b, 3, 3, 3, 3)), d3g)
+    return MetricJets(np.tile(np.eye(3), (b, 1, 1)), np.zeros((b, 3, 3, 3)),
+                      np.zeros((b, 3, 3, 3, 3)), d3g)
 
 
 @lru_cache(maxsize=1)

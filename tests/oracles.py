@@ -16,12 +16,13 @@ from math import comb
 
 import numpy as np
 
-from lcwcheck.bivectors import WeylOperator, _dimension, lift_orthogonal, weyl_part
+from lcwcheck.bivectors import (WeylOperator, _dimension, lift_orthogonal, operator_to_tensor,
+                                weyl_part)
 from lcwcheck.curvature import curvature_stage, derivative_stage
-from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_tensor, _batch_residual, _flag_parts,
-                                _unit)
+from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_operator, _batch_residual,
+                                _flag_parts, _unit)
 from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var, eval_expr
-from lcwcheck.jets import Jet3, MetricJets, SymIndex, jet_environment
+from lcwcheck.jets import Jet3, SymIndex, jet_environment
 from lcwcheck.perturb import _TRACELESS_BASIS
 
 
@@ -220,6 +221,12 @@ def face_points(k, a, sign=1.0):
     return buf / np.linalg.norm(buf, axis=1, keepdims=True)
 
 
+def _as_tensor(w):
+    """The (0,4) tensor of an operator, and the operator's norm."""
+    op, wnorm = _as_operator(w)
+    return operator_to_tensor(op), wnorm
+
+
 def _face_grid_min(w, k, signs, exact):
     """(min E, point count) over the radially projected k^3 grids of the
     cube faces x_a = sign, a = 0..3, for the operator normalized to unit
@@ -261,11 +268,10 @@ def christoffel(mj):
     ``(gamma, dgamma, d2gamma)`` with ``gamma[k, i, j]`` the symbol with
     upper index k, ``dgamma[b, k, i, j]`` its b-derivative and
     ``d2gamma[b, c, k, i, j]`` the second derivative, read from the
-    pipeline's two stages at the jets of one point.
+    pipeline's two stages at the jets of one point, a batch of one.
     """
-    one = MetricJets(*(a[None] for a in (mj.point, mj.g, mj.dg, mj.d2g, mj.d3g)))
-    cs = curvature_stage(one)
-    return cs.gamma[0], cs.dgamma[0], derivative_stage(one, cs).d2gamma[0]
+    cs = curvature_stage(mj)
+    return cs.gamma[0], cs.dgamma[0], derivative_stage(mj, cs).d2gamma[0]
 
 
 def conjugate_operator(op, q):

@@ -17,8 +17,8 @@ from lcwcheck import eigenflag
 from lcwcheck.bivectors import to_operator
 from lcwcheck.cli import main
 from lcwcheck.cottonyork import CottonYorkTensor
-from lcwcheck.curvature import (cotton_york, curvature_stage, derivative_stage,
-                                obstruction_tensors, orthonormal_frame, package_from_jets,
+from lcwcheck.curvature import (cotton_york, curvature_package, curvature_stage,
+                                derivative_stage, obstruction_tensors, orthonormal_frame,
                                 rotate_tensor)
 from lcwcheck.eigenflag import construct_stratum4, min_residual, min_residuals
 from lcwcheck.exprs import EvalError
@@ -59,8 +59,8 @@ def assert_jets_match(batch: MetricJets, points, spec):
     assert len(batch) == len(points)
     for k, point in enumerate(points):
         one = metric_jets(spec, point)
-        for name in ("point", "g", "dg", "d2g", "d3g"):
-            assert same_bits(getattr(batch[k], name), getattr(one, name)), (k, name)
+        for name in ("g", "dg", "d2g", "d3g"):
+            assert same_bits(getattr(batch, name)[k:k + 1], getattr(one, name)), (k, name)
 
 
 def sample_points(n: int, count: int, seed: int, half_width: float = 0.9) -> np.ndarray:
@@ -92,9 +92,9 @@ def test_metric_jets_batch_bump_inside_and_outside():
     batch = metric_jets(pert, points)
     assert_jets_match(batch, points, pert)
     for k in (0, 3):  # the base metric exactly, with no derivatives
-        assert np.array_equal(batch[k].g, np.eye(4))
-        assert not batch[k].dg.any() and not batch[k].d2g.any() and not batch[k].d3g.any()
-    assert not np.array_equal(batch[1].g, np.eye(4))
+        assert np.array_equal(batch.g[k], np.eye(4))
+        assert not batch.dg[k].any() and not batch.d2g[k].any() and not batch.d3g[k].any()
+    assert not np.array_equal(batch.g[1], np.eye(4))
 
     outside = points[[0, 3]]
     only_outside = metric_jets(pert, outside)
@@ -176,7 +176,7 @@ def test_curvature_packages_batch_equals_single(spec, orientation):
     assert len(riemann) == len(tensor) == len(points)
     coord = {**first._asdict(), **second._asdict()}
     frame = orthonormal_frame(mj.g)
-    batch = dict(point=mj.point, g=mj.g, gamma=first.gamma, scalar=first.scalar, **{
+    batch = dict(point=points, g=mj.g, gamma=first.gamma, scalar=first.scalar, **{
         name: coord[name] if coord[name] is None else rotate_tensor(coord[name], frame)
         for name in COORD_FIELDS})
     for p, point in enumerate(points):
@@ -187,7 +187,7 @@ def test_curvature_packages_batch_equals_single(spec, orientation):
             for name, a, b in zip(stage._fields, stage, alone):
                 assert (a is None and b is None) or same_bits(a[p], b[0]), name
 
-        pkg = package_from_jets(metric_jets(spec, point), orientation)
+        pkg = curvature_package(spec, point, orientation)
         for name in PACKAGE_FIELDS:
             a, b = getattr(pkg, name), batch[name]
             assert (a is None and b is None) or same_bits(a, b[p]), name
@@ -253,7 +253,7 @@ def test_min_residuals_per_operator_floors(monkeypatch):
 
 def test_min_residuals_on_curvature_operators():
     spec = random_polynomial_metric(4, np.random.default_rng(8))
-    pkgs = [package_from_jets(metric_jets(spec, p)) for p in grid_points(spec, [2, 2, 1, 2])]
+    pkgs = [curvature_package(spec, p) for p in grid_points(spec, [2, 2, 1, 2])]
     ops = [to_operator(p.weyl, scale=p.riemann_norm) for p in pkgs]
     assert_reports_match(min_residuals(ops), [min_residual(op) for op in ops])
 

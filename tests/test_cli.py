@@ -148,6 +148,17 @@ def test_perturb_zero_emits_flat_metric(tmp_path, capsys):
     assert doc["g"][2][3] == "0"
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_perturb_zero_is_scale_zero(tmp_path, n):
+    """--zero writes the bytes of --scale 0, whatever the seed."""
+    paths = [tmp_path / f"{name}.json" for name in ("zero", "scale0", "scale0seed5")]
+    for args, path in zip((["--zero"], ["--scale", "0"], ["--scale", "0", "--seed", "5"]), paths):
+        assert main(["perturb", "--dimension", str(n), *args, "--out", str(path)]) == 0
+    zero = paths[0].read_bytes()
+    assert json.loads(zero)["g"][0] == ["1"] + ["0"] * (n - 1)
+    assert paths[1].read_bytes() == zero and paths[2].read_bytes() == zero
+
+
 def test_perturb_random_then_obstruct(tmp_path, capsys):
     out = tmp_path / "metric.json"
     assert main(["perturb", "--dimension", "4", "--seed", "9", "--scale", "0.05",
@@ -367,7 +378,8 @@ def test_evaluation_error_exit_code(tmp_path, capsys):
     metric = tmp_path / "m.json"
     metric.write_text(euclidean_metric(4).to_json())
     assert main(["curvature", str(metric), "--point", "5,0,0,0"]) == 3
-    assert "evaluation error" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("lcwcheck: evaluation error: point [5.0, 0.0, 0.0, 0.0]"
+                                       " is outside the chart domain box\n")
 
     nonpd = tmp_path / "nonpd.json"
     nonpd.write_text(json.dumps({

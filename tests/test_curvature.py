@@ -3,8 +3,8 @@ import pytest
 
 from lcwcheck.bivectors import bianchi_map, ricci_contraction, to_operator
 from lcwcheck.curvature import (DimensionError, cotton_york, curvature_package,
-                                kulkarni_nomizu, orthonormal_frame, package_from_jets,
-                                rotate_tensor, schouten)
+                                kulkarni_nomizu, orthonormal_frame, rotate_tensor,
+                                schouten)
 from lcwcheck.eigenflag import min_residual
 from lcwcheck.genericity import random_polynomial_metric
 from lcwcheck.jets import metric_jets
@@ -334,11 +334,11 @@ def test_pipeline_vs_fd_oracle():
             assert rel(oracles.cotton_york_at(g_at, p), pkg.coord.cotton_york) < 1e-4
 
 
-def test_package_from_jets_names_its_error_for_batched_jets():
+def test_curvature_package_takes_one_point():
     spec = random_polynomial_metric(4, np.random.default_rng(3))
     points = oracles.domain_points(spec, 3, np.random.default_rng(4))
-    with pytest.raises(ValueError, match=r"^package_from_jets takes the jets of one point; "
-                       r"batched jets go through obstruction_tensors, or curvature_stage "
-                       r"and derivative_stage$"):
-        package_from_jets(metric_jets(spec, points))
-    assert package_from_jets(metric_jets(spec, points[1])).n == 4
+    for bad in (points, points[1:2]):
+        with pytest.raises(ValueError, match=r"^point must have 4 coordinates$"):
+            curvature_package(spec, bad)
+    pkg = curvature_package(spec, points[1])
+    assert pkg.n == 4 and pkg.point.tobytes() == points[1].tobytes()

@@ -282,7 +282,8 @@ def test_grammar_expressions_vs_fd_property():
 
 def test_metric_jets_euclidean():
     mj = metric_jets(euclidean_metric(4), [0.3, -0.2, 0.0, 0.9])
-    assert np.array_equal(mj.g, np.eye(4))
+    assert len(mj) == 1 and mj.g.shape == (1, 4, 4)  # one point is a batch of one
+    assert np.array_equal(mj.g[0], np.eye(4))
     assert not mj.dg.any() and not mj.d2g.any() and not mj.d3g.any()
 
 
@@ -292,8 +293,8 @@ def test_metric_jets_polynomial_entry():
         ' "g": [["1+x1^2", "0", "0"], [null, "1", "0"], [null, null, "1"]],'
         ' "domain": {"x1": [0.5, 2.0]}}')
     mj = metric_jets(spec, [1.0, 0.0, 0.0])
-    assert mj.dg[0, 0, 0] == 2.0
-    assert mj.d2g[0, 0, 0, 0] == 2.0
+    assert mj.dg[0, 0, 0, 0] == 2.0
+    assert mj.d2g[0, 0, 0, 0, 0] == 2.0
     assert not mj.d3g.any()
 
 
@@ -310,9 +311,9 @@ def test_metric_jets_sphere_vs_fd():
             grad = fd_gradient(f, pt)
             hess = fd_hessian(f, pt)
             third = fd_third(f, pt)
-            assert np.allclose(mj.dg[:, i, j], grad, rtol=1e-6, atol=1e-8)
-            assert np.allclose(mj.d2g[:, :, i, j], hess, rtol=1e-6, atol=1e-7)
-            assert np.allclose(mj.d3g[:, :, :, i, j], third, rtol=1e-6, atol=1e-5)
+            assert np.allclose(mj.dg[0, :, i, j], grad, rtol=1e-6, atol=1e-8)
+            assert np.allclose(mj.d2g[0, :, :, i, j], hess, rtol=1e-6, atol=1e-7)
+            assert np.allclose(mj.d3g[0, :, :, :, i, j], third, rtol=1e-6, atol=1e-5)
 
 
 def test_bump_metric_jets_vs_fd_inside_the_support():
@@ -325,9 +326,10 @@ def test_bump_metric_jets_vs_fd_inside_the_support():
             def f(p, i=i, j=j):
                 return g_at(p)[i, j]
 
-            assert np.allclose(mj.dg[:, i, j], fd_gradient(f, pt), rtol=1e-6, atol=1e-10)
-            assert np.allclose(mj.d2g[:, :, i, j], fd_hessian(f, pt), rtol=1e-6, atol=1e-9)
-            assert np.allclose(mj.d3g[:, :, :, i, j], fd_third(f, pt), rtol=1e-5, atol=1e-7)
+            assert np.allclose(mj.dg[0, :, i, j], fd_gradient(f, pt), rtol=1e-6, atol=1e-10)
+            assert np.allclose(mj.d2g[0, :, :, i, j], fd_hessian(f, pt), rtol=1e-6, atol=1e-9)
+            assert np.allclose(mj.d3g[0, :, :, :, i, j], fd_third(f, pt), rtol=1e-5,
+                               atol=1e-7)
 
 
 def _metric_for_gather(case):
@@ -355,7 +357,8 @@ def test_metric_jets_gather_equals_the_entrywise_scatter(case):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     single = metric_jets(spec, points[3])
     for got, want in zip((single.g, single.dg, single.d2g, single.d3g), fields):
-        assert got.flags.c_contiguous and got.tobytes() == want[3].tobytes()
+        assert got.flags.c_contiguous and got.shape == want[3:4].shape
+        assert got.tobytes() == want[3].tobytes()
 
 
 def test_metric_jets_failures():
@@ -366,6 +369,20 @@ def test_metric_jets_failures():
         metric_jets(spec, [-0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="outside"):
         metric_jets(spec, [2.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("where", ["jets", "evaluate"])
+def test_evaluate_checks_points_as_metric_jets_does(where):
+    spec = sphere_stereographic_metric(3)
+    at = (lambda p: metric_jets(spec, p)) if where == "jets" else spec.evaluate
+    for bad in ([0.1, 0.2], [[0.1, 0.2]], [[[0.1, 0.2, 0.3]]], [0.1, 0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError, match=r"^point must have 3 coordinates$"):
+            at(bad)
+    with pytest.raises(ValueError, match=r"^point \[5\.0, 0\.0, 0\.0\] is outside the chart "
+                       r"domain box$"):
+        at([5.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^point \[0\.0, 1\.5, 0\.0\] is outside"):
+        at([[0.5, 0.0, 0.0], [0.0, 1.5, 0.0], [2.0, 0.0, 0.0]])
 
 
 def test_evaluate_is_the_value_slot_of_metric_jets():
