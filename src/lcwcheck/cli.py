@@ -210,7 +210,7 @@ def _cmd_obstruct(args) -> int:
         }
     if args.format == "csv":
         rows = tuple(ScanRow(v.point, v.norm, v.obstruction, v.verdict) for v in verdicts)
-        _write_output(ScanResult(spec.dimension, args.grid, rows).to_csv(), args.out)
+        _write_output(ScanResult(spec.dimension, rows).to_csv(), args.out)
     else:
         _write_output(dumps17({
             "tool_version": __version__,

@@ -33,7 +33,7 @@ from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
 from .curvature import DimensionError, obstruction_tensors
 from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_chunk, min_residuals
 from .jets import metric_jets
-from .metrics import MetricSpec, make_metric
+from .metrics import MetricSpec, coordinate_metric
 
 
 def fmt17(x: float) -> str:
@@ -114,19 +114,18 @@ def random_polynomial_metric(n: int, rng: np.random.Generator,
     The amplitude default keeps the result positive definite on the unit
     box with a wide margin.
     """
-    coords = [f"x{i + 1}" for i in range(n)]
     # the monomials of degree 1 to 3 in sorted order: each one before its multiples
-    monos = ["*".join(coords[c] for c in m) for m in sorted(
+    monos = ["*".join(f"x{c + 1}" for c in m) for m in sorted(
         m for degree in (1, 2, 3) for m in combinations_with_replacement(range(n), degree))]
 
-    def entry(src):
+    def entry(i, j):
+        src = "1" if i == j else "0"
         for mono in monos:
             c = rng.uniform(-amplitude, amplitude) / len(monos)
             src += ("+" if c >= 0 else "-") + f"{repr(abs(c))}*{mono}"
         return src
 
-    g = [[None if j < i else entry("1" if i == j else "0") for j in range(n)] for i in range(n)]
-    return make_metric(n, coords, g)
+    return coordinate_metric(n, entry)
 
 
 # --- the per-point obstruction engine ---------------------------------------
@@ -304,7 +303,6 @@ class ScanRow:
 @dataclass(frozen=True)
 class ScanResult:
     spec_dimension: int
-    grid: tuple
     rows: tuple
 
     def to_csv(self) -> str:
@@ -327,8 +325,7 @@ def scan_metric(spec: MetricSpec, grid, starts: int | None = None, seed=None,
     than aborting the scan.  Row order is the C-order product of the
     per-axis grids, so output is byte-stable.
     """
-    grid = tuple(int(k) for k in grid)
-    points = grid_points(spec, grid).tolist()
+    points = grid_points(spec, [int(k) for k in grid]).tolist()
     rows = []
     for point, v in zip(points, obstruct_points(spec, points, starts, seed, orientation,
                                                 tol_eigenflag, tol_det)):
@@ -337,4 +334,4 @@ def scan_metric(spec: MetricSpec, grid, starts: int | None = None, seed=None,
                                 f"error:{type(v).__name__}"))
         else:
             rows.append(ScanRow(v.point, v.norm, v.obstruction, v.label))
-    return ScanResult(spec.dimension, grid, tuple(rows))
+    return ScanResult(spec.dimension, tuple(rows))

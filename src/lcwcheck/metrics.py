@@ -15,6 +15,8 @@ structurally identical trees.  A parsed metric keeps each upper entry's
 text and tree, packed by pair, and writes that text into both triangles.
 The chart box defaults to [-1, 1] per coordinate and every sampling
 operation in the toolkit respects it.
+Every metric the toolkit generates is written by :func:`coordinate_metric`,
+each upper-triangle entry once.
 """
 
 from __future__ import annotations
@@ -213,27 +215,28 @@ def load_metric(path) -> MetricSpec:
         return parse_metric(fh.read())
 
 
-# --- stock charts, used throughout tests and demos ----------------------
+# --- generated metrics: the one writer, then the stock charts -------------
+
+
+def coordinate_metric(n: int, entry, domain=None) -> MetricSpec:
+    """The metric on coordinates ``x1 .. xn`` whose entry (i, j) is the text
+    ``entry(i, j)``, called once per pair i <= j in row order; the lower
+    triangle is left to symmetry, so each entry is written and parsed once."""
+    g = [[None if j < i else entry(i, j) for j in range(n)] for i in range(n)]
+    return make_metric(n, [f"x{i + 1}" for i in range(n)], g, domain)
 
 
 def euclidean_metric(n: int, domain=None) -> MetricSpec:
-    coords = [f"x{i + 1}" for i in range(n)]
-    g = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
-    return make_metric(n, coords, g, domain)
+    return coordinate_metric(n, lambda i, j: "1" if i == j else "0", domain)
 
 
 def sphere_stereographic_metric(n: int) -> MetricSpec:
     """Round unit sphere in stereographic coordinates: g = 4/(1+|x|^2)^2 delta."""
-    coords = [f"x{i + 1}" for i in range(n)]
-    r2 = "+".join(f"{c}^2" for c in coords)
-    conf = f"4/(1+{r2})^2"
-    g = [[conf if i == j else "0" for j in range(n)] for i in range(n)]
-    return make_metric(n, coords, g)
+    conf = f"4/(1+{'+'.join(f'x{i + 1}^2' for i in range(n))})^2"
+    return coordinate_metric(n, lambda i, j: conf if i == j else "0")
 
 
-def conformally_flat_metric(n: int, log_factor: str, domain=None) -> MetricSpec:
+def conformally_flat_metric(n: int, log_factor: str) -> MetricSpec:
     """g = exp(2 f) delta for a closed-form f given as an expression string."""
-    coords = [f"x{i + 1}" for i in range(n)]
     conf = f"exp(2*({log_factor}))"
-    g = [[conf if i == j else "0" for j in range(n)] for i in range(n)]
-    return make_metric(n, coords, g, domain)
+    return coordinate_metric(n, lambda i, j: conf if i == j else "0")

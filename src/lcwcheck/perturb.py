@@ -20,11 +20,14 @@ which is what makes the prescriptions exact):
 
 Both return a :class:`~lcwcheck.metrics.MetricSpec`: an ordinary metric
 document that prints, parses and runs through the CLI like any other.
+Both write their terms with one formatter over sorted multi-indices, each
+upper-triangle entry once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -36,7 +39,7 @@ from .bivectors import WeylOperator, bianchi_part, operator_to_tensor
 from .cottonyork import CottonYorkTensor
 from .genericity import grid_points
 from .jets import MetricJets, SymIndex, check_positive
-from .metrics import MetricSpec, make_metric
+from .metrics import MetricSpec, coordinate_metric
 
 CURVATURE_COEFF = -1.0 / 3.0
 
@@ -93,30 +96,30 @@ class AlgebraicCurvature:
             return AlgebraicCurvature(n, t * (scale / norm) if norm > 0 else t)
 
 
+# --- the one term formatter of both prescriptions -----------------------------
+
+
+def _polynomial_metric(coeffs: np.ndarray, indices, halfwidth: float,
+                       cutoff: str = "") -> MetricSpec:
+    """delta_ij + sum_m coeffs[i, j, m] x^m over the sorted multi-indices m
+    of ``indices``, one term ``+|c|*x1^2*x2`` per nonzero c, the sum times
+    the expression ``cutoff`` unless that is empty; box [-halfwidth, halfwidth]^n."""
+    n = len(coeffs)
+    monos = ["*".join(f"x{h + 1}^{e}" if e > 1 else f"x{h + 1}" for h, e in Counter(m).items())
+             for m in indices]
+
+    def entry(i, j):
+        terms = "".join(("+" if c > 0 else "-") + f"{abs(c)!r}*{mono}"
+                        for c, mono in zip(coeffs[i, j].tolist(), monos) if c != 0.0)
+        src = "1" if i == j else "0"
+        if terms and cutoff:
+            return f"{src}+({terms.removeprefix('+')})*{cutoff}"
+        return src + terms
+
+    return coordinate_metric(n, entry, {f"x{h + 1}": [-halfwidth, halfwidth] for h in range(n)})
+
+
 # --- prescribed curvature ----------------------------------------------------
-
-
-def _fmt_coeff(c: float) -> str:
-    return repr(abs(float(c)))
-
-
-def _quadratic_entry_source(rstar: np.ndarray, i: int, j: int, coords, cutoff: str) -> str:
-    """Expression string for delta_ij + c * sum_hk R*[i,h,j,k] x^h x^k, the
-    sum multiplied by the expression ``cutoff`` unless that is empty."""
-    n = len(coords)
-    quad = ""
-    for h in range(n):
-        for k in range(h, n):
-            coeff = rstar[i, h, j, k] + (rstar[i, k, j, h] if h != k else 0.0)
-            coeff *= CURVATURE_COEFF
-            if coeff == 0.0:
-                continue
-            mono = f"{coords[h]}^2" if h == k else f"{coords[h]}*{coords[k]}"
-            quad += ("+" if coeff > 0 else "-") + f"{_fmt_coeff(coeff)}*{mono}"
-    src = "1" if i == j else "0"
-    if quad and cutoff:
-        return f"{src}+({quad.removeprefix('+')})*{cutoff}"
-    return src + quad
 
 
 def _check_positivity(spec: MetricSpec) -> None:
@@ -146,12 +149,13 @@ def perturb_curvature(rstar: AlgebraicCurvature, radius: float | None = None,
         raise ValueError(
             f"bump radius must be positive with a finite nonzero square, got {radius!r}")
     n = rstar.n
-    coords = [f"x{i + 1}" for i in range(n)]
+    sym = SymIndex(n)
+    h, k = sym.pair_ij
+    by_pair = rstar.tensor.transpose(0, 2, 1, 3)  # [i, j, h, k] = R*[i, h, j, k]
+    coeffs = (by_pair[:, :, h, k] + np.where(h != k, by_pair[:, :, k, h], 0.0)) * CURVATURE_COEFF
     cutoff = "" if radius is None else (
-        f"bump(({'+'.join(f'{c}^2' for c in coords)})/{_fmt_coeff(radius)}^2)")
-    g = [[_quadratic_entry_source(rstar.tensor, i, j, coords, cutoff) for j in range(n)]
-         for i in range(n)]
-    spec = make_metric(n, coords, g, {c: [-domain_halfwidth, domain_halfwidth] for c in coords})
+        f"bump(({'+'.join(f'x{c + 1}^2' for c in range(n))})/{float(radius)!r}^2)")
+    spec = _polynomial_metric(coeffs, sym.pairs, domain_halfwidth, cutoff)
     _check_positivity(spec)
     return spec
 
@@ -223,25 +227,10 @@ def cy_linear_map() -> np.ndarray:
 
 def cubic_metric_spec(coeffs: CottonCoefficients, domain_halfwidth: float = 0.5) -> MetricSpec:
     """Emit the cubic perturbation as a parseable metric document."""
-    coords = ["x1", "x2", "x3"]
-    a = coeffs.full()
-
-    def entry(i, j):
-        src = "1" if i == j else "0"
-        for k, l, m in SymIndex(3).triples:
-            mult = len(set(permutations((k, l, m))))
-            coeff = mult * a[i, j, k, l, m]
-            if coeff == 0.0:
-                continue
-            counts = {c: (k, l, m).count(c) for c in set((k, l, m))}
-            mono = "*".join(f"{coords[c]}^{e}" if e > 1 else coords[c]
-                            for c, e in sorted(counts.items()))
-            src += ("+" if coeff > 0 else "-") + f"{_fmt_coeff(coeff)}*{mono}"
-        return src
-
-    g_rows = [[entry(i, j) for j in range(3)] for i in range(3)]
-    box = {c: [-domain_halfwidth, domain_halfwidth] for c in coords}
-    return make_metric(3, coords, g_rows, box)
+    sym = SymIndex(3)
+    mult = [len(set(permutations(t))) for t in sym.triples]
+    by_pair = coeffs.packed.reshape(sym.npairs, sym.ntriples)
+    return _polynomial_metric(by_pair[sym.idx2] * mult, sym.triples, domain_halfwidth)
 
 
 @dataclass(frozen=True)

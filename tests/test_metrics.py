@@ -1,15 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from lcwcheck import exprs
 from lcwcheck.exprs import Const
+from lcwcheck.genericity import random_polynomial_metric
 from lcwcheck.jets import SymIndex
-from lcwcheck.metrics import (MetricError, MetricSpec, euclidean_metric,
-                              make_metric, parse_metric,
+from lcwcheck.metrics import (MetricError, MetricSpec, conformally_flat_metric,
+                              euclidean_metric, make_metric, parse_metric,
                               sphere_stereographic_metric)
+from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, cubic_metric_spec,
+                              perturb_curvature, solve_cy_target)
 
-from oracles import domain_points
+from oracles import domain_points, vec5_to_sym3
 
 
 def doc(dimension, coords, g, domain=None):
@@ -136,3 +141,51 @@ def test_a_document_keeps_the_text_it_was_given():
         for j in range(3):
             assert written[i][j] == upper[min(i, j)][max(i, j)]
     assert parse_metric(spec.to_json()).entries == spec.entries
+
+
+# --- generated metrics: one writer, each upper-triangle entry written once ----
+
+
+def _generated_documents():
+    for n in range(3, 9):
+        for seed in range(4):
+            rstar = AlgebraicCurvature.random(n, np.random.default_rng(seed), scale=0.05)
+            yield perturb_curvature(rstar)
+            yield perturb_curvature(rstar, radius=0.8)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        yield cubic_metric_spec(CottonCoefficients(0.01 * rng.standard_normal(60)))
+        yield solve_cy_target(vec5_to_sym3(0.01 * rng.standard_normal(5))).metric
+    for n in (3, 4, 8):
+        yield euclidean_metric(n)
+        yield sphere_stereographic_metric(n)
+        yield conformally_flat_metric(n, "0.3*x1+0.2*x2^2")
+        yield random_polynomial_metric(n, np.random.default_rng(n))
+
+
+def test_generated_documents_keep_their_text():
+    # every entry's text, the term order and each coefficient's repr included
+    digest = hashlib.sha256()
+    for spec in _generated_documents():
+        digest.update(spec.to_json().encode())
+    assert digest.hexdigest() == "df90ff562c97596ec3e5a2457fa91105f672ffd8f6067939abc77e23ee60abbe"
+
+
+_CONSTRUCTORS = {
+    "euclidean": lambda: euclidean_metric(5),
+    "sphere": lambda: sphere_stereographic_metric(5),
+    "conformally_flat": lambda: conformally_flat_metric(5, "0.3*x1"),
+    "random_polynomial": lambda: random_polynomial_metric(5, np.random.default_rng(0)),
+    "perturb_curvature": lambda: perturb_curvature(
+        AlgebraicCurvature.random(5, np.random.default_rng(0), scale=0.05), radius=0.8),
+    "cubic": lambda: cubic_metric_spec(CottonCoefficients(0.01 * np.arange(60.0))),
+}
+
+
+@pytest.mark.parametrize("name", _CONSTRUCTORS)
+def test_a_generated_metric_parses_each_entry_once(monkeypatch, name):
+    calls = []
+    parse = exprs.parse_expr
+    monkeypatch.setattr(exprs, "parse_expr", lambda *args: calls.append(args) or parse(*args))
+    n = _CONSTRUCTORS[name]().dimension
+    assert len(calls) == n * (n + 1) // 2

@@ -79,6 +79,18 @@ def test_random_round_trips():
             assert rel(pkg.coord.riemann, rstar.tensor) < 1e-8
 
 
+def test_pair_exchange_within_the_tolerance_still_builds():
+    # one pair-exchanged component off by a few ulps: the symmetry check takes
+    # it, and entry (0, 1) prints other floats than entry (1, 0) would
+    t = AlgebraicCurvature.random(4, np.random.default_rng(0), scale=0.05).tensor.copy()
+    for index in ((0, 2, 1, 3), (2, 0, 1, 3), (0, 2, 3, 1), (2, 0, 3, 1)):
+        t[index] *= 1.0 + 1e-15
+    assert t[0, 2, 1, 3] != t[1, 3, 0, 2]
+    spec = perturb_curvature(AlgebraicCurvature(4, t))
+    pkg = curvature_package(spec, np.zeros(4))
+    assert rel(pkg.coord.riemann, t) < 1e-12
+
+
 def test_stratum_prescription_is_eigenflag_at_origin():
     w = construct_stratum4((0.05, 0.02, -0.07))
     rstar = AlgebraicCurvature.from_operator(w)
