@@ -4,9 +4,10 @@ A metric that admits a local limiting Carleman weight near a point must
 have, at that point, a Weyl operator with the eigenflag property (in
 dimension >= 4) or a singular Cotton-York tensor (in dimension 3).  This
 package computes both tensors exactly from a closed-form metric via
-order-3 Taylor jets and decides the contrapositive: a positive eigenflag
-residual, or a nonzero Cotton-York determinant, certifies that no such
-weight exists on any neighborhood of the point.
+Taylor jets (of order 2 for the Weyl tensor, 3 for Cotton-York) and
+decides the contrapositive: a positive eigenflag residual, or a nonzero
+Cotton-York determinant, certifies that no such weight exists on any
+neighborhood of the point.
 """
 
 __version__ = "0.1.0"

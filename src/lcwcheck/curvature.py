@@ -19,10 +19,10 @@ Conventions, fixed once for the whole toolkit:
 Two stages over batched jets run the pipeline: :func:`curvature_stage`
 reads g, dg and d2g and gives everything up to W; :func:`derivative_stage`
 adds d3g and gives C (and CY for n = 3).  The n >= 4 obstruction reads W
-alone, so :func:`obstruction_tensors` runs the second stage only for
-n = 3; :func:`curvature_package`, behind ``curvature``, runs both on the
-jets of one point, a batch of one.  Each gives every point of a batch the
-bits of its batch of one.
+alone, so its jets are of order 2 and :func:`obstruction_tensors` runs the
+second stage only for n = 3; :func:`curvature_package`, behind
+``curvature``, runs both on the order-3 jets of one point, a batch of one.
+Each gives every point of a batch the bits of its batch of one.
 Operator-level work downstream assumes an orthonormal frame: the frame of
 the Cholesky factor of g, positively oriented relative to the chart.
 

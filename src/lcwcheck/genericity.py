@@ -177,12 +177,14 @@ class PointVerdict:
 
 
 # Points per curvature batch (the descent chunk is the obstruction's other
-# level of batching).  Per point, the derivative stage holds a few arrays of
-# n^5 entries, so a batch of 2^14 / n^5 points (16 at n = 4, 67 at n = 3, 5 at
-# n = 5, one at n = 8) keeps each near 2^14 entries.  The n >= 4 verdict runs
-# no derivative stage, but the size has not been re-measured without it.
+# level of batching).  Per point, the stages hold a few arrays of n^5
+# entries at n = 3 (the derivative stage) and of n^4 at n >= 4 (the
+# curvature stage alone), so 2^14 / n^5 or 2^14 / n^4 points (67 at n = 3,
+# 64 at n = 4, 12 at n = 6, 4 at n = 8) keep each near 2^14 entries.  At
+# n >= 4 that ran grid4d 9-19 % and highdim 9-13 % faster than 2^14 / n^5
+# (three alternating benchmark pairs), peak RSS within 0.2 MB.
 def _batch_size(n: int) -> int:
-    return max(1, 2 ** 14 // n ** 5)
+    return max(1, 2 ** 14 // n ** (5 if n == 3 else 4))
 
 
 # What a point whose pipeline fails raises: a domain error in the metric,
@@ -215,8 +217,11 @@ def _point_item(point, riemann, tensor, tol_det):
 
 def _curvature_batch(spec: MetricSpec, points, orientation, tol_det) -> list:
     """:func:`_point_item` at each of a batch of points, or its exception; a batch
-    whose jets or curvature fail runs again one point at a time."""
-    got = _caught(lambda: obstruction_tensors(metric_jets(spec, np.array(points)), orientation))
+    whose jets or curvature fail runs again one point at a time.  The Weyl
+    tensor of n >= 4 needs jets of order 2, the Cotton-York tensor of order 3."""
+    order = 2 if spec.dimension > 3 else 3
+    got = _caught(lambda: obstruction_tensors(metric_jets(spec, np.array(points), order),
+                                              orientation))
     if isinstance(got, Exception):
         return [got] if len(points) == 1 else [
             item for p in points for item in _curvature_batch(spec, [p], orientation, tol_det)]

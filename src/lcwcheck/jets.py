@@ -1,10 +1,13 @@
-"""Exact forward-mode differentiation: truncated Taylor arithmetic of order 3.
+"""Exact forward-mode differentiation: truncated Taylor arithmetic of order 2 or 3.
 
-A :class:`Jet3` carries a value together with its gradient, Hessian and
-third-derivative tensor with respect to ``n`` chart coordinates.  Order 3 is
-exactly what the downstream pipeline needs (the conformal third-derivative
-tensor of a metric requires three metric derivatives) and is fixed: no
-configurable order, no higher slots.  A jet in no variables has the value
+A :class:`Jet3` carries a value together with its gradient and Hessian
+with respect to ``n`` chart coordinates, and at order 3 its third-derivative
+tensor too.  The row width sets the order (:class:`SymIndex`): the n >= 4
+obstruction reads the Weyl tensor, a function of g, dg and d2g, so its
+jets are of order 2; the Cotton tensor behind the n = 3 obstruction and
+``curvature`` needs d3g, so their jets are of order 3.  Value, gradient and
+Hessian slots never read the third slot, so order-2 rows have the bits of
+the leading slots of order-3 rows.  A jet in no variables has the value
 slot alone, a plain value with the bits of the value slot in n variables:
 ``MetricSpec.evaluate`` seeds those and runs the tape of :func:`metric_jets`.
 
@@ -47,20 +50,26 @@ class MetricNotPositive(ValueError):
 @lru_cache(maxsize=None)
 class SymIndex:
     """Packed-index bookkeeping for symmetric order-2 and order-3 storage, and the
-    jet row layout: the value at 0, then the ``grad``, ``hess`` and ``third`` slots."""
+    layout of jet rows of order 2 or 3: the value at 0, then the ``grad``,
+    ``hess`` and ``third`` slots, ``third`` empty at order 2."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, order: int = 3):
+        if order not in (2, 3):
+            raise ValueError(f"jet order must be 2 or 3, not {order}")
         self.n = n
+        self.order = order
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
         self.pairs = pairs
         self.triples = triples
         self.npairs = len(pairs)
         self.ntriples = len(triples)
-        self.width = 1 + n + self.npairs + self.ntriples
+        self.width = 1 + n + self.npairs + (self.ntriples if order == 3 else 0)
         self.grad = slice(1, 1 + n)
         self.hess = slice(1 + n, 1 + n + self.npairs)
         self.third = slice(1 + n + self.npairs, self.width)
+        # entries per row of a product's largest operand gather (see JetTape.run)
+        self.gather = 3 * self.ntriples if order == 3 else 2 * self.npairs
 
         idx2 = np.empty((n, n), dtype=np.intp)
         for p, (i, j) in enumerate(pairs):
@@ -80,6 +89,13 @@ class SymIndex:
         self.triple_ijk = np.array(triples, dtype=np.intp).reshape(-1, 3).T
         ti, tj, tk = self.triple_ijk
         self.triple_hess = np.stack([idx2[tj, tk], idx2[ti, tk], idx2[ti, tj]])
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, width: int) -> SymIndex:
+    """The :class:`SymIndex` of rows of ``width`` slots in n variables."""
+    ix = SymIndex(n, 3)
+    return ix if width == ix.width else SymIndex(n, 2)
 
 
 def _col(value):
@@ -151,13 +167,15 @@ def _bump(v):
 
 @dataclass
 class Jet3:
-    """Truncated multivariate Taylor expansions of order 3 in n variables,
-    one per row of a batch of B points.
+    """Truncated multivariate Taylor expansions of order 2 or 3 in n
+    variables, one per row of a batch of B points.
 
     ``data`` has shape (B, width), one packed row per point in the layout
-    of ``SymIndex(n)``: the value, the gradient, the packed Hessian and the
-    packed third derivatives.  ``value`` (B,), ``grad`` (B, n), ``hess``
-    (B, n(n+1)/2) and ``third`` (B, n(n+1)(n+2)/6) are views of its slots.
+    of ``SymIndex(n, order)``, whose width sets the order: the value, the
+    gradient, the packed Hessian and, at order 3, the packed third
+    derivatives.  ``value`` (B,), ``grad`` (B, n), ``hess`` (B, n(n+1)/2)
+    and ``third`` (B, n(n+1)(n+2)/6, or (B, 0) at order 2) are views of
+    its slots.  Operands of one operation have the same order.
     """
 
     n: int
@@ -166,27 +184,29 @@ class Jet3:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def constant(value, n: int) -> "Jet3":
+    def constant(value, n: int, order: int = 3) -> "Jet3":
         """Constant jets at a 1-D array of values; a float is a batch of one."""
         value = np.array(value, dtype=float).reshape(-1)
-        data = np.zeros((len(value), SymIndex(n).width))
+        data = np.zeros((len(value), SymIndex(n, order).width))
         data[:, 0] = value
         return Jet3(n, data)
 
     @staticmethod
-    def variable(index: int, base_value, n: int) -> "Jet3":
+    def variable(index: int, base_value, n: int, order: int = 3) -> "Jet3":
         if not 0 <= index < n:
             raise IndexError(f"variable index {index} out of range for n={n}")
-        jet = Jet3.constant(base_value, n)
+        jet = Jet3.constant(base_value, n, order)
         jet.grad[:, index] = 1.0
         return jet
 
     # -- views of the slots of the packed rows ------------------------------
 
+    index = property(lambda self: _layout(self.n, self.data.shape[1]))
+    order = property(lambda self: self.index.order)
     value = property(lambda self: self.data[:, 0])
-    grad = property(lambda self: self.data[:, SymIndex(self.n).grad])
-    hess = property(lambda self: self.data[:, SymIndex(self.n).hess])
-    third = property(lambda self: self.data[:, SymIndex(self.n).third])
+    grad = property(lambda self: self.data[:, self.index.grad])
+    hess = property(lambda self: self.data[:, self.index.hess])
+    third = property(lambda self: self.data[:, self.index.third])
 
     # -- ring operations --------------------------------------------------
 
@@ -196,8 +216,8 @@ class Jet3:
 
     def _coerce(self, other):
         if isinstance(other, Jet3):
-            if other.n != self.n:
-                raise ValueError("jets have different variable counts")
+            if (other.n, other.data.shape[1]) != (self.n, self.data.shape[1]):
+                raise ValueError("jets have different variable counts or orders")
             return other
         if isinstance(other, (int, float)) or isinstance(other, np.ndarray) and other.ndim == 1:
             return None  # constant fast path: one float, or one per row of a batch
@@ -233,22 +253,21 @@ class Jet3:
             return NotImplemented
         if o is None:
             return Jet3(self.n, self.data * _col(other))
-        ix = SymIndex(self.n)
+        ix = self.index
         av, bv = _col(self.value), _col(o.value)
         ag, bg = self.grad, o.grad
         a_i, a_j = _operands(ag, ix.pair_ij)
         b_i, b_j = _operands(bg, ix.pair_ij)
-        a1, a2, a3 = _operands(ag, ix.triple_ijk)
-        b1, b2, b3 = _operands(bg, ix.triple_ijk)
-        ah1, ah2, ah3 = _operands(self.hess, ix.triple_hess)
-        bh1, bh2, bh3 = _operands(o.hess, ix.triple_hess)
-        value = av * bv
-        grad = av * bg + bv * ag
-        hess = av * o.hess + bv * self.hess + a_i * b_j + a_j * b_i
-        third = (av * o.third + bv * self.third
-                 + a1 * bh1 + a2 * bh2 + a3 * bh3
-                 + b1 * ah1 + b2 * ah2 + b3 * ah3)
-        return Jet3(self.n, np.concatenate([value, grad, hess, third], axis=1))
+        slots = [av * bv, av * bg + bv * ag, av * o.hess + bv * self.hess + a_i * b_j + a_j * b_i]
+        if ix.order == 3:
+            a1, a2, a3 = _operands(ag, ix.triple_ijk)
+            b1, b2, b3 = _operands(bg, ix.triple_ijk)
+            ah1, ah2, ah3 = _operands(self.hess, ix.triple_hess)
+            bh1, bh2, bh3 = _operands(o.hess, ix.triple_hess)
+            slots.append(av * o.third + bv * self.third
+                         + a1 * bh1 + a2 * bh2 + a3 * bh3
+                         + b1 * ah1 + b2 * ah2 + b3 * ah3)
+        return Jet3(self.n, np.concatenate(slots, axis=1))
 
     __rmul__ = __mul__
 
@@ -272,7 +291,7 @@ class Jet3:
         if not isinstance(exponent, int):
             raise TypeError("jet powers take integer exponents")
         if exponent == 0:
-            return Jet3.constant(np.ones(len(self.data)), self.n)
+            return Jet3.constant(np.ones(len(self.data)), self.n, self.order)
         base = self.reciprocal() if exponent < 0 else self
         k = abs(exponent)
         result = None
@@ -285,22 +304,22 @@ class Jet3:
                 acc = acc * acc
         return result
 
-    # -- elementary functions (univariate chain rule to order 3) ----------
+    # -- elementary functions (univariate chain rule to the jets' order) ---
 
     def _compose(self, coefficients) -> "Jet3":
         """f(self) for the f whose Taylor coefficients ``coefficients(v)`` gives."""
         c0, c1, c2, c3 = (np.array(c)[:, None]
                           for c in zip(*map(coefficients, self.value.tolist())))
-        ix = SymIndex(self.n)
+        ix = self.index
         ag, ah = self.grad, self.hess
         g_i, g_j = _operands(ag, ix.pair_ij)
-        g1, g2, g3 = _operands(ag, ix.triple_ijk)
-        h1, h2, h3 = _operands(ah, ix.triple_hess)
-        grad = c1 * ag
-        hess = c1 * ah + c2 * g_i * g_j
-        third = (c1 * self.third + c2 * (g1 * h1 + g2 * h2 + g3 * h3)
-                 + c3 * g1 * g2 * g3)
-        return Jet3(self.n, np.concatenate([c0, grad, hess, third], axis=1))
+        slots = [c0, c1 * ag, c1 * ah + c2 * g_i * g_j]
+        if ix.order == 3:
+            g1, g2, g3 = _operands(ag, ix.triple_ijk)
+            h1, h2, h3 = _operands(ah, ix.triple_hess)
+            slots.append(c1 * self.third + c2 * (g1 * h1 + g2 * h2 + g3 * h3)
+                         + c3 * g1 * g2 * g3)
+        return Jet3(self.n, np.concatenate(slots, axis=1))
 
     def sin(self) -> "Jet3":
         return self._compose(_sin)
@@ -329,11 +348,13 @@ class Jet3:
 
 # --- compiled expression trees ----------------------------------------------
 
-# Rows per tape operation.  A jet product gathers operand arrays of
-# 3 x rows x n(n+1)(n+2)/6 entries.  Kept within 2^14 entries (128 KiB),
-# they stay below the C allocator's threshold for fresh pages from the
-# kernel: above it, a 72-lane product at n = 8 cost about twice as much
-# per lane as a 36-lane one.
+# Rows per tape operation.  A jet product's largest operand gather has
+# rows x ``SymIndex.gather`` entries (at the triples at order 3, at the pairs
+# at order 2).  Kept within 2^14 entries (128 KiB), it stays below the C
+# allocator's threshold for fresh pages from the kernel: above it, a 72-lane
+# order-3 product at n = 8 cost about twice as much per lane as a 36-lane
+# one.  At order 2 this pair cap ran the seed-0 grid4d and n = 8 highdim
+# jets 10-30 % faster than the triple cap, in six alternating pairs.
 _GATHER_ENTRIES = 2 ** 14
 
 
@@ -454,7 +475,7 @@ class JetTape:
         var = np.stack([v.data for v in variables])
         size, width = var.shape[1:]
         # in no variables a product gathers nothing: up to _GATHER_ENTRIES lanes per op
-        lanes_per_op = max(1, _GATHER_ENTRIES // (3 * SymIndex(nvars).ntriples * size or 1))
+        lanes_per_op = max(1, _GATHER_ENTRIES // (variables[0].index.gather * size or 1))
         levels = [np.empty((n + max(self.sizes, default=0), size, width)) for _ in range(2)]
         for level in levels:
             level[:n] = var
@@ -473,12 +494,12 @@ class JetTape:
         return [r if type(r) is float else Jet3(nvars, below[r].copy()) for r in self.results]
 
 
-def jet_environment(coordinates, point) -> dict:
-    """Seed one jet variable per coordinate at the rows of a (B, n) array of
-    points; one chart point is a batch of one."""
+def jet_environment(coordinates, point, order: int = 3) -> dict:
+    """Seed one jet variable of ``order`` per coordinate at the rows of a
+    (B, n) array of points; one chart point is a batch of one."""
     n = len(coordinates)
     point = np.asarray(point, dtype=float)
-    return {name: Jet3.variable(k, point[..., k], n) for k, name in enumerate(coordinates)}
+    return {name: Jet3.variable(k, point[..., k], n, order) for k, name in enumerate(coordinates)}
 
 
 # --- metric jets ----------------------------------------------------------
@@ -486,19 +507,20 @@ def jet_environment(coordinates, point) -> dict:
 
 @dataclass(frozen=True)
 class MetricJets:
-    """g and its first three coordinate-derivative tensors at a batch of B points.
+    """g and its coordinate-derivative tensors up to the jets' order, 2 or 3,
+    at a batch of B points.
 
     Every field has the point axis first, then the derivative indices:
     ``dg[p, a, i, j]`` is the a-derivative of ``g_ij`` at point p,
-    ``d2g[p, a, b, i, j]`` and ``d3g[p, a, b, c, i, j]`` likewise.  The
-    recorded symmetries in the derivative slots are exact by construction
-    (unpacked from symmetric packed storage).
+    ``d2g[p, a, b, i, j]`` and ``d3g[p, a, b, c, i, j]`` likewise; ``d3g``
+    is None at order 2.  The recorded symmetries in the derivative slots
+    are exact by construction (unpacked from symmetric packed storage).
     """
 
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
-    d3g: np.ndarray
+    d3g: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -526,8 +548,9 @@ def chart_points(spec, points) -> np.ndarray:
     return batch
 
 
-def metric_jets(spec, points) -> MetricJets:
-    """Evaluate a metric's components over jets at chart points.
+def metric_jets(spec, points, order: int = 3) -> MetricJets:
+    """Evaluate a metric's components over jets of ``order`` (2 or 3) at
+    chart points.
 
     ``points`` is a (B, n) array, or one point of shape (n,), a batch of
     one; the components are evaluated once for the whole batch.  ``spec``
@@ -540,17 +563,21 @@ def metric_jets(spec, points) -> MetricJets:
     batch = chart_points(spec, points)
 
     # entries[p, s * npairs + e] is slot s of the row of upper-triangle entry e at point p
-    entries = spec.component_rows(jet_environment(spec.coordinates, batch)).reshape(len(batch), -1)
-    ix = SymIndex(spec.dimension)
+    env = jet_environment(spec.coordinates, batch, order)
+    entries = spec.component_rows(env).reshape(len(batch), -1)
+    ix = SymIndex(spec.dimension, order)
 
     # each field gathers slots of every entry as (B, *slots.shape, n, n), C-contiguous as
     # np.take writes it, so the curvature pipeline reads a batch and its points alike
     slot = np.arange(ix.width)
-    g, dg, d2g, d3g = (np.take(entries, np.add.outer(s * ix.npairs, ix.idx2), axis=1) for s in
-                       (slot[0], slot[ix.grad], slot[ix.hess][ix.idx2], slot[ix.third][ix.idx3]))
+    slots = [slot[0], slot[ix.grad], slot[ix.hess][ix.idx2]]
+    if order == 3:
+        slots.append(slot[ix.third][ix.idx3])
+    g, *derivatives = (np.take(entries, np.add.outer(s * ix.npairs, ix.idx2), axis=1)
+                       for s in slots)
 
     check_positive(batch, g, "metric at {} is not positive definite")
-    return MetricJets(g, dg, d2g, d3g)
+    return MetricJets(g, *derivatives)
 
 
 def check_positive(points, g, message: str) -> None:

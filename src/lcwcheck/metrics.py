@@ -86,7 +86,7 @@ class MetricSpec:
         without coordinates as constant rows."""
         seed = env[self.coordinates[0]]
         return np.stack([v.data if isinstance(v, Jet3)
-                         else Jet3.constant(np.full(len(seed.data), v), seed.n).data
+                         else Jet3.constant(np.full(len(seed.data), v), seed.n, seed.order).data
                          for v in self.component_values(env)], axis=-1)
 
     @cached_property

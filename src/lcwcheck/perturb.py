@@ -181,9 +181,8 @@ def sym3_to_vec5(m: np.ndarray) -> np.ndarray:
 class CottonCoefficients:
     """Cubic perturbation coefficients A_ij^klm, symmetric in (i,j) and (k,l,m).
 
-    Stored packed over the 6 x 10 = 60 independent entries; ``full()``
-    expands to the (3,3,3,3,3) array with the symmetries exact by
-    construction.
+    Stored packed over the 6 x 10 = 60 independent entries, pair-major in
+    ``SymIndex(3)`` order, so the symmetries hold by construction.
     """
 
     packed: np.ndarray = field(default_factory=lambda: np.zeros(60))
@@ -191,9 +190,6 @@ class CottonCoefficients:
     def __post_init__(self):
         if self.packed.shape != (60,):
             raise ValueError("expected 60 packed coefficients")
-
-    def full(self) -> np.ndarray:
-        return _unpack_cubic(self.packed)
 
 
 def _unpack_cubic(packed: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_operator, _batch_resid
                                 _flag_parts, _unit)
 from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var, eval_expr
 from lcwcheck.jets import Jet3, SymIndex, jet_environment
-from lcwcheck.perturb import _TRACELESS_BASIS
+from lcwcheck.perturb import _TRACELESS_BASIS, _unpack_cubic
 
 
 def float_metric(spec):
@@ -333,6 +333,11 @@ def residual_gradient(w, v):
 def vec5_to_sym3(v):
     """Inverse of ``perturb.sym3_to_vec5`` on trace-free symmetric 3x3 matrices."""
     return sum(c * b for c, b in zip(v, _TRACELESS_BASIS))
+
+
+def cotton_coefficients_full(coeffs):
+    """The (3, 3, 3, 3, 3) array A_ij^klm of packed cubic coefficients."""
+    return _unpack_cubic(coeffs.packed)
 
 
 def domain_points(spec, count, rng):

@@ -7,7 +7,6 @@ per-point call gives.  A point whose pipeline fails must not disturb the
 others in its batch.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -275,16 +274,27 @@ def test_obstruct_points_equals_obstruct_point(n, grid):
 
 @pytest.mark.parametrize("n,grid", [(4, [3, 3, 2, 2]), (6, [2, 1, 1, 1, 1, 2])])
 def test_weyl_verdict_reads_no_third_derivative(monkeypatch, n, grid):
-    """The n >= 4 verdict reads g, dg and d2g alone: jets without d3g give
-    every verdict with the same bits."""
+    """The n >= 4 verdict reads g, dg and d2g alone: it asks for jets of
+    order 2, without d3g, and gives every verdict with the bits of a run on
+    jets of order 3."""
     import lcwcheck.genericity as genericity
 
     spec = random_polynomial_metric(n, np.random.default_rng(80 + n))
     points = grid_points(spec, grid)
-    want = obstruct_points(spec, points)
-    monkeypatch.setattr(genericity, "metric_jets", lambda spec, points: dataclasses.replace(
-        metric_jets(spec, points), d3g=None))
+    orders = []
+
+    def jets(spec, points, order):
+        orders.append(order)
+        mj = metric_jets(spec, points, order)
+        assert mj.d3g is None
+        return mj
+
+    monkeypatch.setattr(genericity, "metric_jets", jets)
     got = obstruct_points(spec, points)
+    assert orders and set(orders) == {2}
+    monkeypatch.setattr(genericity, "metric_jets",
+                        lambda spec, points, order: metric_jets(spec, points, 3))
+    want = obstruct_points(spec, points)
     assert len(got) == len(want) == len(points)
     for v, w in zip(got, want):
         assert not isinstance(v, Exception), v
@@ -307,9 +317,9 @@ def descents(monkeypatch):
         calls["descent"].append(len(ws))
         return batched(ws, *args, **kwargs)
 
-    def counting_jets(spec, points):
+    def counting_jets(spec, points, order):
         calls["jets"].append(len(points))
-        return jets(spec, points)
+        return jets(spec, points, order)
 
     monkeypatch.setattr(genericity, "min_residuals", counting_descent)
     monkeypatch.setattr(genericity, "metric_jets", counting_jets)
@@ -317,16 +327,17 @@ def descents(monkeypatch):
 
 
 def test_one_descent_per_descent_chunk(descents):
-    """Six curvature batches of an 81-point grid at n = 4 (16 points each)
-    feed one descent, and so do two n = 8 points (one point per batch)."""
+    """Two curvature batches of an 81-point grid at n = 4 (64 points, then
+    17) feed one descent, and so do two of five n = 8 points (four points per
+    batch)."""
     spec = random_polynomial_metric(4, np.random.default_rng(64))
     obstruct_points(spec, grid_points(spec, [3, 3, 3, 3]))
-    assert descents == {"descent": [81], "jets": [16] * 5 + [1]}
+    assert descents == {"descent": [81], "jets": [64, 17]}
     spec = random_polynomial_metric(8, np.random.default_rng(68))
     for calls in descents.values():
         calls.clear()
-    obstruct_points(spec, sample_points(8, 2, seed=8, half_width=0.5))
-    assert descents == {"descent": [2], "jets": [1, 1]}
+    obstruct_points(spec, sample_points(8, 5, seed=8, half_width=0.5))
+    assert descents == {"descent": [5], "jets": [4, 1]}
 
 
 def test_descent_chunks_of_a_patched_budget(monkeypatch, descents):
@@ -375,9 +386,10 @@ def expected_failures(spec, points):
     return out
 
 
-# [5, 2, 2, 2] fails at points 0 to 19 ("linear") or 0 to 23 ("sqrt") of 40:
-# in the first two of its three n = 4 curvature batches, which feed one descent
-FAILING_GRIDS = [(3, [3, 3, 3]), (4, [3, 2, 2, 2]), (4, [5, 2, 2, 2])]
+# [5, 4, 2, 2] fails at points 0 to 39 ("linear") or 0 to 47 ("sqrt") of 80:
+# in the first of its two n = 4 curvature batches (64 and 16 points), which
+# feed one descent
+FAILING_GRIDS = [(3, [3, 3, 3]), (4, [3, 2, 2, 2]), (4, [5, 4, 2, 2])]
 
 
 @pytest.mark.parametrize("kind", sorted(FAILING))
@@ -442,9 +454,9 @@ def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
 
     calls = []
 
-    def counting(spec, points):
-        calls.append(len(points))
-        return metric_jets(spec, points)
+    def counting(spec, points, order):
+        calls.append((len(points), order))
+        return metric_jets(spec, points, order)
 
     spec = random_polynomial_metric(3, np.random.default_rng(12))
     points = grid_points(spec, (4, 4, 4)).tolist()
@@ -462,7 +474,7 @@ def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
     assert 0 < sum(isinstance(e, ValueError) for e in expected) < len(points)
     monkeypatch.setattr(genericity, "metric_jets", counting)
     rows = scan_metric(spec, (4, 4, 4)).rows
-    assert calls == [64]
+    assert calls == [(64, 3)]
     for row, want in zip(rows, expected):
         if isinstance(want, Exception):
             assert row.verdict == f"error:{type(want).__name__}"

@@ -16,7 +16,7 @@ from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, cubic_metr
                               cy_linear_map, perturb_curvature, solve_cy_target,
                               sym3_to_vec5)
 
-from oracles import vec5_to_sym3
+from oracles import cotton_coefficients_full, vec5_to_sym3
 
 
 def rel(a, b):
@@ -279,7 +279,7 @@ def test_cubic_document_round_trip():
 def test_cotton_coefficients_validation():
     with pytest.raises(ValueError, match="60"):
         CottonCoefficients(np.zeros(10))
-    full = CottonCoefficients(np.arange(60.0)).full()
+    full = cotton_coefficients_full(CottonCoefficients(np.arange(60.0)))
     assert np.allclose(full, full.transpose(1, 0, 2, 3, 4))
     assert np.allclose(full, full.transpose(0, 1, 3, 2, 4))
     assert np.allclose(full, full.transpose(0, 1, 2, 4, 3))
@@ -292,4 +292,4 @@ def test_cotton_coefficients_full_matches_the_entrywise_expansion():
         for t, klm in enumerate(SymIndex(3).triples):
             for k, l, m in set(permutations(klm)):
                 want[i, j, k, l, m] = want[j, i, k, l, m] = packed[p * 10 + t]
-    assert np.array_equal(CottonCoefficients(packed).full(), want)
+    assert np.array_equal(cotton_coefficients_full(CottonCoefficients(packed)), want)
