@@ -57,11 +57,13 @@ def _dimension(size: int) -> int:
 def to_operator(r4: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Curvature operator matrix of a (0,4) tensor in an orthonormal frame.
 
-    Raises if the pair-exchange symmetry is violated beyond 1e-8 times the
+    Raises unless finite and pair-exchange symmetric to 1e-8 times the
     curvature scale.  ``scale`` defaults to the tensor's own norm; pass the
     full curvature norm when converting a derived piece such as the Weyl
     part, which may be pure cancellation noise (n = 3, conformally flat).
     """
+    if not np.isfinite(r4).all():
+        raise ValueError("curvature tensor must be finite")
     basis = BivectorBasis(r4.shape[0])
     fi, se = basis.first, basis.second
     m = r4[fi[:, None], se[:, None], fi[None, :], se[None, :]]

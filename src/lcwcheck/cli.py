@@ -42,7 +42,8 @@ EXIT_IO = 5
 
 
 def dumps17(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits (bit-stable regression I/O)."""
+    """JSON with floats at 17 significant digits (bit-stable regression I/O);
+    a float that is not finite, which JSON cannot carry, raises ``ValueError``."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -62,6 +63,8 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"report value {obj} is not finite")
         return fmt17(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)

@@ -18,7 +18,8 @@ Evaluation is generic over the scalar type: plain ``float`` or any object
 implementing the arithmetic operators plus ``sin()``, ``exp()``, ... methods
 (see ``lcwcheck.jets.Jet3``).  All parse and evaluation errors carry the byte
 offset of the offending token or node.  Parsing and evaluation each keep
-their own stack instead of recursing, so any nesting depth is accepted.
+their own stack instead of recursing, so any nesting depth is accepted, and
+``==`` compares two trees' shape and values (not positions) at any depth.
 """
 
 from __future__ import annotations
@@ -65,40 +66,57 @@ class EvalError(ExprError):
 # frozen (a frozen __init__ builds ~3x slower); nothing changes one after parsing.
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Node:
     pos: int = field(compare=False)
 
+    def __eq__(self, other):
+        """Same shape and values, positions ignored, on a stack: any depth."""
+        if not isinstance(other, Node):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if type(x) is not type(y):
+                return False
+            for f in fields(x):
+                u, v = getattr(x, f.name), getattr(y, f.name)
+                if isinstance(u, Node):
+                    todo.append((u, v))
+                elif f.compare and u != v:
+                    return False
+        return True
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, eq=False)
 class Const(Node):
     value: float
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Var(Node):
     name: str
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Neg(Node):
     child: Node
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Call(Node):
     func: str
     arg: Node
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BinOp(Node):
     op: str  # '+', '-', '*', '/'
     left: Node
     right: Node
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Pow(Node):
     base: Node
     exponent: int
@@ -261,23 +279,6 @@ def children(node: Node) -> tuple:
     if isinstance(node, (Const, Var)):
         return ()
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def same_tree(a: Node, b: Node) -> bool:
-    """``a == b``, the same shape and values with positions ignored, for
-    trees of any depth."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if type(x) is not type(y):
-            return False
-        for f in fields(x):
-            u, v = getattr(x, f.name), getattr(y, f.name)
-            if isinstance(u, Node):
-                todo.append((u, v))
-            elif f.compare and u != v:
-                return False
-    return True
 
 
 def apply_op(node: Node, operands):

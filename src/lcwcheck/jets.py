@@ -464,13 +464,11 @@ class JetTape:
                 np.array(c) if c.typecode == "d" else rows(c) for c in columns)))
         self.results = [r if type(r) is float else int(rows([r])[0]) for r in results]
 
-    def run(self, variables) -> list:
-        """The trees' values at the coordinate jets ``variables``.
-
-        The jets are batched over the same points, in the coordinates as
-        variables or in none (plain values); each result is a float (a tree
-        without coordinates) or a jet like them over those points.
-        """
+    def run(self, variables) -> np.ndarray:
+        """The trees' jet rows at the coordinate jets ``variables``, batched
+        over the same B points, in the coordinates as variables or in none
+        (plain values): one (B, width, trees) array, a tree without
+        coordinates as constant rows, its value and then zeros."""
         n, nvars = self.n, variables[0].n
         var = np.stack([v.data for v in variables])
         size, width = var.shape[1:]
@@ -491,7 +489,13 @@ class JetTape:
                         else Jet3(nvars, below[o[lo:hi]].reshape(-1, width)) for o in g.operands])
                     level[g.start + lo:g.start + hi] = jet.data.reshape(-1, size, width)
             below = level
-        return [r if type(r) is float else Jet3(nvars, below[r].copy()) for r in self.results]
+        rows = np.zeros((size, width, len(self.results)))
+        for k, r in enumerate(self.results):
+            if type(r) is float:
+                rows[:, 0, k] = r
+            else:
+                rows[..., k] = below[r]
+        return rows
 
 
 def jet_environment(coordinates, point, order: int = 3) -> dict:

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exprs
-from .exprs import EvalError, Node, ParseError
+from .exprs import Node, ParseError
 from .jets import Jet3, JetTape, SymIndex, chart_points
 
 MIN_DIMENSION = 3
@@ -66,40 +66,25 @@ class MetricSpec:
                                     for name, x in zip(self.coordinates, batch.T)})
         return rows[:, 0, SymIndex(self.dimension).idx2].reshape(*np.shape(points), self.dimension)
 
-    def component_values(self, env: dict) -> list:
-        """Evaluate the entries, in pair order, at the coordinate jets ``env``.
-
-        ``env`` maps each coordinate to jets over the same points, in the
-        coordinates as variables or in none (plain values), and the compiled
-        tape evaluates them: a jet per entry, a float for an entry without
-        coordinates.  A failing entry raises the walk's ``EvalError``.
-        """
-        if self._tape is not None:
-            try:
-                return self._tape.run([env[name] for name in self.coordinates])
-            except (ArithmeticError, ValueError):
-                pass  # the walk raises the entry's EvalError, with its offset
-        return [exprs.eval_expr(entry, env) for entry in self.entries]
-
     def component_rows(self, env: dict) -> np.ndarray:
-        """The entries' jet rows at ``env``, (B, width, npairs), an entry
-        without coordinates as constant rows."""
-        seed = env[self.coordinates[0]]
-        return np.stack([v.data if isinstance(v, Jet3)
-                         else Jet3.constant(np.full(len(seed.data), v), seed.n, seed.order).data
-                         for v in self.component_values(env)], axis=-1)
+        """The entries' rows at the coordinate jets ``env`` (jets over the
+        same points, in the coordinates or in none): the tape's (B, width,
+        npairs) array, an entry without coordinates as constant rows.  When
+        the tape fails, the walk runs only to raise the failing entry's
+        ``EvalError``, with its offset; if it raises nothing, the tape's
+        error stands."""
+        try:
+            return self._tape.run([env[name] for name in self.coordinates])
+        except (ArithmeticError, ValueError):
+            for entry in self.entries:
+                exprs.eval_expr(entry, env)
+            raise
 
     @cached_property
-    def _tape(self) -> JetTape | None:
-        """The entries compiled for jets, on first use.
-
-        None when a subtree without coordinates fails to fold: that entry
-        fails at every point, and the walk reports it.
-        """
-        try:
-            return JetTape(self.coordinates, self.entries)
-        except EvalError:
-            return None
+    def _tape(self) -> JetTape:
+        """The entries compiled for jets, on first use; a subtree without
+        coordinates that fails to fold raises its ``EvalError`` here."""
+        return JetTape(self.coordinates, self.entries)
 
     def to_document(self) -> dict:
         """The metric document, each entry's given text in both triangles."""
@@ -168,7 +153,7 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
 
     pairs = SymIndex(n).pairs
     for i, j in pairs:
-        if i != j and (j, i) in trees and not exprs.same_tree(trees[j, i], trees[i, j]):
+        if i != j and (j, i) in trees and trees[j, i] != trees[i, j]:
             raise MetricError(
                 f"asymmetric entries: g[{i}][{j}] and g[{j}][{i}] are structurally different")
 

@@ -361,16 +361,14 @@ def scattered_metric_jets(spec, batch):
     """g, dg, d2g and d3g at a (B, n) batch of points, scattered entry by
     entry from the component jets: the reference for ``metric_jets``."""
     n = spec.dimension
-    jets = spec.component_values(jet_environment(spec.coordinates, batch))
+    rows = spec.component_rows(jet_environment(spec.coordinates, batch))
     size = len(batch)
     g = np.zeros((size, n, n))
     dg = np.zeros((size, n, n, n))
     d2g = np.zeros((size, n, n, n, n))
     d3g = np.zeros((size, n, n, n, n, n))
-    for (i, j), jet in zip(SymIndex(n).pairs, jets):
-        if not isinstance(jet, Jet3):
-            g[:, i, j] = g[:, j, i] = jet
-            continue
+    for k, (i, j) in enumerate(SymIndex(n).pairs):
+        jet = Jet3(n, rows[..., k])
         g[:, i, j] = g[:, j, i] = jet.value
         dg[..., i, j] = dg[..., j, i] = jet.grad
         d2g[..., i, j] = d2g[..., j, i] = hess_matrix(jet)

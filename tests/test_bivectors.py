@@ -45,6 +45,18 @@ def test_to_operator_rejects_broken_pair_symmetry():
         to_operator(t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_to_operator_rejects_a_tensor_that_is_not_finite(bad):
+    """NaN passes the pair-exchange comparison and drops out of the scale,
+    so finiteness is checked on its own."""
+    t = np.zeros((4,) * 4)
+    t[0, 0, 0, 0] = bad  # not in the operator's entries
+    with pytest.raises(ValueError, match="curvature tensor must be finite"):
+        to_operator(t)
+    with pytest.raises(ValueError, match="curvature tensor must be finite"):
+        to_operator(np.full((5,) * 4, bad), scale=1.0)
+
+
 def test_operator_tensor_round_trip():
     rng = np.random.default_rng(2)
     for n in (4, 5):

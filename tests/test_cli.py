@@ -8,8 +8,8 @@ from lcwcheck.cli import dumps17, main
 from lcwcheck.cottonyork import CottonYorkTensor
 from lcwcheck.curvature import curvature_package
 from lcwcheck.genericity import obstruct_point
-from lcwcheck.metrics import (conformally_flat_metric, euclidean_metric, load_metric,
-                              sphere_stereographic_metric)
+from lcwcheck.metrics import (conformally_flat_metric, coordinate_metric, euclidean_metric,
+                              load_metric, sphere_stereographic_metric)
 from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature, solve_cy_target
 
 
@@ -34,6 +34,13 @@ def test_dumps17_round_trips_through_json():
     assert parsed["b"]["e"] == 'x"y'
     for text in ("a\nb", "tab\there", "\x00\x1f\\", "non-ASCII: é ∂"):
         assert json.loads(dumps17({"metric": text}))["metric"] == text
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_dumps17_rejects_values_that_are_not_finite(value):
+    """JSON has no NaN or infinity, so a report never carries one."""
+    with pytest.raises(ValueError, match="is not finite"):
+        dumps17({"a": [1.0, {"b": value}]})
 
 
 def test_curvature_command(flat4, sphere4, capsys, tmp_path):
@@ -386,6 +393,31 @@ def test_evaluation_error_exit_code(tmp_path, capsys):
         "dimension": 3, "coordinates": ["x1", "x2", "x3"],
         "g": [["x1", "0", "0"], [None, "1", "0"], [None, None, "1"]]}))
     assert main(["curvature", str(nonpd), "--point=-0.5,0,0"]) == 3
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_curvature_tensor_that_is_not_finite_is_an_evaluation_error(tmp_path, capsys, n):
+    """g_00 = 1 + 1e-300 exp(709 x1) is finite at x1 = 1, where its derivative
+    overflows: no report there carries a NaN, as in the n = 3 branch."""
+    metric = tmp_path / "overflow.json"
+    metric.write_text(coordinate_metric(n, lambda i, j: (
+        "1+1e-300*exp(709*x1)" if i == j == 0 else "1" if i == j else "0")).to_json())
+    corner = ",".join(["1"] + ["0"] * (n - 1))
+    out = tmp_path / "report"
+    with np.errstate(all="ignore"):
+        for fmt in ("json", "csv"):
+            assert main(["obstruct", str(metric), "--point", corner, "--format", fmt,
+                         "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                "lcwcheck: evaluation error: curvature tensor must be finite\n")
+            assert not out.exists()
+        assert main(["curvature", str(metric), "--point", corner, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "lcwcheck: evaluation error: report value nan is not finite\n")
+        assert not out.exists()
+        assert main(["scan", str(metric), "--grid", ",".join(["2"] + ["1"] * (n - 1)),
+                     "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == corner + ",nan,nan,error:ValueError"
 
 
 def test_io_error_exit_code(flat4, capsys):

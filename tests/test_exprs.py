@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcwcheck import exprs
 from lcwcheck.exprs import (BinOp, Call, Const, EvalError, Neg, ParseError, Pow,
-                            Var, eval_expr, parse_expr, same_tree)
+                            Var, eval_expr, parse_expr)
 from lcwcheck.jets import Jet3
 from lcwcheck.metrics import make_metric
 
@@ -78,18 +78,20 @@ def test_nested_expressions_parse_evaluate_and_round_trip(source, value):
     coords = ("x1",)
     tree = parse_expr(source, coords)
     assert eval_expr(tree, {"x1": 2.0}) == value
-    assert same_tree(parse_expr(to_source(tree), coords), tree)
+    assert parse_expr(to_source(tree), coords) == tree
 
 
 def test_a_long_sum_prints_and_round_trips():
+    assert sys.getrecursionlimit() <= 1000  # the default: nothing here may recurse per term
     source = "1" + "+x1" * 1499
     tree = parse_expr(source, ("x1",))
     assert to_source(tree) == source
-    assert same_tree(parse_expr(to_source(tree), ("x1",)), tree)
+    assert parse_expr(to_source(tree), ("x1",)) == tree
     spec = make_metric(3, ["x1", "x2", "x3"],
                        [[source, "0", "0"], [None, "1", "0"], [None, None, "1"]])
     again = make_metric(3, ["x1", "x2", "x3"], json.loads(spec.to_json())["g"])
-    assert same_tree(again.entries[0], tree)
+    assert again.entries[0] == tree
+    assert again == spec
 
 
 @pytest.mark.parametrize("source,message,pos", [
@@ -271,7 +273,7 @@ _trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_trees)
 def test_printed_trees_reparse_to_themselves(tree):
-    assert same_tree(parse_expr(to_source(tree), _COORDS), tree)
+    assert parse_expr(to_source(tree), _COORDS) == tree
 
 
 # The grammar's characters and words, a few near misses, and characters
@@ -288,4 +290,4 @@ def test_any_string_parses_or_is_a_parse_error(source):
     except ParseError as exc:
         assert 0 <= exc.pos <= len(source)
         return
-    assert same_tree(parse_expr(to_source(tree), _COORDS), tree)
+    assert parse_expr(to_source(tree), _COORDS) == tree

@@ -1,12 +1,13 @@
 """The compiled jet tape computes exactly the bits of the expression walk.
 
-``MetricSpec.component_values`` evaluates jets through a
+``MetricSpec.component_rows`` evaluates jets through a
 :class:`~lcwcheck.jets.JetTape`, one batched operation per (depth,
-operation) group; the walk (``eval_expr``) only reports its errors.  Every
-value, gradient, Hessian and third-derivative entry must equal the walk's
-bit for bit, over a batch of one point and of several, for jets in the
-coordinates and for jets in no variables (plain values, which
-``MetricSpec.evaluate`` seeds), and every error must be the walk's.
+operation) group, into one array of the entries' rows; the walk
+(``eval_expr``) only reports its errors.  Every value, gradient, Hessian
+and third-derivative entry must equal the walk's bit for bit, over a batch
+of one point and of several, for jets in the coordinates and for jets in
+no variables (plain values, which ``MetricSpec.evaluate`` seeds), an entry
+without coordinates as constant rows, and every error must be the walk's.
 """
 
 import json
@@ -50,13 +51,13 @@ def _bits(x) -> bytes:
     return a.tobytes()
 
 
-def _same_jet(got, want) -> bool:
+def _same_rows(got, want, env) -> bool:
+    """Whether the (B, width) rows ``got`` have the bits of the walk's value
+    ``want`` at ``env``: a jet's rows, or a float's constant rows."""
     if not isinstance(want, Jet3):
-        return type(got) is float and _bits(got) == _bits(want)
-    return isinstance(got, Jet3) and all(
-        np.shape(getattr(got, s)) == np.shape(getattr(want, s))
-        and _bits(getattr(got, s)) == _bits(getattr(want, s))
-        for s in ("value", "grad", "hess", "third"))
+        seed = next(iter(env.values()))
+        want = Jet3.constant(np.full(len(seed.data), want), seed.n, seed.order)
+    return got.shape == want.data.shape and _bits(got) == _bits(want.data)
 
 
 def _value_environment(coords, points) -> dict:
@@ -90,13 +91,14 @@ def test_tape_equals_the_walk_on_random_trees(batch):
                     want = [eval_expr(t, env) for t in trees]
                 except Exception as exc:  # noqa: BLE001 - the walk's error is the reference
                     with pytest.raises(type(exc)) as got:
-                        spec.component_values(env)
+                        spec.component_rows(env)
                     assert str(got.value) == str(exc)
                     raised[k] += 1
                     continue
                 got = spec._tape.run([env[c] for c in COORDS])
-            for tree, g, w in zip(trees, got, want):
-                assert _same_jet(g, w), to_source(tree)
+            assert got.shape[-1] == len(trees)
+            for e, (tree, w) in enumerate(zip(trees, want)):
+                assert _same_rows(got[..., e], w, env), to_source(tree)
             checked[k] += 1
     assert min(checked) > 30 and min(raised) > 10  # both outcomes, both seedings
 
@@ -112,10 +114,10 @@ def test_tape_equals_the_walk_on_metrics():
         # one point, a few, and enough that each group runs in several slices
         for pts in (points[0], points[:4], points):
             for env in _environments(spec.coordinates, pts):
-                got = spec.component_values(env)
-                assert len(got) == len(spec.entries) == n * (n + 1) // 2
+                got = spec.component_rows(env)
+                assert got.shape[-1] == len(spec.entries) == n * (n + 1) // 2
                 for k, entry in enumerate(spec.entries):
-                    assert _same_jet(got[k], eval_expr(entry, env)), k
+                    assert _same_rows(got[..., k], eval_expr(entry, env), env), k
 
 
 def test_jets_are_evaluated_by_the_tape_alone(monkeypatch):
@@ -168,15 +170,22 @@ def test_constant_subtrees_fold_with_the_walks_floats():
                                              ("2+x1/(2-2)", True),    # fails when run
                                              ("2+log(x1-2)", True)])
 def test_errors_are_the_walks(entry, compiles):
+    """The tape's errors are reported by the walk, with its messages and
+    offsets; a subtree that fails to fold raises the walk's error itself."""
     spec = make_metric(3, COORDS, [[entry, "0", "0"], [None, "1", "0"], [None, None, "1"]])
     for points in (np.full(3, 0.5), np.full((2, 3), 0.5)):
         env = jet_environment(COORDS, points)
         with pytest.raises(exprs.EvalError) as want:
             eval_expr(spec.entries[0], env)
         with pytest.raises(exprs.EvalError) as got:
-            spec.component_values(env)
+            spec.component_rows(env)
         assert str(got.value) == str(want.value)
-    assert (spec._tape is not None) == compiles
+    if compiles:
+        assert isinstance(spec._tape, JetTape)
+    else:
+        with pytest.raises(exprs.EvalError) as fold:
+            spec._tape
+        assert str(fold.value) == str(want.value)
 
 
 def _deep_metric(entry: str) -> dict:
@@ -194,9 +203,18 @@ def test_a_deep_entry_evaluates(tmp_path):
     assert report["points"][0]["verdict"] in ("zero", "inconclusive", "no_lcw_certified")
     spec = metrics.load_metric(path)
     env = jet_environment(COORDS, np.array([0.1, 0.2, 0.3]))
-    assert _same_jet(spec.component_values(env)[0], eval_expr(spec.entries[0], env))
+    assert _same_rows(spec.component_rows(env)[..., 0], eval_expr(spec.entries[0], env), env)
     assert spec.evaluate([0.1, 0.2, 0.3])[0, 0] == eval_expr(spec.entries[0],
                                                                dict(zip(COORDS, (0.1, 0.2, 0.3))))
+
+
+def test_deep_documents_compare_equal():
+    terms = "".join(f"+1e-6*x{1 + k % 3}" for k in range(1500))
+    document = json.dumps(_deep_metric("1" + terms))
+    spec = metrics.parse_metric(document)
+    assert metrics.parse_metric(document) == spec
+    assert metrics.parse_metric(spec.to_json()) == spec
+    assert metrics.parse_metric(document.replace("+1e-6*x1", "+2e-6*x1", 1)) != spec
 
 
 def test_a_deep_entry_in_both_triangles_is_compared():
