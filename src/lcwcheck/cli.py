@@ -374,7 +374,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # every non-finite tensor is checked where it matters, so numpy's
+        # floating-point warnings would only repeat the one error line
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (MetricError, ExprError) as exc:
         if isinstance(exc, EvalError):
             print(f"lcwcheck: evaluation error: {exc}", file=sys.stderr)

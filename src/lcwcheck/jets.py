@@ -18,16 +18,18 @@ there is no way to store, or observe, an asymmetric component.
 Every jet is a batch, one row per chart point, so one operation evaluates
 many rows at once (Taylor mode over a batch, Griewank & Walther,
 *Evaluating Derivatives*, ch. 13).  A row is one packed array in the
-layout of :class:`SymIndex`, from the coordinate seeds through the levels
+layout of :class:`SymIndex`, from the coordinate seeds through the table
 of a :class:`JetTape` to the entries that :func:`metric_jets` gathers into
 :class:`MetricJets`, batched too.  Every operation acts row by row, so a
 row of a batch has exactly the bits of its point in a batch of one.
 :func:`chart_points` checks and batches the points of :func:`metric_jets`
 and ``MetricSpec.evaluate``.
-:class:`JetTape` compiles expression trees into groups of nodes, one per
-depth, operation and constant operands, and applies the expression walk's
-own ``exprs.apply_op`` to each group, each row a node of some tree at
-some point; a constant operand then holds one float per row.
+:class:`JetTape` compiles expression trees into sums of terms, each a
+constant times a product of atoms (coordinates, function calls,
+reciprocals, sums inside products).  Atoms and products are shared by
+all trees: each is computed once per batch, one :class:`Jet3` operation
+for all those of a kind, and each tree's row is its terms added in
+source order.
 """
 
 from __future__ import annotations
@@ -348,154 +350,253 @@ class Jet3:
 
 # --- compiled expression trees ----------------------------------------------
 
-# Rows per tape operation.  A jet product's largest operand gather has
-# rows x ``SymIndex.gather`` entries (at the triples at order 3, at the pairs
-# at order 2).  Kept within 2^14 entries (128 KiB), it stays below the C
-# allocator's threshold for fresh pages from the kernel: above it, a 72-lane
-# order-3 product at n = 8 cost about twice as much per lane as a 36-lane
-# one.  At order 2 this pair cap ran the seed-0 grid4d and n = 8 highdim
-# jets 10-30 % faster than the triple cap, in six alternating pairs.
+# Rows per tape operation.  A product of k prefixes and k atoms at B points
+# runs as one Jet3 product of k B rows, whose largest operand gather has
+# k B x ``SymIndex.gather`` entries (at the triples at order 3, at the pairs
+# at order 2); an atom's function gathers as much.  Kept within 2^14 entries
+# (128 KiB), a gather stays below the C allocator's threshold for fresh
+# pages from the kernel: above it, a 72-row order-3 product at n = 8 cost
+# about twice as much per row as a 36-row one.  A slice then holds 113
+# products at n = 8 and 2 points (order 2), 12 in grid4d's batches of 64
+# points (n = 4, order 2) and 8 in chart3d's of 67 (n = 3, order 3).
 _GATHER_ENTRIES = 2 ** 14
 
+# A power above this exponent is one atom, raised by repeated squaring as
+# the walk raises it, not a chain of as many products.
+_MAX_POWER = 16
 
-@dataclass(frozen=True, slots=True)
-class _Group:
-    """The nodes of one depth and operation, as lanes: lane k sits in row
-    ``start + k`` of its level and is ``exprs.apply_op(node, ...)`` of its
-    operands.  Operand i of lane k is row ``operands[i][k]`` of the level
-    below (an int32 array) or the constant ``operands[i][k]`` (a float
-    array)."""
+# The quotient of this jet by a constant c is the factor 1/c by which Jet3
+# divides, or the walk's own error when c is 0.
+_UNIT = Jet3.constant(1.0, 0)
 
-    node: exprs.Node
-    start: int
-    operands: tuple
+
+class _Sums:
+    """Sums of terms, each a coefficient times a row of the tape's table (a
+    product) or a lone coefficient (a constant, added to the value slot
+    alone).  :meth:`run` adds each sum's terms in source order, element by
+    element: position t adds the t-th term of every sum that has one."""
+
+    def __init__(self, sums, slot):
+        self.count = len(sums)
+        columns = []  # per position: sums, coefficients and rows of its products,
+        #               then sums and coefficients of its constants
+        for s, terms in enumerate(sums):
+            for t, (c, p) in enumerate(terms):
+                if t == len(columns):
+                    columns.append(([], [], [], [], []))
+                at = columns[t]
+                if p:
+                    at[0].append(s)
+                    at[1].append(c)
+                    at[2].append(slot[p])
+                else:
+                    at[3].append(s)
+                    at[4].append(c)
+        self.positions = [(np.array(s, dtype=np.intp), np.array(c).reshape(-1, 1, 1),
+                           np.array(r, dtype=np.intp), np.array(cs, dtype=np.intp),
+                           np.array(cc).reshape(-1, 1)) for s, c, r, cs, cc in columns]
+
+    def run(self, rows) -> np.ndarray:
+        """The sums' rows, (count, B, width), from the table ``rows``."""
+        out = np.zeros((self.count,) + rows.shape[1:])
+        for t, (sums, coefs, slots, csums, ccoefs) in enumerate(self.positions):
+            if t:
+                out[sums] += coefs * rows[slots]
+            else:  # set, not added to zeros, which would make a -0.0 term 0.0
+                out[sums] = coefs * rows[slots]
+            if len(csums):  # constants are rare
+                out[csums, :, 0] = out[csums, :, 0] + ccoefs if t else ccoefs
+        return out
+
+
+def _apply(op, jet: Jet3) -> Jet3:
+    """An atom's operation on the jet of its argument: a sum inside a
+    product is its argument, an int is a power, a name a Jet3 method."""
+    if op == "sum":
+        return jet
+    return jet ** op if type(op) is int else getattr(jet, op)()
 
 
 class JetTape:
-    """Expression trees compiled once into depth-grouped batched jet ops.
+    """Expression trees compiled once into shared, batched jet products.
 
-    Each node that depends on a coordinate is a lane of the group keyed by
-    its depth below its tree's root, its operation (a binary operator, a
-    negation, a function, an integer power) and which of its operands are
-    constants; ``c + jet`` and ``c * jet`` are lanes of the ``jet + c`` and
-    ``jet * c`` groups, which is what :class:`Jet3`'s reflected methods
-    compute.  Subtrees without coordinates fold to floats with the
-    expression walk's own operations.  Level ``d`` holds the n coordinate
-    jets, then the lanes of each group of depth ``d``; a group reads its
-    operands from level ``d + 1``.  :meth:`run` goes from the deepest level
-    up and applies the walk's own ``exprs.apply_op`` to each group (once
-    per ``_GATHER_ENTRIES``), its operands batched jets and one constant
-    per row: the walk's floating-point operations on every row, not
-    reassociated, so the results have the walk's bits.  Nothing is shared
-    between trees; identical subtrees of several trees are lanes of one
-    operation.
+    The compiler reads each tree as a sum of terms, a term as a constant
+    times a product of atoms.  An atom is a coordinate or any other
+    subtree: a function call, a reciprocal (of a divisor, or of the base of
+    a negative power), a power above ``_MAX_POWER`` or a sum inside a
+    product.  Each atom's argument is compiled the same way, and each
+    atom, keyed by its operation and argument terms, is compiled once and
+    shared by every tree that uses it, like each distinct product of
+    atoms.  Subtrees without coordinates fold to floats with the
+    expression walk's own ``exprs.apply_op``; ``x / c`` is x times the
+    factor 1/c by which :class:`Jet3` divides.
+
+    :meth:`run` fills one table of rows.  Atoms and products have a level:
+    0 for the coordinates and their products, one more than the highest
+    atom of its argument for another atom, the highest of its atoms for a
+    product.  Level by level, it applies each operation once to the
+    arguments of all its atoms of the level, then forms the level's
+    products degree by degree, each one :class:`Jet3` product of its
+    prefix (its atoms but the last, in atom order) and its last atom.
+    Each tree's row is then its terms' coefficients times their product
+    rows, added in source order, element by element (:class:`_Sums`).
+    Every operation acts row by row, so a row of a batch has the bits of
+    its point alone; floats differ from the walk's by reassociation,
+    ``c*x1*x2`` being ``c*(x1*x2)`` here.
     """
 
     def __init__(self, coordinates, roots):
         self.n = n = len(coordinates)
         var = {name: k for k, name in enumerate(coordinates)}
-        keys = {}     # (depth, operation, constant operands) -> group id
-        groups = []   # per group: depth, node, one array per operand
+        keys = {}                 # (operation, argument terms) -> atom; the
+        #                           coefficients by their bits, as -0.0 == 0.0
+        args = []                 # per atom n, n + 1, ...: (operation, argument terms)
+        level = [0] * n           # per atom
 
-        def lane(key, node, x, y=None):
-            """A new lane of the group ``key`` with operands ``x`` (and ``y``),
-            each a float or a reference: (group id + 1) << 32 | lane.  A
-            coordinate's reference is its index."""
-            gid = keys.setdefault(key, len(groups))
-            if gid == len(groups):
-                groups.append((key[0], node, [array("d" if type(o) is float else "q")
-                                              for o in (x, y) if o is not None]))
-            columns = groups[gid][2]
-            columns[0].append(x)
-            if y is not None:
-                columns[1].append(y)
-            return (gid + 1) << 32 | (len(columns[0]) - 1)
+        def atom(op, terms):
+            key = (op, tuple(p for _, p in terms), array("d", [c for c, _ in terms]).tobytes())
+            a = keys.setdefault(key, n + len(args))
+            if a == n + len(args):
+                args.append((op, terms))
+                level.append(1 + max((level[b] for _, p in terms for b in p), default=0))
+            return a
 
-        Const, Var, BinOp = exprs.Const, exprs.Var, exprs.BinOp
-        results = []
+        def as_terms(x):
+            """A float, a term or terms as a list of terms of its own."""
+            return [(x, ())] if type(x) is float else [x] if type(x) is tuple else x
+
+        def factor(x):
+            """A float, a term or terms as one term: a sum of several is an atom."""
+            if type(x) is list:
+                return x[0] if len(x) == 1 else (1.0, (atom("sum", x),))
+            return (x, ()) if type(x) is float else x
+
+        def combine(node, x, y=None):
+            """The value of an operator of operands ``x`` (and ``y``), each a
+            float, a term or a list of terms of its own: floats fold."""
+            if type(x) is float and (y is None or type(y) is float):
+                return exprs.apply_op(node, (x,) if y is None else (x, y))
+            cls = type(node)
+            if cls is exprs.Neg:
+                return [(-c, p) for c, p in as_terms(x)]
+            if cls is exprs.Call:
+                return 1.0, (atom(node.func, as_terms(x)),)
+            if cls is exprs.Pow:
+                k = abs(node.exponent)
+                if k == 0:
+                    return 1.0, ()
+                c, p = (factor(x) if node.exponent > 0
+                        else (1.0, (atom("reciprocal", as_terms(x)),)))
+                if k > _MAX_POWER:
+                    return 1.0, (atom(k, [(c, p)]),)
+                return math.prod([c] * k), tuple(sorted(p * k))
+            if node.op in "+-":
+                x, y = as_terms(x), as_terms(y)
+                x.extend(y if node.op == "+" else [(-c, p) for c, p in y])
+                return x
+            c, p = factor(x)
+            if node.op == "*":
+                d, q = factor(y)
+            elif type(y) is float:
+                d, q = float(exprs.apply_op(node, (_UNIT, y)).value[0]), ()
+            else:
+                d, q = 1.0, (atom("reciprocal", as_terms(y)),)
+            return c * d, tuple(sorted(p + q))
+
+        BinOp, Const, Var = exprs.BinOp, exprs.Const, exprs.Var
+        self.terms = []           # per tree
         for root in roots:
-            done = []  # iterative post-order: operands, a folded float or a reference
-            todo = [(root, 0, False)]
+            # iterative post-order: ``done`` holds operands' values, a folded
+            # float, a term (coefficient, atoms) or a list of terms; ``todo``
+            # holds nodes to visit and, as 1-tuples, operators to combine
+            done, todo = [], [root]
             while todo:
-                node, depth, ready = todo.pop()
+                node = todo.pop()
                 cls = type(node)
-                if cls is Const:
+                if cls is tuple:
+                    node = node[0]
+                    if type(node) is not BinOp:
+                        done[-1] = combine(node, done[-1])
+                        continue
+                    y, x = done.pop(), done[-1]  # combine's commonest cases inline:
+                    if type(y) is tuple and node.op == "*" and type(x) is not list:  # c*x1*x2
+                        c, p = (x, ()) if type(x) is float else x
+                        done[-1] = c * y[0], tuple(sorted(p + y[1]))
+                    elif type(x) is list and type(y) is tuple and node.op in "+-":  # ... + c*x1
+                        x.append(y if node.op == "+" else (-y[0], y[1]))
+                    else:
+                        done[-1] = combine(node, x, y)
+                elif cls is Const:
                     done.append(float(node.value))
                 elif cls is Var:
-                    done.append(var[node.name])
-                elif not ready:
-                    todo.append((node, depth, True))
-                    for kid in reversed(exprs.children(node)):
-                        todo.append((kid, depth + 1, False))
+                    done.append((1.0, (var[node.name],)))
                 elif cls is BinOp:
-                    y, x = done.pop(), done.pop()
-                    cx, cy = type(x) is float, type(y) is float
-                    if cx and cy:
-                        done.append(exprs.apply_op(node, (x, y)))
-                    elif cx and node.op in "+*":
-                        done.append(lane((depth, node.op, False, True), node, y, x))
-                    else:
-                        done.append(lane((depth, node.op, cx, cy), node, x, y))
+                    while type(node) is BinOp:  # down the left operands: sums, products
+                        todo += (node,), node.right
+                        node = node.left
+                    todo.append(node)
                 else:
-                    x = done.pop()
-                    if type(x) is float:
-                        done.append(exprs.apply_op(node, (x,)))
-                    elif cls is exprs.Neg:
-                        done.append(lane((depth, "neg"), node, x))
-                    elif cls is exprs.Pow:
-                        done.append(lane((depth, "^", node.exponent), node, x))
-                    else:
-                        done.append(lane((depth, node.func), node, x))
-            results.append(done[0])
+                    todo += (node,), exprs.children(node)[0]
+            self.terms.append(as_terms(done[0]))
 
-        self.sizes = sizes = [0] * (1 + max((g[0] for g in groups), default=-1))
-        start = np.zeros(len(groups) + 1, dtype=np.int64)  # start[0]: the coordinates
-        for gid, (depth, _, columns) in enumerate(groups):
-            start[gid + 1] = n + sizes[depth]
-            sizes[depth] += len(columns[0])
+        # every product of two or more atoms, with every prefix, at its level
+        products = {}
+        for terms in (*self.terms, *(t for _, t in args)):
+            for _, p in terms:
+                while len(p) > 1 and p not in products:
+                    products[p] = max(level[a] for a in p)
+                    p = p[:-1]
 
-        def rows(refs):
-            refs = np.array(refs, dtype=np.int64)
-            return (start[refs >> 32] + (refs & 0xFFFFFFFF)).astype(np.int32)
-
-        self.levels = [[] for _ in sizes]
-        for gid, (depth, node, columns) in enumerate(groups):
-            self.levels[depth].append(_Group(node, int(start[gid + 1]), tuple(
-                np.array(c) if c.typecode == "d" else rows(c) for c in columns)))
-        self.results = [r if type(r) is float else int(rows([r])[0]) for r in results]
+        # the table: the coordinates, then per level its atoms by operation and
+        # its products by degree, each operation's rows contiguous
+        slot = {(a,): a for a in range(n)}
+        self.steps = []           # (operation, first row, its operands)
+        for lv in range(1 + max(level, default=0)):
+            ops = {}
+            for a in range(n, len(level)):
+                if level[a] == lv:
+                    ops.setdefault(args[a - n][0], []).append(a)
+            for op, group in ops.items():
+                self.steps.append((op, len(slot), _Sums([args[a - n][1] for a in group], slot)))
+                slot.update({(a,): len(slot) + k for k, a in enumerate(group)})
+            degrees = {}
+            for p, at in products.items():
+                if at == lv:
+                    degrees.setdefault(len(p), []).append(p)
+            for _, group in sorted(degrees.items()):
+                self.steps.append(("*", len(slot), (
+                    np.array([slot[p[:-1]] for p in group], dtype=np.intp),
+                    np.array([slot[p[-1:]] for p in group], dtype=np.intp))))
+                slot.update({p: len(slot) + k for k, p in enumerate(group)})
+        self.size = len(slot)
+        self.entries = _Sums(self.terms, slot)
 
     def run(self, variables) -> np.ndarray:
         """The trees' jet rows at the coordinate jets ``variables``, batched
         over the same B points, in the coordinates as variables or in none
         (plain values): one (B, width, trees) array, a tree without
         coordinates as constant rows, its value and then zeros."""
-        n, nvars = self.n, variables[0].n
-        var = np.stack([v.data for v in variables])
-        size, width = var.shape[1:]
+        nvars = variables[0].n
+        seeds = np.stack([v.data for v in variables])
+        size, width = seeds.shape[1:]
         # in no variables a product gathers nothing: up to _GATHER_ENTRIES lanes per op
-        lanes_per_op = max(1, _GATHER_ENTRIES // (variables[0].index.gather * size or 1))
-        levels = [np.empty((n + max(self.sizes, default=0), size, width)) for _ in range(2)]
-        for level in levels:
-            level[:n] = var
-        below = var
-        for depth in reversed(range(len(self.sizes))):
-            level = levels[depth % 2]
-            for g in self.levels[depth]:
-                count = len(g.operands[0])
-                for lo in range(0, count, lanes_per_op):
-                    hi = min(lo + lanes_per_op, count)
-                    jet = exprs.apply_op(g.node, [
-                        np.repeat(o[lo:hi], size) if o.dtype.kind == "f"
-                        else Jet3(nvars, below[o[lo:hi]].reshape(-1, width)) for o in g.operands])
-                    level[g.start + lo:g.start + hi] = jet.data.reshape(-1, size, width)
-            below = level
-        rows = np.zeros((size, width, len(self.results)))
-        for k, r in enumerate(self.results):
-            if type(r) is float:
-                rows[:, 0, k] = r
-            else:
-                rows[..., k] = below[r]
-        return rows
+        lanes = max(1, _GATHER_ENTRIES // (variables[0].index.gather * size or 1))
+        rows = np.empty((self.size, size, width))
+        rows[:self.n] = seeds
+        for op, start, operands in self.steps:
+            if op == "*":
+                left, right = operands
+                for lo in range(0, len(left), lanes):
+                    hi = min(lo + lanes, len(left))
+                    a, b = (Jet3(nvars, rows[s[lo:hi]].reshape(-1, width)) for s in (left, right))
+                    rows[start + lo:start + hi] = (a * b).data.reshape(-1, size, width)
+                continue
+            sums = operands.run(rows)
+            for lo in range(0, len(sums), lanes):
+                hi = min(lo + lanes, len(sums))
+                jet = Jet3(nvars, sums[lo:hi].reshape(-1, width))
+                rows[start + lo:start + hi] = _apply(op, jet).data.reshape(-1, size, width)
+        return self.entries.run(rows).transpose(1, 2, 0)
 
 
 def jet_environment(coordinates, point, order: int = 3) -> dict:

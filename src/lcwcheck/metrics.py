@@ -57,10 +57,13 @@ class MetricSpec:
     domain: tuple[tuple[float, float], ...]
 
     def evaluate(self, points) -> np.ndarray:
-        """g at a chart point, or at each row of a (B, n) batch: the value slot
-        of jets in no variables, so ``metric_jets(self, points).g`` bit for bit
-        (``^`` is repeated products and ``a/b`` is ``a*(1/b)``, as in the jets).
-        Points are checked as :func:`~lcwcheck.jets.metric_jets` checks them."""
+        """g at a chart point, or at each row of a (B, n) batch: the tape's
+        rows in no variables, whose value slots are computed as in the
+        jets' rows (no value slot reads a derivative slot), so
+        ``metric_jets(self, points).g`` bit for bit (``^`` is repeated
+        products, ``a/b`` is ``a*(1/b)`` and ``c*x1*x2`` is ``c*(x1*x2)``,
+        as in the jets).  Points are checked as
+        :func:`~lcwcheck.jets.metric_jets` checks them."""
         batch = chart_points(self, points)
         rows = self.component_rows({name: Jet3.constant(x, 0)
                                     for name, x in zip(self.coordinates, batch.T)})

@@ -6,12 +6,17 @@ layer), with their own index conventions, so that agreement with the jet
 pipeline is meaningful.  Finite differences are used in tests only; the
 pipeline itself never touches them.
 
+An exact oracle gives the jet rows of polynomial entries in rational
+arithmetic (``fractions.Fraction``) at points of floats, which are dyadic
+rationals: the reference for the tape's rounding error.
+
 The helpers at the end are small maps that the tests need and the tool
 does not run, built on the package's own stages, and the expression
 printer, whose text the parser's round-trip tests parse.
 """
 
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -374,6 +379,77 @@ def scattered_metric_jets(spec, batch):
         d2g[..., i, j] = d2g[..., j, i] = hess_matrix(jet)
         d3g[..., i, j] = d3g[..., j, i] = third_tensor(jet)
     return g, dg, d2g, d3g
+
+
+# --- exact rows of polynomial entries ----------------------------------------
+
+
+def _polynomial(node, coords, absolute):
+    """A polynomial tree as {exponents: coefficient}, in exact rationals.
+    With ``absolute`` every constant counts by its magnitude and every
+    subtraction or negation as a sum: the polynomial of |c| times |monomial|."""
+    n = len(coords)
+    if isinstance(node, Const):
+        c = Fraction(node.value)
+        return {(0,) * n: abs(c) if absolute else c}
+    if isinstance(node, Var):
+        return {tuple(int(name == node.name) for name in coords): Fraction(1)}
+    if isinstance(node, Neg):
+        p = _polynomial(node.child, coords, absolute)
+        return p if absolute else {e: -c for e, c in p.items()}
+    if isinstance(node, Pow) and node.exponent >= 0:
+        out = {(0,) * n: Fraction(1)}
+        for _ in range(node.exponent):
+            out = _times(out, _polynomial(node.base, coords, absolute))
+        return out
+    if isinstance(node, BinOp):
+        x = _polynomial(node.left, coords, absolute)
+        if node.op == "/" and isinstance(node.right, Const):
+            c = 1 / Fraction(node.right.value)
+            return {e: v * (abs(c) if absolute else c) for e, v in x.items()}
+        y = _polynomial(node.right, coords, absolute)
+        if node.op == "*":
+            return _times(x, y)
+        if node.op in "+-":
+            sign = 1 if node.op == "+" or absolute else -1
+            out = dict(x)
+            for e, c in y.items():
+                out[e] = out.get(e, 0) + sign * c
+            return out
+    raise ValueError(f"not a polynomial node: {node!r}")
+
+
+def _times(x, y):
+    out = {}
+    for e, c in x.items():
+        for f, d in y.items():
+            k = tuple(a + b for a, b in zip(e, f))
+            out[k] = out.get(k, 0) + c * d
+    return out
+
+
+def polynomial_rows(tree, coords, point, absolute=False):
+    """The exact jet row of order 3 of a polynomial tree at a point of
+    floats: value, gradient, packed Hessian and packed third derivatives in
+    the layout of ``SymIndex(n, 3)``, as Fractions.  With ``absolute``, the
+    row of the polynomial of |c| times |monomial| at |point|, whose slots
+    bound the magnitude of each summand of the tree's slots."""
+    n = len(coords)
+    x = [abs(Fraction(v)) if absolute else Fraction(v) for v in point]
+    ix = SymIndex(n, 3)
+    poly = _polynomial(tree, coords, absolute)
+    row = []
+    for alpha in [()] + [(i,) for i in range(n)] + ix.pairs + ix.triples:
+        total = Fraction(0)
+        for e, c in poly.items():
+            e = list(e)
+            for i in alpha:  # d/dx_i of x_i^e_i is e_i x_i^(e_i - 1)
+                c *= e[i]
+                e[i] -= 1
+            if c:
+                total += c * math.prod(v ** k for v, k in zip(x, e))
+        row.append(total)
+    return row
 
 
 # --- the expression printer: input for the parser's round-trip tests -------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,30 @@ def test_evaluation_error_exit_code(tmp_path, capsys):
         "dimension": 3, "coordinates": ["x1", "x2", "x3"],
         "g": [["x1", "0", "0"], [None, "1", "0"], [None, None, "1"]]}))
     assert main(["curvature", str(nonpd), "--point=-0.5,0,0"]) == 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_an_overflow_prints_only_the_error_line(tmp_path, capsys, n):
+    """Where g's derivative overflows, numpy warns on the way to the checks
+    that reject the point; the commands print none of those warnings, only
+    their one error line (and ``scan`` its error row)."""
+    metric = tmp_path / "overflow.json"
+    metric.write_text(coordinate_metric(n, lambda i, j: (
+        "1+1e-300*exp(709*x1)" if i == j == 0 else "1" if i == j else "0")).to_json())
+    corner = ",".join(["1"] + ["0"] * (n - 1))
+    out = tmp_path / "report"
+    finite = "Cotton-York tensor must be finite" if n == 3 else "curvature tensor must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise, and change the error
+        assert main(["obstruct", str(metric), "--point", corner]) == 3
+        assert capsys.readouterr().err == f"lcwcheck: evaluation error: {finite}\n"
+        assert main(["curvature", str(metric), "--point", corner]) == 3
+        assert capsys.readouterr().err == (
+            "lcwcheck: evaluation error: report value nan is not finite\n")
+        assert main(["scan", str(metric), "--grid", ",".join(["2"] + ["1"] * (n - 1)),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[-1] == corner + ",nan,nan,error:ValueError"
 
 
 @pytest.mark.parametrize("n", [4, 5])
