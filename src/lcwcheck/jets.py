@@ -361,10 +361,6 @@ class Jet3:
 # points (n = 4, order 2) and 8 in chart3d's of 67 (n = 3, order 3).
 _GATHER_ENTRIES = 2 ** 14
 
-# A power above this exponent is one atom, raised by repeated squaring as
-# the walk raises it, not a chain of as many products.
-_MAX_POWER = 16
-
 # The quotient of this jet by a constant c is the factor 1/c by which Jet3
 # divides, or the walk's own error when c is 0.
 _UNIT = Jet3.constant(1.0, 0)
@@ -422,14 +418,17 @@ class JetTape:
 
     The compiler reads each tree as a sum of terms, a term as a constant
     times a product of atoms.  An atom is a coordinate or any other
-    subtree: a function call, a reciprocal (of a divisor, or of the base of
-    a negative power), a power above ``_MAX_POWER`` or a sum inside a
-    product.  Each atom's argument is compiled the same way, and each
-    atom, keyed by its operation and argument terms, is compiled once and
-    shared by every tree that uses it, like each distinct product of
-    atoms.  Subtrees without coordinates fold to floats with the
-    expression walk's own ``exprs.apply_op``; ``x / c`` is x times the
-    factor 1/c by which :class:`Jet3` divides.
+    subtree: a function call, the reciprocal of a divisor, a power (raised
+    by ``Jet3.__pow__``, as the walk raises it) or a sum inside a product.
+    Each atom's argument is compiled the same way, and each atom, keyed by
+    its operation and argument terms, is compiled once and shared by every
+    tree that uses it, like each distinct product of atoms.  Subtrees
+    without coordinates fold to floats with the expression walk's own
+    ``exprs.apply_op``; ``x / c`` is x times the factor 1/c by which
+    :class:`Jet3` divides.  An atom's operation is applied by
+    :func:`_apply`, which maps it to its :class:`Jet3` method: the walk's
+    table, ``exprs.apply_op``, takes one node with one source offset,
+    where an atom stands for subtrees at many offsets.
 
     :meth:`run` fills one table of rows.  Atoms and products have a level:
     0 for the coordinates and their products, one more than the highest
@@ -482,14 +481,7 @@ class JetTape:
             if cls is exprs.Call:
                 return 1.0, (atom(node.func, as_terms(x)),)
             if cls is exprs.Pow:
-                k = abs(node.exponent)
-                if k == 0:
-                    return 1.0, ()
-                c, p = (factor(x) if node.exponent > 0
-                        else (1.0, (atom("reciprocal", as_terms(x)),)))
-                if k > _MAX_POWER:
-                    return 1.0, (atom(k, [(c, p)]),)
-                return math.prod([c] * k), tuple(sorted(p * k))
+                return 1.0, (atom(node.exponent, as_terms(x)),)
             if node.op in "+-":
                 x, y = as_terms(x), as_terms(y)
                 x.extend(y if node.op == "+" else [(-c, p) for c, p in y])
@@ -515,17 +507,8 @@ class JetTape:
                 cls = type(node)
                 if cls is tuple:
                     node = node[0]
-                    if type(node) is not BinOp:
-                        done[-1] = combine(node, done[-1])
-                        continue
-                    y, x = done.pop(), done[-1]  # combine's commonest cases inline:
-                    if type(y) is tuple and node.op == "*" and type(x) is not list:  # c*x1*x2
-                        c, p = (x, ()) if type(x) is float else x
-                        done[-1] = c * y[0], tuple(sorted(p + y[1]))
-                    elif type(x) is list and type(y) is tuple and node.op in "+-":  # ... + c*x1
-                        x.append(y if node.op == "+" else (-y[0], y[1]))
-                    else:
-                        done[-1] = combine(node, x, y)
+                    y = done.pop() if type(node) is BinOp else None
+                    done[-1] = combine(node, done[-1], y)
                 elif cls is Const:
                     done.append(float(node.value))
                 elif cls is Var:

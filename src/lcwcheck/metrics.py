@@ -61,7 +61,7 @@ class MetricSpec:
         rows in no variables, whose value slots are computed as in the
         jets' rows (no value slot reads a derivative slot), so
         ``metric_jets(self, points).g`` bit for bit (``^`` is repeated
-        products, ``a/b`` is ``a*(1/b)`` and ``c*x1*x2`` is ``c*(x1*x2)``,
+        squaring, ``a/b`` is ``a*(1/b)`` and ``c*x1*x2`` is ``c*(x1*x2)``,
         as in the jets).  Points are checked as
         :func:`~lcwcheck.jets.metric_jets` checks them."""
         batch = chart_points(self, points)
@@ -74,14 +74,16 @@ class MetricSpec:
         same points, in the coordinates or in none): the tape's (B, width,
         npairs) array, an entry without coordinates as constant rows.  When
         the tape fails, the walk runs only to raise the failing entry's
-        ``EvalError``, with its offset; if it raises nothing, the tape's
-        error stands."""
+        ``EvalError``, with its offset.  The tape reassociates products, so
+        it can fail where the walk's floats do not (``1/(x1*x2*x3-x3*x2*x1)``
+        divides by an exact 0 in the tape alone); then the tape's error is
+        raised as a ``ValueError``, as the walk's domain errors are."""
         try:
             return self._tape.run([env[name] for name in self.coordinates])
-        except (ArithmeticError, ValueError):
+        except (ArithmeticError, ValueError) as exc:
             for entry in self.entries:
                 exprs.eval_expr(entry, env)
-            raise
+            raise ValueError(f"domain error: {exc}") from exc
 
     @cached_property
     def _tape(self) -> JetTape:

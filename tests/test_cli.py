@@ -445,6 +445,27 @@ def test_a_curvature_tensor_that_is_not_finite_is_an_evaluation_error(tmp_path, 
     assert out.read_text().splitlines()[-1] == corner + ",nan,nan,error:ValueError"
 
 
+def test_a_division_by_zero_in_the_tape_alone_is_an_evaluation_error(tmp_path, capsys):
+    """The tape forms x1*x2*x3 and x3*x2*x1 as one product, so their
+    difference is an exact 0 in the tape; at (-0.97, 0.63, 0.83) the walk's
+    (x1*x2)*x3 and (x3*x2)*x1 differ by one ulp, so it raises nothing.  The
+    tape's error is still an evaluation error: exit 3 and an error row."""
+    x, y, z = -0.97, 0.63, 0.83
+    assert (x * y) * z != (z * y) * x
+    metric = tmp_path / "cancel.json"
+    metric.write_text(coordinate_metric(3, lambda i, j: (
+        "2+0.01/(x1*x2*x3-x3*x2*x1)" if i == j == 0 else "1" if i == j else "0"),
+        {"x1": [2 * x, 0.0], "x2": [0.0, 2 * y], "x3": [0.0, 2 * z]}).to_json())
+    out = tmp_path / "report"
+    assert main(["obstruct", str(metric), f"--point={x},{y},{z}"]) == 3
+    assert capsys.readouterr().err == (
+        "lcwcheck: evaluation error: domain error: jet division by zero\n")
+    assert main(["scan", str(metric), "--grid", "1,1,1", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[-1].split(",")
+    assert [float(v) for v in row[:3]] == [x, y, z]
+    assert row[3:] == ["nan", "nan", "error:ValueError"]
+
+
 def test_io_error_exit_code(flat4, capsys):
     assert main(["obstruct", str(flat4), "--point", "0,0,0,0",
                  "--out", "/nonexistent-dir/report.json"]) == 5

@@ -316,7 +316,8 @@ def test_constant_subtrees_fold_with_the_walks_floats():
 @pytest.mark.parametrize("entry,compiles", [("x1+log(0-1)", False),  # fails to fold
                                              ("2+x1*(1/0)", False),
                                              ("2+x1/(2-2)", False),   # x1 times 1/0
-                                             ("2+log(x1-2)", True)])  # fails when run
+                                             ("2+log(x1-2)", True),   # fails when run
+                                             ("2+(x1-x1)^-2", True)])
 def test_errors_are_the_walks(entry, compiles):
     """The tape's errors are reported by the walk, with its messages and
     offsets; a subtree that fails to fold, or a quotient by a constant 0,
