@@ -8,86 +8,122 @@ into a 4-dimensional stratum parameterized by (lambda, rotation) and the
 zero matrix; a nonsingular Cotton-York certifies that no limiting
 Carleman weight exists near the point.
 
-Eigenvalues use the closed-form trigonometric solver for symmetric 3x3
-matrices (no iteration, bit-reproducible); the det tolerance scales with
-|CY|^3 because the determinant is cubic.
+Every function here takes a stack of 3x3 matrices, shape (..., 3, 3), one
+per point of a curvature batch; a single matrix is a stack with no leading
+axes.  Each matrix gets the bits it gets alone: its checks are masks over
+the stack, its determinant is LAPACK's per matrix, its norm the BLAS dot
+of ``np.linalg.norm`` (:func:`~lcwcheck.curvature.frobenius_norm`), and its
+eigenvalues come from the closed-form trigonometric solver for symmetric
+3x3 matrices (no iteration, bit-reproducible).  The det tolerance scales
+with |CY|^3 because the determinant is cubic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi, sqrt
+from math import acos, cos, pi
 
 import numpy as np
+
+from .curvature import frobenius_norm
 
 DEFAULT_DET_TOL = 1e-9
 DEFAULT_ZERO_FLOOR = 1e-12
 
 
 def symmetric3_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric 3x3 matrix, ascending, in closed form."""
+    """Eigenvalues of each symmetric 3x3 matrix of a stack, ascending, in
+    closed form; shape (..., 3)."""
     a = np.asarray(m, dtype=float)
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    if p1 == 0.0:
-        return np.sort(np.diagonal(a))
-    q = float(np.trace(a)) / 3.0
-    p2 = (a[0, 0] - q) ** 2 + (a[1, 1] - q) ** 2 + (a[2, 2] - q) ** 2 + 2.0 * p1
-    p = sqrt(p2 / 6.0)
-    b = (a - q * np.eye(3)) / p
-    r = min(1.0, max(-1.0, float(np.linalg.det(b)) / 2.0))
-    phi = acos(r) / 3.0
-    hi = q + 2.0 * p * cos(phi)
-    lo = q + 2.0 * p * cos(phi + 2.0 * pi / 3.0)
-    return np.array([lo, 3.0 * q - hi - lo, hi])
+    out = np.sort(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)  # exact where p1 = 0
+    # squares by libm's pow, as a Python float's ** takes them, so each value has
+    # the bits of this formula on floats (numpy's x ** 2 is x * x, which rounds
+    # some squares the other way)
+    p1 = np.float_power(a[..., [0, 0, 1], [1, 2, 2]], 2)
+    p1 = p1[..., 0] + p1[..., 1] + p1[..., 2]
+    full = p1 != 0.0
+    a, p1 = a[full], p1[full]
+    q = np.trace(a, axis1=-2, axis2=-1) / 3.0
+    d = np.float_power(np.diagonal(a, axis1=-2, axis2=-1) - q[:, None], 2)
+    p = np.sqrt((d[:, 0] + d[:, 1] + d[:, 2] + 2.0 * p1) / 6.0)
+    b = (a - q[:, None, None] * np.eye(3)) / p[:, None, None]
+    # math's acos and cos, one float at a time: numpy's arccos rounds about
+    # one value in eleven differently from libm's
+    phi = [acos(r) / 3.0 for r in np.clip(np.linalg.det(b) / 2.0, -1.0, 1.0).tolist()]
+    hi = q + 2.0 * p * np.array([cos(x) for x in phi])
+    lo = q + 2.0 * p * np.array([cos(x + 2.0 * pi / 3.0) for x in phi])
+    out[full] = np.stack([lo, 3.0 * q - hi - lo, hi], axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
 class CottonYorkTensor:
-    """Symmetric trace-free 3x3 carrier with cached spectrum, determinant
-    and Frobenius norm."""
+    """A stack of symmetric trace-free 3x3 carriers with cached spectrum,
+    determinant and Frobenius norm.
+
+    ``failed`` names, per matrix, the first check it fails (``finite``,
+    ``symmetric`` or ``trace-free``), or is empty; the other fields of a
+    failed matrix mean nothing.  One matrix gives scalar fields.
+    """
 
     matrix: np.ndarray
-    trace: float
-    determinant: float
+    trace: np.ndarray
+    determinant: np.ndarray
     eigenvalues: np.ndarray
-    norm: float
+    norm: np.ndarray
+    failed: np.ndarray
 
     @staticmethod
-    def from_matrix(m, floor: float = 0.0) -> "CottonYorkTensor":
-        """Check and symmetrize m.  Below ``floor`` (the point's zero floor)
-        |m| is roundoff, which need not be symmetric or trace-free, so the
-        tensor is taken without those checks (it classifies as ``zero``)."""
+    def from_matrix(m, floor=0.0) -> "CottonYorkTensor":
+        """Check and symmetrize each matrix of a stack ``m``.
+
+        Every matrix must be finite.  Below ``floor`` (its point's zero floor,
+        broadcast over the stack) |m| is roundoff, which need not be symmetric
+        or trace-free, so the tensor is taken without those checks (it
+        classifies as ``zero``).  A failed check does not raise for a stack:
+        :meth:`error` gives each matrix's ``ValueError``.  A single matrix
+        raises its own.
+        """
         m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
+        if m.shape[-2:] != (3, 3):
             raise ValueError("Cotton-York tensor must be 3x3")
-        if not np.isfinite(m).all():
-            raise ValueError("Cotton-York tensor must be finite")
-        scale = float(np.linalg.norm(m))
-        tr = float(np.trace(m))
-        if scale >= floor:
-            if np.abs(m - m.T).max() > 1e-10 * max(scale, 1e-300):
-                raise ValueError("Cotton-York tensor must be symmetric")
-            if abs(tr) > 1e-10 * scale + 1e-300:
-                raise ValueError("Cotton-York tensor must be trace-free")
-        m = 0.5 * (m + m.T)
-        return CottonYorkTensor(m, tr, float(np.linalg.det(m)),
-                                symmetric3_eigenvalues(m), float(np.linalg.norm(m)))
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        m = np.where(finite[..., None, None], m, 0.0)  # no nan or inf reaches the spectrum
+        mt = m.swapaxes(-1, -2)
+        scale = frobenius_norm(m, 2)
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        checked = scale >= floor
+        asymmetric = np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * np.maximum(scale, 1e-300)
+        traced = np.abs(tr) > 1e-10 * scale + 1e-300
+        failed = np.where(~finite, "finite", np.where(checked & asymmetric, "symmetric",
+                                                      np.where(checked & traced, "trace-free", "")))
+        m = 0.5 * (m + mt)
+        cy = CottonYorkTensor(m, tr, np.linalg.det(m), symmetric3_eigenvalues(m),
+                              frobenius_norm(m, 2), failed)
+        if m.ndim == 2 and cy.failed:
+            raise cy.error()
+        return cy
+
+    def error(self, index=()) -> ValueError | None:
+        """The ``ValueError`` of the check the matrix at ``index`` fails, or None."""
+        check = self.failed[index]
+        return ValueError(f"Cotton-York tensor must be {check}") if check else None
 
 
 def classify_cy(cy: CottonYorkTensor, tol: float = DEFAULT_DET_TOL,
-                floor: float = DEFAULT_ZERO_FLOOR) -> str:
-    """Stratum label: ``zero``, ``regular_singular`` or ``nonsingular``.
+                floor=DEFAULT_ZERO_FLOOR):
+    """Stratum label of each tensor: ``zero``, ``regular_singular`` or
+    ``nonsingular``; a str for one tensor, an array of them for a stack.
 
     ``regular_singular`` means det vanishes relative to |CY|^3 while the
     tensor itself does not; trace 0 and det 0 then force the spectrum
     (lambda, -lambda, 0).
     """
     norm = cy.norm
-    if norm < floor:
-        return "zero"
-    if abs(cy.determinant) <= tol * norm ** 3:
-        return "regular_singular"
-    return "nonsingular"
+    labels = np.where(norm < floor, "zero",
+                      np.where(np.abs(cy.determinant) <= tol * norm ** 3,
+                               "regular_singular", "nonsingular"))
+    return str(labels) if labels.ndim == 0 else labels
 
 
 def stratum_param(lam: float, q: np.ndarray) -> CottonYorkTensor:

@@ -106,15 +106,28 @@ def derivative_stage(mj: MetricJets, cs: CurvatureStage, orientation: int = 1) -
            + np.einsum("...km,...bmijl->...bijkl", g, drup))
     dric = (np.einsum("...bkl,...ikjl->...bij", dginv, cs.riemann)
             + np.einsum("...kl,...bikjl->...bij", ginv, dr4))
-    # point by point: over a batch these two einsums sum in another order
-    ds = np.stack([np.einsum("bij,ij->b", dginv[p], cs.ricci[p])
-                   + np.einsum("ij,bij->b", ginv[p], dric[p]) for p in range(len(mj))])
+    ds = _sum_ij(dginv * cs.ricci[:, None]) + _sum_ij(ginv[:, None] * dric)
     ds2 = (dric - (np.einsum("...b,...ij->...bij", ds, g) + cs.scalar[:, None, None, None] * dg)
            / (2.0 * (n - 1))) / (n - 2)
     nabla_s = (ds2 - np.einsum("...dab,...dc->...abc", gamma, cs.schouten)
                - np.einsum("...dac,...bd->...abc", gamma, cs.schouten))
     c3 = nabla_s - np.einsum("...jik->...ijk", nabla_s)
     return DerivativeStage(d2gamma, c3, cotton_york(c3, g, orientation) if n == 3 else None)
+
+
+def _sum_ij(t: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes: row by row, each row from 0 and left to
+    right, element by element over the batch.  A point gets the same bits
+    in any batch, those of ``np.einsum("bij,ij->b", ...)`` on the point alone
+    in :func:`derivative_stage` (its Ricci rows strided); a batched einsum
+    or sum adds in an order set by the batch's size and memory layout."""
+    total = 0.0
+    for i in range(t.shape[-2]):
+        row = 0.0
+        for j in range(t.shape[-1]):
+            row = row + t[..., i, j]
+        total = total + row
+    return total
 
 
 def schouten(ric: np.ndarray, s: float, g: np.ndarray, n: int) -> np.ndarray:
@@ -150,6 +163,14 @@ def cotton_york(c: np.ndarray, g: np.ndarray, orientation: int = 1) -> np.ndarra
     craised = np.einsum("...ak,...bl,...kli->...abi", ginv, ginv, c)
     vol = (orientation * np.sqrt(np.linalg.det(g)))[..., None, None, None] * _EPS3
     return 0.5 * np.einsum("...abi,...abj->...ij", craised, vol)
+
+
+def frobenius_norm(t: np.ndarray, axes: int) -> np.ndarray:
+    """Frobenius norm of each tensor of a stack over its last ``axes`` axes,
+    with the bits ``np.linalg.norm`` gives the tensor alone: numpy's matmul
+    of a row and a column is the BLAS dot that ``np.linalg.norm`` takes."""
+    flat = np.ascontiguousarray(t).reshape(*t.shape[:t.ndim - axes], 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
 
 
 # --- frames and rotation --------------------------------------------------

@@ -11,10 +11,11 @@ The obstruction engine is shared by the ``obstruct`` and ``scan``
 commands and the library: it picks the branch (the normalized eigenflag
 residual for n >= 4, det of the Cotton-York tensor for n = 3), applies the
 curvature-scaled zero floor and maps the branch label to the one-sided
-verdict.  :func:`obstruct_points` runs jets and curvature once per
-curvature batch of points and the eigenflag descent once per descent
-chunk; :func:`obstruct_point` is its call with one point.  Grid scans walk a chart
-box (:func:`grid_points`) and tabulate that obstruction.  Scans are
+verdict.  :func:`obstruct_points` runs jets, curvature and the n = 3
+verdict once per curvature batch of points and the eigenflag descent once
+per descent chunk; :func:`obstruct_point` is its call with one point.
+Grid scans walk a chart box (:func:`grid_points`) and tabulate that
+obstruction.  Scans are
 deterministic: fixed-order traversal, floats printed with 17 significant
 digits, so equal seeds give identical bytes.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from .bivectors import BivectorBasis, WeylOperator, to_operator, weyl_part
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
-from .curvature import DimensionError, obstruction_tensors
+from .curvature import DimensionError, frobenius_norm, obstruction_tensors
 from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_chunk, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, coordinate_metric
@@ -203,29 +204,36 @@ def _caught(fn, *args):
         return exc
 
 
-def _point_item(point, riemann, tensor, tol_det):
-    """A point's Cotton-York verdict (n = 3), or its Weyl operator and zero floor."""
-    scale = float(np.linalg.norm(riemann))
-    floor = DEFAULT_ZERO_FLOOR * (1.0 + scale)
-    if tensor.ndim == 4:
-        return to_operator(tensor, scale=scale), floor
-    cy = CottonYorkTensor.from_matrix(tensor, floor)
-    label = classify_cy(cy, tol_det, floor)
-    return PointVerdict(point, "cotton_york", cy.norm, cy.determinant, True, label,
-                        _VERDICTS.get(label, "inconclusive"), cy.eigenvalues)
+def _weyl_item(weyl, scale, floor):
+    """A point's Weyl operator (n >= 4) and its zero floor."""
+    return to_operator(weyl, scale=scale), floor
 
 
 def _curvature_batch(spec: MetricSpec, points, orientation, tol_det) -> list:
-    """:func:`_point_item` at each of a batch of points, or its exception; a batch
-    whose jets or curvature fail runs again one point at a time.  The Weyl
-    tensor of n >= 4 needs jets of order 2, the Cotton-York tensor of order 3."""
+    """Each point's Cotton-York verdict (n = 3), or its Weyl operator and
+    zero floor, or the exception it raised; a batch whose jets or curvature
+    fail runs again one point at a time.  The Weyl tensor of n >= 4 needs
+    jets of order 2, the Cotton-York tensor of order 3.  The n = 3 verdict is
+    taken for the whole batch at once: a point whose tensor fails a check
+    gets that check's ``ValueError``, and the rest of the batch stands."""
     order = 2 if spec.dimension > 3 else 3
     got = _caught(lambda: obstruction_tensors(metric_jets(spec, np.array(points), order),
                                               orientation))
     if isinstance(got, Exception):
         return [got] if len(points) == 1 else [
             item for p in points for item in _curvature_batch(spec, [p], orientation, tol_det)]
-    return [_caught(_point_item, point, r, t, tol_det) for point, r, t in zip(points, *got)]
+    riemann, tensor = got
+    scale = frobenius_norm(riemann, 4)
+    floor = DEFAULT_ZERO_FLOOR * (1.0 + scale)
+    if tensor.ndim == 5:
+        return [_caught(_weyl_item, *item)
+                for item in zip(tensor, scale.tolist(), floor.tolist())]
+    cy = CottonYorkTensor.from_matrix(tensor, floor)
+    labels = classify_cy(cy, tol_det, floor).tolist()
+    return [cy.error(k) or PointVerdict(point, "cotton_york", norm, det, True, label,
+                                        _VERDICTS.get(label, "inconclusive"), eigenvalues)
+            for k, (point, norm, det, label, eigenvalues) in enumerate(zip(
+                points, cy.norm.tolist(), cy.determinant.tolist(), labels, cy.eigenvalues))]
 
 
 def obstruct_point(spec: MetricSpec, point, starts: int | None = None, seed=None,

@@ -114,10 +114,19 @@ def _operands(slot, index):
 # float.  A batch applies them element by element with ``math``, so a row
 # gets exactly the floats of its point in a batch of one.
 
+def _power(v, k):
+    """``v ** k``, or ``(±inf) ** k`` with v's sign where it overflows: a
+    float's ``**`` raises ``OverflowError`` there, numpy's gives inf."""
+    try:
+        return v**k
+    except OverflowError:
+        return math.copysign(math.inf, v)**k
+
+
 def _reciprocal(v):
     if v == 0.0:
         raise ZeroDivisionError("jet division by zero")
-    return 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4
+    return 1.0 / v, -1.0 / _power(v, 2), 2.0 / _power(v, 3), -6.0 / _power(v, 4)
 
 
 def _sin(v):
@@ -144,7 +153,7 @@ def _exp(v):
 def _log(v):
     if v <= 0.0:
         raise ValueError(f"log of non-positive value {v}")
-    return math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3
+    return math.log(v), 1.0 / v, -1.0 / _power(v, 2), 2.0 / _power(v, 3)
 
 
 def _sqrt(v):

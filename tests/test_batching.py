@@ -15,7 +15,6 @@ import pytest
 from lcwcheck import eigenflag
 from lcwcheck.bivectors import to_operator
 from lcwcheck.cli import main
-from lcwcheck.cottonyork import CottonYorkTensor
 from lcwcheck.curvature import (cotton_york, curvature_package, curvature_stage,
                                 derivative_stage, obstruction_tensors, orthonormal_frame,
                                 rotate_tensor)
@@ -24,7 +23,8 @@ from lcwcheck.exprs import EvalError
 from lcwcheck.genericity import (grid_points, obstruct_point, obstruct_points,
                                  random_polynomial_metric, sample_weyl, scan_metric)
 from lcwcheck.jets import MetricJets, MetricNotPositive, metric_jets
-from lcwcheck.metrics import make_metric, sphere_stereographic_metric
+from lcwcheck.metrics import (conformally_flat_metric, make_metric,
+                              sphere_stereographic_metric)
 from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature
 
 COORDS3 = ["x1", "x2", "x3"]
@@ -446,10 +446,12 @@ def test_rows_do_not_depend_on_failing_neighbours(n, grid):
 
 
 def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
-    """Points whose Cotton-York tensor fails its check become errors without
-    the batch being re-run.  No metric's tensor fails the check above the zero
-    floor, so the check is made to fail at the half of the points with the
-    largest (1,1) entry."""
+    """Points whose Cotton-York tensor fails a check become errors, each with
+    its own check's message, without the batch being re-run.  No metric's
+    tensor fails a check above the zero floor, so the frame tensors are
+    spoiled after the pipeline, by their (1,1) entry: the half of the points
+    with the largest lose their symmetry, the one with the smallest its
+    finiteness and the next one its trace-freeness."""
     import lcwcheck.genericity as genericity
 
     calls = []
@@ -460,24 +462,76 @@ def test_a_failing_cotton_york_check_fails_only_its_point(monkeypatch):
 
     spec = random_polynomial_metric(3, np.random.default_rng(12))
     points = grid_points(spec, (4, 4, 4)).tolist()
-    median = np.median(obstruction_tensors(metric_jets(spec, np.array(points)))[1][:, 0, 0])
+    first = np.sort(obstruction_tensors(metric_jets(spec, np.array(points)))[1][:, 0, 0])
+    median = np.median(first)
 
-    class Failing(CottonYorkTensor):
-        @staticmethod
-        def from_matrix(m, floor=0.0):
-            if m[0, 0] > median:
-                raise ValueError("Cotton-York tensor must be symmetric")
-            return CottonYorkTensor.from_matrix(m, floor)
+    def spoiled(mj, orientation=1):
+        riemann, cy = obstruction_tensors(mj, orientation)
+        d = cy[:, 0, 0].copy()
+        cy[d > median, 0, 1] += np.abs(d[d > median])
+        cy[d == first[0], 2, 2] = np.nan
+        cy[d == first[1]] += np.eye(3)
+        return riemann, cy
 
-    monkeypatch.setattr(genericity, "CottonYorkTensor", Failing)
+    monkeypatch.setattr(genericity, "obstruction_tensors", spoiled)
     expected = expected_failures(spec, points)
-    assert 0 < sum(isinstance(e, ValueError) for e in expected) < len(points)
+    messages = [str(e) for e in expected if isinstance(e, Exception)]
+    assert all(isinstance(e, ValueError) for e in expected if isinstance(e, Exception))
+    assert sorted(messages) == sorted(["Cotton-York tensor must be finite",
+                                       "Cotton-York tensor must be trace-free"]
+                                      + ["Cotton-York tensor must be symmetric"] * 32)
     monkeypatch.setattr(genericity, "metric_jets", counting)
     rows = scan_metric(spec, (4, 4, 4)).rows
     assert calls == [(64, 3)]
-    for row, want in zip(rows, expected):
+    got = obstruct_points(spec, points)
+    assert calls == [(64, 3)] * 2
+    for row, v, want in zip(rows, got, expected):
         if isinstance(want, Exception):
             assert row.verdict == f"error:{type(want).__name__}"
+            assert type(v) is type(want) and str(v) == str(want)
         else:
             assert row.verdict == want.label
+            assert same_bits(row.norm, want.norm)
             assert same_bits(row.obstruction, want.obstruction)
+            assert same_bits(v.detail, want.detail)
+
+
+def test_an_error_heavy_3d_scan_keeps_each_points_row_and_reruns_no_batch(monkeypatch):
+    """exp(2 f) delta with f = 10 x1^2 x2 + 5 x3^3 is conformally flat, so its
+    Cotton-York tensor is 0; on an 8^3 grid the roundoff of many points
+    fails the symmetry check above the zero floor.  Every row is the one
+    ``obstruct_point`` gives at its point, its error included, and metric
+    jets run once per curvature batch of 67 points."""
+    import lcwcheck.genericity as genericity
+
+    spec = conformally_flat_metric(3, "10*x1^2*x2+5*x3^3")
+    points = grid_points(spec, (8, 8, 8)).tolist()
+    expected = expected_failures(spec, points)
+    failed = [isinstance(e, Exception) for e in expected]
+    assert 0 < sum(failed) < len(points)
+    assert all(isinstance(e, ValueError) for e, bad in zip(expected, failed) if bad)
+
+    calls = []
+
+    def counting(spec, points, order):
+        calls.append((len(points), order))
+        return metric_jets(spec, points, order)
+
+    monkeypatch.setattr(genericity, "metric_jets", counting)
+    rows = scan_metric(spec, (8, 8, 8)).rows
+    assert calls == [(67, 3)] * 7 + [(43, 3)]
+    for row, want, bad in zip(rows, expected, failed):
+        if bad:
+            assert row.verdict == "error:ValueError"
+            assert np.isnan(row.norm) and np.isnan(row.obstruction)
+        else:
+            assert row.verdict == want.label
+            assert same_bits(row.norm, want.norm)
+            assert same_bits(row.obstruction, want.obstruction)
+    got = obstruct_points(spec, points)
+    for v, want, bad in zip(got, expected, failed):
+        if bad:
+            assert type(v) is type(want) and str(v) == str(want)
+        else:
+            assert (v.label, v.verdict) == (want.label, want.verdict)
+            assert same_bits(v.detail, want.detail)

@@ -445,6 +445,22 @@ def test_a_curvature_tensor_that_is_not_finite_is_an_evaluation_error(tmp_path, 
     assert out.read_text().splitlines()[-1] == corner + ",nan,nan,error:ValueError"
 
 
+@pytest.mark.parametrize("entry", ["1+1e-300/(1e200*(2+x1))", "1+1e-300*log(1e200*(2+x1))"])
+def test_a_taylor_coefficient_over_an_overflowing_power_obstructs(tmp_path, capsys, entry):
+    """g_00 is 1 to roundoff, but the Taylor coefficients of 1/v and log v at
+    v = 2e200 divide by powers of v past the float range.  Those powers are
+    inf, so the point obstructs as the Euclidean metric does, where it
+    failed with a domain error."""
+    metric = tmp_path / "tiny.json"
+    metric.write_text(coordinate_metric(3, lambda i, j: (
+        entry if i == j == 0 else "1" if i == j else "0")).to_json())
+    out = tmp_path / "report.json"
+    assert main(["obstruct", str(metric), "--point", "0,0,0", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (point,) = json.loads(out.read_text())["points"]
+    assert (point["stratum"], point["verdict"], point["norm"]) == ("zero", "zero", 0)
+
+
 def test_a_division_by_zero_in_the_tape_alone_is_an_evaluation_error(tmp_path, capsys):
     """The tape forms x1*x2*x3 and x3*x2*x1 as one product, so their
     difference is an exact 0 in the tape; at (-0.97, 0.63, 0.83) the walk's

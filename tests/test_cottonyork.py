@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lcwcheck.cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
@@ -8,7 +9,7 @@ from lcwcheck.curvature import curvature_package
 from lcwcheck.genericity import obstruct_point, random_polynomial_metric
 from lcwcheck.metrics import conformally_flat_metric
 
-from oracles import cotton_york_at, float_metric
+from oracles import cotton_york_at, float_metric, symmetric3_eigenvalues_scalar
 
 
 def random_so3(rng):
@@ -27,6 +28,81 @@ def test_closed_form_eigenvalues_match_lapack():
         assert np.allclose(symmetric3_eigenvalues(m), np.linalg.eigvalsh(m),
                            rtol=1e-10, atol=1e-12)
     assert np.allclose(symmetric3_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
+
+
+def test_a_stack_of_eigenvalues_has_the_bits_of_the_formula_on_floats():
+    """Squares by libm's pow (numpy's x ** 2 rounds about one in 1,200 the
+    other way), acos and cos by math, one matrix at a time."""
+    a = np.random.default_rng(2).standard_normal((5000, 3, 3))
+    stack = (a + a.swapaxes(1, 2)) * 10.0 ** np.arange(-6, 6, 12 / 5000)[:, None, None]
+    stack[::7, 0, 1:] = stack[::7, 1:, 0] = stack[::7, 1, 2] = stack[::7, 2, 1] = 0.0
+    got = symmetric3_eigenvalues(stack)
+    want = np.array([symmetric3_eigenvalues_scalar(m) for m in stack])
+    assert got.tobytes() == want.tobytes()
+
+
+# an entry: 0, or of magnitude 1e-3 to 1 (no products underflow)
+ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+KINDS = ("general", "diagonal", "zero", "noise", "nonfinite", "asymmetric", "traced")
+
+
+@st.composite
+def cy_items(draw):
+    """A 3x3 matrix of one of ``KINDS`` and its zero floor."""
+    kind = draw(st.sampled_from(KINDS))
+    a00, a11, a01, a02, a12 = (draw(ENTRY) * 10.0 ** draw(st.integers(-6, 6))
+                               for _ in range(5))
+    if kind == "diagonal":
+        a01 = a02 = a12 = 0.0
+    m = np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, -a00 - a11]])
+    floor = draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    if kind == "zero":
+        m[:] = 0.0
+    elif kind == "noise":  # roundoff of a zero tensor, neither symmetric nor trace-free
+        m = np.array([draw(ENTRY) for _ in range(9)]).reshape(3, 3) * 1e-16
+        floor = 1e-12
+    elif kind == "nonfinite":
+        m[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "asymmetric" and m.any():
+        m[0, 1] += np.abs(m).max()
+        floor = 0.0
+    elif kind == "traced" and m.any():
+        m += np.abs(m).max() * np.eye(3)
+        floor = 0.0
+    return m, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(cy_items(), min_size=1, max_size=10))
+def test_each_matrix_of_a_stack_is_checked_and_valued_as_if_alone(items):
+    """Every field and label of a matrix in a stack has the bits of its stack
+    of one and of the matrix alone; a matrix failing a check gets that check's
+    error in the stack, and alone raises it, while the rest of the stack
+    stands.  The eigenvalues are LAPACK's to 1e-12 |m| where the spectrum's
+    gaps are at least 1e-3 |m|; the closed form loses up to sqrt(eps) |m|
+    near a double eigenvalue (acos at +-1), so there the bound is 1e-7 |m|."""
+    stack = np.array([m for m, _ in items])
+    floors = np.array([f for _, f in items])
+    cy = CottonYorkTensor.from_matrix(stack, floors)
+    labels = classify_cy(cy, floor=floors)
+    for k, (m, floor) in enumerate(items):
+        one = CottonYorkTensor.from_matrix(m[None], floor)
+        try:
+            alone = CottonYorkTensor.from_matrix(m, floor)
+        except ValueError as exc:
+            assert str(cy.error(k)) == str(one.error(0)) == str(exc)
+            continue
+        assert cy.error(k) is None and one.error(0) is None
+        for name in ("matrix", "trace", "determinant", "eigenvalues", "norm"):
+            got = np.asarray(getattr(cy, name)[k])
+            assert got.tobytes() == np.asarray(getattr(one, name)[0]).tobytes()
+            assert got.tobytes() == np.asarray(getattr(alone, name)).tobytes()
+        assert labels[k] == classify_cy(one, floor=floor)[0] == classify_cy(alone, floor=floor)
+        exact = np.linalg.eigvalsh(alone.matrix)
+        gap = np.diff(exact).min()
+        tol = (1e-12 if gap >= 1e-3 * alone.norm else 1e-7) * alone.norm
+        assert np.abs(alone.eigenvalues - exact).max() <= tol
 
 
 def test_tensor_carrier_invariants():

@@ -149,6 +149,22 @@ def test_division_and_negative_powers():
         x ** 0.5
 
 
+@pytest.mark.parametrize("v", [0.37, -2.5e-7, 1e103, -1e103, 2e200, -2e200, 1.7e308])
+def test_a_power_that_overflows_in_a_taylor_coefficient_is_infinite(v):
+    """1/v and log v divide by powers of v.  A power past the float range is
+    inf, so its coefficient is a signed 0, where a float's ``**`` raised
+    ``OverflowError``; every coefficient is numpy's float64 quotient."""
+    with np.errstate(over="ignore"):
+        powers = [np.float64(v) ** k for k in (1, 2, 3, 4)]
+    r = Jet3.variable(0, v, 1).reciprocal()
+    assert [r.value[0], r.grad[0, 0], r.hess[0, 0], r.third[0, 0]] == [
+        c / p for c, p in zip((1.0, -1.0, 2.0, -6.0), powers)]
+    if v > 0:
+        lg = Jet3.variable(0, v, 1).log()
+        assert [lg.value[0], lg.grad[0, 0], lg.hess[0, 0], lg.third[0, 0]] == [
+            math.log(v), 1.0 / v, -1.0 / powers[1], 2.0 / powers[2]]
+
+
 def _slots(jet) -> bytes:
     return b"".join(np.asarray(getattr(jet, s), dtype=float).tobytes()
                     for s in ("value", "grad", "hess", "third"))
