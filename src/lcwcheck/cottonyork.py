@@ -82,7 +82,8 @@ class CottonYorkTensor:
         or trace-free, so the tensor is taken without those checks (it
         classifies as ``zero``).  A failed check does not raise for a stack:
         :meth:`error` gives each matrix's ``ValueError``.  A single matrix
-        raises its own.
+        (shape (3, 3)) raises its own, for callers that check one tensor;
+        this is the one place the rank of the stack matters.
         """
         m = np.asarray(m, dtype=float)
         if m.shape[-2:] != (3, 3):
@@ -113,17 +114,16 @@ class CottonYorkTensor:
 def classify_cy(cy: CottonYorkTensor, tol: float = DEFAULT_DET_TOL,
                 floor=DEFAULT_ZERO_FLOOR):
     """Stratum label of each tensor: ``zero``, ``regular_singular`` or
-    ``nonsingular``; a str for one tensor, an array of them for a stack.
+    ``nonsingular``, an array of the stack's shape (0-d for one tensor).
 
     ``regular_singular`` means det vanishes relative to |CY|^3 while the
     tensor itself does not; trace 0 and det 0 then force the spectrum
     (lambda, -lambda, 0).
     """
     norm = cy.norm
-    labels = np.where(norm < floor, "zero",
-                      np.where(np.abs(cy.determinant) <= tol * norm ** 3,
-                               "regular_singular", "nonsingular"))
-    return str(labels) if labels.ndim == 0 else labels
+    return np.where(norm < floor, "zero",
+                    np.where(np.abs(cy.determinant) <= tol * norm ** 3,
+                             "regular_singular", "nonsingular"))
 
 
 def stratum_param(lam: float, q: np.ndarray) -> CottonYorkTensor:

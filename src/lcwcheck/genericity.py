@@ -194,19 +194,14 @@ def _batch_size(n: int) -> int:
 _POINT_ERRORS = (ValueError, np.linalg.LinAlgError)
 
 
-def _caught(fn, *args):
-    """``fn(*args)``, or the exception it raised for its point."""
+def _caught(fn):
+    """``fn()``, or the exception it raised for its point."""
     try:
-        return fn(*args)
+        return fn()
     except _POINT_ERRORS as exc:
         # the traceback would keep the point's whole pipeline alive
         exc.__traceback__ = exc.__context__ = None
         return exc
-
-
-def _weyl_item(weyl, scale, floor):
-    """A point's Weyl operator (n >= 4) and its zero floor."""
-    return to_operator(weyl, scale=scale), floor
 
 
 def _curvature_batch(spec: MetricSpec, points, orientation, tol_det) -> list:
@@ -226,8 +221,8 @@ def _curvature_batch(spec: MetricSpec, points, orientation, tol_det) -> list:
     scale = frobenius_norm(riemann, 4)
     floor = DEFAULT_ZERO_FLOOR * (1.0 + scale)
     if tensor.ndim == 5:
-        return [_caught(_weyl_item, *item)
-                for item in zip(tensor, scale.tolist(), floor.tolist())]
+        return [_caught(lambda w=w, s=s, f=f: (to_operator(w, scale=s), f))
+                for w, s, f in zip(tensor, scale.tolist(), floor.tolist())]
     cy = CottonYorkTensor.from_matrix(tensor, floor)
     labels = classify_cy(cy, tol_det, floor).tolist()
     return [cy.error(k) or PointVerdict(point, "cotton_york", norm, det, True, label,

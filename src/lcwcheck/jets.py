@@ -35,6 +35,7 @@ source order.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -113,20 +114,28 @@ def _operands(slot, index):
 # Taylor coefficients f, f', f'', f''' of the elementary functions at one
 # float.  A batch applies them element by element with ``math``, so a row
 # gets exactly the floats of its point in a batch of one.
-
-def _power(v, k):
-    """``v ** k``, or ``(±inf) ** k`` with v's sign where it overflows: a
-    float's ``**`` raises ``OverflowError`` there, numpy's gives inf."""
-    try:
-        return v**k
-    except OverflowError:
-        return math.copysign(math.inf, v)**k
-
+#
+# Those of 1/v, log v, sqrt v and atan v are powers of v (of 1/(1 + v^2)),
+# which leave the float range long before the derivatives of f(a) do: at
+# v = a = 2e200 with a' = 1e200, log's f'' = -1/v**2 is below the smallest
+# float, yet f'' a'^2 = -1/4.  So where the power farthest from 1 is not a
+# normal float, or a float's ** or / raises on it, these give None, and
+# ``_*_scaled`` gives the coefficients f^(k)(v) v^k of the chain rule in
+# a' / v (:meth:`Jet3._compose`).
 
 def _reciprocal(v):
     if v == 0.0:
         raise ZeroDivisionError("jet division by zero")
-    return 1.0 / v, -1.0 / _power(v, 2), 2.0 / _power(v, 3), -6.0 / _power(v, 4)
+    try:
+        c = 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4
+    except ArithmeticError:  # a float's ** raises where a power overflows, / where it is 0
+        return None
+    return c if sys.float_info.min <= abs(c[3]) < math.inf else None
+
+
+def _reciprocal_scaled(v):
+    r = 1.0 / v
+    return r, -r, 2.0 * r, -6.0 * r
 
 
 def _sin(v):
@@ -153,19 +162,45 @@ def _exp(v):
 def _log(v):
     if v <= 0.0:
         raise ValueError(f"log of non-positive value {v}")
-    return math.log(v), 1.0 / v, -1.0 / _power(v, 2), 2.0 / _power(v, 3)
+    try:
+        c = math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3
+    except ArithmeticError:
+        return None
+    return c if sys.float_info.min <= c[3] < math.inf else None
+
+
+def _log_scaled(v):
+    return math.log(v), 1.0, -1.0, 2.0
 
 
 def _sqrt(v):
     if v <= 0.0:
         raise ValueError(f"sqrt of non-positive value {v} (derivatives singular at 0)")
     s = math.sqrt(v)
-    return s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)
+    try:
+        c = s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)
+    except ArithmeticError:
+        return None
+    return c if sys.float_info.min <= c[3] < math.inf else None
+
+
+def _sqrt_scaled(v):
+    s = math.sqrt(v)
+    return s, 0.5 * s, -0.25 * s, 0.375 * s
 
 
 def _atan(v):
     d = 1.0 / (1.0 + v * v)
-    return math.atan(v), d, -2.0 * v * d * d, (6.0 * v * v - 2.0) * d**3
+    d3 = d**3
+    if not d3 >= sys.float_info.min:  # |v| > 1.4e51, or nan
+        return None
+    return math.atan(v), d, -2.0 * v * d * d, (6.0 * v * v - 2.0) * d3
+
+
+def _atan_scaled(v):
+    w = 1.0 / v
+    e = 1.0 / (1.0 + w * w)
+    return math.atan(v), w * e, -2.0 * w * e * e, (6.0 - 2.0 * w * w) * w * e**3
 
 
 def _bump(v):
@@ -283,7 +318,7 @@ class Jet3:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet3":
-        return self._compose(_reciprocal)
+        return self._compose(_reciprocal, _reciprocal_scaled)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -317,18 +352,31 @@ class Jet3:
 
     # -- elementary functions (univariate chain rule to the jets' order) ---
 
-    def _compose(self, coefficients) -> "Jet3":
-        """f(self) for the f whose Taylor coefficients ``coefficients(v)`` gives."""
-        c0, c1, c2, c3 = (np.array(c)[:, None]
-                          for c in zip(*map(coefficients, self.value.tolist())))
-        ix = self.index
-        ag, ah = self.grad, self.hess
+    def _compose(self, coefficients, scaled=None) -> "Jet3":
+        """f(self) for the f whose Taylor coefficients ``coefficients(v)`` gives.
+
+        A row whose coefficients are out of the float range (None) takes
+        ``scaled(v)``, the coefficients f^(k)(v) v^k, and the derivatives of
+        self over v: f^(k)(v) a_i ... a_l = f^(k)(v) v^k (a_i/v) ... (a_l/v),
+        so the chain rule adds the same terms, with each factor in range."""
+        values = self.value.tolist()
+        rows = list(map(coefficients, values))
+        a = self
+        if None in rows:
+            far = [b for b, c in enumerate(rows) if c is None]
+            a = Jet3(self.n, self.data.copy())
+            a.data[far, 1:] /= a.data[far, :1]
+            for b in far:
+                rows[b] = scaled(values[b])
+        c0, c1, c2, c3 = (np.array(c)[:, None] for c in zip(*rows))
+        ix = a.index
+        ag, ah = a.grad, a.hess
         g_i, g_j = _operands(ag, ix.pair_ij)
         slots = [c0, c1 * ag, c1 * ah + c2 * g_i * g_j]
         if ix.order == 3:
             g1, g2, g3 = _operands(ag, ix.triple_ijk)
             h1, h2, h3 = _operands(ah, ix.triple_hess)
-            slots.append(c1 * self.third + c2 * (g1 * h1 + g2 * h2 + g3 * h3)
+            slots.append(c1 * a.third + c2 * (g1 * h1 + g2 * h2 + g3 * h3)
                          + c3 * g1 * g2 * g3)
         return Jet3(self.n, np.concatenate(slots, axis=1))
 
@@ -345,13 +393,13 @@ class Jet3:
         return self._compose(_exp)
 
     def log(self) -> "Jet3":
-        return self._compose(_log)
+        return self._compose(_log, _log_scaled)
 
     def sqrt(self) -> "Jet3":
-        return self._compose(_sqrt)
+        return self._compose(_sqrt, _sqrt_scaled)
 
     def atan(self) -> "Jet3":
-        return self._compose(_atan)
+        return self._compose(_atan, _atan_scaled)
 
     def bump(self) -> "Jet3":
         return self._compose(_bump)

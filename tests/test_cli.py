@@ -445,12 +445,13 @@ def test_a_curvature_tensor_that_is_not_finite_is_an_evaluation_error(tmp_path, 
     assert out.read_text().splitlines()[-1] == corner + ",nan,nan,error:ValueError"
 
 
-@pytest.mark.parametrize("entry", ["1+1e-300/(1e200*(2+x1))", "1+1e-300*log(1e200*(2+x1))"])
-def test_a_taylor_coefficient_over_an_overflowing_power_obstructs(tmp_path, capsys, entry):
+@pytest.mark.parametrize("entry", ["1+1e-300/(1e200*(2+x1))", "1+1e-300*log(1e200*(2+x1))",
+                                   "1+1e-300/(1e-110*(2+x1))", "1+1e-300*log(1e-200*(2+x1))"])
+def test_a_taylor_coefficient_out_of_the_float_range_obstructs(tmp_path, capsys, entry):
     """g_00 is 1 to roundoff, but the Taylor coefficients of 1/v and log v at
-    v = 2e200 divide by powers of v past the float range.  Those powers are
-    inf, so the point obstructs as the Euclidean metric does, where it
-    failed with a domain error."""
+    v = 2e200 or 2e-110 (2e-200) are powers of v out of the float range,
+    which failed with a domain error.  The point obstructs as the Euclidean
+    metric does."""
     metric = tmp_path / "tiny.json"
     metric.write_text(coordinate_metric(3, lambda i, j: (
         entry if i == j == 0 else "1" if i == j else "0")).to_json())
@@ -459,6 +460,35 @@ def test_a_taylor_coefficient_over_an_overflowing_power_obstructs(tmp_path, caps
     assert capsys.readouterr().err == ""
     (point,) = json.loads(out.read_text())["points"]
     assert (point["stratum"], point["verdict"], point["norm"]) == ("zero", "zero", 0)
+
+
+@pytest.mark.parametrize("entry, unscaled", [
+    ("1e200/(1e200*(2+x1+x2))", "1/(2+x1+x2)"),
+    ("1e-110/(1e-110*(2+x1+x2))", "1/(2+x1+x2)"),
+    ("log(1e200*(2+x1+x2))", "460.51701859880916+log(2+x1+x2)"),
+    ("log(1e-200*(2+x1+x2))+921.03403719761833", "460.51701859880916+log(2+x1+x2)"),
+    ("sqrt(1e300*(2+x1+x2))*1e-150", "sqrt(2+x1+x2)"),
+])
+def test_a_scaled_argument_obstructs_as_the_unscaled_one(tmp_path, entry, unscaled):
+    """Where 1/v, log v and sqrt v take an argument past the range of their
+    Taylor coefficients, g_00 still has the jets of the unscaled entry, so
+    the curved metric gets its Cotton-York tensor and verdict (the scaled
+    entries gave a zero gradient and Hessian, or a domain error)."""
+    points = []
+    for name, g00 in (("scaled", entry), ("unscaled", unscaled)):
+        metric = tmp_path / f"{name}.json"
+        metric.write_text(coordinate_metric(3, lambda i, j: (
+            g00 if i == j == 0 else "1+x1^2*x3" if i == j == 1 else "1" if i == j else "0")
+        ).to_json())
+        out = tmp_path / f"{name}-report.json"
+        assert main(["obstruct", str(metric), "--point", "0.1,0.2,0.3", "--out", str(out)]) == 0
+        (point,) = json.loads(out.read_text())["points"]
+        points.append(point)
+    scaled, plain = points
+    assert plain["verdict"] == "no_lcw_certified" and plain["norm"] > 1e-3
+    assert (scaled["stratum"], scaled["verdict"]) == (plain["stratum"], plain["verdict"])
+    for field in ("norm", "obstruction", "eigenvalues"):
+        assert scaled[field] == pytest.approx(plain[field], rel=1e-12, abs=1e-14), field
 
 
 def test_a_division_by_zero_in_the_tape_alone_is_an_evaluation_error(tmp_path, capsys):

@@ -149,20 +149,75 @@ def test_division_and_negative_powers():
         x ** 0.5
 
 
-@pytest.mark.parametrize("v", [0.37, -2.5e-7, 1e103, -1e103, 2e200, -2e200, 1.7e308])
-def test_a_power_that_overflows_in_a_taylor_coefficient_is_infinite(v):
-    """1/v and log v divide by powers of v.  A power past the float range is
-    inf, so its coefficient is a signed 0, where a float's ``**`` raised
-    ``OverflowError``; every coefficient is numpy's float64 quotient."""
-    with np.errstate(over="ignore"):
-        powers = [np.float64(v) ** k for k in (1, 2, 3, 4)]
+@pytest.mark.parametrize("v", [0.37, -2.5e-7, 7.3e76, 1e-60])
+def test_taylor_coefficients_in_the_float_range_are_the_plain_quotients(v):
     r = Jet3.variable(0, v, 1).reciprocal()
     assert [r.value[0], r.grad[0, 0], r.hess[0, 0], r.third[0, 0]] == [
-        c / p for c, p in zip((1.0, -1.0, 2.0, -6.0), powers)]
+        1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4]
     if v > 0:
         lg = Jet3.variable(0, v, 1).log()
         assert [lg.value[0], lg.grad[0, 0], lg.hess[0, 0], lg.third[0, 0]] == [
-            math.log(v), 1.0 / v, -1.0 / powers[1], 2.0 / powers[2]]
+            math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3]
+        s = math.sqrt(v)
+        sq = Jet3.variable(0, v, 1).sqrt()
+        assert [sq.value[0], sq.grad[0, 0], sq.hess[0, 0], sq.third[0, 0]] == [
+            s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)]
+    if abs(v) < 1e50:
+        d = 1.0 / (1.0 + v * v)
+        at = Jet3.variable(0, v, 1).atan()
+        assert [at.value[0], at.grad[0, 0], at.hess[0, 0], at.third[0, 0]] == [
+            math.atan(v), d, -2.0 * v * d * d, (6.0 * v * v - 2.0) * d**3]
+
+
+# f(k a), rescaled to f(a): log(k a) - log k, k / (k a) and sqrt(k a) / sqrt(k)
+_SCALED_FUNCTIONS = {
+    "log": lambda a, k: a.log() - math.log(k),
+    "reciprocal": lambda a, k: a.reciprocal() * k,
+    "sqrt": lambda a, k: a.sqrt() * (1.0 / math.sqrt(k)),
+}
+
+
+@pytest.mark.parametrize("k", [2e200, 1e-200, 3e120, 1e-110, 1e300])
+@pytest.mark.parametrize("name", sorted(_SCALED_FUNCTIONS))
+def test_a_function_of_a_scaled_argument_has_the_jets_of_the_unscaled_one(name, k):
+    """At k = 2e200, log's f'' = -1/v**2 underflows to 0 and the powers of v
+    in 1/v's coefficients overflow, while the derivatives of f(k a) are
+    those of f(a) up to a factor: the chain rule takes a' / v there, not a
+    coefficient of 0 (or a domain error) times a power of k a'."""
+    f = _SCALED_FUNCTIONS[name]
+    points = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.7], [-0.9, 0.4, 0.1]])
+    x = [Jet3.variable(i, points[:, i], 3) for i in range(3)]
+    a = x[0] + x[1] * x[2] + 2.0 + (x[0] * x[1]).sin()
+    plain = f(a, 1.0)
+    assert np.abs(plain.hess).max() > 0.1 and np.abs(plain.third).max() > 0.1
+    scaled = f(a * k, k)
+    np.testing.assert_allclose(scaled.data[:, 1:], plain.data[:, 1:], rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(scaled.value, plain.value, rtol=1e-14, atol=1e-12)  # log k - log k
+
+
+@pytest.mark.parametrize("k", [1e60, 2e200, 1e300])
+def test_atan_of_a_scaled_argument_has_the_jets_of_its_complement(k):
+    """atan(v) = pi/2 - atan(1/v) for v > 0.  Past |v| = 1.4e51 the powers of
+    1/(1 + v^2) in atan's coefficients underflow, while 1/v is in range."""
+    x = [Jet3.variable(i, np.array([0.0, 0.3, -0.4]), 3) for i in range(3)]
+    a = (x[0] + x[1] * x[2] + 2.0) * k
+    far, near = a.atan(), -(a.reciprocal().atan())
+    assert np.abs(near.hess).max() > 0.1 / k
+    np.testing.assert_allclose(far.data[:, 1:], near.data[:, 1:], rtol=1e-14, atol=0)
+    assert np.array_equal(far.value, np.full(3, math.pi / 2))
+
+
+def test_out_of_range_rows_keep_their_batch_in_bits():
+    """A batch that mixes rows in and out of the float range gives each row
+    the bits of its batch of one."""
+    k = np.array([0.4, 2e200, 1.5, 1e-200, 7.0, 3e120])
+    x = [Jet3.variable(i, np.linspace(0.1, 0.6, 6) * (1 + i), 3) for i in range(3)]
+    a = (x[0] + x[1] * 0.5 + x[2] * x[2] + 1.0) * k
+    for name in ("reciprocal", "log", "sqrt", "atan"):
+        jet = getattr(a, name)()
+        assert np.isfinite(jet.data).all()
+        for b in range(len(k)):
+            assert _slots(_row(jet, b)) == _slots(getattr(_row(a, b), name)()), (name, b)
 
 
 def _slots(jet) -> bytes:
