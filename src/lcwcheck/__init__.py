@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 from .bivectors import (BivectorBasis, WeylOperator, bianchi_map, lift_orthogonal,
                         operator_to_tensor, ricci_contraction, to_operator,
                         weyl_part)
-from .cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
-                         symmetric3_eigenvalues)
+from .cottonyork import CottonYorkTensor, classify_cy, stratum_param
 from .curvature import (CurvaturePackage, DimensionError, cotton_york,
                         curvature_package, kulkarni_nomizu, obstruction_tensors,
                         orthonormal_frame, rotate_tensor, schouten, weyl_tensor)

@@ -13,15 +13,14 @@ per point of a curvature batch; a single matrix is a stack with no leading
 axes.  Each matrix gets the bits it gets alone: its checks are masks over
 the stack, its determinant is LAPACK's per matrix, its norm the BLAS dot
 of ``np.linalg.norm`` (:func:`~lcwcheck.curvature.frobenius_norm`), and its
-eigenvalues come from the closed-form trigonometric solver for symmetric
-3x3 matrices (no iteration, bit-reproducible).  The det tolerance scales
-with |CY|^3 because the determinant is cubic.
+eigenvalues LAPACK's ``np.linalg.eigvalsh``, also a loop over the stack that
+takes each matrix on its own.  The det tolerance scales with |CY|^3 because
+the determinant is cubic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi
 
 import numpy as np
 
@@ -29,31 +28,6 @@ from .curvature import frobenius_norm
 
 DEFAULT_DET_TOL = 1e-9
 DEFAULT_ZERO_FLOOR = 1e-12
-
-
-def symmetric3_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each symmetric 3x3 matrix of a stack, ascending, in
-    closed form; shape (..., 3)."""
-    a = np.asarray(m, dtype=float)
-    out = np.sort(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)  # exact where p1 = 0
-    # squares by libm's pow, as a Python float's ** takes them, so each value has
-    # the bits of this formula on floats (numpy's x ** 2 is x * x, which rounds
-    # some squares the other way)
-    p1 = np.float_power(a[..., [0, 0, 1], [1, 2, 2]], 2)
-    p1 = p1[..., 0] + p1[..., 1] + p1[..., 2]
-    full = p1 != 0.0
-    a, p1 = a[full], p1[full]
-    q = np.trace(a, axis1=-2, axis2=-1) / 3.0
-    d = np.float_power(np.diagonal(a, axis1=-2, axis2=-1) - q[:, None], 2)
-    p = np.sqrt((d[:, 0] + d[:, 1] + d[:, 2] + 2.0 * p1) / 6.0)
-    b = (a - q[:, None, None] * np.eye(3)) / p[:, None, None]
-    # math's acos and cos, one float at a time: numpy's arccos rounds about
-    # one value in eleven differently from libm's
-    phi = [acos(r) / 3.0 for r in np.clip(np.linalg.det(b) / 2.0, -1.0, 1.0).tolist()]
-    hi = q + 2.0 * p * np.array([cos(x) for x in phi])
-    lo = q + 2.0 * p * np.array([cos(x + 2.0 * pi / 3.0) for x in phi])
-    out[full] = np.stack([lo, 3.0 * q - hi - lo, hi], axis=-1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -99,7 +73,7 @@ class CottonYorkTensor:
         failed = np.where(~finite, "finite", np.where(checked & asymmetric, "symmetric",
                                                       np.where(checked & traced, "trace-free", "")))
         m = 0.5 * (m + mt)
-        cy = CottonYorkTensor(m, tr, np.linalg.det(m), symmetric3_eigenvalues(m),
+        cy = CottonYorkTensor(m, tr, np.linalg.det(m), np.linalg.eigvalsh(m),
                               frobenius_norm(m, 2), failed)
         if m.ndim == 2 and cy.failed:
             raise cy.error()

@@ -197,24 +197,6 @@ def weyl_at(g_at, x, h=1e-3):
     return r4 - kn
 
 
-def symmetric3_eigenvalues_scalar(m):
-    """The closed-form eigenvalues of one symmetric 3x3 matrix, ascending,
-    computed on Python floats: the formula whose bits the batched solver
-    keeps for every matrix of a stack."""
-    a = [[float(x) for x in row] for row in m]
-    p1 = a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2
-    if p1 == 0.0:
-        return sorted([a[0][0], a[1][1], a[2][2]])
-    q = (a[0][0] + a[1][1] + a[2][2]) / 3.0
-    p = math.sqrt(((a[0][0] - q) ** 2 + (a[1][1] - q) ** 2 + (a[2][2] - q) ** 2
-                   + 2.0 * p1) / 6.0)
-    b = (np.array(a) - q * np.eye(3)) / p
-    phi = math.acos(min(1.0, max(-1.0, float(np.linalg.det(b)) / 2.0))) / 3.0
-    hi = q + 2.0 * p * math.cos(phi)
-    lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    return [lo, 3.0 * q - hi - lo, hi]
-
-
 def residual_explicit(tensor, v, rng):
     """Eigenflag residual through an explicit random orthonormal basis of v-perp."""
     n = len(v)

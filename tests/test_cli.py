@@ -591,6 +591,18 @@ def test_solve_cy_takes_negative_targets_in_exponent_form(tmp_path, capsys):
     assert np.allclose(doc["achieved"], target, rtol=0, atol=1e-12 * np.linalg.norm(target))
 
 
+def test_solve_cy_values_a_near_double_spectrum_as_lapack_does(capsys):
+    # the achieved spectrum, about (-0.02, 0.01, 0.01 + 7.6e-12), is within
+    # 7.6e-12 of a double eigenvalue
+    values = ["-0.010841143568679091", "0.004443422657252945", "0.006397720911426146",
+              "-0.010761292960331001", "0.008664618620374698", "0.004473962716414633"]
+    assert main(["solve-cy", "--target", *values]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    achieved = np.array(doc["achieved"])
+    gap = np.abs(np.array(doc["achieved_eigenvalues"]) - np.linalg.eigvalsh(achieved)).max()
+    assert gap <= 1e-13 * np.linalg.norm(achieved)
+
+
 def test_solve_cy_rejects_a_target_that_is_not_trace_free(tmp_path, capsys):
     out = tmp_path / "cubic.json"
     assert main(["solve-cy", "--target", "0.01", "0.01", "0.01", "0", "0", "0",

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from lcwcheck.cottonyork import (CottonYorkTensor, classify_cy, stratum_param,
-                                 symmetric3_eigenvalues)
+from lcwcheck.cottonyork import CottonYorkTensor, classify_cy, stratum_param
 from lcwcheck.curvature import curvature_package
 from lcwcheck.genericity import obstruct_point, random_polynomial_metric
 from lcwcheck.metrics import conformally_flat_metric
 
-from oracles import cotton_york_at, float_metric, symmetric3_eigenvalues_scalar
+from oracles import cotton_york_at, float_metric
 
 
 def random_so3(rng):
@@ -20,25 +19,29 @@ def random_so3(rng):
     return q
 
 
-def test_closed_form_eigenvalues_match_lapack():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        a = rng.standard_normal((3, 3))
-        m = a + a.T
-        assert np.allclose(symmetric3_eigenvalues(m), np.linalg.eigvalsh(m),
-                           rtol=1e-10, atol=1e-12)
-    assert np.allclose(symmetric3_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
-
-
-def test_a_stack_of_eigenvalues_has_the_bits_of_the_formula_on_floats():
-    """Squares by libm's pow (numpy's x ** 2 rounds about one in 1,200 the
-    other way), acos and cos by math, one matrix at a time."""
+def test_each_matrix_of_a_large_stack_has_the_eigenvalues_it_has_alone():
+    """LAPACK's eigvalsh loops over the stack, so each matrix of a 5,000-matrix
+    trace-free stack (every seventh diagonal) keeps the bits it gets alone."""
     a = np.random.default_rng(2).standard_normal((5000, 3, 3))
     stack = (a + a.swapaxes(1, 2)) * 10.0 ** np.arange(-6, 6, 12 / 5000)[:, None, None]
     stack[::7, 0, 1:] = stack[::7, 1:, 0] = stack[::7, 1, 2] = stack[::7, 2, 1] = 0.0
-    got = symmetric3_eigenvalues(stack)
-    want = np.array([symmetric3_eigenvalues_scalar(m) for m in stack])
+    stack -= np.trace(stack, axis1=1, axis2=2)[:, None, None] / 3.0 * np.eye(3)
+    got = CottonYorkTensor.from_matrix(stack).eigenvalues
+    want = np.array([CottonYorkTensor.from_matrix(m).eigenvalues for m in stack])
     assert got.tobytes() == want.tobytes()
+
+
+def test_eigenvalues_stay_accurate_near_a_double_eigenvalue():
+    """Rotations of diag(1, 1 + d, -2 - d), d from 1e-17 to 1e-2: a spectrum
+    within d of a double eigenvalue is valued to 1e-13 |m|."""
+    rng = np.random.default_rng(17)
+    d = 10.0 ** rng.uniform(-17, -2, 2000)
+    q = np.array([random_so3(rng) for _ in d])
+    spectrum = np.stack([np.ones_like(d), 1.0 + d, -2.0 - d], axis=-1)
+    stack = np.einsum("kij,kj,klj->kil", q, spectrum, q)
+    cy = CottonYorkTensor.from_matrix(stack)
+    for want in (np.linalg.eigvalsh(stack), np.sort(spectrum)):
+        assert (np.abs(cy.eigenvalues - want).max(axis=-1) <= 1e-13 * cy.norm).all()
 
 
 # an entry: 0, or of magnitude 1e-3 to 1 (no products underflow)
@@ -79,9 +82,7 @@ def test_each_matrix_of_a_stack_is_checked_and_valued_as_if_alone(items):
     """Every field and label of a matrix in a stack has the bits of its stack
     of one and of the matrix alone; a matrix failing a check gets that check's
     error in the stack, and alone raises it, while the rest of the stack
-    stands.  The eigenvalues are LAPACK's to 1e-12 |m| where the spectrum's
-    gaps are at least 1e-3 |m|; the closed form loses up to sqrt(eps) |m|
-    near a double eigenvalue (acos at +-1), so there the bound is 1e-7 |m|."""
+    stands.  The eigenvalues are LAPACK's to 1e-13 |m|."""
     stack = np.array([m for m, _ in items])
     floors = np.array([f for _, f in items])
     cy = CottonYorkTensor.from_matrix(stack, floors)
@@ -100,9 +101,7 @@ def test_each_matrix_of_a_stack_is_checked_and_valued_as_if_alone(items):
             assert got.tobytes() == np.asarray(getattr(alone, name)).tobytes()
         assert labels[k] == classify_cy(one, floor=floor)[0] == classify_cy(alone, floor=floor)
         exact = np.linalg.eigvalsh(alone.matrix)
-        gap = np.diff(exact).min()
-        tol = (1e-12 if gap >= 1e-3 * alone.norm else 1e-7) * alone.norm
-        assert np.abs(alone.eigenvalues - exact).max() <= tol
+        assert np.abs(alone.eigenvalues - exact).max() <= 1e-13 * alone.norm
 
 
 def test_tensor_carrier_invariants():
