@@ -14,6 +14,12 @@ the whole line, so a perturbation localized with it needs no conditional.
     func   := 'sin'|'cos'|'tan'|'exp'|'log'|'sqrt'|'atan'|'bump'
     number := a decimal literal within the float range
 
+There is one parser and it builds through a :class:`Builder`, one callable
+per reduction.  :data:`TREE`, the node constructors, gives the parse tree;
+``lcwcheck.jets.JetTape`` passes its own builder, which turns each entry
+straight into sums of jet-tape terms, so a metric is read in one pass with
+no tree.  Trees serve the walk :func:`eval_expr`, ``==`` and printing.
+
 Evaluation is generic over the scalar type: plain ``float`` or any object
 implementing the arithmetic operators plus ``sin()``, ``exp()``, ... methods
 (see ``lcwcheck.jets.Jet3``).  All parse and evaluation errors carry the byte
@@ -25,7 +31,9 @@ their own stack instead of recursing, so any nesting depth is accepted, and
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan", "bump")
 
@@ -126,68 +134,81 @@ class Pow(Node):
 
 _OPERATORS = set("+-*/^(),")
 
+# A number's extent from its first digit; an empty fraction or exponent is malformed.
+_NUMBER = re.compile(r"\d+(?:(\.)(\d*))?(?:([eE])[+-]?(\d*))?")
+
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, offset) triples. Kinds: num, ident, op, end."""
     tokens = []
+    append = tokens.append
     i, n = 0, len(source)
     while i < n:
         c = source[i]
-        if c.isspace():
-            i += 1
-            continue
         if c in _OPERATORS:
-            tokens.append(("op", c, i))
+            append(("op", c, i))
             i += 1
-            continue
-        if c.isdecimal():
+        elif c.isdecimal():
+            number = _NUMBER.match(source, i)
+            dot, fraction, e, exponent = number.groups()
+            if dot and not fraction:
+                raise ParseError("malformed number", i)
+            if e and not exponent:
+                raise ParseError("malformed exponent in number", i)
+            append(("num", number.group(), i))
+            i = number.end()
+        elif c.isalpha() or c == "_":
             start = i
-            while i < n and source[i].isdecimal():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                if i >= n or not source[i].isdecimal():
-                    raise ParseError("malformed number", start)
-                while i < n and source[i].isdecimal():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j >= n or not source[j].isdecimal():
-                    raise ParseError("malformed exponent in number", start)
-                i = j
-                while i < n and source[i].isdecimal():
-                    i += 1
-            tokens.append(("num", source[start:i], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
+            i += 1
             while i < n and (source[i].isalnum() or source[i] == "_"):
                 i += 1
-            tokens.append(("ident", source[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+            append(("ident", source[start:i], start))
+        elif c.isspace():
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    append(("end", "", n))
     return tokens
 
 
 # --- parser -------------------------------------------------------------
-#
+
+
+class Builder(NamedTuple):
+    """What :func:`parse_expr` makes of each reduction.  Each is called with
+    the offset its tree node carries, then as the node constructors are:
+    ``number(pos, value)``, ``coordinate(pos, name)``, ``negation(pos,
+    operand)``, ``call(pos, func, argument)``, ``power(pos, base, exponent)``
+    and ``binary(pos, op, left, right)``; operands are earlier results."""
+
+    number: Callable
+    coordinate: Callable
+    negation: Callable
+    call: Callable
+    power: Callable
+    binary: Callable
+
+
+TREE = Builder(Const, Var, Neg, Call, Pow, BinOp)
+
 # Precedence climbing on one explicit stack.  An entry is ("neg", pos) for a
 # pending unary minus, ("(", pos) for an open parenthesis, (func, pos) for an
-# open call, or (op, left) for a binary operator awaiting its right operand.
+# open call, or (op, pos, left) for a binary operator awaiting its right
+# operand, ``pos`` being the offset of ``left``.
 
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def parse_expr(source: str, coords) -> Node:
-    """Parse ``source`` against the declared coordinate names.
+def parse_expr(source: str, coords, builder: Builder = TREE):
+    """Parse ``source`` against the declared coordinate names, into a tree
+    or into what ``builder`` makes of it.
 
     One pass over the tokens, left to right, without recursion: an error is
     the first one in source order, and any nesting depth parses.
+    Reductions come in post-order, operands left to right.
     """
     coords = tuple(coords)
+    number, coordinate, negation, call, power, binary = builder
     tokens = _tokenize(source)
     stack = []
     k = 0
@@ -196,13 +217,14 @@ def parse_expr(source: str, coords) -> Node:
         kind, text, pos = tokens[k]
         k += 1
         if kind == "num":
-            node = Const(pos, float(text))
-            if node.value == math.inf:
+            value = float(text)
+            if value == math.inf:
                 raise ParseError("number out of range", pos)
+            node = number(pos, value)
         elif kind == "ident" and tokens[k][1] != "(":
             if text not in coords:
                 raise ParseError(f"unknown identifier {text!r}", pos)
-            node = Var(pos, text)
+            node = coordinate(pos, text)
         elif kind == "ident":
             if text not in FUNCTIONS:
                 raise ParseError(f"unknown function {text!r}", pos)
@@ -216,11 +238,13 @@ def parse_expr(source: str, coords) -> Node:
             continue
         else:
             raise ParseError(f"expected expression, found {text!r}" if text else "unexpected end of input", pos)
+        at = pos  # the offset of ``node``
         # ``node`` is a base: negate it, raise it to a power, then reduce the
         # operators that bind tighter than the next one
         while True:
             while stack and stack[-1][0] == "neg":
-                node = Neg(stack.pop()[1], node)
+                at = stack.pop()[1]
+                node = negation(at, node)
             kind, text, pos = tokens[k]
             k += 1
             if text == "^":
@@ -232,16 +256,16 @@ def parse_expr(source: str, coords) -> Node:
                     exponent = int(text)
                 except ValueError:  # past the interpreter's integer-string limit
                     raise ParseError("exponent has too many digits", pos) from None
-                node = Pow(node.pos, node, -exponent if negative else exponent)
+                node = power(at, node, -exponent if negative else exponent)
                 kind, text, pos = tokens[k + negative + 1]
                 k += negative + 2
             # 0 for a token that ends the operand; openers rank below it
             level = _LEVEL.get(text, 0)
             while stack and _LEVEL.get(stack[-1][0], -1) >= level:
-                op, left = stack.pop()
-                node = BinOp(left.pos, op, left, node)
+                op, at, left = stack.pop()
+                node = binary(at, op, left, node)
             if level:
-                stack.append((text, node))
+                stack.append((text, at, node))
                 break
             if not stack:
                 if kind != "end":
@@ -253,59 +277,58 @@ def parse_expr(source: str, coords) -> Node:
             if text != ")":
                 raise ParseError("expected ')'", pos)
             if opener != "(":
-                node = Call(opener_pos, opener, node)
+                at = opener_pos
+                node = call(at, opener, node)
 
 
 # --- evaluation ---------------------------------------------------------
 
 
-def _call_scalar(func: str, x, pos: int):
-    try:
-        return _MATH_FUNCS[func](x) if isinstance(x, (int, float)) else getattr(x, func)()
-    except (ArithmeticError, ValueError) as exc:
-        raise EvalError(f"domain error in {func}: {exc}", pos) from None
-
-
-def children(node: Node) -> tuple:
-    """The operands of an operator node, left to right; () for a leaf."""
-    if isinstance(node, BinOp):
-        return node.left, node.right
-    if isinstance(node, Neg):
-        return (node.child,)
-    if isinstance(node, Call):
-        return (node.arg,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, (Const, Var)):
-        return ()
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def apply_op(node: Node, operands):
-    """The value of an operator node given the values of its operands."""
-    if isinstance(node, Neg):
-        return -operands[0]
-    if isinstance(node, Call):
-        return _call_scalar(node.func, operands[0], node.pos)
-    if isinstance(node, Pow):
+def apply(op, pos: int, operands):
+    """The value of an operation given the values of its operands.  ``op``
+    is ``"neg"``, a function name, an int exponent or one of ``+ - * /``;
+    a domain error raises :class:`EvalError` at offset ``pos``."""
+    if type(op) is int:
         base = operands[0]
         try:
             if isinstance(base, (int, float)):
-                return float(base) ** node.exponent
-            return base ** node.exponent
+                return float(base) ** op
+            return base ** op
         except (ZeroDivisionError, ArithmeticError) as exc:
-            raise EvalError(f"domain error in power: {exc}", node.pos) from None
+            raise EvalError(f"domain error in power: {exc}", pos) from None
+    if op == "neg":
+        return -operands[0]
+    if op in _MATH_FUNCS:
+        x = operands[0]
+        try:
+            return _MATH_FUNCS[op](x) if isinstance(x, (int, float)) else getattr(x, op)()
+        except (ArithmeticError, ValueError) as exc:
+            raise EvalError(f"domain error in {op}: {exc}", pos) from None
     left, right = operands
     try:
-        if node.op == "+":
+        if op == "+":
             return left + right
-        if node.op == "-":
+        if op == "-":
             return left - right
-        if node.op == "*":
+        if op == "*":
             return left * right
         return left / right
     except (ZeroDivisionError, ArithmeticError) as exc:
-        raise EvalError(f"domain error: {exc}", node.pos) from None
+        raise EvalError(f"domain error: {exc}", pos) from None
+
+
+def _operation(node: Node) -> tuple:
+    """An operator node's operation, as :func:`apply` takes it, and its
+    operands, left to right."""
+    if isinstance(node, BinOp):
+        return node.op, (node.left, node.right)
+    if isinstance(node, Neg):
+        return "neg", (node.child,)
+    if isinstance(node, Call):
+        return node.func, (node.arg,)
+    if isinstance(node, Pow):
+        return node.exponent, (node.base,)
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
 def eval_expr(node: Node, env: dict):
@@ -321,16 +344,16 @@ def eval_expr(node: Node, env: dict):
     while todo:
         item = todo.pop()
         if isinstance(item, tuple):  # an operator whose operands are on ``values``
-            item, arity = item
+            op, pos, arity = item
             operands = values[-arity:]
             del values[-arity:]
-            values.append(apply_op(item, operands))
+            values.append(apply(op, pos, operands))
         elif isinstance(item, Const):
             values.append(item.value)
         elif isinstance(item, Var):
             values.append(env[item.name])
         else:
-            kids = children(item)
-            todo.append((item, len(kids)))
+            op, kids = _operation(item)
+            todo.append((op, item.pos, len(kids)))
             todo.extend(reversed(kids))
     return values[0]

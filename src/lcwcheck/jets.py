@@ -24,12 +24,12 @@ of a :class:`JetTape` to the entries that :func:`metric_jets` gathers into
 row of a batch has exactly the bits of its point in a batch of one.
 :func:`chart_points` checks and batches the points of :func:`metric_jets`
 and ``MetricSpec.evaluate``.
-:class:`JetTape` compiles expression trees into sums of terms, each a
-constant times a product of atoms (coordinates, function calls,
-reciprocals, sums inside products).  Atoms and products are shared by
-all trees: each is computed once per batch, one :class:`Jet3` operation
-for all those of a kind, and each tree's row is its terms added in
-source order.
+:class:`JetTape` compiles expression text, as it is parsed, into sums
+of terms, each a constant times a product of atoms (coordinates, function
+calls, reciprocals, sums inside products).  Atoms and products are shared
+by all entries: each is computed once per batch, one :class:`Jet3`
+operation for all those of a kind, and each entry's row is its terms
+added in source order.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ class Jet3:
         return self._compose(_bump)
 
 
-# --- compiled expression trees ----------------------------------------------
+# --- compiled expressions --------------------------------------------------
 
 # Rows per tape operation.  A product of k prefixes and k atoms at B points
 # runs as one Jet3 product of k B rows, whose largest operand gather has
@@ -471,21 +471,24 @@ def _apply(op, jet: Jet3) -> Jet3:
 
 
 class JetTape:
-    """Expression trees compiled once into shared, batched jet products.
+    """Expression text compiled once into shared, batched jet products.
 
-    The compiler reads each tree as a sum of terms, a term as a constant
-    times a product of atoms.  An atom is a coordinate or any other
-    subtree: a function call, the reciprocal of a divisor, a power (raised
-    by ``Jet3.__pow__``, as the walk raises it) or a sum inside a product.
+    The compiler reads each entry as a sum of terms, a term as a constant
+    times a product of atoms, in the parse itself: ``exprs.parse_expr``
+    hands each reduction to the tape's :class:`~lcwcheck.exprs.Builder`,
+    so no tree is built.  An atom is a coordinate or any other subterm:
+    a function call, the reciprocal of a divisor, a power (raised by
+    ``Jet3.__pow__``, as the walk raises it) or a sum inside a product.
     Each atom's argument is compiled the same way, and each atom, keyed by
     its operation and argument terms, is compiled once and shared by every
-    tree that uses it, like each distinct product of atoms.  Subtrees
+    entry that uses it, like each distinct product of atoms.  Subterms
     without coordinates fold to floats with the expression walk's own
-    ``exprs.apply_op``; ``x / c`` is x times the factor 1/c by which
-    :class:`Jet3` divides.  An atom's operation is applied by
-    :func:`_apply`, which maps it to its :class:`Jet3` method: the walk's
-    table, ``exprs.apply_op``, takes one node with one source offset,
-    where an atom stands for subtrees at many offsets.
+    ``exprs.apply``; ``x / c`` is x times the factor 1/c by which
+    :class:`Jet3` divides.  A fold that fails is kept, and :meth:`run`
+    raises its ``EvalError``: a constant domain error is an evaluation
+    error, not a parse error.  An atom's operation is applied by
+    :func:`_apply`, which maps it to its :class:`Jet3` method without an
+    offset, since an atom stands for subterms at many offsets.
 
     :meth:`run` fills one table of rows.  Atoms and products have a level:
     0 for the coordinates and their products, one more than the highest
@@ -494,20 +497,21 @@ class JetTape:
     arguments of all its atoms of the level, then forms the level's
     products degree by degree, each one :class:`Jet3` product of its
     prefix (its atoms but the last, in atom order) and its last atom.
-    Each tree's row is then its terms' coefficients times their product
+    Each entry's row is then its terms' coefficients times their product
     rows, added in source order, element by element (:class:`_Sums`).
     Every operation acts row by row, so a row of a batch has the bits of
     its point alone; floats differ from the walk's by reassociation,
     ``c*x1*x2`` being ``c*(x1*x2)`` here.
     """
 
-    def __init__(self, coordinates, roots):
+    def __init__(self, coordinates, sources):
         self.n = n = len(coordinates)
-        var = {name: k for k, name in enumerate(coordinates)}
+        var = {name: (1.0, (k,)) for k, name in enumerate(coordinates)}
         keys = {}                 # (operation, argument terms) -> atom; the
         #                           coefficients by their bits, as -0.0 == 0.0
         args = []                 # per atom n, n + 1, ...: (operation, argument terms)
         level = [0] * n           # per atom
+        self.error = None
 
         def atom(op, terms):
             key = (op, tuple(p for _, p in terms), array("d", [c for c, _ in terms]).tobytes())
@@ -527,57 +531,49 @@ class JetTape:
                 return x[0] if len(x) == 1 else (1.0, (atom("sum", x),))
             return (x, ()) if type(x) is float else x
 
-        def combine(node, x, y=None):
-            """The value of an operator of operands ``x`` (and ``y``), each a
-            float, a term or a list of terms of its own: floats fold."""
-            if type(x) is float and (y is None or type(y) is float):
-                return exprs.apply_op(node, (x,) if y is None else (x, y))
-            cls = type(node)
-            if cls is exprs.Neg:
-                return [(-c, p) for c, p in as_terms(x)]
-            if cls is exprs.Call:
-                return 1.0, (atom(node.func, as_terms(x)),)
-            if cls is exprs.Pow:
-                return 1.0, (atom(node.exponent, as_terms(x)),)
-            if node.op in "+-":
+        def fold(op, pos, *operands):
+            """The operation on floats; one that fails is NaN here, and the
+            first such error is kept for :meth:`run` to raise."""
+            try:
+                return exprs.apply(op, pos, operands)
+            except exprs.EvalError as exc:
+                self.error = self.error or exc.with_traceback(None)
+                return math.nan
+
+        # the reductions: each value is a float, a term or a list of terms of its own
+
+        def negation(pos, x):
+            return -x if type(x) is float else [(-c, p) for c, p in as_terms(x)]
+
+        def call(pos, func, x):
+            return fold(func, pos, x) if type(x) is float else (1.0, (atom(func, as_terms(x)),))
+
+        def power(pos, x, exponent):
+            if type(x) is float:
+                return fold(exponent, pos, x)
+            return 1.0, (atom(exponent, as_terms(x)),)
+
+        def binary(pos, op, x, y):
+            if type(x) is float and type(y) is float:
+                return fold(op, pos, x, y)
+            if op in "+-":
                 x, y = as_terms(x), as_terms(y)
-                x.extend(y if node.op == "+" else [(-c, p) for c, p in y])
+                x.extend(y if op == "+" else [(-c, p) for c, p in y])
                 return x
             c, p = factor(x)
-            if node.op == "*":
+            if op == "*":
                 d, q = factor(y)
             elif type(y) is float:
-                d, q = float(exprs.apply_op(node, (_UNIT, y)).value[0]), ()
+                d, q = fold("/", pos, _UNIT, y), ()
+                d = d if type(d) is float else float(d.value[0])
             else:
                 d, q = 1.0, (atom("reciprocal", as_terms(y)),)
             return c * d, tuple(sorted(p + q))
 
-        BinOp, Const, Var = exprs.BinOp, exprs.Const, exprs.Var
-        self.terms = []           # per tree
-        for root in roots:
-            # iterative post-order: ``done`` holds operands' values, a folded
-            # float, a term (coefficient, atoms) or a list of terms; ``todo``
-            # holds nodes to visit and, as 1-tuples, operators to combine
-            done, todo = [], [root]
-            while todo:
-                node = todo.pop()
-                cls = type(node)
-                if cls is tuple:
-                    node = node[0]
-                    y = done.pop() if type(node) is BinOp else None
-                    done[-1] = combine(node, done[-1], y)
-                elif cls is Const:
-                    done.append(float(node.value))
-                elif cls is Var:
-                    done.append((1.0, (var[node.name],)))
-                elif cls is BinOp:
-                    while type(node) is BinOp:  # down the left operands: sums, products
-                        todo += (node,), node.right
-                        node = node.left
-                    todo.append(node)
-                else:
-                    todo += (node,), exprs.children(node)[0]
-            self.terms.append(as_terms(done[0]))
+        terms = exprs.Builder(lambda pos, value: value, lambda pos, name: var[name],
+                              negation, call, power, binary)
+        self.terms = [as_terms(exprs.parse_expr(source, coordinates, terms))
+                      for source in sources]
 
         # every product of two or more atoms, with every prefix, at its level
         products = {}
@@ -612,10 +608,13 @@ class JetTape:
         self.entries = _Sums(self.terms, slot)
 
     def run(self, variables) -> np.ndarray:
-        """The trees' jet rows at the coordinate jets ``variables``, batched
+        """The entries' jet rows at the coordinate jets ``variables``, batched
         over the same B points, in the coordinates as variables or in none
-        (plain values): one (B, width, trees) array, a tree without
-        coordinates as constant rows, its value and then zeros."""
+        (plain values): one (B, width, entries) array, an entry without
+        coordinates as constant rows, its value and then zeros.  A constant
+        subterm that failed to fold raises its ``EvalError``."""
+        if self.error:
+            raise exprs.EvalError(self.error.message, self.error.pos)
         nvars = variables[0].n
         seeds = np.stack([v.data for v in variables])
         size, width = seeds.shape[1:]

@@ -12,7 +12,8 @@ The JSON document format is the sole external input format of the toolkit:
 Entries below the diagonal may be ``null``; they are filled by symmetry.
 If both triangles are given explicitly, the two entries must parse to
 structurally identical trees.  A parsed metric keeps each upper entry's
-text and tree, packed by pair, and writes that text into both triangles.
+text, packed by pair, and writes that text into both triangles; it parses
+that text once, straight into its jet tape.
 The chart box defaults to [-1, 1] per coordinate and every sampling
 operation in the toolkit respects it.
 Every metric the toolkit generates is written by :func:`coordinate_metric`,
@@ -39,22 +40,36 @@ class MetricError(ValueError):
     """Schema violation, asymmetry or dimension problem in a metric document."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpec:
     """A symmetric matrix of component expressions on a coordinate box.
 
     Packed, one entry per pair i <= j in ``SymIndex(dimension).pairs``
-    order: ``sources[k]`` is the text entry k was given and ``entries[k]``
-    its parse tree.  Equality compares the trees, not the text.  Nothing
-    changes it or its nodes after parsing; safe to share between concurrent
-    evaluators (the jet tape, compiled on first use, is only read after that).
+    order: ``sources[k]`` is the text entry k was given.  ``tape`` is that
+    text compiled at load by :func:`make_metric`, in one parse with no
+    tree; ``entries``, the parse trees, are parsed on first read, for the
+    walk that names a failing entry and for ``==``, which compares the
+    trees, not the text.  Nothing changes it after it is made, so it is
+    safe to share between concurrent evaluators.
     """
 
     dimension: int
     coordinates: tuple[str, ...]
-    sources: tuple[str, ...] = field(compare=False)
-    entries: tuple[Node, ...]
+    sources: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
+    tape: JetTape = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricSpec):
+            return NotImplemented
+        return ((self.dimension, self.coordinates, self.domain)
+                == (other.dimension, other.coordinates, other.domain)
+                and self.entries == other.entries)
+
+    @cached_property
+    def entries(self) -> tuple[Node, ...]:
+        """Each entry's parse tree, parsed on first read."""
+        return tuple(exprs.parse_expr(source, self.coordinates) for source in self.sources)
 
     def evaluate(self, points) -> np.ndarray:
         """g at a chart point, or at each row of a (B, n) batch: the tape's
@@ -73,23 +88,18 @@ class MetricSpec:
         """The entries' rows at the coordinate jets ``env`` (jets over the
         same points, in the coordinates or in none): the tape's (B, width,
         npairs) array, an entry without coordinates as constant rows.  When
-        the tape fails, the walk runs only to raise the failing entry's
-        ``EvalError``, with its offset.  The tape reassociates products, so
+        the tape fails, the walk runs on the trees only to raise the
+        failing entry's ``EvalError``, with its offset; so does a constant
+        subterm that failed to fold.  The tape reassociates products, so
         it can fail where the walk's floats do not (``1/(x1*x2*x3-x3*x2*x1)``
         divides by an exact 0 in the tape alone); then the tape's error is
         raised as a ``ValueError``, as the walk's domain errors are."""
         try:
-            return self._tape.run([env[name] for name in self.coordinates])
+            return self.tape.run([env[name] for name in self.coordinates])
         except (ArithmeticError, ValueError) as exc:
             for entry in self.entries:
                 exprs.eval_expr(entry, env)
             raise ValueError(f"domain error: {exc}") from exc
-
-    @cached_property
-    def _tape(self) -> JetTape:
-        """The entries compiled for jets, on first use; a subtree without
-        coordinates that fails to fold raises its ``EvalError`` here."""
-        return JetTape(self.coordinates, self.entries)
 
     def to_document(self) -> dict:
         """The metric document, each entry's given text in both triangles."""
@@ -141,24 +151,32 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
             or any(not isinstance(row, (list, tuple)) or len(row) != n for row in rows)):
         raise MetricError(f"'g' must be an {n}x{n} array of expressions")
 
-    trees = {}
+    given = {}  # (i, j) -> text, in document order
     for i in range(n):
         for j in range(n):
             src = rows[i][j]
-            if src is None:
-                if j >= i:
-                    raise MetricError(f"g[{i}][{j}]: only lower-triangle entries may be omitted")
+            if src is None and j < i:
                 continue
             if not isinstance(src, str):
+                _trees(given, coords)  # an earlier entry's parse error comes first
+                if src is None:
+                    raise MetricError(f"g[{i}][{j}]: only lower-triangle entries may be omitted")
                 raise MetricError(f"g[{i}][{j}] must be an expression string")
-            try:
-                trees[i, j] = exprs.parse_expr(src, coords)
-            except ParseError as exc:
-                raise MetricError(f"g[{i}][{j}]: {exc}") from exc
+            given[i, j] = src
 
     pairs = SymIndex(n).pairs
+    sources = tuple(given[p] for p in pairs)
+    try:
+        tape = JetTape(coords, sources)
+    except ParseError:
+        _trees(given, coords)  # names the entry, the first in document order
+        raise
+
+    # an explicit lower entry must parse to its upper entry's tree, as the same text does
+    lower = _trees({(i, j): src for (i, j), src in given.items()
+                    if i > j and src != given[j, i]}, coords)
     for i, j in pairs:
-        if i != j and (j, i) in trees and trees[j, i] != trees[i, j]:
+        if (j, i) in lower and lower[j, i] != exprs.parse_expr(given[i, j], coords):
             raise MetricError(
                 f"asymmetric entries: g[{i}][{j}] and g[{j}][{i}] are structurally different")
 
@@ -169,18 +187,33 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
         for name, interval in domain.items():
             if name not in coords:
                 raise MetricError(f"domain references unknown coordinate {name!r}")
+            if (not isinstance(interval, (list, tuple)) or len(interval) != 2
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               for v in interval)):
+                raise MetricError(f"domain for {name!r} must be a [lo, hi] pair")
             try:
-                lo, hi = (float(v) for v in interval)
-            except (TypeError, ValueError):
-                raise MetricError(f"domain for {name!r} must be a [lo, hi] pair") from None
+                lo, hi = map(float, interval)
+            except OverflowError:  # an integer past the float range
+                raise MetricError(f"domain for {name!r} must be finite") from None
             if not lo < hi:
                 raise MetricError(f"domain for {name!r} must satisfy lo < hi")
             if not np.isfinite(hi - lo):
                 raise MetricError(f"domain for {name!r} must be finite")
             box[coords.index(name)] = (lo, hi)
 
-    return MetricSpec(n, coords, tuple(rows[i][j] for i, j in pairs),
-                      tuple(trees[p] for p in pairs), tuple(box))
+    return MetricSpec(n, coords, sources, tuple(box), tape)
+
+
+def _trees(given: dict, coords) -> dict:
+    """The parse tree of each given (i, j) -> text, parsed in the given
+    order; the first that fails raises its ``MetricError``."""
+    trees = {}
+    for (i, j), src in given.items():
+        try:
+            trees[i, j] = exprs.parse_expr(src, coords)
+        except ParseError as exc:
+            raise MetricError(f"g[{i}][{j}]: {exc}") from exc
+    return trees
 
 
 def parse_metric(document: str) -> MetricSpec:

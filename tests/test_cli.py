@@ -222,6 +222,24 @@ def test_an_out_of_range_literal_is_a_parse_error(tmp_path, capsys):
         "lcwcheck: parse error: g[0][0]: number out of range (offset 0)\n")
 
 
+def test_a_constant_that_fails_to_fold_is_an_evaluation_error(tmp_path, capsys):
+    """log(1-2) has no coordinates: the document loads, and each point at
+    which it is evaluated is an evaluation error at its offset; a point of
+    the wrong arity is still a parse error first."""
+    path = tmp_path / "fold.json"
+    path.write_text('{"g": [["1+log(1-2)*x1","0","0"],[null,"1","0"],[null,null,"1"]], '
+                    '"dimension": 3, "coordinates": ["x1", "x2", "x3"]}')
+    assert main(["obstruct", str(path), "--point", "0,0,0"]) == 3
+    assert capsys.readouterr().err == (
+        "lcwcheck: evaluation error: domain error in log: math domain error (offset 2)\n")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", str(path), "--grid", "2,1,1", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["error:EvalError"] * 2
+    assert main(["obstruct", str(path), "--point", "0,0"]) == 2
+    assert "--point must have 3 coordinates" in capsys.readouterr().err
+
+
 def test_sample_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcwcheck.exprs import FUNCTIONS, eval_expr, parse_expr
+from lcwcheck.exprs import FUNCTIONS, eval_expr
 from lcwcheck.jets import Jet3, JetTape, SymIndex, jet_environment, metric_jets
 from lcwcheck.metrics import coordinate_metric
 
+from oracles import to_source
 from test_exprs import _trees
 
 BATCHES = [1, 7]
@@ -127,13 +128,13 @@ def _function_entry(n: int, i: int, j: int) -> str:
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_tape_keeps_the_leading_slots(n, batch):
     coords = [f"x{k + 1}" for k in range(n)]
-    trees = [parse_expr(_function_entry(n, i, j), coords) for i, j in SymIndex(n).pairs]
-    tape = JetTape(coords, trees)
+    sources = [_function_entry(n, i, j) for i, j in SymIndex(n).pairs]
+    tape = JetTape(coords, sources)
     points = np.random.default_rng(n).uniform(-0.9, 0.9, (batch, n))
     two, three = (tape.run(list(jet_environment(coords, points, order).values()))
                   for order in (2, 3))
-    assert two.shape[-1] == three.shape[-1] == len(trees)
-    for k in range(len(trees)):
+    assert two.shape[-1] == three.shape[-1] == len(sources)
+    for k in range(len(sources)):
         assert _leading(Jet3(n, two[..., k]), Jet3(n, three[..., k]))
 
 
@@ -161,7 +162,7 @@ def test_random_trees_keep_the_leading_slots(tree, points):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         walk = [_outcome(eval_expr, tree, env) for env in envs]
-        tape = _outcome(JetTape, _COORDS, [tree])
+        tape = _outcome(JetTape, _COORDS, [to_source(tree)])
         if isinstance(tape, JetTape):
             ran = [_outcome(lambda env: Jet3(3, tape.run([env[c] for c in _COORDS])[..., 0]), env)
                    for env in envs]

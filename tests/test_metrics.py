@@ -6,8 +6,8 @@ import pytest
 
 from lcwcheck import exprs
 from lcwcheck.exprs import Const
-from lcwcheck.genericity import random_polynomial_metric
-from lcwcheck.jets import SymIndex
+from lcwcheck.genericity import obstruct_points, random_polynomial_metric, scan_metric
+from lcwcheck.jets import SymIndex, jet_environment
 from lcwcheck.metrics import (MetricError, MetricSpec, conformally_flat_metric,
                               euclidean_metric, make_metric, parse_metric,
                               sphere_stereographic_metric)
@@ -95,6 +95,15 @@ def test_domain_validation_and_default():
         text = doc(3, ["x1", "x2", "x3"], g, domain={"x1": "BOX"}).replace('"BOX"', box)
         with pytest.raises(MetricError, match="domain for 'x1' must be finite"):
             parse_metric(text)
+
+
+@pytest.mark.parametrize("interval", ['"01"', "[true, 2]", "[0, 1, 2]", '{"a": 1, "b": 2}'],
+                         ids=["string", "boolean", "three", "object"])
+def test_a_domain_interval_is_an_array_of_two_numbers(interval):
+    g = [["1", "0", "0"], [None, "1", "0"], [None, None, "1"]]
+    text = doc(3, ["x1", "x2", "x3"], g, domain={"x1": "BOX"}).replace('"BOX"', interval)
+    with pytest.raises(MetricError, match=r"domain for 'x1' must be a \[lo, hi\] pair$"):
+        parse_metric(text)
 
 
 def test_parse_error_carries_entry_position():
@@ -189,3 +198,74 @@ def test_a_generated_metric_parses_each_entry_once(monkeypatch, name):
     monkeypatch.setattr(exprs, "parse_expr", lambda *args: calls.append(args) or parse(*args))
     n = _CONSTRUCTORS[name]().dimension
     assert len(calls) == n * (n + 1) // 2
+
+
+# --- one parse per entry: text to tape terms, trees only on demand ---------------
+
+
+def test_the_obstruct_path_builds_no_tree(monkeypatch):
+    """Loading, obstructing and scanning parse each entry straight into the
+    tape: no tree node is made and ``entries`` is never computed."""
+    nodes = []
+    for cls in (exprs.Const, exprs.Var, exprs.Neg, exprs.Call, exprs.Pow, exprs.BinOp):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
+                            nodes.append(type(self)) or init(self, *args))
+    assert exprs.parse_expr("-sin(x1)^2*x2/3", ("x1", "x2")) is not None and len(nodes) == 8
+    nodes.clear()
+    spec = parse_metric(random_polynomial_metric(5, np.random.default_rng(0)).to_json())
+    obstruct_points(spec, np.zeros((2, 5)), starts=2, seed=0)
+    scan_metric(spec, (2, 1, 1, 1, 1), starts=2, seed=0)
+    assert nodes == [] and "entries" not in vars(spec)
+    assert len(spec.entries) == 15 and len(nodes) > 15  # trees are still there on demand
+
+
+# the malformed sources of the ParseError cases in test_exprs
+_MALFORMED = ["3 + $", "sin()", "sin(x, x)", "cos(x)(", "x^2.5", "x^y", "foo(x)", "1.",
+              "2e", "(x", "sin(q)*r", "2\u00b2", "1.\u00b2", "x1+3\u00b2*x1",
+              "x^" + "9" * 5000, "2*x^-" + "1" * 4301 + "+1", "1e400*x1",
+              "x1+2*(3-1e309)", "x1^2+" + "9" * 400]
+
+
+@pytest.mark.parametrize("source", _MALFORMED, ids=range(len(_MALFORMED)))
+@pytest.mark.parametrize("entry", [(0, 0), (0, 2), (2, 0)])
+def test_a_malformed_entry_fails_to_load_with_the_parsers_error(source, entry):
+    coords = ("x", "x1", "r")
+    with pytest.raises(exprs.ParseError) as want:
+        exprs.parse_expr(source, coords)
+    g = [["1", "0", "0"], [None, "1", "0"], [None, None, "1"]]
+    g[entry[0]][entry[1]] = source
+    with pytest.raises(MetricError) as got:
+        make_metric(3, coords, g)
+    assert str(got.value) == f"g[{entry[0]}][{entry[1]}]: {want.value.message} (offset {want.value.pos})"
+
+
+_BAD_DOMAIN = {"x1": "01"}
+
+
+@pytest.mark.parametrize("rows,domain,message", [
+    ([["1", "0", "0"], ["0+$", "sin()", "0"], [None, None, "1"]], None, r"g\[1\]\[0\]: unexpected"),
+    ([["1", "(", 0], [None, "1", "0"], [None, None, "1"]], None, r"g\[0\]\[1\]: unexpected end"),
+    ([["1", "0", "0"], [None, "1", "0"], [None, "0*", None]], None, r"g\[2\]\[1\]: unexpected end"),
+    ([["1", "0", "0"], ["x1", "1", "0"], [None, "0*", "1"]], None, r"g\[2\]\[1\]: unexpected end"),
+    ([["1", "0", "0"], [None, "1", "0"], [None, None, "1+"]], _BAD_DOMAIN, r"g\[2\]\[2\]: unexpected end"),
+    ([["1", "0", "0"], ["x1", "1", "0"], [None, None, "1"]], _BAD_DOMAIN, "asymmetric"),
+], ids=["lower-before-upper", "parse-before-type", "lower-before-omitted",
+        "parse-before-asymmetry", "parse-before-domain", "asymmetry-before-domain"])
+def test_the_first_error_in_document_order_is_raised(rows, domain, message):
+    """Parse errors in document order, either triangle, then the symmetry
+    check, then the chart box."""
+    with pytest.raises(MetricError, match=message):
+        make_metric(3, ["x1", "x2", "x3"], rows, domain)
+
+
+@pytest.mark.parametrize("source", ["(" * 5000 + "1+x1" + ")" * 5000, "-" * 5000 + "x1+2",
+                                    "sin(" * 5000 + "x1" + ")" * 5000],
+                         ids=["parentheses", "minuses", "calls"])
+def test_a_deep_entry_compiles_to_the_walks_rows(source):
+    """5,000 levels compile without recursion; sums of one term, negations
+    and calls are exact in the tape, so its rows have the walk's bits."""
+    spec = make_metric(3, ["x1", "x2", "x3"], [[source, "0", "0"], [None, "1", "0"],
+                                               [None, None, "1"]])
+    env = jet_environment(spec.coordinates, np.array([[0.3, -0.2, 0.1], [0.5, 0.5, -0.5]]))
+    want = exprs.eval_expr(spec.entries[0], env)
+    assert spec.component_rows(env)[..., 0].tobytes() == want.data.tobytes()

@@ -31,8 +31,8 @@ from lcwcheck import exprs, metrics
 from lcwcheck.cli import main
 from lcwcheck.exprs import BinOp, Call, Const, Neg, Pow, eval_expr
 from lcwcheck.genericity import random_polynomial_metric
-from lcwcheck.jets import Jet3, JetTape, jet_environment, metric_jets
-from lcwcheck.metrics import MetricSpec, make_metric
+from lcwcheck.jets import Jet3, JetTape, SymIndex, jet_environment, metric_jets
+from lcwcheck.metrics import MetricSpec, coordinate_metric, make_metric
 
 from oracles import _polynomial, polynomial_rows, to_source
 from test_exprs import _random_ast
@@ -89,8 +89,9 @@ def _environments(coords, points):
 
 
 def _spec(trees) -> MetricSpec:
-    """A 3-D spec with the six given trees as its upper triangle."""
-    return MetricSpec(3, COORDS, tuple(map(to_source, trees)), tuple(trees), ((-1.0, 1.0),) * 3)
+    """A 3-D spec with the six given trees, printed, as its upper triangle."""
+    sources = dict(zip(SymIndex(3).pairs, map(to_source, trees)))
+    return coordinate_metric(3, lambda i, j: sources[i, j])
 
 
 # every kind of atom, shared between entries: calls, reciprocals, sums
@@ -110,12 +111,13 @@ def test_tape_errors_and_values_are_the_walks_on_random_trees(batch):
     for _ in range(150):
         trees = [_signed_zeros(_random_ast(rng, COORDS, 4), rng) for _ in range(6)]
         spec = _spec(trees)
+        assert spec.entries == tuple(trees)
         points = rng.uniform(0.2, 1.0, size=(batch or 1, 3))
         for k, env in enumerate(_environments(COORDS, points if batch else points[0])):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 try:
-                    want = [eval_expr(t, env) for t in trees]
+                    want = [eval_expr(t, env) for t in spec.entries]
                 except Exception as exc:  # noqa: BLE001 - the walk's error is the reference
                     with pytest.raises(type(exc)) as got:
                         spec.component_rows(env)
@@ -301,8 +303,7 @@ def test_an_atom_shared_by_entries_is_computed_once(monkeypatch):
 
 
 def test_constant_subtrees_fold_with_the_walks_floats():
-    tape = JetTape(COORDS, [exprs.parse_expr(s, COORDS)
-                            for s in ("-0*1", "2^-1*x1", "(1+2)*(3-4)", "-0")])
+    tape = JetTape(COORDS, ["-0*1", "2^-1*x1", "(1+2)*(3-4)", "-0"])
     assert tape.terms[0] == tape.terms[3] == [(0.0, ())]
     assert _bits(tape.terms[0][0][0]) == _bits(tape.terms[3][0][0]) == _bits(-0.0)
     assert tape.terms[2] == [(-3.0, ())]
@@ -321,7 +322,7 @@ def test_constant_subtrees_fold_with_the_walks_floats():
 def test_errors_are_the_walks(entry, compiles):
     """The tape's errors are reported by the walk, with its messages and
     offsets; a subtree that fails to fold, or a quotient by a constant 0,
-    raises the walk's error itself."""
+    loads, and the tape raises the walk's error itself when it runs."""
     spec = make_metric(3, COORDS, [[entry, "0", "0"], [None, "1", "0"], [None, None, "1"]])
     for points in (np.full(3, 0.5), np.full((2, 3), 0.5)):
         env = jet_environment(COORDS, points)
@@ -330,12 +331,12 @@ def test_errors_are_the_walks(entry, compiles):
         with pytest.raises(exprs.EvalError) as got:
             spec.component_rows(env)
         assert str(got.value) == str(want.value)
-    if compiles:
-        assert isinstance(spec._tape, JetTape)
-    else:
-        with pytest.raises(exprs.EvalError) as fold:
-            spec._tape
-        assert str(fold.value) == str(want.value)
+    assert (spec.tape.error is None) == compiles
+    if not compiles:
+        for _ in range(2):
+            with pytest.raises(exprs.EvalError) as fold:
+                spec.tape.run(list(env.values()))
+            assert str(fold.value) == str(want.value)
 
 
 def _deep_metric(entry: str) -> dict:
