@@ -20,9 +20,8 @@ from .curvature import (CurvaturePackage, DimensionError, cotton_york,
                         curvature_package, kulkarni_nomizu, obstruction_tensors,
                         orthonormal_frame, rotate_tensor, schouten, weyl_tensor)
 from .eigenflag import (CertifiedBound, EigenflagReport, certify_positive_minimum,
-                        classify_weyl_spectrum, codim_eigenflag,
-                        construct_stratum4, min_residual, min_residuals, residual,
-                        sphere_start_set)
+                        codim_eigenflag, construct_stratum4, min_residual, min_residuals,
+                        residual, sphere_start_set)
 from .exprs import EvalError, ExprError, ParseError, eval_expr, parse_expr
 from .genericity import (PointVerdict, SampleStats, ScanResult, grid_points,
                          obstruct_point, obstruct_points, random_polynomial_metric,

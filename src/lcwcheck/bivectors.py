@@ -74,14 +74,15 @@ def to_operator(r4: np.ndarray, scale: float | None = None) -> np.ndarray:
 
 
 def operator_to_tensor(op: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_operator`: the full antisymmetric (0,4) array."""
-    n = _dimension(op.shape[0])
+    """Inverse of :func:`to_operator`: the full antisymmetric (0,4) array,
+    one per operator of a ``(..., N, N)`` stack."""
+    n = _dimension(op.shape[-1])
     basis = BivectorBasis(n)
     fi, se = basis.first, basis.second
-    t = np.zeros((n, n, n, n))
-    t[fi[:, None], se[:, None], fi[None, :], se[None, :]] = op
-    t = t - t.transpose(1, 0, 2, 3)
-    return t - t.transpose(0, 1, 3, 2)
+    t = np.zeros(op.shape[:-2] + (n, n, n, n))
+    t[..., fi[:, None], se[:, None], fi[None, :], se[None, :]] = op
+    t = t - t.swapaxes(-4, -3)
+    return t - t.swapaxes(-2, -1)
 
 
 def bianchi_part(t: np.ndarray) -> np.ndarray:

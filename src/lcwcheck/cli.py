@@ -9,8 +9,8 @@ contrapositive of the pointwise necessary conditions) and never asserts
 existence.
 
 Exit codes: 0 success, 2 parse error, 3 evaluation error, 4 optimizer
-failed to converge on all starts at some point (report still emitted),
-5 I/O error.
+failed to converge on all starts at some point (report still emitted;
+only the descent of n >= 5 can), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -308,9 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("metric", help="metric JSON document")
-        p.add_argument("--seed", type=_parse_seed, default=None, help="optimizer start-set seed")
+        p.add_argument("--seed", type=_parse_seed, default=None,
+                       help="optimizer start-set seed (n >= 5)")
         p.add_argument("--starts", type=_parse_starts, default=None,
-                       help="multistart count (default 8n)")
+                       help="multistart count (default 8n; n >= 5)")
         p.add_argument("--tol-eigenflag", type=_parse_tolerance, default=DEFAULT_TOL_EIGENFLAG)
         p.add_argument("--tol-det", type=_parse_tolerance, default=DEFAULT_DET_TOL)
         p.add_argument("--orientation", type=int, choices=(1, -1), default=1)

@@ -21,20 +21,38 @@ in the products w = (v_i v_k), i <= k, with K a symmetric N x N matrix
 One product u = K w gives E = w.u, the Euclidean gradient 2 U v and the
 Hessian 6 U, U the symmetric n x n matrix of u with its diagonal doubled.
 
-Membership is decided by global minimization: multistart Riemannian
-Newton descent on the sphere (a step radius per start, Armijo backtracking
-relaxed by the rounding floor of w.K.w), final iterates scored with the
-exact |G'|^2 / 2, plus an optional rigorous grid certificate in dimension
-4.  Each round solves H x = -g for the tangent Hessians by one in-module
-batched modified Cholesky, H shifted by s v v^T so it is nonsingular along
-v, its pivots raised where H is not positive definite on v-perp so that
-the step still goes downhill.  Operators descend in chunks whose gathered
-forms fit in ``DESCENT_BUDGET``; :func:`descent_chunk` sizes them, also for
-the groups of points of ``genericity.obstruct_points``.  The certificate
-scores its grid on the packed form, each pair +-v once as E is even, one
-``CHUNK`` of points at a time, and subtracts the form's rounding floor.
-Start points map to Gaussians through ``_ndtri``, an in-module port of
-Cephes' inverse normal CDF.
+In dimension 4 the minimum is exact.  The Hodge star splits Lambda^2
+into self-dual and anti-self-dual halves, with orthonormal bases s_a and
+a_a = (e12 +- e34, e13 -+ e24, e14 +- e23) / sqrt 2 in the lex pair order,
+and a Weyl operator into two trace-free symmetric 3 x 3 blocks W+ and W-
+(Singer and Thorpe, 1969).  At v = e1 the flag is spanned by the
+(s_a + a_a) / sqrt 2 = e12, e13, e14 and Lambda^2(v-perp) by the
+(s_a - a_a) / sqrt 2 = e34, -e24, e23, so W(v ^ ., Lambda^2(v-perp)) is
+the block (W+ - W-) / 2 and E = |W+ - W-|^2 / 4.  A rotation of R^4 rotates both halves, so
+E(v) = |R_v W+ R_v^T - W-|^2 / 4, where v -> R_v is the double cover
+S^3 -> SO(3): R_v^T is the rotation of the unit quaternion
+v1 + v2 i + v3 j + v4 k.  Over SO(3) this is least (Hoffman and Wielandt,
+1953) at R = V U^T, U and V the blocks' eigenvector matrices with their
+eigenvalues ascending (a column of V negated if det R < 0), where it is
+d^2, d = |spec W+ - spec W-| / 2.  So W is eigenflag iff its blocks share
+their spectrum, two conditions (``codim_eigenflag(4)`` = 2).
+:func:`min_residuals` takes v from R^T by Shepperd's method (1978) and
+scores it with the exact |G'|^2 / 2; no descent runs.
+
+In dimension >= 5 membership is decided by global minimization:
+multistart Riemannian Newton descent on the sphere (a step radius per
+start, Armijo backtracking relaxed by the rounding floor of w.K.w), final
+iterates scored with the exact |G'|^2 / 2.  Each round solves H x = -g for
+the tangent Hessians by one in-module batched modified Cholesky, H shifted
+by s v v^T so it is nonsingular along v, its pivots raised where H is not
+positive definite on v-perp so that the step still goes downhill.
+Operators descend in chunks whose gathered forms fit in
+``DESCENT_BUDGET``; :func:`descent_chunk` sizes them, also for the groups
+of points of ``genericity.obstruct_points``.  An optional rigorous grid
+certificate in dimension 4 scores its grid on the packed form, each pair
++-v once as E is even, one ``CHUNK`` of points at a time, and subtracts
+the form's rounding floor.  Start points map to Gaussians through
+``_ndtri``, an in-module port of Cephes' inverse normal CDF.
 """
 
 from __future__ import annotations
@@ -64,7 +82,6 @@ CHUNK = 65536     # grid points per residual evaluation of the certificate
 # default), so 2^19 floats (4 MB) take 163 operators at n = 4, 58 at n = 5
 # and 6 at n = 8.
 DESCENT_BUDGET = 2 ** 19
-SPECTRUM_TOL = 1e-8  # relative eigenvalue gap of classify_weyl_spectrum
 
 
 def _as_operator(w) -> tuple[np.ndarray, float]:
@@ -77,8 +94,10 @@ def _as_operator(w) -> tuple[np.ndarray, float]:
 
 
 def _flag_parts(t: np.ndarray, v: np.ndarray):
-    """G' and A (see the module docstring) at each unit row of v."""
-    gp = np.einsum("bi,ijkl->bjkl", v, t)  # G, made G' in place
+    """G' and A (see the module docstring) at each unit row of v, against
+    one tensor t or one per row."""
+    # G, made G' in place
+    gp = np.einsum("bi,ijkl->bjkl" if t.ndim == 4 else "bi,bijkl->bjkl", v, t)
     a = np.einsum("bk,bjkl->bjl", v, gp)
     gp -= v[:, None, :, None] * a[:, :, None, :]
     gp += v[:, None, None, :] * a[:, :, :, None]
@@ -270,8 +289,13 @@ def sphere_start_set(n: int, count: int, seed=None) -> np.ndarray:
         pts = pts @ (q * np.sign(np.diag(r)))
     pts = np.vstack([np.eye(n), pts])
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    lead = np.take_along_axis(pts, np.abs(pts).argmax(axis=1)[:, None], axis=1)[:, 0]
-    return pts * np.where(lead < 0, -1.0, 1.0)[:, None]
+    return _lead_positive(pts)
+
+
+def _lead_positive(v: np.ndarray) -> np.ndarray:
+    """The rows of v, each negated where its largest-magnitude entry is negative."""
+    lead = np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None], axis=1)[:, 0]
+    return v * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
 # --- the multistart minimizer ----------------------------------------------
@@ -293,7 +317,9 @@ class EigenflagReport:
 
 
 def descent_chunk(n: int, starts: int | None = None) -> int:
-    """Operators per :func:`min_residuals` chunk: as many as ``DESCENT_BUDGET`` holds."""
+    """Operators per :func:`min_residuals` descent chunk: as many as
+    ``DESCENT_BUDGET`` holds.  At n = 4, where nothing descends, it still
+    sizes the groups of points of ``genericity.obstruct_points``."""
     count = max(n, 8 * n if starts is None else starts)  # the size of sphere_start_set
     return max(1, DESCENT_BUDGET // (count * (n * (n + 1) // 2) ** 2))
 
@@ -301,23 +327,25 @@ def descent_chunk(n: int, starts: int | None = None) -> int:
 def min_residual(w, starts: int | None = None, seed=None,
                  tol_eigenflag: float = DEFAULT_TOL_EIGENFLAG,
                  weyl_floor: float = DEFAULT_ZERO_FLOOR) -> EigenflagReport:
-    """Globally minimize the eigenflag residual by multistart descent.
+    """Globally minimize the eigenflag residual.
 
-    Defaults: 8n starts (deterministic low-discrepancy set plus the frame
-    vectors).  Each start takes Riemannian Newton steps on the quartic form
-    of E by a modified Cholesky solve, its pivots raised to at least their
-    absolute value, ``LAMBDA_FLOOR`` of the Hessian's largest entry and a
-    growth bound: the plain Newton step where the Riemannian Hessian is
-    positive definite, a descent step elsewhere, capped by a radius that
-    doubles (up to ``MAX_STEP``) after a full step and halves after a
-    backtrack.  Steps backtrack (factor 0.5) until they pass an Armijo test
-    relaxed by ``E_SLACK * |W|^2``, the rounding floor of the form.  A
-    start stops once its gradient is below ``GTOL * max(1, |W|^2)``, or
-    after ``MAXITER`` rounds.  The best final iterate is scored with the
-    exact residual.  Deterministic for a fixed seed.  Verdict thresholds
-    act on the normalized residual; values between ``tol_eigenflag`` and
-    ``DEFAULT_TOL_NOT_EIGENFLAG`` are reported as inconclusive.  The
-    verdict stays heuristic unless backed by :func:`certify_positive_minimum`.
+    At n = 4 the minimizer is the closed form of the module docstring: one
+    start, converged, 0 iterations, ``starts`` and ``seed`` unused.  At
+    n >= 5 it is a multistart descent.  Defaults: 8n starts (deterministic
+    low-discrepancy set plus the frame vectors).  Each start takes
+    Riemannian Newton steps on the quartic form of E by a modified Cholesky
+    solve, its pivots raised to at least their absolute value,
+    ``LAMBDA_FLOOR`` of the Hessian's largest entry and a growth bound: the
+    plain Newton step where the Riemannian Hessian is positive definite, a
+    descent step elsewhere, capped by a radius that doubles (up to
+    ``MAX_STEP``) after a full step and halves after a backtrack.  Steps
+    backtrack (factor 0.5) until they pass an Armijo test relaxed by
+    ``E_SLACK * |W|^2``, the rounding floor of the form.  A start stops once
+    its gradient is below ``GTOL * max(1, |W|^2)``, or after ``MAXITER``
+    rounds.  The best final iterate is scored with the exact residual.
+    Deterministic for a fixed seed.  Verdict thresholds act on the
+    normalized residual; values between ``tol_eigenflag`` and
+    ``DEFAULT_TOL_NOT_EIGENFLAG`` are reported as inconclusive.
     """
     return min_residuals([w], starts, seed, tol_eigenflag, weyl_floor)[0]
 
@@ -327,11 +355,12 @@ def min_residuals(ws, starts: int | None = None, seed=None,
                   weyl_floor=DEFAULT_ZERO_FLOOR) -> list[EigenflagReport]:
     """:func:`min_residual` for several operators of one dimension at once.
 
-    ``weyl_floor`` is one floor for all operators or one per operator.  The
-    operators above their floor descend in chunks whose gathered forms fit
-    in ``DESCENT_BUDGET``, all operators x starts of a chunk in one loop,
-    and each chunk makes the (0,4) tensors of its own operators only;
-    each start's iterates, and so each report, are exactly those of its
+    ``weyl_floor`` is one floor for all operators or one per operator.  At
+    n = 4 the operators above their floor take the closed form together,
+    two batched 3 x 3 ``eigh``.  At n >= 5 they descend in chunks whose
+    gathered forms fit in ``DESCENT_BUDGET``, all operators x starts of a
+    chunk in one loop, and each chunk makes the (0,4) tensors of its own
+    operators only.  Either way each report is exactly that of its
     operator on its own.  A report's ``iterations`` counts the loop rounds
     in which some start of its operator was still descending.
     """
@@ -347,7 +376,9 @@ def min_residuals(ws, starts: int | None = None, seed=None,
                                "weyl_negligible", 0) if wnorm < floor else None
                for (_, wnorm), floor in zip(pairs, floors)]
     live = [k for k, r in enumerate(reports) if r is None]
-    if live:
+    if live and n == 4:
+        _closed_form4(pairs, live, reports, tol_eigenflag)
+    elif live:
         start_set = sphere_start_set(n, 8 * n if starts is None else starts, seed)
         size = descent_chunk(n, starts)
         for lo in range(0, len(live), size):
@@ -419,21 +450,59 @@ def _descend(pairs, live, reports, start_set, tol_eigenflag) -> None:
 
     for p, k in enumerate(live):
         # exact re-evaluation at the final iterates; best start wins
-        wnorm = pairs[k][1]
         vp = final[p * nb:(p + 1) * nb]
         energies = _batch_residual(tensors[p], vp)
         best = int(np.argmin(energies))
-        minimizer, raw = vp[best], float(energies[best])
-        normalized = raw / wnorm ** 2
-        if normalized < tol_eigenflag:
-            verdict = "eigenflag_within_tol"
-        elif normalized > DEFAULT_TOL_NOT_EIGENFLAG:
-            verdict = "not_eigenflag"
-        else:
-            verdict = "inconclusive"
-        reports[k] = EigenflagReport(normalized, raw, minimizer, wnorm, nb,
-                                     done[p * nb:(p + 1) * nb].copy(), verdict,
-                                     int(iterations[p]))
+        reports[k] = _report(float(energies[best]), pairs[k][1], vp[best],
+                             done[p * nb:(p + 1) * nb].copy(), int(iterations[p]),
+                             tol_eigenflag)
+
+
+# Rows: orthonormal bases of the self-dual and anti-self-dual bivectors in
+# the lex pair order (12), (13), (14), (23), (24), (34).
+_SELF_DUAL = sqrt(0.5) * np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0]])
+_ANTI_SELF_DUAL = sqrt(0.5) * np.array([[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0],
+                                        [0, 0, 1, -1, 0, 0]])
+
+
+def _closed_form4(pairs, live, reports, tol_eigenflag) -> None:
+    """Set ``reports[k]``, k in ``live``, of the n = 4 operators ``pairs[k]``
+    at the minimizer of the module docstring, scored exactly."""
+    ops = np.stack([pairs[k][0] for k in live])
+    u = np.linalg.eigh(_SELF_DUAL @ ops @ _SELF_DUAL.T)[1]
+    v = np.linalg.eigh(_ANTI_SELF_DUAL @ ops @ _ANTI_SELF_DUAL.T)[1]
+    v[:, :, 2] *= np.sign(np.linalg.det(u) * np.linalg.det(v))[:, None]  # so that det R = 1
+    minimizers = _lead_positive(_quaternions(u @ v.swapaxes(1, 2)))  # of R^T = U V^T
+    raw = _batch_residual(operator_to_tensor(ops), minimizers)
+    for p, k in enumerate(live):
+        reports[k] = _report(float(raw[p]), pairs[k][1], minimizers[p], np.ones(1, dtype=bool),
+                             0, tol_eigenflag)
+
+
+def _quaternions(m: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z) of a stack of rotations m, by Shepperd's
+    method: the column of 4 q q^T with the largest diagonal entry, normalized."""
+    (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
+    four_qq = np.array([[1 + a + e + i, h - f, c - g, d - b],
+                        [h - f, 1 + a - e - i, b + d, c + g],
+                        [c - g, b + d, 1 - a + e - i, f + h],
+                        [d - b, c + g, f + h, 1 - a - e + i]])
+    q = four_qq[:, np.argmax(np.diagonal(four_qq), axis=1), np.arange(m.shape[0])].T
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def _report(raw: float, wnorm: float, minimizer: np.ndarray, converged: np.ndarray,
+            iterations: int, tol_eigenflag: float) -> EigenflagReport:
+    """The report of a minimum ``raw`` of E, its verdict read off raw / |W|^2."""
+    normalized = raw / wnorm ** 2
+    if normalized < tol_eigenflag:
+        verdict = "eigenflag_within_tol"
+    elif normalized > DEFAULT_TOL_NOT_EIGENFLAG:
+        verdict = "not_eigenflag"
+    else:
+        verdict = "inconclusive"
+    return EigenflagReport(normalized, raw, minimizer, wnorm, converged.size, converged, verdict,
+                           iterations)
 
 
 # --- rigorous grid certificate (n = 4) --------------------------------------
@@ -540,39 +609,3 @@ def construct_stratum4(eigenvalues, frame: np.ndarray | None = None) -> WeylOper
         raise ValueError("frame must be an orthogonal 4x4 matrix")
     lift = lift_orthogonal(frame)
     return WeylOperator(4, lift @ diag @ lift.T)
-
-
-def classify_weyl_spectrum(w) -> str:
-    """Spectrum-pattern label for a 4-dimensional Weyl operator.
-
-    ``three_double_eigenvalues``: three distinct values of multiplicity 2
-    (the top eigenflag stratum); ``double_quadruple``: lambda twice and
-    -lambda/2 four times (the deeper stratum); ``zero``; else ``other``.
-    There is no constructor for the deeper stratum, only this checker.
-    """
-    if isinstance(w, WeylOperator):
-        m = w.matrix
-    else:
-        m = np.asarray(w, dtype=float)
-    if m.shape != (6, 6):
-        raise DimensionError("spectrum classification applies to n = 4 operators")
-    eig = np.sort(np.linalg.eigvalsh(m))
-    scale = np.abs(eig).max()
-    if scale < SPECTRUM_TOL:
-        return "zero"
-    groups: list[list[float]] = []
-    for x in eig:
-        if groups and abs(x - groups[-1][-1]) <= SPECTRUM_TOL * scale:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    sizes = sorted(len(g) for g in groups)
-    means = [float(np.mean(g)) for g in groups]
-    if sizes == [2, 2, 2]:
-        return "three_double_eigenvalues"
-    if sizes == [2, 4]:
-        big = means[0] if len(groups[0]) == 2 else means[1]
-        small = means[1] if len(groups[0]) == 2 else means[0]
-        if abs(small + big / 2.0) <= SPECTRUM_TOL * scale:
-            return "double_quadruple"
-    return "other"

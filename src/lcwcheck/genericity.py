@@ -12,8 +12,9 @@ commands and the library: it picks the branch (the normalized eigenflag
 residual for n >= 4, det of the Cotton-York tensor for n = 3), applies the
 curvature-scaled zero floor and maps the branch label to the one-sided
 verdict.  :func:`obstruct_points` runs jets, curvature and the n = 3
-verdict once per curvature batch of points and the eigenflag descent once
-per descent chunk; :func:`obstruct_point` is its call with one point.
+verdict once per curvature batch of points and the eigenflag minimum (the
+n = 4 closed form or the descent) once per descent chunk;
+:func:`obstruct_point` is its call with one point.
 Grid scans walk a chart box (:func:`grid_points`) and tabulate that
 obstruction.  Scans are
 deterministic: fixed-order traversal, floats printed with 17 significant
@@ -259,7 +260,7 @@ def obstruct_points(spec: MetricSpec, points, starts: int | None = None, seed=No
     exception its pipeline raised there.  Jets and curvature run in
     curvature batches (``_batch_size``), each point keeping only its Weyl
     operator or Cotton-York verdict; the operators of one descent chunk of
-    points (:func:`~lcwcheck.eigenflag.descent_chunk`) then descend in one
+    points (:func:`~lcwcheck.eigenflag.descent_chunk`) then go to one
     :func:`min_residuals` call.  Every verdict is the one
     :func:`obstruct_point` gives, a failure staying at its own point.
     """

@@ -21,11 +21,12 @@ from math import comb
 
 import numpy as np
 
-from lcwcheck.bivectors import (WeylOperator, _dimension, lift_orthogonal, operator_to_tensor,
-                                weyl_part)
+from lcwcheck.bivectors import (BivectorBasis, WeylOperator, _dimension, lift_orthogonal,
+                                operator_to_tensor, weyl_part)
 from lcwcheck.curvature import curvature_stage, derivative_stage
-from lcwcheck.eigenflag import (CHUNK, _QuarticForms, _as_operator, _batch_residual,
-                                _flag_parts, _unit)
+from lcwcheck.eigenflag import (CHUNK, DEFAULT_TOL_EIGENFLAG, _as_operator, _batch_residual,
+                                _descend, _flag_parts, _QuarticForms, _unit, descent_chunk,
+                                sphere_start_set)
 from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var, eval_expr
 from lcwcheck.jets import Jet3, SymIndex, jet_environment
 from lcwcheck.perturb import _TRACELESS_BASIS, _unpack_cubic
@@ -214,6 +215,43 @@ def residual_explicit(tensor, v, rng):
                 val = np.einsum("ijkl,i,j,k,l->", tensor, v, wa, perp[bi], perp[ci])
                 total += val ** 2
     return total
+
+
+def hodge_gap(w):
+    """d = |spec W+ - spec W-| / 2 of an n = 4 operator, the square root of
+    its least residual.  W+ and W- are W on the +1 and -1 eigenspaces of
+    the Hodge star, built here from the sign of each permutation
+    (i, j, k, l), *(e_i ^ e_j) = sign e_k ^ e_l, not from the package's
+    bases."""
+    op, _ = _as_operator(w)
+    basis = BivectorBasis(4)
+    star = np.zeros((6, 6))
+    for a, (i, j) in enumerate(basis.pairs):
+        k, l = (m for m in range(4) if m not in (i, j))
+        perm = (i, j, k, l)
+        inversions = sum(perm[x] > perm[y] for x in range(4) for y in range(x + 1, 4))
+        star[basis.flat[k, l], a] = (-1.0) ** inversions
+    halves = np.linalg.eigh(star)[1]  # eigenvalues -1, -1, -1, 1, 1, 1
+
+    def spectrum(b):
+        return np.linalg.eigvalsh(b.T @ op @ b)
+
+    return 0.5 * float(np.linalg.norm(spectrum(halves[:, 3:]) - spectrum(halves[:, :3])))
+
+
+def descend(ws, starts=None, seed=None):
+    """The reports of the multistart descent, which :func:`min_residuals`
+    runs at n >= 5 only, at any n >= 4, one ``descent_chunk`` of operators
+    at a time: the oracle of the n = 4 closed form."""
+    pairs = [_as_operator(w) for w in ws]
+    n = _dimension(pairs[0][0].shape[0])
+    reports = [None] * len(pairs)
+    start_set = sphere_start_set(n, 8 * n if starts is None else starts, seed)
+    size = descent_chunk(n, starts)
+    for lo in range(0, len(pairs), size):
+        _descend(pairs, range(lo, min(lo + size, len(pairs))), reports, start_set,
+                 DEFAULT_TOL_EIGENFLAG)
+    return reports
 
 
 def face_points(k, a, sign=1.0):

@@ -216,7 +216,7 @@ def assert_reports_match(batch, singles):
 def test_min_residuals_batch_equals_single(n, seed):
     rng = np.random.default_rng(40 + n)
     ops = [sample_weyl(n, rng) for _ in range(5)]
-    if n == 4:  # an eigenflag operator converges in a different number of rounds
+    if n == 4:  # an eigenflag operator
         frame, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         ops.insert(2, construct_stratum4([0.7, -0.2, -0.5], frame))
     ops.insert(1, 0.0 * ops[0].matrix)  # below the floor: weyl_negligible
@@ -224,21 +224,25 @@ def test_min_residuals_batch_equals_single(n, seed):
     singles = [min_residual(op, starts=12, seed=seed) for op in ops]
     assert_reports_match(batch, singles)
     assert batch[1].verdict == "weyl_negligible"
-    assert len({r.iterations for r in batch}) > 1
+    if n == 4:  # the closed form: no iterations, one start
+        assert {r.iterations for r in batch} == {0}
+        assert [r.n_starts for r in batch] == [1, 0, 1, 1, 1, 1, 1]
+    else:  # the descent's operators converge in different numbers of rounds
+        assert len({r.iterations for r in batch}) > 1
 
 
 def test_min_residuals_per_operator_floors(monkeypatch):
     rng = np.random.default_rng(5)
-    ops = [sample_weyl(4, rng) for _ in range(5)]
+    ops = [sample_weyl(5, rng) for _ in range(5)]
     floors = [0.5, 2.0, 0.5, 0.5, 2.0]  # the operators have unit norm
     singles = [min_residual(op, weyl_floor=f) for op, f in zip(ops, floors)]
     batch = min_residuals(ops, weyl_floor=floors)
     assert [r.verdict == "weyl_negligible" for r in batch] == [False, True, False, False, True]
     assert_reports_match(batch, singles)
-    # chunks of 2 operators (32 starts, N^2 = 10^2 floats each): the
+    # chunks of 2 operators (40 starts, N^2 = 15^2 floats each): the
     # negligible operators take no place in a chunk, and the reports of the
     # second chunk land around them
-    monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 2 * 32 * 10 ** 2)
+    monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 2 * 40 * 15 ** 2)
     descend, chunks = eigenflag._descend, []
 
     def spy(pairs, live, *args):
@@ -327,12 +331,12 @@ def descents(monkeypatch):
 
 
 def test_one_descent_per_descent_chunk(descents):
-    """Two curvature batches of an 81-point grid at n = 4 (64 points, then
-    17) feed one descent, and so do two of five n = 8 points (four points per
+    """Two curvature batches of a 48-point grid at n = 5 (26 points, then
+    22) feed one descent, and so do two of five n = 8 points (four points per
     batch)."""
-    spec = random_polynomial_metric(4, np.random.default_rng(64))
-    obstruct_points(spec, grid_points(spec, [3, 3, 3, 3]))
-    assert descents == {"descent": [81], "jets": [64, 17]}
+    spec = random_polynomial_metric(5, np.random.default_rng(64))
+    obstruct_points(spec, grid_points(spec, [3, 2, 2, 2, 2]))
+    assert descents == {"descent": [48], "jets": [26, 22]}
     spec = random_polynomial_metric(8, np.random.default_rng(68))
     for calls in descents.values():
         calls.clear()
@@ -341,12 +345,12 @@ def test_one_descent_per_descent_chunk(descents):
 
 
 def test_descent_chunks_of_a_patched_budget(monkeypatch, descents):
-    """With a budget of 5 operators (32 starts of N^2 = 10^2 floats each) no
+    """With a budget of 5 operators (40 starts of N^2 = 15^2 floats each) no
     descent gets more than 5, curvature batches stop at the chunk's end, and
     every row is the one obstruct_point gives."""
-    monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 5 * 32 * 10 ** 2)
-    spec = random_polynomial_metric(4, np.random.default_rng(65))
-    points = grid_points(spec, [3, 3, 2, 1])
+    monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 5 * 40 * 15 ** 2)
+    spec = random_polynomial_metric(5, np.random.default_rng(65))
+    points = grid_points(spec, [3, 3, 2, 1, 1])
     got = obstruct_points(spec, points)
     assert descents == {"descent": [5, 5, 5, 3], "jets": [5, 5, 5, 3]}
     for v, point in zip(got, points, strict=True):

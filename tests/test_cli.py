@@ -700,12 +700,39 @@ def test_malformed_numbers_on_the_command_line_exit_2(flat4, capsys, args, messa
 
 
 def test_obstruct_exits_4_with_its_report_when_no_start_converges(monkeypatch, tmp_path):
+    """Only the descent of n >= 5 can leave every start short of convergence."""
+    monkeypatch.setattr(eigenflag, "MAXITER", 0)
+    metric = tmp_path / "m5.json"
+    metric.write_text(perturb_curvature(
+        AlgebraicCurvature.random(5, np.random.default_rng(0), scale=0.05)).to_json())
+    out = tmp_path / "report.json"
+    assert main(["obstruct", str(metric), "--point", "0,0,0,0,0", "--out", str(out)]) == 4
+    point = json.loads(out.read_text())["points"][0]
+    assert point["optimizer_converged"] is False
+    assert point["eigenflag_verdict"] != "weyl_negligible"
+
+
+def test_obstruct_never_exits_4_in_dimension_4(monkeypatch, tmp_path):
+    """n = 4 takes the closed form, which runs no descent round."""
     monkeypatch.setattr(eigenflag, "MAXITER", 0)
     metric = tmp_path / "m4.json"
     metric.write_text(perturb_curvature(
         AlgebraicCurvature.random(4, np.random.default_rng(0), scale=0.05)).to_json())
     out = tmp_path / "report.json"
-    assert main(["obstruct", str(metric), "--point", "0,0,0,0", "--out", str(out)]) == 4
-    point = json.loads(out.read_text())["points"][0]
-    assert point["optimizer_converged"] is False
-    assert point["eigenflag_verdict"] != "weyl_negligible"
+    assert main(["obstruct", str(metric), "--grid", "2,2,1,1", "--out", str(out)]) == 0
+    points = json.loads(out.read_text())["points"]
+    assert [p["optimizer_converged"] for p in points] == [True] * 4
+    assert all(p["eigenflag_verdict"] != "weyl_negligible" for p in points)
+
+
+def test_obstruct_orientation_leaves_the_4d_obstruction(tmp_path):
+    metric = tmp_path / "m4.json"
+    metric.write_text(perturb_curvature(
+        AlgebraicCurvature.random(4, np.random.default_rng(3), scale=0.05)).to_json())
+    obstructions = []
+    for orientation in ("1", "-1"):
+        out = tmp_path / f"report{orientation}.json"
+        assert main(["obstruct", str(metric), "--point=0.1,-0.2,0.3,0",
+                     "--orientation", orientation, "--out", str(out)]) == 0
+        obstructions.append(json.loads(out.read_text())["points"][0]["obstruction"])
+    assert obstructions[0] == obstructions[1] > 0.0

@@ -12,15 +12,15 @@ import lcwcheck
 from lcwcheck import curvature, eigenflag
 from lcwcheck.bivectors import WeylOperator, to_operator
 from lcwcheck.curvature import curvature_package
-from lcwcheck.eigenflag import (DimensionError, certify_positive_minimum,
-                                classify_weyl_spectrum, codim_eigenflag,
-                                construct_stratum4, min_residual, residual,
+from lcwcheck.eigenflag import (DimensionError, certify_positive_minimum, codim_eigenflag,
+                                construct_stratum4, min_residual, min_residuals, residual,
                                 sphere_start_set)
-from lcwcheck.genericity import sample_weyl
+from lcwcheck.genericity import obstruct_points, sample_weyl
 from lcwcheck.metrics import parse_metric
 
-from oracles import (conjugate_operator, face_points, grid_min_both_signs, grid_min_exact,
-                     project_weyl, residual_explicit, residual_gradient)
+from oracles import (conjugate_operator, descend, face_points, grid_min_both_signs,
+                     grid_min_exact, hodge_gap, project_weyl, residual_explicit,
+                     residual_gradient)
 
 
 def random_rotation(n, rng):
@@ -371,16 +371,18 @@ def test_codimension_formula():
 
 
 def test_construct_stratum4_invariants():
+    # the deeper stratum (lambda twice, -lambda/2 four times) and the top one
+    # (three double eigenvalues) are both d = 0: W+ and W- share their spectrum
     w = construct_stratum4((1.0, 1.0, -2.0))  # validated as a WeylOperator on build
     assert residual(w, [1, 0, 0, 0]) < 1e-12
-    assert classify_weyl_spectrum(w) == "double_quadruple"
+    assert hodge_gap(w) <= 1e-14 * w.norm
 
     w2 = construct_stratum4((1.0, 2.0, -3.0))
-    assert classify_weyl_spectrum(w2) == "three_double_eigenvalues"
+    assert hodge_gap(w2) <= 1e-14 * w2.norm
 
     w0 = construct_stratum4((0.0, 0.0, 0.0))
     assert not w0.matrix.any()
-    assert classify_weyl_spectrum(w0) == "zero"
+    assert min_residual(w0).verdict == "weyl_negligible"
 
     with pytest.raises(ValueError, match="sum to zero"):
         construct_stratum4((1.0, 1.0, -1.0))
@@ -402,9 +404,86 @@ def test_construct_stratum4_frame_equivariance():
         construct_stratum4((1.0, 0.0, -1.0), frame=np.ones((4, 4)))
 
 
-def test_classify_generic_sample_is_other():
+def test_generic_sample_has_a_positive_gap():
     rng = np.random.default_rng(31)
-    assert classify_weyl_spectrum(sample_weyl(4, rng)) == "other"
+    w = sample_weyl(4, rng)
+    assert hodge_gap(w) > 1e-3 * w.norm
+
+
+# --- the closed form at n = 4 ---------------------------------------------------
+
+
+def test_closed_form_is_the_descent_minimum_on_1000_operators():
+    """d^2 is the least E the descent finds, and E at the reported minimizer
+    is d^2: the closed form and its minimizer, against the descent."""
+    rng = np.random.default_rng(2024)
+    ops = [sample_weyl(4, rng) for _ in range(1000)]
+    gaps = np.array([hodge_gap(w) for w in ops])
+    reports = min_residuals(ops)
+    descent_reports = descend(ops)
+    descent = np.array([r.raw_residual for r in descent_reports])
+    raw = np.array([r.raw_residual for r in reports])
+    assert (np.abs(descent - gaps ** 2) <= 1e-12 * gaps ** 2).all()
+    assert (np.abs(raw - gaps ** 2) <= 1e-13 * gaps ** 2).all()
+    again = np.array([residual(w, r.minimizer) for w, r in zip(ops, reports)])
+    assert (np.abs(again - gaps ** 2) <= 1e-13 * gaps ** 2).all()
+    assert [r.verdict for r in reports] == [r.verdict for r in descent_reports]
+
+
+def test_closed_form_reports_one_converged_start_and_no_iterations():
+    rng = np.random.default_rng(37)
+    w = sample_weyl(4, rng)
+    report = min_residual(w, starts=12, seed=5)
+    assert report.n_starts == 1
+    assert report.converged.tolist() == [True]
+    assert report.iterations == 0
+    assert report.residual_min == report.raw_residual / report.weyl_norm ** 2
+    # one minimizer whatever the start set: the largest entry is positive
+    assert np.array_equal(report.minimizer, min_residual(w).minimizer)
+    assert report.minimizer[np.argmax(np.abs(report.minimizer))] > 0.0
+    assert abs(np.linalg.norm(report.minimizer) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("det", [1, -1])
+def test_stratum4_in_random_frames_is_d_zero(det):
+    """Five proper (det 1) or improper (det -1) frames: an improper one
+    swaps the self-dual and anti-self-dual halves, and d stays 0."""
+    rng = np.random.default_rng(43 if det == 1 else 47)
+    for _ in range(5):
+        q = random_rotation(4, rng)
+        if np.linalg.det(q) * det < 0:
+            q[:, 0] = -q[:, 0]
+        a, b = rng.uniform(-1.0, 1.0, 2)
+        w = construct_stratum4((a, b, -a - b), q)
+        assert hodge_gap(w) <= 1e-14 * w.norm
+        report = min_residual(w)
+        assert report.verdict == "eigenflag_within_tol"
+        assert report.raw_residual <= (1e-14 * w.norm) ** 2
+
+
+def test_a_reflection_keeps_the_minimum():
+    rng = np.random.default_rng(53)
+    reflection = np.diag([-1.0, 1.0, 1.0, 1.0])
+    for _ in range(5):
+        w = sample_weyl(4, rng)
+        q = random_rotation(4, rng) @ reflection
+        got, want = min_residual(conjugate_operator(w.matrix, q)), min_residual(w)
+        assert got.raw_residual == pytest.approx(want.raw_residual, rel=1e-13)
+        assert hodge_gap(conjugate_operator(w.matrix, q)) == pytest.approx(hodge_gap(w),
+                                                                           rel=1e-13)
+
+
+def test_a_product_metric_is_eigenflag_at_six_points():
+    """dx1^2 + g0(x2, x3, x4) admits the weight x1, so every point is
+    eigenflag, with e1 a flag direction."""
+    spec = product_metric_4d()
+    points = np.random.default_rng(59).uniform(-0.8, 0.8, (6, 4))
+    for point, v in zip(points, obstruct_points(spec, points), strict=True):
+        assert v.label == "eigenflag_within_tol"
+        assert v.obstruction <= 1e-28
+        w = to_operator(curvature_package(spec, point).weyl)
+        assert hodge_gap(w) <= 1e-14 * np.linalg.norm(w)
+        assert residual(w, [1, 0, 0, 0]) <= (1e-14 * np.linalg.norm(w)) ** 2
 
 
 # --- the packed quartic form of E ----------------------------------------------
@@ -507,10 +586,10 @@ def test_seed0_hard_operators_converge():
     """The operators of residual_statistics(n, 300, seed=0), n = 4 and 5, on
     which a first-order descent, or a modified Cholesky step with its pivots
     only floored (no growth bound), left a start short of GTOL after MAXITER
-    rounds."""
+    rounds.  At n = 4 the descent is the closed form's oracle, run directly."""
     for n, hard in ((4, (153,)), (5, (41, 135, 163, 183, 209, 224, 252, 278, 299))):
         rng = np.random.default_rng(0)
         ops = [sample_weyl(n, rng) for _ in range(300)]
-        for report in eigenflag.min_residuals([ops[k] for k in hard]):
+        for report in descend([ops[k] for k in hard]):
             assert report.converged.all()
             assert report.iterations < eigenflag.MAXITER
