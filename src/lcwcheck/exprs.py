@@ -15,24 +15,22 @@ the whole line, so a perturbation localized with it needs no conditional.
     number := a decimal literal within the float range
 
 There is one parser and it builds through a :class:`Builder`, one callable
-per reduction.  :data:`TREE`, the node constructors, gives the parse tree;
-``lcwcheck.jets.JetTape`` passes its own builder, which turns each entry
-straight into sums of jet-tape terms, so a metric is read in one pass with
-no tree.  Trees serve the walk :func:`eval_expr`, ``==`` and printing.
+per reduction, with no tree.  ``lcwcheck.jets.JetTape`` passes a builder
+that turns each entry straight into sums of jet-tape terms, so a metric is
+read in one pass; :func:`evaluate` passes one that applies each operation
+as it is reduced, so an entry is evaluated as it is parsed.
 
 Evaluation is generic over the scalar type: plain ``float`` or any object
 implementing the arithmetic operators plus ``sin()``, ``exp()``, ... methods
 (see ``lcwcheck.jets.Jet3``).  All parse and evaluation errors carry the byte
-offset of the offending token or node.  Parsing and evaluation each keep
-their own stack instead of recursing, so any nesting depth is accepted, and
-``==`` compares two trees' shape and values (not positions) at any depth.
+offset of the offending token or subexpression.  The parser keeps its own
+stack instead of recursing, so any nesting depth is accepted.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan", "bump")
@@ -66,68 +64,6 @@ class ParseError(ExprError):
 
 class EvalError(ExprError):
     pass
-
-
-# --- AST ----------------------------------------------------------------
-# ``pos`` is excluded from equality so that "structurally identical" means the
-# same tree shape and values regardless of source layout.  Nodes are slotted, not
-# frozen (a frozen __init__ builds ~3x slower); nothing changes one after parsing.
-
-
-@dataclass(slots=True, eq=False)
-class Node:
-    pos: int = field(compare=False)
-
-    def __eq__(self, other):
-        """Same shape and values, positions ignored, on a stack: any depth."""
-        if not isinstance(other, Node):
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            x, y = todo.pop()
-            if type(x) is not type(y):
-                return False
-            for f in fields(x):
-                u, v = getattr(x, f.name), getattr(y, f.name)
-                if isinstance(u, Node):
-                    todo.append((u, v))
-                elif f.compare and u != v:
-                    return False
-        return True
-
-
-@dataclass(slots=True, eq=False)
-class Const(Node):
-    value: float
-
-
-@dataclass(slots=True, eq=False)
-class Var(Node):
-    name: str
-
-
-@dataclass(slots=True, eq=False)
-class Neg(Node):
-    child: Node
-
-
-@dataclass(slots=True, eq=False)
-class Call(Node):
-    func: str
-    arg: Node
-
-
-@dataclass(slots=True, eq=False)
-class BinOp(Node):
-    op: str  # '+', '-', '*', '/'
-    left: Node
-    right: Node
-
-
-@dataclass(slots=True, eq=False)
-class Pow(Node):
-    base: Node
-    exponent: int
 
 
 # --- tokenizer ----------------------------------------------------------
@@ -176,7 +112,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 class Builder(NamedTuple):
     """What :func:`parse_expr` makes of each reduction.  Each is called with
-    the offset its tree node carries, then as the node constructors are:
+    the offset of its subexpression, then with its parts:
     ``number(pos, value)``, ``coordinate(pos, name)``, ``negation(pos,
     operand)``, ``call(pos, func, argument)``, ``power(pos, base, exponent)``
     and ``binary(pos, op, left, right)``; operands are earlier results."""
@@ -189,8 +125,6 @@ class Builder(NamedTuple):
     binary: Callable
 
 
-TREE = Builder(Const, Var, Neg, Call, Pow, BinOp)
-
 # Precedence climbing on one explicit stack.  An entry is ("neg", pos) for a
 # pending unary minus, ("(", pos) for an open parenthesis, (func, pos) for an
 # open call, or (op, pos, left) for a binary operator awaiting its right
@@ -199,9 +133,9 @@ TREE = Builder(Const, Var, Neg, Call, Pow, BinOp)
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def parse_expr(source: str, coords, builder: Builder = TREE):
-    """Parse ``source`` against the declared coordinate names, into a tree
-    or into what ``builder`` makes of it.
+def parse_expr(source: str, coords, builder: Builder):
+    """Parse ``source`` against the declared coordinate names into what
+    ``builder`` makes of it.
 
     One pass over the tokens, left to right, without recursion: an error is
     the first one in source order, and any nesting depth parses.
@@ -317,43 +251,16 @@ def apply(op, pos: int, operands):
         raise EvalError(f"domain error: {exc}", pos) from None
 
 
-def _operation(node: Node) -> tuple:
-    """An operator node's operation, as :func:`apply` takes it, and its
-    operands, left to right."""
-    if isinstance(node, BinOp):
-        return node.op, (node.left, node.right)
-    if isinstance(node, Neg):
-        return "neg", (node.child,)
-    if isinstance(node, Call):
-        return node.func, (node.arg,)
-    if isinstance(node, Pow):
-        return node.exponent, (node.base,)
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def eval_expr(node: Node, env: dict):
-    """Evaluate over any scalar type supporting the grammar's arithmetic.
-
-    ``env`` maps coordinate names to scalars (floats or jets).  Division by
-    zero and elementary-function domain violations raise :class:`EvalError`
-    annotated with the node's source offset.  The walk keeps its own stack,
-    so a tree of any depth evaluates, operands left to right as written.
-    """
-    values = []
-    todo = [node]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, tuple):  # an operator whose operands are on ``values``
-            op, pos, arity = item
-            operands = values[-arity:]
-            del values[-arity:]
-            values.append(apply(op, pos, operands))
-        elif isinstance(item, Const):
-            values.append(item.value)
-        elif isinstance(item, Var):
-            values.append(env[item.name])
-        else:
-            op, kids = _operation(item)
-            todo.append((op, item.pos, len(kids)))
-            todo.extend(reversed(kids))
-    return values[0]
+def evaluate(source: str, coords, env: dict):
+    """Evaluate ``source`` as it parses, over floats or jets: ``env`` maps
+    coordinate names to scalars.  Each reduction applies its operation with
+    :func:`apply` when it is made, post-order and operands left to right,
+    so a domain error is the first in that order, an :class:`EvalError` at
+    its subexpression's offset.  Nothing recurses: any depth evaluates."""
+    return parse_expr(source, coords, Builder(
+        lambda pos, value: value,
+        lambda pos, name: env[name],
+        lambda pos, x: apply("neg", pos, (x,)),
+        lambda pos, func, x: apply(func, pos, (x,)),
+        lambda pos, x, exponent: apply(exponent, pos, (x,)),
+        lambda pos, op, x, y: apply(op, pos, (x, y))))

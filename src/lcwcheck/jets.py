@@ -419,7 +419,7 @@ class Jet3:
 _GATHER_ENTRIES = 2 ** 14
 
 # The quotient of this jet by a constant c is the factor 1/c by which Jet3
-# divides, or the walk's own error when c is 0.
+# divides, or the error ``exprs.apply`` raises when c is 0.
 _UNIT = Jet3.constant(1.0, 0)
 
 
@@ -478,17 +478,18 @@ class JetTape:
     hands each reduction to the tape's :class:`~lcwcheck.exprs.Builder`,
     so no tree is built.  An atom is a coordinate or any other subterm:
     a function call, the reciprocal of a divisor, a power (raised by
-    ``Jet3.__pow__``, as the walk raises it) or a sum inside a product.
-    Each atom's argument is compiled the same way, and each atom, keyed by
-    its operation and argument terms, is compiled once and shared by every
-    entry that uses it, like each distinct product of atoms.  Subterms
-    without coordinates fold to floats with the expression walk's own
-    ``exprs.apply``; ``x / c`` is x times the factor 1/c by which
-    :class:`Jet3` divides.  A fold that fails is kept, and :meth:`run`
-    raises its ``EvalError``: a constant domain error is an evaluation
-    error, not a parse error.  An atom's operation is applied by
-    :func:`_apply`, which maps it to its :class:`Jet3` method without an
-    offset, since an atom stands for subterms at many offsets.
+    ``Jet3.__pow__``, as ``exprs.evaluate`` raises it) or a sum inside a
+    product.  Each atom's argument is compiled the same way, and each
+    atom, keyed by its operation and argument terms, is compiled once and
+    shared by every entry that uses it, like each distinct product of
+    atoms.  Subterms without coordinates fold to floats with
+    ``exprs.apply``, as ``exprs.evaluate`` computes them; ``x / c`` is x
+    times the factor 1/c by which :class:`Jet3` divides.  A fold that
+    fails is kept, and :meth:`run` raises its ``EvalError``: a constant
+    domain error is an evaluation error, not a parse error.  An atom's
+    operation is applied by :func:`_apply`, which maps it to its
+    :class:`Jet3` method without an offset, since an atom stands for
+    subterms at many offsets.
 
     :meth:`run` fills one table of rows.  Atoms and products have a level:
     0 for the coordinates and their products, one more than the highest
@@ -500,8 +501,8 @@ class JetTape:
     Each entry's row is then its terms' coefficients times their product
     rows, added in source order, element by element (:class:`_Sums`).
     Every operation acts row by row, so a row of a batch has the bits of
-    its point alone; floats differ from the walk's by reassociation,
-    ``c*x1*x2`` being ``c*(x1*x2)`` here.
+    its point alone; floats differ from ``exprs.evaluate``'s by
+    reassociation, ``c*x1*x2`` being ``c*(x1*x2)`` here.
     """
 
     def __init__(self, coordinates, sources):

@@ -10,10 +10,11 @@ The JSON document format is the sole external input format of the toolkit:
     }
 
 Entries below the diagonal may be ``null``; they are filled by symmetry.
-If both triangles are given explicitly, the two entries must parse to
-structurally identical trees.  A parsed metric keeps each upper entry's
-text, packed by pair, and writes that text into both triangles; it parses
-that text once, straight into its jet tape.
+If both triangles are given explicitly with different texts, the two
+entries must compile to the same jet-tape terms, so that they evaluate to
+the same rows.  A parsed metric keeps each upper entry's text, packed by
+pair, and writes that text into both triangles; it parses that text once,
+straight into its jet tape.
 The chart box defaults to [-1, 1] per coordinate and every sampling
 operation in the toolkit respects it.
 Every metric the toolkit generates is written by :func:`coordinate_metric`,
@@ -23,13 +24,13 @@ each upper-triangle entry once.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import exprs
-from .exprs import Node, ParseError
+from .exprs import ParseError
 from .jets import Jet3, JetTape, SymIndex, chart_points
 
 MIN_DIMENSION = 3
@@ -40,36 +41,24 @@ class MetricError(ValueError):
     """Schema violation, asymmetry or dimension problem in a metric document."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MetricSpec:
     """A symmetric matrix of component expressions on a coordinate box.
 
     Packed, one entry per pair i <= j in ``SymIndex(dimension).pairs``
     order: ``sources[k]`` is the text entry k was given.  ``tape`` is that
     text compiled at load by :func:`make_metric`, in one parse with no
-    tree; ``entries``, the parse trees, are parsed on first read, for the
-    walk that names a failing entry and for ``==``, which compares the
-    trees, not the text.  Nothing changes it after it is made, so it is
-    safe to share between concurrent evaluators.
+    tree.  ``==`` and ``hash`` read the dimension, coordinates, texts and
+    domain, not the tape: two specs are equal when their documents are.
+    Nothing changes it after it is made, so it is safe to share between
+    concurrent evaluators.
     """
 
     dimension: int
     coordinates: tuple[str, ...]
     sources: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
-    tape: JetTape = field(repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, MetricSpec):
-            return NotImplemented
-        return ((self.dimension, self.coordinates, self.domain)
-                == (other.dimension, other.coordinates, other.domain)
-                and self.entries == other.entries)
-
-    @cached_property
-    def entries(self) -> tuple[Node, ...]:
-        """Each entry's parse tree, parsed on first read."""
-        return tuple(exprs.parse_expr(source, self.coordinates) for source in self.sources)
+    tape: JetTape = field(repr=False, compare=False)
 
     def evaluate(self, points) -> np.ndarray:
         """g at a chart point, or at each row of a (B, n) batch: the tape's
@@ -88,17 +77,18 @@ class MetricSpec:
         """The entries' rows at the coordinate jets ``env`` (jets over the
         same points, in the coordinates or in none): the tape's (B, width,
         npairs) array, an entry without coordinates as constant rows.  When
-        the tape fails, the walk runs on the trees only to raise the
-        failing entry's ``EvalError``, with its offset; so does a constant
-        subterm that failed to fold.  The tape reassociates products, so
-        it can fail where the walk's floats do not (``1/(x1*x2*x3-x3*x2*x1)``
+        the tape fails, each entry's text is evaluated as it parses
+        (:func:`~lcwcheck.exprs.evaluate`) only to raise the first failing
+        entry's ``EvalError``, with its offset; so does a constant subterm
+        that failed to fold.  The tape reassociates products, so it can
+        fail where the text's own order does not (``1/(x1*x2*x3-x3*x2*x1)``
         divides by an exact 0 in the tape alone); then the tape's error is
-        raised as a ``ValueError``, as the walk's domain errors are."""
+        raised as a ``ValueError``, as the other domain errors are."""
         try:
             return self.tape.run([env[name] for name in self.coordinates])
         except (ArithmeticError, ValueError) as exc:
-            for entry in self.entries:
-                exprs.eval_expr(entry, env)
+            for source in self.sources:
+                exprs.evaluate(source, self.coordinates, env)
             raise ValueError(f"domain error: {exc}") from exc
 
     def to_document(self) -> dict:
@@ -158,7 +148,7 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
             if src is None and j < i:
                 continue
             if not isinstance(src, str):
-                _trees(given, coords)  # an earlier entry's parse error comes first
+                _check_syntax(given, coords)  # an earlier entry's parse error comes first
                 if src is None:
                     raise MetricError(f"g[{i}][{j}]: only lower-triangle entries may be omitted")
                 raise MetricError(f"g[{i}][{j}] must be an expression string")
@@ -169,14 +159,14 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
     try:
         tape = JetTape(coords, sources)
     except ParseError:
-        _trees(given, coords)  # names the entry, the first in document order
+        _check_syntax(given, coords)  # names the entry, the first in document order
         raise
 
-    # an explicit lower entry must parse to its upper entry's tree, as the same text does
-    lower = _trees({(i, j): src for (i, j), src in given.items()
-                    if i > j and src != given[j, i]}, coords)
+    # an explicit lower entry must compile to its upper entry's terms, as the same text does
+    lower = {(i, j): src for (i, j), src in given.items() if i > j and src != given[j, i]}
+    _check_syntax(lower, coords)
     for i, j in pairs:
-        if (j, i) in lower and lower[j, i] != exprs.parse_expr(given[i, j], coords):
+        if (j, i) in lower and not _same_terms(JetTape(coords, (given[i, j], lower[j, i]))):
             raise MetricError(
                 f"asymmetric entries: g[{i}][{j}] and g[{j}][{i}] are structurally different")
 
@@ -204,16 +194,22 @@ def make_metric(dimension: int, coordinates, g_sources, domain=None) -> MetricSp
     return MetricSpec(n, coords, sources, tuple(box), tape)
 
 
-def _trees(given: dict, coords) -> dict:
-    """The parse tree of each given (i, j) -> text, parsed in the given
-    order; the first that fails raises its ``MetricError``."""
-    trees = {}
+def _check_syntax(given: dict, coords) -> None:
+    """Parse each given (i, j) -> text in the given order, building nothing;
+    the first that fails raises its ``MetricError``."""
+    nothing = exprs.Builder(*[lambda *parts: None] * 6)
     for (i, j), src in given.items():
         try:
-            trees[i, j] = exprs.parse_expr(src, coords)
+            exprs.parse_expr(src, coords, nothing)
         except ParseError as exc:
             raise MetricError(f"g[{i}][{j}]: {exc}") from exc
-    return trees
+
+
+def _same_terms(tape: JetTape) -> bool:
+    """Whether a tape's two entries are the same terms, coefficients by their
+    bits and atoms by key, so that the tape gives them identical rows."""
+    first, second = ([(array("d", [c]).tobytes(), p) for c, p in terms] for terms in tape.terms)
+    return first == second
 
 
 def parse_metric(document: str) -> MetricSpec:

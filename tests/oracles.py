@@ -11,11 +11,16 @@ arithmetic (``fractions.Fraction``) at points of floats, which are dyadic
 rationals: the reference for the tape's rounding error.
 
 The helpers at the end are small maps that the tests need and the tool
-does not run, built on the package's own stages, and the expression
-printer, whose text the parser's round-trip tests parse.
+does not run, built on the package's own stages; then the parse tree, its
+walk and its printer.  The tree is the parser's output under :data:`TREE`,
+a second reading of the text independent of the tool's jet tape and of
+``exprs.evaluate``: the round-trip tests print and reparse it, and the
+walk :func:`eval_expr` is the float and jet evaluator the oracles and the
+parity tests compare the tool against.
 """
 
 import math
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb
 
@@ -27,19 +32,21 @@ from lcwcheck.curvature import curvature_stage, derivative_stage
 from lcwcheck.eigenflag import (CHUNK, DEFAULT_TOL_EIGENFLAG, _as_operator, _batch_residual,
                                 _descend, _flag_parts, _QuarticForms, _unit, descent_chunk,
                                 sphere_start_set)
-from lcwcheck.exprs import _LEVEL, BinOp, Call, Const, Neg, Node, Pow, Var, eval_expr
+from lcwcheck.exprs import _LEVEL, Builder, apply, parse_expr
 from lcwcheck.jets import Jet3, SymIndex, jet_environment
 from lcwcheck.perturb import _TRACELESS_BASIS, _unpack_cubic
 
 
 def float_metric(spec):
-    """g at one chart point from the float expression walk over the spec's
-    entries: the oracles' metric, evaluated without the jet tape."""
+    """g at one chart point from the float expression walk over the trees
+    of the spec's texts: the oracles' metric, evaluated without the jet
+    tape."""
     idx2 = SymIndex(spec.dimension).idx2
+    entries = entry_trees(spec)
 
     def g_at(p):
         env = dict(zip(spec.coordinates, map(float, p)))
-        return np.array([eval_expr(entry, env) for entry in spec.entries])[idx2]
+        return np.array([eval_expr(entry, env) for entry in entries])[idx2]
 
     return g_at
 
@@ -488,6 +495,123 @@ def polynomial_rows(tree, coords, point, absolute=False):
                 total += c * math.prod(v ** k for v, k in zip(x, e))
         row.append(total)
     return row
+
+
+# --- the parse tree and its walk ---------------------------------------------
+# ``pos`` is excluded from equality so that "structurally identical" means the
+# same tree shape and values regardless of source layout.  Nodes are slotted, not
+# frozen (a frozen __init__ builds ~3x slower); nothing changes one after parsing.
+
+
+@dataclass(slots=True, eq=False)
+class Node:
+    pos: int = field(compare=False)
+
+    def __eq__(self, other):
+        """Same shape and values, positions ignored, on a stack: any depth."""
+        if not isinstance(other, Node):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if type(x) is not type(y):
+                return False
+            for f in fields(x):
+                u, v = getattr(x, f.name), getattr(y, f.name)
+                if isinstance(u, Node):
+                    todo.append((u, v))
+                elif f.compare and u != v:
+                    return False
+        return True
+
+
+@dataclass(slots=True, eq=False)
+class Const(Node):
+    value: float
+
+
+@dataclass(slots=True, eq=False)
+class Var(Node):
+    name: str
+
+
+@dataclass(slots=True, eq=False)
+class Neg(Node):
+    child: Node
+
+
+@dataclass(slots=True, eq=False)
+class Call(Node):
+    func: str
+    arg: Node
+
+
+@dataclass(slots=True, eq=False)
+class BinOp(Node):
+    op: str  # '+', '-', '*', '/'
+    left: Node
+    right: Node
+
+
+@dataclass(slots=True, eq=False)
+class Pow(Node):
+    base: Node
+    exponent: int
+
+
+TREE = Builder(Const, Var, Neg, Call, Pow, BinOp)
+
+
+def parse_tree(source: str, coords) -> Node:
+    """The parse tree of ``source``: the parser's reductions as nodes."""
+    return parse_expr(source, coords, TREE)
+
+
+def entry_trees(spec) -> tuple:
+    """The parse tree of each of a spec's texts, packed by pair."""
+    return tuple(parse_tree(source, spec.coordinates) for source in spec.sources)
+
+
+def _operation(node: Node) -> tuple:
+    """An operator node's operation, as ``exprs.apply`` takes it, and its
+    operands, left to right."""
+    if isinstance(node, BinOp):
+        return node.op, (node.left, node.right)
+    if isinstance(node, Neg):
+        return "neg", (node.child,)
+    if isinstance(node, Call):
+        return node.func, (node.arg,)
+    if isinstance(node, Pow):
+        return node.exponent, (node.base,)
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def eval_expr(node: Node, env: dict):
+    """Evaluate a tree over any scalar type supporting the grammar's arithmetic.
+
+    ``env`` maps coordinate names to scalars (floats or jets).  Division by
+    zero and elementary-function domain violations raise ``EvalError``
+    annotated with the node's source offset.  The walk keeps its own stack,
+    so a tree of any depth evaluates, operands left to right as written.
+    """
+    values = []
+    todo = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):  # an operator whose operands are on ``values``
+            op, pos, arity = item
+            operands = values[-arity:]
+            del values[-arity:]
+            values.append(apply(op, pos, operands))
+        elif isinstance(item, Const):
+            values.append(item.value)
+        elif isinstance(item, Var):
+            values.append(env[item.name])
+        else:
+            op, kids = _operation(item)
+            todo.append((op, item.pos, len(kids)))
+            todo.extend(reversed(kids))
+    return values[0]
 
 
 # --- the expression printer: input for the parser's round-trip tests -------

@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcwcheck import exprs
-from lcwcheck.exprs import (BinOp, Call, Const, EvalError, Neg, ParseError, Pow,
-                            Var, eval_expr, parse_expr)
+from lcwcheck.exprs import EvalError, ParseError
 from lcwcheck.jets import Jet3
 from lcwcheck.metrics import make_metric
 
-from oracles import fd_gradient, fd_hessian, fd_third, hess_matrix, third_tensor, to_source
+from oracles import (BinOp, Call, Const, Neg, Pow, Var, eval_expr, fd_gradient, fd_hessian,
+                     fd_third, hess_matrix, parse_tree, third_tensor, to_source)
 
 
 def test_literal_zero():
-    ast = parse_expr("0", ("x", "y"))
+    ast = parse_tree("0", ("x", "y"))
     assert ast == Const(0, 0.0)
 
 
 def test_nested_div_pow_tree():
-    ast = parse_expr("4/(1+x1^2+x2^2)^2", ("x1", "x2"))
+    ast = parse_tree("4/(1+x1^2+x2^2)^2", ("x1", "x2"))
     assert isinstance(ast, BinOp) and ast.op == "/"
     assert ast.left == Const(0, 4.0)
     assert isinstance(ast.right, Pow) and ast.right.exponent == 2
@@ -31,7 +31,7 @@ def test_nested_div_pow_tree():
 
 def test_unknown_identifier_offset():
     with pytest.raises(ParseError) as err:
-        parse_expr("sin(q)*r", ("r",))
+        parse_tree("sin(q)*r", ("r",))
     assert "unknown identifier 'q'" in str(err.value)
     assert err.value.pos == 4
 
@@ -50,7 +50,7 @@ def test_unknown_identifier_offset():
 ])
 def test_parse_errors(source, message):
     with pytest.raises(ParseError, match=message):
-        parse_expr(source, ("x",))
+        parse_tree(source, ("x",))
 
 
 def _sin_iterated(x: float, depth: int) -> float:
@@ -76,21 +76,21 @@ def _sin_iterated(x: float, depth: int) -> float:
 def test_nested_expressions_parse_evaluate_and_round_trip(source, value):
     assert sys.getrecursionlimit() <= 1000  # the default: nothing here may recurse per level
     coords = ("x1",)
-    tree = parse_expr(source, coords)
+    tree = parse_tree(source, coords)
     assert eval_expr(tree, {"x1": 2.0}) == value
-    assert parse_expr(to_source(tree), coords) == tree
+    assert parse_tree(to_source(tree), coords) == tree
 
 
 def test_a_long_sum_prints_and_round_trips():
     assert sys.getrecursionlimit() <= 1000  # the default: nothing here may recurse per term
     source = "1" + "+x1" * 1499
-    tree = parse_expr(source, ("x1",))
+    tree = parse_tree(source, ("x1",))
     assert to_source(tree) == source
-    assert parse_expr(to_source(tree), ("x1",)) == tree
+    assert parse_tree(to_source(tree), ("x1",)) == tree
     spec = make_metric(3, ["x1", "x2", "x3"],
                        [[source, "0", "0"], [None, "1", "0"], [None, None, "1"]])
     again = make_metric(3, ["x1", "x2", "x3"], json.loads(spec.to_json())["g"])
-    assert again.entries[0] == tree
+    assert parse_tree(again.sources[0], ("x1",)) == tree
     assert again == spec
 
 
@@ -101,7 +101,7 @@ def test_a_long_sum_prints_and_round_trips():
 ])
 def test_non_decimal_digits_are_parse_errors(source, message, pos):
     with pytest.raises(ParseError) as err:
-        parse_expr(source, ("x1",))
+        parse_tree(source, ("x1",))
     assert (err.value.message, err.value.pos) == (message, pos)
 
 
@@ -109,7 +109,7 @@ def test_non_decimal_digits_are_parse_errors(source, message, pos):
                          ids=["positive", "negative"])
 def test_an_exponent_past_the_integer_string_limit_is_a_parse_error(source, pos):
     with pytest.raises(ParseError) as err:
-        parse_expr(source, ("x",))
+        parse_tree(source, ("x",))
     assert (err.value.message, err.value.pos) == ("exponent has too many digits", pos)
 
 
@@ -118,7 +118,7 @@ def test_an_exponent_past_the_integer_string_limit_is_a_parse_error(source, pos)
                          ids=["1e400", "1e309", "400-digits"])
 def test_an_out_of_range_literal_is_a_parse_error(source, pos):
     with pytest.raises(ParseError) as err:
-        parse_expr(source, ("x1",))
+        parse_tree(source, ("x1",))
     assert (err.value.message, err.value.pos) == ("number out of range", pos)
 
 
@@ -126,7 +126,7 @@ def test_an_infinite_constant_does_not_print():
     with pytest.raises(ValueError, match="infinite"):
         to_source(BinOp(0, "*", Const(0, math.inf), Var(0, "x1")))
     # an underflowing literal is zero, which is in range
-    assert parse_expr("1e-400", ()).value == 0.0
+    assert parse_tree("1e-400", ()).value == 0.0
 
 
 def test_bump_is_one_at_zero_zero_from_one_on_and_nan_for_nan():
@@ -137,16 +137,16 @@ def test_bump_is_one_at_zero_zero_from_one_on_and_nan_for_nan():
     assert exprs.bump(math.nextafter(1.0, 0.0)) == 0.0  # underflows to zero
     assert math.isnan(exprs.bump(math.nan))
     assert exprs.bump(-math.inf) == math.e
-    assert eval_expr(parse_expr("bump(x^2)", ("x",)), {"x": 0.5}) == exprs.bump(0.25)
+    assert eval_expr(parse_tree("bump(x^2)", ("x",)), {"x": 0.5}) == exprs.bump(0.25)
 
 
 def test_eval_plain():
-    ast = parse_expr("x1^2", ("x1",))
+    ast = parse_tree("x1^2", ("x1",))
     assert eval_expr(ast, {"x1": 3.0}) == 9.0
 
 
 def test_eval_jet_polynomial():
-    ast = parse_expr("x1^2", ("x1",))
+    ast = parse_tree("x1^2", ("x1",))
     jet = eval_expr(ast, {"x1": Jet3.variable(0, 3.0, 1)})
     assert jet.value == 9.0
     assert jet.grad[0] == 6.0
@@ -156,7 +156,7 @@ def test_eval_jet_polynomial():
 
 def test_eval_jet_vs_finite_differences():
     source = "exp(x1)*sin(x2)"
-    ast = parse_expr(source, ("x1", "x2"))
+    ast = parse_tree(source, ("x1", "x2"))
 
     def f(p):
         return eval_expr(ast, {"x1": p[0], "x2": p[1]})
@@ -179,17 +179,17 @@ def test_eval_jet_vs_finite_differences():
     ("x^-1", {"x": 0.0}, "domain error in power"),
 ])
 def test_eval_domain_errors(source, env, message):
-    ast = parse_expr(source, ("x",))
+    ast = parse_tree(source, ("x",))
     with pytest.raises(EvalError, match=message):
         eval_expr(ast, env)
 
 
 def test_eval_domain_errors_on_jets():
-    ast = parse_expr("log(x)", ("x",))
+    ast = parse_tree("log(x)", ("x",))
     with pytest.raises(EvalError):
         eval_expr(ast, {"x": Jet3.variable(0, -1.0, 1)})
     with pytest.raises(EvalError):
-        eval_expr(parse_expr("1/x", ("x",)), {"x": Jet3.variable(0, 0.0, 1)})
+        eval_expr(parse_tree("1/x", ("x",)), {"x": Jet3.variable(0, 0.0, 1)})
 
 
 def _random_ast(rng, coords, depth):
@@ -216,7 +216,7 @@ def test_print_parse_round_trip_random():
     for _ in range(300):
         ast = _random_ast(rng, coords, 4)
         text = to_source(ast)
-        assert parse_expr(text, coords) == ast, text
+        assert parse_tree(text, coords) == ast, text
 
 
 def test_round_trip_sample_strings():
@@ -224,16 +224,16 @@ def test_round_trip_sample_strings():
     for source in ("1+2*x1", "4/(1+x1^2+x2^2)^2", "-x1^2", "-(x1^2)",
                    "x1-(x2-1)", "sin(x1)*cos(x2)-exp(-x1)", "x1^-2",
                    "2/(x1*x2)/x1"):
-        ast = parse_expr(source, coords)
-        assert parse_expr(to_source(ast), coords) == ast
+        ast = parse_tree(source, coords)
+        assert parse_tree(to_source(ast), coords) == ast
 
 
 def test_neg_power_grammar_binding():
     # per the grammar, '^' binds the negated base: -x^2 is (-x)^2
-    ast = parse_expr("-x^2", ("x",))
+    ast = parse_tree("-x^2", ("x",))
     assert isinstance(ast, Pow) and isinstance(ast.base, Neg)
     assert eval_expr(ast, {"x": 3.0}) == 9.0
-    assert eval_expr(parse_expr("-(x^2)", ("x",)), {"x": 3.0}) == -9.0
+    assert eval_expr(parse_tree("-(x^2)", ("x",)), {"x": 3.0}) == -9.0
 
 
 def test_jet_order_zero_matches_plain():
@@ -273,7 +273,7 @@ _trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_trees)
 def test_printed_trees_reparse_to_themselves(tree):
-    assert parse_expr(to_source(tree), _COORDS) == tree
+    assert parse_tree(to_source(tree), _COORDS) == tree
 
 
 # The grammar's characters and words, a few near misses, and characters
@@ -286,8 +286,8 @@ _FRAGMENTS = ["x1", "x2", "y", "sin", "sqrt", "foo", "0", "1", "7", "2.5", "1e3"
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
 def test_any_string_parses_or_is_a_parse_error(source):
     try:
-        tree = parse_expr(source, _COORDS)
+        tree = parse_tree(source, _COORDS)
     except ParseError as exc:
         assert 0 <= exc.pos <= len(source)
         return
-    assert parse_expr(to_source(tree), _COORDS) == tree
+    assert parse_tree(to_source(tree), _COORDS) == tree

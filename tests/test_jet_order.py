@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcwcheck.exprs import FUNCTIONS, eval_expr
+from lcwcheck.exprs import FUNCTIONS
 from lcwcheck.jets import Jet3, JetTape, SymIndex, jet_environment, metric_jets
 from lcwcheck.metrics import coordinate_metric
 
-from oracles import to_source
+from oracles import eval_expr, to_source
 from test_exprs import _trees
 
 BATCHES = [1, 7]

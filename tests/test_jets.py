@@ -4,15 +4,15 @@ import operator
 import numpy as np
 import pytest
 
-from lcwcheck.exprs import FUNCTIONS, eval_expr, parse_expr
+from lcwcheck.exprs import FUNCTIONS
 from lcwcheck.genericity import random_polynomial_metric
 from lcwcheck.jets import Jet3, MetricNotPositive, SymIndex, metric_jets
 from lcwcheck.metrics import (euclidean_metric, make_metric, parse_metric,
                               sphere_stereographic_metric)
 from lcwcheck.perturb import AlgebraicCurvature, perturb_curvature
 
-from oracles import (domain_points, fd_gradient, fd_hessian, fd_third, float_metric,
-                     hess_matrix, scattered_metric_jets, third_tensor)
+from oracles import (domain_points, eval_expr, fd_gradient, fd_hessian, fd_third, float_metric,
+                     hess_matrix, parse_tree, scattered_metric_jets, third_tensor)
 
 
 def test_packed_index_bijections():
@@ -124,7 +124,7 @@ def test_bump_jets_propagate_nan():
 
 
 def test_log_composition_vs_fd():
-    ast = parse_expr("log(1+x1^2)", ("x1",))
+    ast = parse_tree("log(1+x1^2)", ("x1",))
     jet = eval_expr(ast, {"x1": Jet3.variable(0, 0.3, 1)})
 
     def f(p):
@@ -336,7 +336,7 @@ def test_grammar_expressions_vs_fd_property():
                "cos(x1*x2*x3)", "exp(sin(x1)+cos(x2))", "1/(1+x1^2+x2^2+x3^2)",
                "bump(x1^2+x2^2/2+x3^2/3)"]
     for source in sources:
-        ast = parse_expr(source, coords)
+        ast = parse_tree(source, coords)
         pt = rng.uniform(-0.6, 0.6, size=3)
         env = {c: Jet3.variable(k, pt[k], 3) for k, c in enumerate(coords)}
         jet = eval_expr(ast, env)

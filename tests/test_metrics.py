@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from lcwcheck import exprs
-from lcwcheck.exprs import Const
 from lcwcheck.genericity import obstruct_points, random_polynomial_metric, scan_metric
-from lcwcheck.jets import SymIndex, jet_environment
+from lcwcheck.jets import JetTape, SymIndex, jet_environment
 from lcwcheck.metrics import (MetricError, MetricSpec, conformally_flat_metric,
                               euclidean_metric, make_metric, parse_metric,
                               sphere_stereographic_metric)
 from lcwcheck.perturb import (AlgebraicCurvature, CottonCoefficients, cubic_metric_spec,
                               perturb_curvature, solve_cy_target)
 
-from oracles import domain_points, vec5_to_sym3
+from oracles import Const, domain_points, entry_trees, eval_expr, parse_tree, vec5_to_sym3
 
 
 def doc(dimension, coords, g, domain=None):
@@ -28,8 +27,8 @@ def test_euclidean_document():
     spec = parse_metric(doc(4, ["x1", "x2", "x3", "x4"],
                             [["1" if i == j else "0" for j in range(4)] for i in range(4)]))
     assert spec.dimension == 4
-    assert len(spec.entries) == 10
-    for (i, j), entry in zip(SymIndex(4).pairs, spec.entries):
+    assert len(spec.sources) == 10
+    for (i, j), entry in zip(SymIndex(4).pairs, entry_trees(spec)):
         assert entry == Const(0, 1.0 if i == j else 0.0)
 
 
@@ -48,7 +47,7 @@ def test_asymmetric_entries_rejected():
 def test_lower_triangle_omitted_is_symmetrized():
     g = [["1", "x1*x2", "0"], [None, "1", "0"], [None, None, "1"]]
     spec = parse_metric(doc(3, ["x1", "x2", "x3"], g))
-    assert len(spec.entries) == 6
+    assert len(spec.sources) == 6
     m = spec.evaluate([0.5, 0.25, 0.0])
     assert m[0, 1] == m[1, 0] == 0.125
 
@@ -132,7 +131,7 @@ def test_document_round_trip():
                              [None, None, "4/(1+x1^2)^2"]],
                             domain={"x2": [-0.5, 0.5]}))
     again = parse_metric(spec.to_json())
-    assert again.entries == spec.entries
+    assert entry_trees(again) == entry_trees(spec)
     assert again.domain == spec.domain
     assert isinstance(again, MetricSpec)
 
@@ -144,12 +143,12 @@ def test_a_document_keeps_the_text_it_was_given():
     g = [[upper[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
     g[1][0], g[2][0], g[2][1] = "0.05*x1*x3", "0", "(x2)*x3"
     spec = parse_metric(doc(3, ["x1", "x2", "x3"], g))
-    assert len(spec.entries) == 6
+    assert len(spec.sources) == 6
     written = spec.to_document()["g"]
     for i in range(3):
         for j in range(3):
             assert written[i][j] == upper[min(i, j)][max(i, j)]
-    assert parse_metric(spec.to_json()).entries == spec.entries
+    assert entry_trees(parse_metric(spec.to_json())) == entry_trees(spec)
 
 
 # --- generated metrics: one writer, each upper-triangle entry written once ----
@@ -200,23 +199,22 @@ def test_a_generated_metric_parses_each_entry_once(monkeypatch, name):
     assert len(calls) == n * (n + 1) // 2
 
 
-# --- one parse per entry: text to tape terms, trees only on demand ---------------
+# --- one parse per entry: text to tape terms, and no tree in src/ ---------------
 
 
-def test_the_obstruct_path_builds_no_tree(monkeypatch):
-    """Loading, obstructing and scanning parse each entry straight into the
-    tape: no tree node is made and ``entries`` is never computed."""
-    nodes = []
-    for cls in (exprs.Const, exprs.Var, exprs.Neg, exprs.Call, exprs.Pow, exprs.BinOp):
-        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
-                            nodes.append(type(self)) or init(self, *args))
-    assert exprs.parse_expr("-sin(x1)^2*x2/3", ("x1", "x2")) is not None and len(nodes) == 8
-    nodes.clear()
+def test_the_obstruct_path_never_evaluates_the_text(monkeypatch):
+    """``lcwcheck.exprs`` defines no tree; loading, obstructing and scanning
+    a healthy metric run its tape alone: ``exprs.evaluate`` never runs."""
+    for name in ("Node", "Const", "BinOp", "TREE", "eval_expr", "_operation"):
+        assert not hasattr(exprs, name), name
+
+    def evaluate(*args):
+        raise AssertionError("a healthy metric's text was evaluated")
+
+    monkeypatch.setattr(exprs, "evaluate", evaluate)
     spec = parse_metric(random_polynomial_metric(5, np.random.default_rng(0)).to_json())
     obstruct_points(spec, np.zeros((2, 5)), starts=2, seed=0)
     scan_metric(spec, (2, 1, 1, 1, 1), starts=2, seed=0)
-    assert nodes == [] and "entries" not in vars(spec)
-    assert len(spec.entries) == 15 and len(nodes) > 15  # trees are still there on demand
 
 
 # the malformed sources of the ParseError cases in test_exprs
@@ -231,7 +229,7 @@ _MALFORMED = ["3 + $", "sin()", "sin(x, x)", "cos(x)(", "x^2.5", "x^y", "foo(x)"
 def test_a_malformed_entry_fails_to_load_with_the_parsers_error(source, entry):
     coords = ("x", "x1", "r")
     with pytest.raises(exprs.ParseError) as want:
-        exprs.parse_expr(source, coords)
+        parse_tree(source, coords)
     g = [["1", "0", "0"], [None, "1", "0"], [None, None, "1"]]
     g[entry[0]][entry[1]] = source
     with pytest.raises(MetricError) as got:
@@ -267,5 +265,72 @@ def test_a_deep_entry_compiles_to_the_walks_rows(source):
     spec = make_metric(3, ["x1", "x2", "x3"], [[source, "0", "0"], [None, "1", "0"],
                                                [None, None, "1"]])
     env = jet_environment(spec.coordinates, np.array([[0.3, -0.2, 0.1], [0.5, 0.5, -0.5]]))
-    want = exprs.eval_expr(spec.entries[0], env)
+    want = eval_expr(parse_tree(source, spec.coordinates), env)
     assert spec.component_rows(env)[..., 0].tobytes() == want.data.tobytes()
+
+
+# --- the symmetry check compares tape terms, == compares text --------------------
+
+
+def _both_triangles(upper: str, lower: str) -> list:
+    return [["1", upper, "0"], [lower, "1", "0"], ["0", "0", "1"]]
+
+
+def test_reordered_products_in_the_two_triangles_are_symmetric():
+    spec = make_metric(3, ["x1", "x2", "x3"], _both_triangles("2*x1*x2", "x2*x1*2"))
+    assert spec.sources[1] == "2*x1*x2"  # the upper text is kept
+    g = spec.evaluate(np.random.default_rng(0).uniform(-1.0, 1.0, (5, 3)))
+    assert g.tobytes() == g.transpose(0, 2, 1).tobytes()
+
+
+@pytest.mark.parametrize("upper,lower", [("1+x1", "x1+1"), ("x1*x2", "x1*x3"),
+                                         ("0*x1", "-0*x1")])
+def test_sums_in_another_order_are_asymmetric(upper, lower):
+    """Sums keep source order, and coefficients compare by their bits."""
+    with pytest.raises(MetricError, match=r"^asymmetric entries: g\[0\]\[1\] and g\[1\]\[0\]"):
+        make_metric(3, ["x1", "x2", "x3"], _both_triangles(upper, lower))
+
+
+def test_a_constant_that_fails_to_fold_in_both_triangles():
+    """``log(1-2)`` folds to a NaN coefficient in both texts, equal by its
+    bits; the metric loads and evaluating it raises the fold's error."""
+    coords = ("x1", "x2", "x3")
+    tape = JetTape(coords, ("log(1-2)*x1", "log(1-2) * x1"))
+    (c, p), (d, q) = tape.terms[0][0], tape.terms[1][0]
+    assert np.isnan(c) and np.float64(c).tobytes() == np.float64(d).tobytes() and p == q
+    spec = make_metric(3, coords, _both_triangles("log(1-2)*x1", "log(1-2) * x1"))
+    fold = r"^domain error in log: math domain error \(offset 0\)$"
+    with pytest.raises(exprs.EvalError, match=fold):
+        spec.evaluate([0.0, 0.0, 0.0])
+
+
+def test_specs_compare_and_hash_by_their_text():
+    spec = parse_metric(doc(3, ["x1", "x2", "x3"],
+                            [["1+0.1*x2^2", "0.05*x1*x3", "0"], [None, "1", "0"],
+                             [None, None, "4/(1+x1^2)^2"]], domain={"x2": [-0.5, 0.5]}))
+    again = parse_metric(spec.to_json())
+    assert again == spec and hash(again) == hash(spec)
+    assert again.tape is not spec.tape
+    spaced = make_metric(3, ["x1", "x2", "x3"], [["1 + 0.1*x2^2", "0.05*x1*x3", "0"],
+                                                 [None, "1", "0"], [None, None, "4/(1+x1^2)^2"]],
+                         {"x2": [-0.5, 0.5]})
+    assert entry_trees(spaced) == entry_trees(spec) and spaced != spec
+    assert euclidean_metric(3, {"x1": [0, 1]}) != euclidean_metric(3)
+
+
+def test_failing_entries_raise_in_document_order():
+    """Parse errors and evaluation errors alike name the first failing entry."""
+    coords = ["x1", "x2", "x3"]
+    rows = [["1", "0", "x1+"], [None, "(x2", "0"], [None, None, "1"]]
+    with pytest.raises(MetricError, match=r"^g\[0\]\[2\]: unexpected end of input"):
+        make_metric(3, coords, rows)
+    rows[0][2] = "0"
+    with pytest.raises(MetricError, match=r"^g\[1\]\[1\]: expected '\)'"):
+        make_metric(3, coords, rows)
+    rows = [["1", "0", "2+sqrt(x1-3)"], [None, "1+log(x2-2)", "0"], [None, None, "1"]]
+    for point in ([0.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]):
+        with pytest.raises(exprs.EvalError, match=r"^domain error in sqrt: .* \(offset 2\)$"):
+            make_metric(3, coords, rows).evaluate(point)
+    rows[0][2] = "0"
+    with pytest.raises(exprs.EvalError, match=r"^domain error in log: .* \(offset 2\)$"):
+        make_metric(3, coords, rows).evaluate([0.0, 0.0, 0.0])

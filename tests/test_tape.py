@@ -1,10 +1,13 @@
 """The compiled jet tape: shared products, exact properties and a rounding bound.
 
 ``MetricSpec.component_rows`` evaluates jets through a
-:class:`~lcwcheck.jets.JetTape`, one array of the entries' rows; the walk
-(``eval_expr``) only reports its errors.  The tape reads each entry as a
-sum of terms, a constant times a product of atoms shared by all entries,
-so its floats are the walk's reassociated: ``c*x1*x2`` is ``c*(x1*x2)``.
+:class:`~lcwcheck.jets.JetTape`, one array of the entries' rows;
+``exprs.evaluate``, which evaluates a text as it parses it, only reports
+its errors.  The reference here is the walk over the parse tree
+(``oracles.eval_expr``), which applies the operations in the same order as
+``exprs.evaluate``, bit for bit.  The tape reads each entry as a sum of
+terms, a constant times a product of atoms shared by all entries, so its
+floats are the walk's reassociated: ``c*x1*x2`` is ``c*(x1*x2)``.
 The contract:
 
 * each slot of a polynomial entry lies within the a-priori bound of
@@ -16,7 +19,8 @@ The contract:
   one entry leaves every other entry's bits alone;
 * each distinct product runs once, each shared atom once, and constant
   subtrees fold with the walk's floats;
-* every error is the walk's, with its message and offset.
+* every error is the walk's, with its message and offset;
+* ``exprs.evaluate`` raises the walk's errors and returns its bits.
 """
 
 import json
@@ -29,12 +33,12 @@ import pytest
 
 from lcwcheck import exprs, metrics
 from lcwcheck.cli import main
-from lcwcheck.exprs import BinOp, Call, Const, Neg, Pow, eval_expr
 from lcwcheck.genericity import random_polynomial_metric
 from lcwcheck.jets import Jet3, JetTape, SymIndex, jet_environment, metric_jets
 from lcwcheck.metrics import MetricSpec, coordinate_metric, make_metric
 
-from oracles import _polynomial, polynomial_rows, to_source
+from oracles import (BinOp, Call, Const, Neg, Pow, _polynomial, entry_trees, eval_expr,
+                     parse_tree, polynomial_rows, to_source)
 from test_exprs import _random_ast
 
 COORDS = ("x1", "x2", "x3")
@@ -111,13 +115,14 @@ def test_tape_errors_and_values_are_the_walks_on_random_trees(batch):
     for _ in range(150):
         trees = [_signed_zeros(_random_ast(rng, COORDS, 4), rng) for _ in range(6)]
         spec = _spec(trees)
-        assert spec.entries == tuple(trees)
+        parsed = entry_trees(spec)  # the trees, with their offsets in the printed text
+        assert parsed == tuple(trees)
         points = rng.uniform(0.2, 1.0, size=(batch or 1, 3))
         for k, env in enumerate(_environments(COORDS, points if batch else points[0])):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 try:
-                    want = [eval_expr(t, env) for t in spec.entries]
+                    want = [eval_expr(t, env) for t in parsed]
                 except Exception as exc:  # noqa: BLE001 - the walk's error is the reference
                     with pytest.raises(type(exc)) as got:
                         spec.component_rows(env)
@@ -136,6 +141,38 @@ def test_tape_errors_and_values_are_the_walks_on_random_trees(batch):
     assert min(checked) > 30 and min(raised) > 10  # both outcomes, both seedings
 
 
+def _outcome(evaluator, *args):
+    """An evaluator's error as (type, message, offset), or its value's bytes."""
+    try:
+        value = evaluator(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return np.asarray(value.data if isinstance(value, Jet3) else value).tobytes()
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_evaluate_is_the_walk_on_random_trees(batch):
+    """Evaluating a text as it parses raises the tree walk's error, with its
+    message and offset, or returns the walk's bits: floats at one point,
+    and batched jets in the coordinates or in none."""
+    rng = np.random.default_rng(7 + (batch or 0))
+    outcomes = set()
+    for _ in range(300):
+        source = to_source(_signed_zeros(_random_ast(rng, COORDS, 4), rng))
+        tree = parse_tree(source, COORDS)
+        points = rng.uniform(0.2, 1.0, size=(batch or 1, 3))
+        envs = [*_environments(COORDS, points)]
+        if batch is None:
+            envs.append(dict(zip(COORDS, map(float, points[0]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for env in envs:
+                want = _outcome(eval_expr, tree, env)
+                assert _outcome(exprs.evaluate, source, COORDS, env) == want, source
+                outcomes.add(type(want))
+    assert outcomes == {tuple, bytes}  # both errors and values
+
+
 def test_jets_are_evaluated_by_the_tape_alone(monkeypatch):
     spec = make_metric(3, COORDS, [["2+x1*x2", "0.1*sin(x3)", "0"],
                                    [None, "1+x2^2", "x1/(3+x2)"],
@@ -145,7 +182,7 @@ def test_jets_are_evaluated_by_the_tape_alone(monkeypatch):
     def walk(*args):
         raise AssertionError("the walk evaluated jets")
 
-    monkeypatch.setattr(metrics.exprs, "eval_expr", walk)
+    monkeypatch.setattr(exprs, "evaluate", walk)
     got = metric_jets(spec, np.full(3, 0.3))
     for name in ("g", "dg", "d2g", "d3g"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -198,8 +235,8 @@ def test_polynomial_rows_lie_within_the_summation_bound(document, evaluator):
     if evaluator == "tape":
         rows = spec.component_rows(env)
     else:
-        rows = np.stack([eval_expr(tree, env).data for tree in spec.entries], axis=-1)
-    for k, tree in enumerate(spec.entries):
+        rows = np.stack([eval_expr(tree, env).data for tree in entry_trees(spec)], axis=-1)
+    for k, tree in enumerate(entry_trees(spec)):
         for b, point in enumerate(points):
             assert _within_bound(rows[b, :, k], tree, spec.coordinates, point), (k, b)
 
@@ -210,7 +247,7 @@ def test_a_dropped_small_term_breaks_the_bound():
                      for e in (entry, POLYNOMIAL[0][0]))
     points = np.array([[0.5, -0.75, 0.25], [-0.625, 0.875, 0.5]])
     env = jet_environment(COORDS, points)
-    tree = full.entries[0]
+    tree = parse_tree(entry, COORDS)
     for b, point in enumerate(points):
         assert _within_bound(full.component_rows(env)[b, :, 0], tree, COORDS, point)
         assert not _within_bound(dropped.component_rows(env)[b, :, 0], tree, COORDS, point)
@@ -327,7 +364,7 @@ def test_errors_are_the_walks(entry, compiles):
     for points in (np.full(3, 0.5), np.full((2, 3), 0.5)):
         env = jet_environment(COORDS, points)
         with pytest.raises(exprs.EvalError) as want:
-            eval_expr(spec.entries[0], env)
+            eval_expr(parse_tree(entry, COORDS), env)
         with pytest.raises(exprs.EvalError) as got:
             spec.component_rows(env)
         assert str(got.value) == str(want.value)
@@ -354,10 +391,11 @@ def test_a_deep_entry_evaluates(tmp_path):
     assert report["points"][0]["verdict"] in ("zero", "inconclusive", "no_lcw_certified")
     spec = metrics.load_metric(path)
     env = jet_environment(COORDS, np.array([0.1, 0.2, 0.3]))
-    want = _rows(eval_expr(spec.entries[0], env), env)
+    tree = parse_tree(spec.sources[0], COORDS)
+    want = _rows(eval_expr(tree, env), env)
     assert _bits(spec.component_rows(env)[..., 0]) == _bits(want)
-    assert spec.evaluate([0.1, 0.2, 0.3])[0, 0] == eval_expr(spec.entries[0],
-                                                               dict(zip(COORDS, (0.1, 0.2, 0.3))))
+    point = (0.1, 0.2, 0.3)
+    assert spec.evaluate(point)[0, 0] == eval_expr(tree, dict(zip(COORDS, point)))
 
 
 def test_deep_documents_compare_equal():
@@ -373,7 +411,7 @@ def test_a_deep_entry_in_both_triangles_is_compared():
     terms = "".join(f"+1e-6*x{1 + k % 3}" for k in range(1500))
     rows = [["1", "0" + terms, "0"], ["0" + terms, "1", "0"], ["0", "0", "1"]]
     spec = make_metric(3, COORDS, rows)
-    assert len(spec.entries) == 6
+    assert len(spec.sources) == 6
     rows[1][0] += "+x1"
     with pytest.raises(metrics.MetricError, match="asymmetric"):
         make_metric(3, COORDS, rows)
