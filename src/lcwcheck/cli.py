@@ -53,11 +53,11 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = ", ".join(dumps17(v, indent + 1) for v in obj)
+        parts = [dumps17(v, indent + 1) for v in obj]
+        body = ", ".join(parts)
         if len(body) <= 100:
             return "[" + body + "]"
-        items = ",\n".join(f"{pad}  {dumps17(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        return "[\n" + ",\n".join(pad + "  " + p for p in parts) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):

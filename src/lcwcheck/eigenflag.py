@@ -46,9 +46,9 @@ iterates scored with the exact |G'|^2 / 2.  Each round solves H x = -g for
 the tangent Hessians by one in-module batched modified Cholesky, H shifted
 by s v v^T so it is nonsingular along v, its pivots raised where H is not
 positive definite on v-perp so that the step still goes downhill.
-Operators descend in chunks whose gathered forms fit in
-``DESCENT_BUDGET``; :func:`descent_chunk` sizes them, also for the groups
-of points of ``genericity.obstruct_points``.  An optional rigorous grid
+:func:`min_residuals` takes its operators in chunks of
+:func:`descent_chunk`, whose gathered forms fit in ``DESCENT_BUDGET``,
+for the closed form and the descent alike.  An optional rigorous grid
 certificate in dimension 4 scores its grid on the packed form, each pair
 +-v once as E is even, one ``CHUNK`` of points at a time, and subtracts
 the form's rounding floor.  Start points map to Gaussians through
@@ -79,8 +79,8 @@ MAX_STEP = 1.0    # largest tangent step of a start, and its first step radius
 CHUNK = 65536     # grid points per residual evaluation of the certificate
 # Floats of the descent's largest array, the gathered forms K[own], per
 # min_residuals chunk: starts * N^2 per operator, N = n(n+1)/2 (8n N^2 by
-# default), so 2^19 floats (4 MB) take 163 operators at n = 4, 58 at n = 5
-# and 6 at n = 8.
+# default), so 2^19 floats (4 MB) take 58 operators at n = 5 and 6 at n = 8;
+# the n = 4 closed form takes chunks of the same size (163 operators).
 DESCENT_BUDGET = 2 ** 19
 
 
@@ -317,9 +317,8 @@ class EigenflagReport:
 
 
 def descent_chunk(n: int, starts: int | None = None) -> int:
-    """Operators per :func:`min_residuals` descent chunk: as many as
-    ``DESCENT_BUDGET`` holds.  At n = 4, where nothing descends, it still
-    sizes the groups of points of ``genericity.obstruct_points``."""
+    """Operators per :func:`min_residuals` chunk: as many as the descent's
+    ``DESCENT_BUDGET`` holds, at n = 4 too, where nothing descends."""
     count = max(n, 8 * n if starts is None else starts)  # the size of sphere_start_set
     return max(1, DESCENT_BUDGET // (count * (n * (n + 1) // 2) ** 2))
 
@@ -355,16 +354,18 @@ def min_residuals(ws, starts: int | None = None, seed=None,
                   weyl_floor=DEFAULT_ZERO_FLOOR) -> list[EigenflagReport]:
     """:func:`min_residual` for several operators of one dimension at once.
 
-    ``weyl_floor`` is one floor for all operators or one per operator.  At
-    n = 4 the operators above their floor take the closed form together,
-    two batched 3 x 3 ``eigh``.  At n >= 5 they descend in chunks whose
-    gathered forms fit in ``DESCENT_BUDGET``, all operators x starts of a
-    chunk in one loop, and each chunk makes the (0,4) tensors of its own
-    operators only.  Either way each report is exactly that of its
-    operator on its own.  A report's ``iterations`` counts the loop rounds
-    in which some start of its operator was still descending.
+    ``weyl_floor`` is one floor for all operators or one per operator.  The
+    operators above their floor go in chunks of :func:`descent_chunk`, each
+    making the (0,4) tensors of its own operators only.  At n = 4 a chunk
+    takes the closed form together, two batched 3 x 3 ``eigh``; at n >= 5
+    it descends, all operators x starts of the chunk in one loop.  Either
+    way each report is exactly that of its operator on its own; an empty
+    ``ws`` gives no reports.  A report's ``iterations`` counts the loop
+    rounds in which some start of its operator was still descending.
     """
     pairs = [_as_operator(w) for w in ws]
+    if not pairs:
+        return []
     n = _dimension(pairs[0][0].shape[0])
     if n < 4:
         raise DimensionError("eigenflag test needs dimension >= 4")
@@ -376,12 +377,13 @@ def min_residuals(ws, starts: int | None = None, seed=None,
                                "weyl_negligible", 0) if wnorm < floor else None
                for (_, wnorm), floor in zip(pairs, floors)]
     live = [k for k, r in enumerate(reports) if r is None]
-    if live and n == 4:
-        _closed_form4(pairs, live, reports, tol_eigenflag)
-    elif live:
+    if n > 4 and live:
         start_set = sphere_start_set(n, 8 * n if starts is None else starts, seed)
-        size = descent_chunk(n, starts)
-        for lo in range(0, len(live), size):
+    size = descent_chunk(n, starts)
+    for lo in range(0, len(live), size):
+        if n == 4:
+            _closed_form4(pairs, live[lo:lo + size], reports, tol_eigenflag)
+        else:
             _descend(pairs, live[lo:lo + size], reports, start_set, tol_eigenflag)
     return reports
 

@@ -12,8 +12,8 @@ commands and the library: it picks the branch (the normalized eigenflag
 residual for n >= 4, det of the Cotton-York tensor for n = 3), applies the
 curvature-scaled zero floor and maps the branch label to the one-sided
 verdict.  :func:`obstruct_points` runs jets, curvature and the n = 3
-verdict once per curvature batch of points and the eigenflag minimum (the
-n = 4 closed form or the descent) once per descent chunk;
+verdict once per curvature batch of points, then the eigenflag minimum
+(the n = 4 closed form or the descent) once over every Weyl operator;
 :func:`obstruct_point` is its call with one point.
 Grid scans walk a chart box (:func:`grid_points`) and tabulate that
 obstruction.  Scans are
@@ -33,7 +33,7 @@ from .bivectors import BivectorBasis, WeylOperator, to_operator, weyl_part
 from .cottonyork import (DEFAULT_DET_TOL, DEFAULT_ZERO_FLOOR, CottonYorkTensor,
                          classify_cy)
 from .curvature import DimensionError, frobenius_norm, obstruction_tensors
-from .eigenflag import DEFAULT_TOL_EIGENFLAG, descent_chunk, min_residuals
+from .eigenflag import DEFAULT_TOL_EIGENFLAG, min_residuals
 from .jets import metric_jets
 from .metrics import MetricSpec, coordinate_metric
 
@@ -178,11 +178,11 @@ class PointVerdict:
         }
 
 
-# Points per curvature batch (the descent chunk is the obstruction's other
-# level of batching).  Per point, the stages hold a few arrays of n^5
-# entries at n = 3 (the derivative stage) and of n^4 at n >= 4 (the
-# curvature stage alone), so 2^14 / n^5 or 2^14 / n^4 points (67 at n = 3,
-# 64 at n = 4, 12 at n = 6, 4 at n = 8) keep each near 2^14 entries.  At
+# Points per curvature batch, the engine's one level of batching
+# (min_residuals sizes its own chunks).  Per point, the stages hold a few
+# arrays of n^5 entries at n = 3 (the derivative stage) and of n^4 at n >= 4
+# (the curvature stage alone), so 2^14 / n^5 or 2^14 / n^4 points (67 at
+# n = 3, 64 at n = 4, 12 at n = 6, 4 at n = 8) keep each near 2^14 entries.  At
 # n >= 4 that ran grid4d 9-19 % and highdim 9-13 % faster than 2^14 / n^5
 # (three alternating benchmark pairs), peak RSS within 0.2 MB.
 def _batch_size(n: int) -> int:
@@ -259,28 +259,23 @@ def obstruct_points(spec: MetricSpec, points, starts: int | None = None, seed=No
     Returns, in input order, each point's :class:`PointVerdict`, or the
     exception its pipeline raised there.  Jets and curvature run in
     curvature batches (``_batch_size``), each point keeping only its Weyl
-    operator or Cotton-York verdict; the operators of one descent chunk of
-    points (:func:`~lcwcheck.eigenflag.descent_chunk`) then go to one
+    operator or Cotton-York verdict; every Weyl operator then goes to one
     :func:`min_residuals` call.  Every verdict is the one
     :func:`obstruct_point` gives, a failure staying at its own point.
     """
     points = [tuple(float(x) for x in p) for p in points]
-    size, chunk = _batch_size(spec.dimension), descent_chunk(spec.dimension, starts)
-    out = []
-    for lo in range(0, len(points), chunk):
-        group = points[lo:lo + chunk]
-        items = [item for b in range(0, len(group), size)
-                 for item in _curvature_batch(spec, group[b:b + size], orientation, tol_det)]
-        live = [k for k, item in enumerate(items) if isinstance(item, tuple)]
-        reports = min_residuals([items[k][0] for k in live], starts, seed, tol_eigenflag,
-                                [items[k][1] for k in live]) if live else []
-        for k, r in zip(live, reports):
-            items[k] = PointVerdict(group[k], "weyl_eigenflag", r.weyl_norm, r.residual_min,
-                                    bool(r.converged.any()) or r.verdict == "weyl_negligible",
-                                    r.verdict, _VERDICTS.get(r.verdict, "inconclusive"),
-                                    r.minimizer)
-        out.extend(items)
-    return out
+    size = _batch_size(spec.dimension)
+    items = [item for b in range(0, len(points), size)
+             for item in _curvature_batch(spec, points[b:b + size], orientation, tol_det)]
+    live = [k for k, item in enumerate(items) if isinstance(item, tuple)]
+    reports = min_residuals([items[k][0] for k in live], starts, seed, tol_eigenflag,
+                            [items[k][1] for k in live])
+    for k, r in zip(live, reports):
+        items[k] = PointVerdict(points[k], "weyl_eigenflag", r.weyl_norm, r.residual_min,
+                                bool(r.converged.any()) or r.verdict == "weyl_negligible",
+                                r.verdict, _VERDICTS.get(r.verdict, "inconclusive"),
+                                r.minimizer)
+    return items
 
 
 def grid_points(spec: MetricSpec, grid) -> np.ndarray:

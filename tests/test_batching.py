@@ -254,6 +254,31 @@ def test_min_residuals_per_operator_floors(monkeypatch):
     assert chunks == [[0, 2], [3]]
 
 
+def test_closed_form_chunks_of_a_patched_budget(monkeypatch):
+    """At n = 4 the closed form takes the operators in chunks of the
+    descent's budget too (3 operators of 32 starts, N^2 = 10^2 floats each):
+    the negligible operator takes no place in a chunk, and each report is
+    the one min_residual gives its operator alone."""
+    rng = np.random.default_rng(9)
+    ops = [sample_weyl(4, rng) for _ in range(8)]
+    ops.insert(4, 0.0 * ops[0].matrix)
+    singles = [min_residual(op) for op in ops]
+    monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 3 * 32 * 10 ** 2)
+    closed_form, chunks = eigenflag._closed_form4, []
+
+    def spy(pairs, live, *args):
+        chunks.append(list(live))
+        return closed_form(pairs, live, *args)
+
+    monkeypatch.setattr(eigenflag, "_closed_form4", spy)
+    assert_reports_match(min_residuals(ops), singles)
+    assert chunks == [[0, 1, 2], [3, 5, 6], [7, 8]]
+
+
+def test_min_residuals_of_no_operators():
+    assert min_residuals([]) == []
+
+
 def test_min_residuals_on_curvature_operators():
     spec = random_polynomial_metric(4, np.random.default_rng(8))
     pkgs = [curvature_package(spec, p) for p in grid_points(spec, [2, 2, 1, 2])]
@@ -330,10 +355,10 @@ def descents(monkeypatch):
     return calls
 
 
-def test_one_descent_per_descent_chunk(descents):
-    """Two curvature batches of a 48-point grid at n = 5 (26 points, then
-    22) feed one descent, and so do two of five n = 8 points (four points per
-    batch)."""
+def test_one_min_residuals_call_per_obstruct_points(descents):
+    """The operators of every curvature batch go to one min_residuals call:
+    a 48-point grid at n = 5 makes two batches (26 points, then 22), and
+    five n = 8 points make two (four points per batch)."""
     spec = random_polynomial_metric(5, np.random.default_rng(64))
     obstruct_points(spec, grid_points(spec, [3, 2, 2, 2, 2]))
     assert descents == {"descent": [48], "jets": [26, 22]}
@@ -345,14 +370,23 @@ def test_one_descent_per_descent_chunk(descents):
 
 
 def test_descent_chunks_of_a_patched_budget(monkeypatch, descents):
-    """With a budget of 5 operators (40 starts of N^2 = 15^2 floats each) no
-    descent gets more than 5, curvature batches stop at the chunk's end, and
-    every row is the one obstruct_point gives."""
+    """With a budget of 5 operators (40 starts of N^2 = 15^2 floats each)
+    the 18 operators of one curvature batch go to one min_residuals call,
+    which descends them in chunks of at most 5, and every row is the one
+    obstruct_point gives."""
     monkeypatch.setattr(eigenflag, "DESCENT_BUDGET", 5 * 40 * 15 ** 2)
+    descend, chunks = eigenflag._descend, []
+
+    def spy(pairs, live, *args):
+        chunks.append(len(live))
+        return descend(pairs, live, *args)
+
+    monkeypatch.setattr(eigenflag, "_descend", spy)
     spec = random_polynomial_metric(5, np.random.default_rng(65))
     points = grid_points(spec, [3, 3, 2, 1, 1])
     got = obstruct_points(spec, points)
-    assert descents == {"descent": [5, 5, 5, 3], "jets": [5, 5, 5, 3]}
+    assert descents == {"descent": [18], "jets": [18]}
+    assert chunks == [5, 5, 5, 3]
     for v, point in zip(got, points, strict=True):
         want = obstruct_point(spec, point)
         assert verdict_json(v) == verdict_json(want)

@@ -37,6 +37,61 @@ def test_dumps17_round_trips_through_json():
         assert json.loads(dumps17({"metric": text}))["metric"] == text
 
 
+def test_dumps17_breaks_a_list_whose_inline_form_passes_100_characters():
+    """The elements joined by ", " take one line up to 100 characters;
+    past that each element takes its own line."""
+    assert dumps17([7] * 34) == "[" + ", ".join(["7"] * 34) + "]"  # 34 + 33 * 2 = 100
+    assert dumps17([7] * 33 + [10]) == "[\n" + "  7,\n" * 33 + "  10\n]"  # 101
+
+
+def test_dumps17_indents_two_spaces_per_level():
+    doc = {"points": [{"point": [0.5, -0.25], "verdict": "zero"},
+                      {"point": [1, 2], "verdict": "no_lcw_certified"}],
+           "rows": [[1 / 3] * 5, [1]],
+           "a": {}, "b": [], "c": [{}]}
+    third = "      0.33333333333333331"
+    assert dumps17(doc) == "\n".join([
+        "{",
+        '  "points": [',
+        "    {",
+        '      "point": [0.5, -0.25],',
+        '      "verdict": "zero"',
+        "    },",
+        "    {",
+        '      "point": [1, 2],',
+        '      "verdict": "no_lcw_certified"',
+        "    }",
+        "  ],",
+        '  "rows": [',
+        "    [",
+        *[third + ","] * 4,
+        third,
+        "    ],",
+        "    [1]",
+        "  ],",
+        '  "a": {},',
+        '  "b": [],',
+        '  "c": [{}]',
+        "}"])
+    assert (dumps17({}), dumps17([]), dumps17(())) == ("{}", "[]", "[]")
+    # a dict always breaks, and a list short enough keeps it inline
+    assert dumps17([{"a": 1}]) == '[{\n    "a": 1\n  }]'
+
+
+def test_dumps17_writes_arrays_and_numpy_scalars_as_lists_and_numbers():
+    doc = {"m": np.array([[1.0, 0.5], [0.0, -2.0]]), "i": np.int64(3),
+           "f": np.float32(0.1), "d": np.float64(2.5), "long": np.full((2, 5), 1 / 3)}
+    row = "    [\n" + "      0.33333333333333331,\n" * 4 + "      0.33333333333333331\n    ]"
+    assert dumps17(doc) == (
+        "{\n"
+        '  "m": [[1, 0.5], [0, -2]],\n'
+        '  "i": 3,\n'
+        '  "f": 0.10000000149011612,\n'
+        '  "d": 2.5,\n'
+        '  "long": [\n' + row + ",\n" + row + "\n  ]\n"
+        "}")
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
 def test_dumps17_rejects_values_that_are_not_finite(value):
     """JSON has no NaN or infinity, so a report never carries one."""
